@@ -32,9 +32,9 @@ from .loop import (
     make_strategy,
     run_experiment,
 )
-from .metrics import ExperimentRecord, LearningCurve, alc, auc, balance_ratio
+from .metrics import ExperimentRecord, LearningCurve, alc, auc
 from .oracle import Oracle, OracleConfig
-from .pool import Candidate, Patch, PoolState, make_pool, move_to_labeled
+from .pool import Candidate, PoolState, make_pool, move_to_labeled
 from .sampler import SamplerConfig, sampling_probabilities, select_batch
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "LearningCurve",
     "Oracle",
     "OracleConfig",
-    "Patch",
     "PoolState",
     "SamplerConfig",
     "StopRule",
@@ -57,7 +56,6 @@ __all__ = [
     "TrainConfig",
     "alc",
     "auc",
-    "balance_ratio",
     "candidate_probability",
     "classify_pattern",
     "diversity",

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -32,22 +34,30 @@ from .errors import AftError, ConfigError
 from .learner import TrainConfig
 from .loop import StopRule, make_strategy
 from .metrics import FLOAT_FMT
+from .oracle import OracleConfig
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "AFTSTAR_OUTPUT_DIR"
 
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 STRATEGY_KEYS = {"name", "criterion", "batch_size", "alpha", "omega", "lambda1", "lambda2"}
-LEARNER_KEYS = {
-    "learning_rate",
-    "epochs",
-    "momentum",
-    "lr_decay_gamma",
-    "minibatch_size",
-    "finetune_lr_factor",
-}
-STOP_KEYS = {"query_budget", "auc_target"}
-ORACLE_KEYS = {"label_noise_rate"}
-DATAGEN_KEYS = {f.name for f in DatagenConfig.__dataclass_fields__.values()}
+LEARNER_KEYS = _field_names(TrainConfig)
+STOP_KEYS = _field_names(StopRule)
+ORACLE_KEYS = _field_names(OracleConfig)
+DATAGEN_KEYS = _field_names(DatagenConfig)
+
+
+@contextlib.contextmanager
+def _section(where: str):
+    """Report a wrongly typed config value as a config error naming its section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -93,10 +103,8 @@ def _parse_datagen(obj: dict, where: str) -> DatagenConfig:
     fixed = dict(obj)
     if "class_weights" in fixed:
         fixed["class_weights"] = tuple(fixed["class_weights"])
-    try:
+    with _section(where):
         return DatagenConfig(**fixed)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}")
 
 
 def _parse_strategy(obj: dict, where: str):
@@ -104,24 +112,31 @@ def _parse_strategy(obj: dict, where: str):
     kwargs = {
         k: obj[k] for k in ("alpha", "omega", "lambda1", "lambda2") if k in obj
     }
-    return make_strategy(
-        obj["name"],
-        criterion=obj.get("criterion", "entropy^a_w"),
-        batch_size=int(obj["batch_size"]),
-        **kwargs,
-    )
+    with _section(where):
+        return make_strategy(
+            obj["name"],
+            criterion=obj.get("criterion", "entropy^a_w"),
+            batch_size=int(obj["batch_size"]),
+            **kwargs,
+        )
 
 
 def _parse_learner(obj: dict, where: str) -> TrainConfig:
     _check_keys(obj, LEARNER_KEYS, set(), where)
-    return TrainConfig(**obj)
+    with _section(where):
+        return TrainConfig(**obj)
 
 
 def _parse_stop(obj: dict, where: str) -> StopRule:
     _check_keys(obj, STOP_KEYS, set(), where)
-    return StopRule(
-        query_budget=obj.get("query_budget"), auc_target=obj.get("auc_target")
-    )
+    with _section(where):
+        return StopRule(**obj)
+
+
+def _parse_oracle(obj: dict, where: str) -> OracleConfig:
+    _check_keys(obj, ORACLE_KEYS, set(), where)
+    with _section(where):
+        return OracleConfig(label_noise_rate=float(obj.get("label_noise_rate", 0.0)))
 
 
 def _slug(label: str) -> str:
@@ -133,17 +148,11 @@ def cmd_generate(args) -> int:
     _check_keys(cfg, {"schema_version", "output_dir", "datagen"}, {"datagen"}, args.config)
     datagen_cfg = _parse_datagen(cfg["datagen"], "datagen")
     if args.seed is not None:
-        datagen_cfg = DatagenConfig(**{**_datagen_dict(datagen_cfg), "seed": args.seed})
+        datagen_cfg = dataclasses.replace(datagen_cfg, seed=args.seed)
     out_dir = _resolve_output_dir(cfg, args)
     datagen.write_dataset(datagen_cfg, out_dir)
     print(f"wrote {out_dir / 'train.csv'}, {out_dir / 'test.csv'}, {out_dir / 'meta.json'}")
     return 0
-
-
-def _datagen_dict(cfg: DatagenConfig) -> dict:
-    out = dict(cfg.__dict__)
-    out["class_weights"] = tuple(out["class_weights"])
-    return out
 
 
 def _resolve_dataset(spec, where: str):
@@ -165,26 +174,22 @@ def _resolve_dataset(spec, where: str):
 
 
 def _run_one(
-    dataset_spec,
-    strategy_obj: dict,
-    learner_obj: dict,
-    stop_obj: dict,
-    oracle_obj: dict,
+    dataset: tuple,
+    strategy: loop.StrategyConfig,
+    train_cfg: TrainConfig,
+    stop: StopRule,
+    oracle_cfg: OracleConfig,
     positive_class: int,
     seed: int,
     out_dir: str,
 ) -> dict:
-    """Run one (strategy, seed) experiment and write its artifacts.
+    """Run one (strategy, seed) experiment on a resolved dataset
+    ``(train, test, num_classes)`` and write its artifacts.
 
-    Module-level and dict-driven so compare can fan out worker processes.
+    Module-level and takes only picklable arguments, so compare can fan
+    out worker processes.
     """
-    train, test, num_classes = _resolve_dataset(dataset_spec, "dataset")
-    strategy = _parse_strategy(strategy_obj, "strategy")
-    train_cfg = _parse_learner(learner_obj, "learner")
-    stop = _parse_stop(stop_obj, "stop")
-    _check_keys(oracle_obj, ORACLE_KEYS, set(), "oracle")
-    noise = float(oracle_obj.get("label_noise_rate", 0.0))
-
+    train, test, num_classes = dataset
     slug = _slug(strategy.label)
     out = Path(out_dir)
     records = loop.run_experiment(
@@ -196,7 +201,7 @@ def _run_one(
         seed,
         num_classes=num_classes,
         positive_class=positive_class,
-        oracle_noise=noise,
+        oracle_noise=oracle_cfg.label_noise_rate,
         audit_path=out / f"audit_{slug}_seed{seed}.jsonl",
     )
     metrics.write_curve_csv(records, out / f"curve_{slug}_seed{seed}.csv")
@@ -225,33 +230,35 @@ RUN_KEYS = {
 }
 
 
-def _common_run_fields(cfg: dict, args, where: str):
+def _parse_run(cfg: dict, args, where: str):
+    """Parse and resolve what every job of run and compare shares.
+
+    Returns ``(dataset, settings, seeds, out_dir)``, where ``settings``
+    is ``(train_cfg, stop, oracle_cfg, positive_class)``.
+    """
     seeds = cfg["seeds"] if args.seed is None else [args.seed]
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{where}: seeds must be a non-empty list")
-    out_dir = _resolve_output_dir(cfg, args)
-    return (
-        cfg["dataset"],
-        cfg.get("learner", {}),
-        cfg.get("stop", {}),
-        cfg.get("oracle", {}),
-        int(cfg.get("positive_class", 0)),
-        [int(s) for s in seeds],
-        out_dir,
+    with _section("seeds"):
+        seeds = [int(s) for s in seeds]
+    with _section("positive_class"):
+        positive_class = int(cfg.get("positive_class", 0))
+    settings = (
+        _parse_learner(cfg.get("learner", {}), "learner"),
+        _parse_stop(cfg.get("stop", {}), "stop"),
+        _parse_oracle(cfg.get("oracle", {}), "oracle"),
+        positive_class,
     )
+    dataset = _resolve_dataset(cfg["dataset"], "dataset")
+    return dataset, settings, seeds, _resolve_output_dir(cfg, args)
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, RUN_KEYS, {"dataset", "strategy", "seeds"}, args.config)
-    dataset, learner_obj, stop_obj, oracle_obj, pos, seeds, out_dir = _common_run_fields(
-        cfg, args, args.config
-    )
-    _parse_strategy(cfg["strategy"], "strategy")  # fail fast before any run
-    jobs = [
-        (dataset, cfg["strategy"], learner_obj, stop_obj, oracle_obj, pos, seed, str(out_dir))
-        for seed in seeds
-    ]
+    strategy = _parse_strategy(cfg["strategy"], "strategy")
+    dataset, settings, seeds, out_dir = _parse_run(cfg, args, args.config)
+    jobs = [(dataset, strategy, *settings, seed, str(out_dir)) for seed in seeds]
     summaries = _execute(jobs, args.jobs)
     for s in summaries:
         print(f"{s['strategy']} seed={s['seed']} alc={s['alc']:.6f} final_auc={s['final_auc']:.6f}")
@@ -264,19 +271,18 @@ COMPARE_KEYS = (RUN_KEYS - {"strategy"}) | {"strategies"}
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, COMPARE_KEYS, {"dataset", "strategies", "seeds"}, args.config)
-    dataset, learner_obj, stop_obj, oracle_obj, pos, seeds, out_dir = _common_run_fields(
-        cfg, args, args.config
-    )
-    strategies = cfg["strategies"]
-    if not isinstance(strategies, list) or not strategies:
+    strategy_objs = cfg["strategies"]
+    if not isinstance(strategy_objs, list) or not strategy_objs:
         raise ConfigError(f"{args.config}: strategies must be a non-empty list")
-    labels = []
-    for i, strategy_obj in enumerate(strategies):
-        labels.append(_parse_strategy(strategy_obj, f"strategies[{i}]").label)
+    strategies = [
+        _parse_strategy(obj, f"strategies[{i}]") for i, obj in enumerate(strategy_objs)
+    ]
+    labels = [strategy.label for strategy in strategies]
+    dataset, settings, seeds, out_dir = _parse_run(cfg, args, args.config)
 
     jobs = [
-        (dataset, strategy_obj, learner_obj, stop_obj, oracle_obj, pos, seed, str(out_dir))
-        for strategy_obj in strategies
+        (dataset, strategy, *settings, seed, str(out_dir))
+        for strategy in strategies
         for seed in seeds
     ]
     summaries = _execute(jobs, args.jobs)

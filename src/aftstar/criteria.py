@@ -31,26 +31,6 @@ from .errors import ConfigError, DiagnosticError, ShapeError
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass
-class WorkCounters:
-    """Instrumentation for scoring-cost assertions in tests.
-
-    ``pair_terms`` counts every (j, l, k) pair term evaluated inside
-    diversity; ``score_calls`` counts invocations of
-    :func:`score_candidate`.
-    """
-
-    pair_terms: int = 0
-    score_calls: int = 0
-
-    def reset(self) -> None:
-        self.pair_terms = 0
-        self.score_calls = 0
-
-
-counters = WorkCounters()
-
-
 @dataclass(frozen=True)
 class CriteriaConfig:
     """Weights and majority ratio for candidate scoring.
@@ -145,14 +125,12 @@ def diversity(P, epsilon: float = 1e-12) -> float:
     logs = np.log(pt)
     ju, jl = np.triu_indices(P.shape[0], k=1)
     terms = (pt[ju] - pt[jl]) * (logs[ju] - logs[jl])
-    counters.pair_terms += terms.size
     return float(terms.sum())
 
 
 def score_candidate(P, cfg: CriteriaConfig, candidate_id: str = "") -> CandidateScore:
     """Score one candidate: majority subset, then weighted entropy + diversity."""
     P = check_prediction_matrix(P)
-    counters.score_calls += 1
     subset = majority_subset(P, cfg.alpha)
     e = entropy(subset, cfg.epsilon)
     d = diversity(subset, cfg.epsilon)

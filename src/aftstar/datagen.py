@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError
-from .pool import Candidate, Patch
+from .pool import Candidate
 
 FLOAT_FMT = "%.17g"
 
@@ -132,8 +133,7 @@ def _generate_split(
                     (n_noisy_patches, cfg.feature_dim)
                 )
                 ambiguity.append(AmbiguityRecord(cid, contaminant, noisy_rows))
-            patches = [Patch(j, feats[j]) for j in range(cfg.patches_per_candidate)]
-            candidates.append(Candidate(id=cid, patches=patches, true_label=label))
+            candidates.append(Candidate(id=cid, features=feats, true_label=label))
     return candidates, ambiguity
 
 
@@ -171,10 +171,8 @@ def write_csv(candidates: Iterable[Candidate], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for c in candidates:
-            for p in c.patches:
-                writer.writerow(
-                    [c.id, c.true_label] + [FLOAT_FMT % v for v in p.features]
-                )
+            for row in c.features.tolist():
+                writer.writerow([c.id, c.true_label] + [FLOAT_FMT % v for v in row])
 
 
 def load_csv(path: str | Path) -> list[Candidate]:
@@ -198,9 +196,8 @@ def load_csv(path: str | Path) -> list[Candidate]:
         d = len(feature_cols)
         if d == 0:
             raise DatasetFormatError(f"{path}: no feature columns")
-        rows_by_id: dict[str, list[np.ndarray]] = {}
+        values_by_id: dict[str, array] = {}  # each candidate's rows, flattened
         label_by_id: dict[str, int] = {}
-        order: list[str] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -212,10 +209,10 @@ def load_csv(path: str | Path) -> list[Candidate]:
             except ValueError:
                 raise DatasetFormatError(f"{path}:{lineno}: label {row[1]!r} is not an integer")
             try:
-                feats = np.asarray([float(v) for v in row[2:]], dtype=float)
+                feats = [float(v) for v in row[2:]]
             except ValueError:
                 raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature value")
-            if not np.isfinite(feats).all():
+            if not all(map(math.isfinite, feats)):
                 raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
             if cid in label_by_id:
                 if label_by_id[cid] != label:
@@ -225,14 +222,16 @@ def load_csv(path: str | Path) -> list[Candidate]:
                     )
             else:
                 label_by_id[cid] = label
-                rows_by_id[cid] = []
-                order.append(cid)
-            rows_by_id[cid].append(feats)
-    out = []
-    for cid in order:
-        patches = [Patch(j, feats) for j, feats in enumerate(rows_by_id[cid])]
-        out.append(Candidate(id=cid, patches=patches, true_label=label_by_id[cid]))
-    return out
+                values_by_id[cid] = array("d")
+            values_by_id[cid].extend(feats)
+    return [
+        Candidate(
+            id=cid,
+            features=np.frombuffer(values, dtype=float).reshape(-1, d),
+            true_label=label_by_id[cid],
+        )
+        for cid, values in values_by_id.items()
+    ]
 
 
 def write_dataset(cfg: DatagenConfig, out_dir: str | Path) -> dict:

@@ -19,9 +19,7 @@ candidate labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -124,12 +122,6 @@ def loss_and_gradient(
     return loss, grad
 
 
-def cross_entropy_loss(model: LearnerModel, X, y) -> float:
-    X, y = _check_data(X, y, model.num_classes)
-    loss, _ = loss_and_gradient(model.weights, _augment(X), y)
-    return loss
-
-
 def _run_sgd(
     weights: np.ndarray,
     X: np.ndarray,
@@ -210,12 +202,14 @@ def predict_features(model: LearnerModel, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise ShapeError(f"expected (m, {model.feature_dim}) features, got {X.shape}")
     probs = _softmax_rows(_augment(X) @ model.weights.T)
+    # Not a no-op: with three or more classes this second division moves
+    # probabilities, and so the audit's scores, in their last bits.
     return probs / probs.sum(axis=1, keepdims=True)
 
 
 def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
     """Prediction matrix over a candidate's patches."""
-    return predict_features(model, candidate.feature_matrix)
+    return predict_features(model, candidate.features)
 
 
 def candidate_probability(P) -> np.ndarray:
@@ -227,48 +221,17 @@ def candidate_probability(P) -> np.ndarray:
 
 
 def collect_patches(
-    candidates: Iterable[Candidate], labels: Mapping[str, int] | None = None
+    candidates: Iterable[Candidate], labels: Mapping[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack all patches of the candidates with their inherited labels.
-
-    Labels come from ``labels[candidate.id]`` when given, otherwise from
-    ``annotated_label``; every patch of a candidate gets that label.
-    """
+    """Stack all patches of the candidates with their inherited labels:
+    every patch of a candidate gets ``labels[candidate.id]``."""
     blocks: list[np.ndarray] = []
     ys: list[int] = []
     for c in candidates:
-        if labels is not None:
-            label = labels.get(c.id)
-        else:
-            label = c.annotated_label
-        if label is None:
+        if c.id not in labels:
             raise InvariantError(f"candidate {c.id!r} has no label for training")
-        blocks.append(c.feature_matrix)
-        ys.extend([int(label)] * c.num_patches)
+        blocks.append(c.features)
+        ys.extend([int(labels[c.id])] * c.num_patches)
     if not blocks:
         return np.zeros((0, 0)), np.zeros((0,), dtype=int)
     return np.vstack(blocks), np.asarray(ys, dtype=int)
-
-
-def save_checkpoint(model: LearnerModel, path: str | Path) -> None:
-    """Write the model as JSON for experiment resumption."""
-    payload = {
-        "d": model.feature_dim,
-        "num_classes": model.num_classes,
-        "weights": [float(w) for w in model.weights.ravel()],
-        "trained_steps": model.trained_steps,
-        "origin": model.origin,
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> LearnerModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    d = int(payload["d"])
-    k = int(payload["num_classes"])
-    weights = np.asarray(payload["weights"], dtype=float).reshape(k, d + 1)
-    return LearnerModel(
-        weights=weights,
-        trained_steps=int(payload["trained_steps"]),
-        origin=str(payload["origin"]),
-    )

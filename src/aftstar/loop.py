@@ -29,7 +29,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -191,21 +191,22 @@ class ExperimentState:
     model_zero: LearnerModel
     records: list[ExperimentRecord]
     rng: np.random.Generator
-    budget_used: int = 0
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
-    terminal: bool = False
 
 
-def misclassified_set(model: LearnerModel, labeled: Iterable[Candidate]) -> set[str]:
+def misclassified_set(
+    model: LearnerModel, labeled: Iterable[Candidate], labels: Mapping[str, int]
+) -> set[str]:
     """Labeled candidates whose candidate-level argmax disagrees with
-    their annotation (argmax ties resolve to the smaller class index)."""
+    their annotation in ``labels`` (argmax ties resolve to the smaller
+    class index)."""
     wrong = set()
     for c in labeled:
-        if c.annotated_label is None:
+        if c.id not in labels:
             raise InvariantError(f"candidate {c.id!r} in L is not annotated")
         probs = candidate_probability(predict(model, c))
-        if int(np.argmax(probs)) != c.annotated_label:
+        if int(np.argmax(probs)) != labels[c.id]:
             wrong.add(c.id)
     return wrong
 
@@ -236,7 +237,6 @@ def run_step(
 ) -> ExperimentState:
     """Execute one selection / annotation / fine-tuning step in place."""
     if not state.pool.unlabeled:
-        state.terminal = True
         return state
     unlabeled_ids = sorted(state.pool.unlabeled)
     model_prev = state.model
@@ -260,15 +260,14 @@ def run_step(
 
     labeled_ids = sorted(state.pool.labeled)
     labeled_candidates = [state.pool.candidates[cid] for cid in labeled_ids]
-    hard = misclassified_set(model_prev, labeled_candidates)
+    hard = misclassified_set(model_prev, labeled_candidates, state.pool.labels)
 
     train_ids = build_training_set(
         strat.training_set_policy, set(batch), hard, set(labeled_ids)
     )
-    label_map = {cid: state.pool.candidates[cid].annotated_label for cid in labeled_ids}
-    label_map.update(labels)
     X, y = collect_patches(
-        [state.pool.candidates[cid] for cid in sorted(train_ids)], label_map
+        [state.pool.candidates[cid] for cid in sorted(train_ids)],
+        {**state.pool.labels, **labels},
     )
     if X.shape[0] > 0:
         warm = strat.model_start == CONTINUE_PREVIOUS
@@ -276,7 +275,6 @@ def run_step(
         state.model = fit(base, (X, y), state.train_cfg, warm, state.rng)
 
     state.pool = move_to_labeled(state.pool, batch, labels)
-    state.budget_used += len(batch)
 
     test_auc = evaluator(state.model)
     pos_frac = (
@@ -286,7 +284,7 @@ def run_step(
     )
     record = ExperimentRecord(
         step=state.pool.step,
-        queries_cum=state.budget_used,
+        queries_cum=len(state.pool.labeled),
         labeled_count=len(state.pool.labeled),
         test_auc=test_auc,
         selected_positive_fraction=pos_frac,
@@ -296,7 +294,9 @@ def run_step(
 
     if audit is not None:
         post_fit = misclassified_set(
-            state.model, [state.pool.candidates[cid] for cid in sorted(state.pool.labeled)]
+            state.model,
+            [state.pool.candidates[cid] for cid in sorted(state.pool.labeled)],
+            state.pool.labels,
         )
         entries = []
         for cid in batch:
@@ -405,7 +405,8 @@ def run_experiment(
     audit = open(audit_path, "w", encoding="utf-8") if audit_path is not None else None
     try:
         while True:
-            if stop.query_budget is not None and state.budget_used >= stop.query_budget:
+            queries = len(state.pool.labeled)
+            if stop.query_budget is not None and queries >= stop.query_budget:
                 break
             if not state.pool.unlabeled:
                 break
@@ -413,7 +414,7 @@ def run_experiment(
                 break
             step_strat = strat
             if stop.query_budget is not None:
-                remaining = stop.query_budget - state.budget_used
+                remaining = stop.query_budget - queries
                 if remaining < strat.sampler.batch_size:
                     step_strat = dataclasses.replace(
                         strat,

@@ -1,4 +1,4 @@
-"""Candidate-level evaluation: AUC, learning curves, ALC, class balance.
+"""Candidate-level evaluation: AUC, learning curves and ALC.
 
 AUC uses the rank (Mann-Whitney) formulation with midranks for ties,
 equivalent to ``(wins + 0.5 * ties) / (positives * negatives)`` over all
@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantError, MetricError
-from .pool import Candidate
+from .errors import MetricError
 
 FLOAT_FMT = "%.17g"
 CURVE_HEADER = [
@@ -108,19 +107,6 @@ def alc(curve: Sequence[tuple[int, float]], total_pool: int) -> float:
     return area
 
 
-def balance_ratio(selected: Iterable[Candidate], positive_class: int = 0) -> float:
-    """Fraction of selected (annotated) candidates labeled positive."""
-    selected = list(selected)
-    if not selected:
-        raise MetricError("balance ratio undefined for an empty selection")
-    labels = []
-    for c in selected:
-        if c.annotated_label is None:
-            raise InvariantError(f"candidate {c.id!r} is not annotated")
-        labels.append(c.annotated_label)
-    return float(np.mean([lab == positive_class for lab in labels]))
-
-
 @dataclass(frozen=True)
 class LearningCurve:
     records: tuple[ExperimentRecord, ...]
@@ -178,7 +164,3 @@ def read_curve_csv(path: str | Path) -> list[ExperimentRecord]:
 
 def write_summary_json(summary: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
-
-
-def record_to_dict(record: ExperimentRecord) -> dict:
-    return asdict(record)

@@ -1,9 +1,12 @@
-"""Candidate/patch data model and the labeled/unlabeled pool partition.
+"""Candidate data model and the labeled/unlabeled pool partition.
 
-A *candidate* is the unit of annotation. It owns ``m`` patches (feature
-vectors) that all inherit the candidate's label once annotated. The pool
-partitions candidate ids into a disjoint unlabeled set ``U`` and labeled
-set ``L``; every query step moves a batch from ``U`` to ``L``.
+A *candidate* is the unit of annotation: an immutable ``(m, d)`` block of
+patch feature vectors that all inherit the candidate's label once
+annotated. The pool partitions candidate ids into a disjoint unlabeled
+set ``U`` and labeled set ``L`` and owns the annotations: ``L`` is the
+key set of its id -> label map, and every query step moves a batch from
+``U`` to ``L``. Building or advancing a pool never modifies the
+candidates, so any number of pools can share one candidate list.
 
 Dataset CSV format (written/read by :mod:`aftstar.datagen`):
 UTF-8, header ``candidate_id,label,f0,...,f{d-1}``, one row per patch.
@@ -18,104 +21,76 @@ the selection path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, KeysView, Mapping
 
 import numpy as np
 
 from .errors import LabelDomainError, PartitionError, ShapeError
 
 
-@dataclass(eq=False)
-class Patch:
-    """One feature vector belonging to a candidate."""
-
-    patch_index: int
-    features: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 1:
-            raise ShapeError(f"patch features must be 1-d, got shape {self.features.shape}")
-        if not np.isfinite(self.features).all():
-            raise ShapeError("patch features must be finite")
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Candidate:
-    """An annotation unit owning ``m >= 1`` patches of equal dimension.
-
-    ``annotated_label`` is present exactly when the candidate has been
-    queried; all patches then inherit it.
-    """
+    """An annotation unit: ``m >= 1`` patches of dimension ``d``, stored as
+    one read-only ``(m, d)`` float array of finite values."""
 
     id: str
-    patches: list[Patch]
+    features: np.ndarray
     true_label: int = field(repr=False, default=0)
-    annotated_label: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.patches:
-            raise ShapeError(f"candidate {self.id!r} has no patches")
-        d = self.patches[0].features.shape[0]
-        for j, p in enumerate(self.patches):
-            if p.patch_index != j:
-                raise ShapeError(
-                    f"candidate {self.id!r}: patch_index must be contiguous from 0"
-                )
-            if p.features.shape[0] != d:
-                raise ShapeError(f"candidate {self.id!r}: patches disagree on dimension")
-        self._features: np.ndarray | None = None
+        features = np.array(self.features, dtype=float)
+        if features.ndim != 2 or features.shape[0] < 1:
+            raise ShapeError(
+                f"candidate {self.id!r}: features must be (m >= 1, d), got shape {features.shape}"
+            )
+        if not np.isfinite(features).all():
+            raise ShapeError(f"candidate {self.id!r}: features must be finite")
+        features.flags.writeable = False
+        object.__setattr__(self, "features", features)
 
     @property
     def num_patches(self) -> int:
-        return len(self.patches)
+        return self.features.shape[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.patches[0].features.shape[0]
-
-    @property
-    def feature_matrix(self) -> np.ndarray:
-        """All patch features stacked into an (m, d) array (cached)."""
-        if self._features is None:
-            self._features = np.stack([p.features for p in self.patches])
-        return self._features
+        return self.features.shape[1]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PoolState:
     """Disjoint partition of candidate ids into unlabeled U and labeled L.
 
-    Invariants: ``unlabeled & labeled == set()`` and
+    ``labels`` maps each labeled id to its annotation and ``labeled`` is
+    its key set. Invariants: ``unlabeled & labeled == set()`` and
     ``unlabeled | labeled`` equals the initial candidate set; ``step``
     counts completed query steps and ``len(labeled)`` never decreases.
     """
 
-    candidates: dict[str, Candidate]
+    candidates: Mapping[str, Candidate]
     unlabeled: frozenset[str]
-    labeled: frozenset[str]
+    labels: Mapping[str, int]
     step: int = 0
     num_classes: int = 2
 
+    @property
+    def labeled(self) -> KeysView[str]:
+        return self.labels.keys()
+
 
 def make_pool(candidates: Iterable[Candidate], num_classes: int) -> PoolState:
-    """Build an all-unlabeled pool over the given candidates.
-
-    Clears any annotated_label left over from a previous run so the
-    "annotated iff queried" invariant holds from step 0.
-    """
+    """Build an all-unlabeled pool over the given candidates."""
     if num_classes < 2:
         raise LabelDomainError("num_classes must be >= 2")
     by_id: dict[str, Candidate] = {}
     for c in candidates:
         if c.id in by_id:
             raise PartitionError(f"duplicate candidate id {c.id!r}")
-        c.annotated_label = None
         by_id[c.id] = c
     return PoolState(
         candidates=by_id,
         unlabeled=frozenset(by_id),
-        labeled=frozenset(),
+        labels={},
         step=0,
         num_classes=num_classes,
     )
@@ -124,7 +99,7 @@ def make_pool(candidates: Iterable[Candidate], num_classes: int) -> PoolState:
 def move_to_labeled(
     pool: PoolState, ids: Iterable[str], labels: Mapping[str, int]
 ) -> PoolState:
-    """Move ``ids`` from U to L, recording their annotated labels.
+    """A new pool with ``ids`` moved from U to L under their annotated labels.
 
     An empty move is legal and still advances ``step`` by one.
     """
@@ -143,12 +118,10 @@ def move_to_labeled(
             raise LabelDomainError(
                 f"label {label!r} for {cid!r} outside [0, {pool.num_classes})"
             )
-    for cid in ids:
-        pool.candidates[cid].annotated_label = int(labels[cid])
     return PoolState(
         candidates=pool.candidates,
         unlabeled=pool.unlabeled - id_set,
-        labeled=pool.labeled | id_set,
+        labels={**pool.labels, **{cid: int(labels[cid]) for cid in ids}},
         step=pool.step + 1,
         num_classes=pool.num_classes,
     )

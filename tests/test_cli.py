@@ -261,3 +261,20 @@ def test_missing_dataset_is_config_error(tmp_path):
         run_config(tmp_path / "nope", tmp_path / "o", {"name": "RFT", "batch_size": 5}),
     )
     assert main(["run", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize(
+    "section, edit",
+    [
+        ("strategies[0]", lambda cfg: cfg["strategies"][0].update(batch_size="x")),
+        ("learner", lambda cfg: cfg["learner"].update(learning_rate="0.1")),
+        ("seeds", lambda cfg: cfg.update(seeds=["a"])),
+    ],
+    ids=["batch_size", "learning_rate", "seeds"],
+)
+def test_wrongly_typed_values_are_config_errors(dataset_dir, tmp_path, capsys, section, edit):
+    payload = compare_config(dataset_dir, tmp_path / "o", [{"name": "RFT", "batch_size": 5}])
+    edit(payload)
+    cfg = write_config(tmp_path / "cmp.json", payload)
+    assert main(["compare", "--config", cfg]) == 1
+    assert f"config error: {section}: " in capsys.readouterr().err

@@ -9,7 +9,6 @@ from aftstar.criteria import (
     CriteriaConfig,
     check_prediction_matrix,
     classify_pattern,
-    counters,
     diversity,
     dominant_class,
     entropy,
@@ -199,15 +198,14 @@ def test_subset_size_recorded():
     assert s.dominant == 0
 
 
-def test_pair_term_counter_matches_subset_combinatorics():
-    m, k = 12, 2
-    P = np.full((m, k), 1.0 / k)
+def test_score_diversity_is_direct_diversity_of_majority_subset():
+    raw = np.random.default_rng(4).random((12, 3)) + 1e-6
+    P = raw / raw.sum(axis=1, keepdims=True)
     for alpha in (0.25, 0.5, 1.0):
-        counters.reset()
-        score_candidate(P, CriteriaConfig(lambda1=1.0, lambda2=1.0, alpha=alpha))
-        kept = math.ceil(alpha * m)
-        assert counters.pair_terms == math.comb(kept, 2) * k
-        assert counters.score_calls == 1
+        s = score_candidate(P, CriteriaConfig(lambda1=1.0, lambda2=1.0, alpha=alpha))
+        subset = majority_subset(P, alpha)
+        assert subset.shape[0] == s.subset_size == math.ceil(alpha * 12)
+        assert abs(s.diversity - diversity_direct(subset)) <= 1e-9
 
 
 # --- config validation ------------------------------------------------------

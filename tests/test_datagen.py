@@ -95,7 +95,7 @@ def test_same_seed_identical_datasets(tmp_path):
 def test_different_seeds_differ(tmp_path):
     train1, _, _ = generate(small_config(seed=1))
     train2, _, _ = generate(small_config(seed=2))
-    assert not np.array_equal(train1[0].feature_matrix, train2[0].feature_matrix)
+    assert not np.array_equal(train1[0].features, train2[0].features)
 
 
 # --- CSV round trip ---------------------------------------------------------
@@ -108,7 +108,7 @@ def test_round_trip_preserves_features(tmp_path):
     assert [c.id for c in loaded] == [c.id for c in train]
     for orig, back in zip(train, loaded):
         assert back.true_label == orig.true_label
-        assert np.abs(back.feature_matrix - orig.feature_matrix).max() < 1e-9
+        assert np.abs(back.features - orig.features).max() < 1e-9
 
 
 def test_inconsistent_labels_rejected(tmp_path):
@@ -131,6 +131,13 @@ def test_non_numeric_feature_rejected(tmp_path):
         load_csv(path)
 
 
+def test_non_finite_feature_rejected_with_line_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("candidate_id,label,f0\nx,0,1.0\nx,0,nan\n")
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv:3: non-finite feature value"):
+        load_csv(path)
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,label,f0\nx,0,1.0\n")
@@ -148,7 +155,7 @@ def test_non_contiguous_rows_grouped(tmp_path):
     )
     loaded = load_csv(path)
     by_id = {c.id: c for c in loaded}
-    assert by_id["a"].feature_matrix[:, 0].tolist() == [1.0, 3.0]
+    assert by_id["a"].features[:, 0].tolist() == [1.0, 3.0]
     assert by_id["b"].num_patches == 1
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import aftstar.loop as loop_mod
-from aftstar.criteria import CriteriaConfig, counters
+from aftstar.criteria import CriteriaConfig
 from aftstar.datagen import DatagenConfig, generate
 from aftstar.errors import ConfigError, InvariantError
 from aftstar.learner import LearnerModel, TrainConfig
@@ -16,7 +16,7 @@ from aftstar.loop import (
     run_experiment,
 )
 from aftstar.metrics import write_curve_csv
-from aftstar.pool import Candidate, Patch
+from aftstar.pool import Candidate
 from aftstar.sampler import SamplerConfig
 
 
@@ -116,29 +116,27 @@ def test_strategy_config_internal_consistency():
 
 # --- misclassified set ---------------------------------------------------------
 
-def one_patch_candidate(cid, label, annotated=True):
-    c = Candidate(id=cid, patches=[Patch(0, np.zeros(3))], true_label=label)
-    if annotated:
-        c.annotated_label = label
-    return c
+def one_patch_candidate(cid, label):
+    return Candidate(id=cid, features=np.zeros((1, 3)), true_label=label)
 
 
 def test_misclassified_empty_on_empty_labeled():
     model = LearnerModel(weights=np.zeros((2, 4)))
-    assert misclassified_set(model, []) == set()
+    assert misclassified_set(model, [], {}) == set()
 
 
 def test_misclassified_tie_resolves_to_class_zero():
     model = LearnerModel(weights=np.zeros((2, 4)))  # uniform predictions
     labeled_one = one_patch_candidate("a", 1)
     labeled_zero = one_patch_candidate("b", 0)
-    assert misclassified_set(model, [labeled_one, labeled_zero]) == {"a"}
+    labels = {"a": 1, "b": 0}
+    assert misclassified_set(model, [labeled_one, labeled_zero], labels) == {"a"}
 
 
 def test_misclassified_requires_annotation():
     model = LearnerModel(weights=np.zeros((2, 4)))
     with pytest.raises(InvariantError):
-        misclassified_set(model, [one_patch_candidate("a", 0, annotated=False)])
+        misclassified_set(model, [one_patch_candidate("a", 0)], {})
 
 
 # --- training set policies -------------------------------------------------------
@@ -201,13 +199,19 @@ def test_auc_target_stops_at_first_crossing():
     assert limited[-1].test_auc >= target or limited[-1].labeled_count == 40
 
 
-def test_rft_never_computes_candidate_scores():
-    counters.reset()
+def test_rft_never_computes_candidate_scores(monkeypatch):
+    calls = []
+    real_score = loop_mod.score_candidate
+
+    def counting_score(*args, **kwargs):
+        calls.append(1)
+        return real_score(*args, **kwargs)
+
+    monkeypatch.setattr(loop_mod, "score_candidate", counting_score)
     run(make_strategy("RFT", batch_size=10), budget=20)
-    assert counters.score_calls == 0
-    counters.reset()
+    assert len(calls) == 0
     run(make_strategy("AFT", criterion="entropy", batch_size=10), budget=20)
-    assert counters.score_calls > 0
+    assert len(calls) > 0
 
 
 def test_aft_restarts_from_pretrained_each_step_and_aft_star_accumulates():
@@ -270,9 +274,9 @@ def test_misclassified_computed_before_fit_on_pre_update_model():
         calls.append("fit")
         return real_fit(*args, **kwargs)
 
-    def spy_mis(model, labeled):
+    def spy_mis(model, labeled, labels):
         calls.append("misclassified")
-        return real_mis(model, labeled)
+        return real_mis(model, labeled, labels)
 
     import unittest.mock as mock
 

@@ -1,26 +1,17 @@
 import numpy as np
 import pytest
 
-from aftstar.errors import InvariantError, MetricError
+from aftstar.errors import MetricError
 from aftstar.metrics import (
     ExperimentRecord,
     LearningCurve,
     alc,
     auc,
-    balance_ratio,
     macro_auc,
     read_curve_csv,
     write_curve_csv,
 )
-from aftstar.pool import Candidate, Patch
-
 from oracles import auc_pairwise
-
-
-def annotated(cid, label):
-    c = Candidate(id=cid, patches=[Patch(0, np.zeros(2))], true_label=label)
-    c.annotated_label = label
-    return c
 
 
 # --- AUC ----------------------------------------------------------------------
@@ -108,29 +99,6 @@ def test_alc_dominating_curve_not_smaller():
         lower = rng.random(6)
         upper = np.clip(lower + rng.random(6) * 0.2, 0, 1)
         assert alc(list(zip(qs, upper)), 200) >= alc(list(zip(qs, lower)), 200) - 1e-12
-
-
-# --- balance ratio ----------------------------------------------------------------
-
-def test_balance_ratio_counting():
-    cands = [annotated("a", 0), annotated("b", 0), annotated("c", 1), annotated("d", 1)]
-    assert balance_ratio(cands, positive_class=0) == 0.5
-    assert balance_ratio([annotated("x", 0)], positive_class=0) == 1.0
-    mixed = [annotated(f"p{i}", 0) for i in range(3)] + [
-        annotated(f"n{i}", 1) for i in range(7)
-    ]
-    assert balance_ratio(mixed, positive_class=0) == pytest.approx(0.3)
-
-
-def test_balance_ratio_empty_undefined():
-    with pytest.raises(MetricError):
-        balance_ratio([])
-
-
-def test_balance_ratio_requires_annotation():
-    c = Candidate(id="u", patches=[Patch(0, np.zeros(2))], true_label=0)
-    with pytest.raises(InvariantError):
-        balance_ratio([c])
 
 
 # --- learning curve / CSV -----------------------------------------------------------

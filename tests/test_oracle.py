@@ -3,16 +3,14 @@ import pytest
 
 from aftstar.errors import ConfigError, DoubleAnnotationError, PartitionError
 from aftstar.oracle import Oracle, OracleConfig, true_labels
-from aftstar.pool import Candidate, Patch
+from aftstar.pool import Candidate
 
 
 def make_candidates(labels):
     out = {}
     for i, label in enumerate(labels):
         cid = f"c{i:04d}"
-        out[cid] = Candidate(
-            id=cid, patches=[Patch(0, np.zeros(2))], true_label=label
-        )
+        out[cid] = Candidate(id=cid, features=np.zeros((1, 2)), true_label=label)
     return out
 
 

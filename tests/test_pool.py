@@ -4,16 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftstar.errors import LabelDomainError, PartitionError, ShapeError
-from aftstar.pool import Candidate, Patch, make_pool, move_to_labeled
+from aftstar.pool import Candidate, make_pool, move_to_labeled
 
 
 def make_candidate(cid, label=0, m=2, d=3):
     rng = np.random.default_rng(abs(hash(cid)) % 2**32)
-    return Candidate(
-        id=cid,
-        patches=[Patch(j, rng.random(d)) for j in range(m)],
-        true_label=label,
-    )
+    return Candidate(id=cid, features=rng.random((m, d)), true_label=label)
 
 
 def small_pool(ids=("a", "b", "c")):
@@ -26,7 +22,18 @@ def test_move_single_candidate():
     assert out.unlabeled == {"b", "c"}
     assert out.labeled == {"a"}
     assert out.step == 1
-    assert out.candidates["a"].annotated_label == 1
+    assert out.labels == {"a": 1}
+    assert pool.labels == {}  # the input pool is unchanged
+
+
+def test_pools_over_one_candidate_list_stay_independent():
+    candidates = [make_candidate(i) for i in ("a", "b", "c")]
+    first = make_pool(candidates, num_classes=2)
+    second = make_pool(candidates, num_classes=2)
+    move_to_labeled(first, ["a"], {"a": 1})
+    assert second.labels == {}
+    assert second.labeled == set()
+    assert second.unlabeled == {"a", "b", "c"}
 
 
 def test_empty_move_only_advances_step():
@@ -66,28 +73,21 @@ def test_duplicate_ids_rejected():
 
 def test_candidate_validation():
     with pytest.raises(ShapeError):
-        Candidate(id="x", patches=[], true_label=0)
+        Candidate(id="x", features=np.zeros(3), true_label=0)  # 1-d
     with pytest.raises(ShapeError):
-        Candidate(
-            id="x",
-            patches=[Patch(0, np.zeros(3)), Patch(2, np.zeros(3))],
-            true_label=0,
-        )
+        Candidate(id="x", features=np.zeros((0, 3)), true_label=0)  # no patches
     with pytest.raises(ShapeError):
-        Candidate(
-            id="x",
-            patches=[Patch(0, np.zeros(3)), Patch(1, np.zeros(4))],
-            true_label=0,
-        )
+        Candidate(id="x", features=[[1.0, np.nan]], true_label=0)
     with pytest.raises(ShapeError):
-        Patch(0, np.array([1.0, np.nan]))
+        Candidate(id="x", features=[[1.0, np.inf]], true_label=0)
 
 
 def test_feature_matrix_shape():
     c = make_candidate("a", m=4, d=6)
-    assert c.feature_matrix.shape == (4, 6)
+    assert c.features.shape == (4, 6)
     assert c.num_patches == 4
     assert c.feature_dim == 6
+    assert not c.features.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,7 +121,7 @@ def test_replay_determinism():
             pool = move_to_labeled(pool, ids, labels)
             states.append(
                 (set(pool.unlabeled), set(pool.labeled), pool.step,
-                 {i: pool.candidates[i].annotated_label for i in pool.labeled})
+                 dict(pool.labels))
             )
         return states
 
