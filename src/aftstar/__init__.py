@@ -21,9 +21,10 @@ from .datagen import DatagenConfig, generate, load_csv, standard_benchmark
 from .learner import (
     LearnerModel,
     TrainConfig,
-    candidate_probability,
+    candidate_probabilities,
     fit,
     predict,
+    predict_all,
     pretrain_m0,
 )
 from .loop import (
@@ -56,7 +57,7 @@ __all__ = [
     "TrainConfig",
     "alc",
     "auc",
-    "candidate_probability",
+    "candidate_probabilities",
     "classify_pattern",
     "diversity",
     "dominant_class",
@@ -69,6 +70,7 @@ __all__ = [
     "make_strategy",
     "move_to_labeled",
     "predict",
+    "predict_all",
     "pretrain_m0",
     "run_experiment",
     "sampling_probabilities",

@@ -40,23 +40,15 @@ SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "AFTSTAR_OUTPUT_DIR"
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
 STRATEGY_KEYS = {"name", "criterion", "batch_size", "alpha", "omega", "lambda1", "lambda2"}
-LEARNER_KEYS = _field_names(TrainConfig)
-STOP_KEYS = _field_names(StopRule)
-ORACLE_KEYS = _field_names(OracleConfig)
-DATAGEN_KEYS = _field_names(DatagenConfig)
 
 
 @contextlib.contextmanager
 def _section(where: str):
-    """Report a wrongly typed config value as a config error naming its section."""
+    """Report a bad or wrongly typed config value as a config error naming its section."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -98,13 +90,17 @@ def _resolve_output_dir(cfg: dict, args) -> Path:
     return path
 
 
-def _parse_datagen(obj: dict, where: str) -> DatagenConfig:
-    _check_keys(obj, DATAGEN_KEYS, set(), where)
-    fixed = dict(obj)
-    if "class_weights" in fixed:
-        fixed["class_weights"] = tuple(fixed["class_weights"])
+def _parse_fields(cls, obj: dict, where: str):
+    """Build the config dataclass ``cls`` from a JSON object of its fields."""
+    _check_keys(obj, {f.name for f in dataclasses.fields(cls)}, set(), where)
     with _section(where):
-        return DatagenConfig(**fixed)
+        return cls(**obj)
+
+
+def _parse_datagen(obj: dict, where: str) -> DatagenConfig:
+    if isinstance(obj, dict) and isinstance(obj.get("class_weights"), list):
+        obj = {**obj, "class_weights": tuple(obj["class_weights"])}
+    return _parse_fields(DatagenConfig, obj, where)
 
 
 def _parse_strategy(obj: dict, where: str):
@@ -116,27 +112,9 @@ def _parse_strategy(obj: dict, where: str):
         return make_strategy(
             obj["name"],
             criterion=obj.get("criterion", "entropy^a_w"),
-            batch_size=int(obj["batch_size"]),
+            batch_size=obj["batch_size"],
             **kwargs,
         )
-
-
-def _parse_learner(obj: dict, where: str) -> TrainConfig:
-    _check_keys(obj, LEARNER_KEYS, set(), where)
-    with _section(where):
-        return TrainConfig(**obj)
-
-
-def _parse_stop(obj: dict, where: str) -> StopRule:
-    _check_keys(obj, STOP_KEYS, set(), where)
-    with _section(where):
-        return StopRule(**obj)
-
-
-def _parse_oracle(obj: dict, where: str) -> OracleConfig:
-    _check_keys(obj, ORACLE_KEYS, set(), where)
-    with _section(where):
-        return OracleConfig(label_noise_rate=float(obj.get("label_noise_rate", 0.0)))
 
 
 def _slug(label: str) -> str:
@@ -244,9 +222,9 @@ def _parse_run(cfg: dict, args, where: str):
     with _section("positive_class"):
         positive_class = int(cfg.get("positive_class", 0))
     settings = (
-        _parse_learner(cfg.get("learner", {}), "learner"),
-        _parse_stop(cfg.get("stop", {}), "stop"),
-        _parse_oracle(cfg.get("oracle", {}), "oracle"),
+        _parse_fields(TrainConfig, cfg.get("learner", {}), "learner"),
+        _parse_fields(StopRule, cfg.get("stop", {}), "stop"),
+        _parse_fields(OracleConfig, cfg.get("oracle", {}), "oracle"),
         positive_class,
     )
     dataset = _resolve_dataset(cfg["dataset"], "dataset")

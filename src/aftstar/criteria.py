@@ -15,8 +15,10 @@ selection computes both quantities on only the ``ceil(alpha * m)``
 patches most confidently predicted as the candidate's dominant class,
 which suppresses patches whose inherited label is effectively noisy.
 
-All probabilities are clamped to ``[epsilon, 1]`` before any log; rows
+All probabilities are clamped to ``[EPSILON, 1]`` before any log; rows
 are not re-normalized after clamping.
+Each public function checks its prediction matrix once; the private
+helpers it calls check nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, DiagnosticError, ShapeError
 
 ROW_SUM_TOL = 1e-9
+EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,17 +44,14 @@ class CriteriaConfig:
     lambda1: float = 1.0
     lambda2: float = 0.0
     alpha: float = 1.0
-    epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ConfigError("lambda1 and lambda2 must be >= 0")
-        if self.lambda1 + self.lambda2 <= 0:
+        if not (self.lambda1 + self.lambda2 > 0):
             raise ConfigError("lambda1 + lambda2 must be > 0")
         if not (0 < self.alpha <= 1):
             raise ConfigError("alpha must lie in (0, 1]")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,32 @@ def check_prediction_matrix(P) -> np.ndarray:
     return P
 
 
+def _dominant(P: np.ndarray) -> int:
+    return int(np.argmax(P.sum(axis=0)))
+
+
+def _majority(P: np.ndarray, alpha: float, dominant: int) -> np.ndarray:
+    keep = max(1, math.ceil(alpha * P.shape[0]))
+    order = np.argsort(-P[:, dominant], kind="stable")
+    return P[order[:keep]]
+
+
+def _entropy(P: np.ndarray) -> float:
+    pt = np.clip(P, EPSILON, 1.0)
+    return float(-(pt * np.log(pt)).sum() / P.shape[0])
+
+
+def _diversity(P: np.ndarray) -> float:
+    pt = np.clip(P, EPSILON, 1.0)
+    logs = np.log(pt)
+    ju, jl = np.triu_indices(P.shape[0], k=1)
+    terms = (pt[ju] - pt[jl]) * (logs[ju] - logs[jl])
+    return float(terms.sum())
+
+
 def dominant_class(P) -> int:
     """Class with the largest column sum (ties go to the smaller index)."""
-    P = check_prediction_matrix(P)
-    return int(np.argmax(P.sum(axis=0)))
+    return _dominant(check_prediction_matrix(P))
 
 
 def majority_subset(P, alpha: float) -> np.ndarray:
@@ -99,44 +121,34 @@ def majority_subset(P, alpha: float) -> np.ndarray:
     P = check_prediction_matrix(P)
     if not (0 < alpha <= 1):
         raise ConfigError("alpha must lie in (0, 1]")
-    m = P.shape[0]
-    keep = max(1, math.ceil(alpha * m))
-    q = P[:, dominant_class(P)]
-    order = np.argsort(-q, kind="stable")
-    return P[order[:keep]]
+    return _majority(P, alpha, _dominant(P))
 
 
-def entropy(P, epsilon: float = 1e-12) -> float:
+def entropy(P) -> float:
     """Mean per-patch prediction entropy in nats; lies in [0, ln |Y|]."""
-    P = check_prediction_matrix(P)
-    pt = np.clip(P, epsilon, 1.0)
-    return float(-(pt * np.log(pt)).sum() / P.shape[0])
+    return _entropy(check_prediction_matrix(P))
 
 
-def diversity(P, epsilon: float = 1e-12) -> float:
+def diversity(P) -> float:
     """Summed pairwise symmetric divergence between patch predictions.
 
     Zero when all rows are identical or there is a single row; always
     non-negative because each pair term has the form
     ``(a - b) * (ln a - ln b)``.
     """
-    P = check_prediction_matrix(P)
-    pt = np.clip(P, epsilon, 1.0)
-    logs = np.log(pt)
-    ju, jl = np.triu_indices(P.shape[0], k=1)
-    terms = (pt[ju] - pt[jl]) * (logs[ju] - logs[jl])
-    return float(terms.sum())
+    return _diversity(check_prediction_matrix(P))
 
 
 def score_candidate(P, cfg: CriteriaConfig, candidate_id: str = "") -> CandidateScore:
     """Score one candidate: majority subset, then weighted entropy + diversity."""
     P = check_prediction_matrix(P)
-    subset = majority_subset(P, cfg.alpha)
-    e = entropy(subset, cfg.epsilon)
-    d = diversity(subset, cfg.epsilon)
+    dominant = _dominant(P)
+    subset = _majority(P, cfg.alpha, dominant)
+    e = _entropy(subset)
+    d = _diversity(subset)
     return CandidateScore(
         candidate_id=candidate_id,
-        dominant=dominant_class(P),
+        dominant=dominant,
         entropy=e,
         diversity=d,
         score=cfg.lambda1 * e + cfg.lambda2 * d,
@@ -154,7 +166,7 @@ def classify_pattern(P) -> str:
     P = check_prediction_matrix(P)
     if P.shape[1] != 2:
         raise DiagnosticError("pattern diagnostic requires exactly 2 classes")
-    q = P[:, dominant_class(P)]
+    q = P[:, _dominant(P)]
     m = q.shape[0]
     f_mid = float(((q >= 0.4) & (q <= 0.6)).sum()) / m
     f_hi = float((q > 0.9).sum()) / m

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DatasetFormatError
+from .errors import ConfigError, DatasetFormatError, check_integer
 from .pool import Candidate
 
 FLOAT_FMT = "%.17g"
@@ -50,23 +50,23 @@ class DatagenConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
+        check_integer("num_classes", self.num_classes, 2)
+        check_integer("train_candidates", self.train_candidates, 1)
+        check_integer("test_candidates", self.test_candidates, 0)
+        check_integer("patches_per_candidate", self.patches_per_candidate, 1)
+        check_integer("feature_dim", self.feature_dim, 1)
+        check_integer("seed", self.seed, 0)
         if len(self.class_weights) != self.num_classes:
             raise ConfigError("class_weights must have one entry per class")
-        if any(w < 0 for w in self.class_weights) or abs(sum(self.class_weights) - 1.0) > 1e-9:
+        if not (min(self.class_weights) >= 0 and abs(sum(self.class_weights) - 1.0) <= 1e-9):
             raise ConfigError("class_weights must be non-negative and sum to 1")
-        if self.train_candidates < 1 or self.test_candidates < 0:
-            raise ConfigError("candidate counts must be positive")
-        if self.patches_per_candidate < 1:
-            raise ConfigError("patches_per_candidate must be >= 1")
         if self.feature_dim < self.num_classes:
             raise ConfigError(
                 "feature_dim must be >= num_classes for basis-aligned class centers"
             )
-        if self.class_center_separation <= 0:
+        if not (self.class_center_separation > 0):
             raise ConfigError("class_center_separation must be > 0")
-        if self.candidate_center_spread <= 0 or self.patch_spread <= 0:
+        if not (self.candidate_center_spread > 0 and self.patch_spread > 0):
             raise ConfigError("spreads must be > 0")
         if not (0 <= self.ambiguous_fraction <= 1):
             raise ConfigError("ambiguous_fraction must lie in [0, 1]")

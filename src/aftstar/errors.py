@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+every config dataclass uses for its count fields."""
+
+import numbers
 
 
 class AftError(Exception):
@@ -45,3 +48,11 @@ class DiagnosticError(AftError):
 class InvariantError(AftError):
     """A cross-module invariant does not hold (e.g. misclassified set not
     a subset of the labeled set, unannotated candidate in the labeled set)."""
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless ``value`` is an integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")

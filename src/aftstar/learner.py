@@ -14,21 +14,20 @@ Two start policies:
   at the full learning rate (retraining from scratch each step).
 
 Training data is an ``(X, y)`` pair of patch features and inherited
-candidate labels.
+candidate labels. Prediction over a list of candidates is one pass over
+their stacked patches, split back into one block per candidate; a
+candidate's class probabilities are the mean of its block's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ShapeError
+from .errors import ConfigError, InvariantError, ShapeError, check_integer
 from .pool import Candidate
-
-PRETRAINED_ORIGIN = "pretrained_M0"
-FINETUNED_ORIGIN = "finetuned"
 
 
 @dataclass(frozen=True)
@@ -43,16 +42,14 @@ class TrainConfig:
     finetune_lr_factor: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
+        if not (self.learning_rate > 0):
             raise ConfigError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        check_integer("epochs", self.epochs, 1)
         if not (0 <= self.momentum < 1):
             raise ConfigError("momentum must lie in [0, 1)")
         if not (0 < self.lr_decay_gamma <= 1):
             raise ConfigError("lr_decay_gamma must lie in (0, 1]")
-        if self.minibatch_size < 1:
-            raise ConfigError("minibatch_size must be >= 1")
+        check_integer("minibatch_size", self.minibatch_size, 1)
         if not (0 < self.finetune_lr_factor <= 1):
             raise ConfigError("finetune_lr_factor must lie in (0, 1]")
 
@@ -62,16 +59,12 @@ class LearnerModel:
     """Immutable weight state; ``fit`` always returns a new model."""
 
     weights: np.ndarray
-    trained_steps: int = 0
-    origin: str = PRETRAINED_ORIGIN
 
     def __post_init__(self) -> None:
         if self.weights.ndim != 2 or self.weights.shape[0] < 2:
             raise ShapeError(f"weights must be (num_classes, d + 1), got {self.weights.shape}")
         if not np.isfinite(self.weights).all():
             raise ShapeError("weights must be finite")
-        if self.trained_steps < 0:
-            raise ConfigError("trained_steps must be >= 0")
 
     @property
     def num_classes(self) -> int:
@@ -164,16 +157,15 @@ def pretrain_m0(
         if feature_dim is None or num_classes is None:
             raise ConfigError("feature_dim and num_classes are required without data")
         W = rng.uniform(-0.01, 0.01, size=(num_classes, feature_dim + 1))
-        return LearnerModel(weights=W, trained_steps=0, origin=PRETRAINED_ORIGIN)
+        return LearnerModel(weights=W)
     X, y = _check_data(*data, num_classes)
     if X.shape[0] == 0:
         raise InvariantError("pretraining data must be non-empty")
     if num_classes is None:
         num_classes = int(y.max()) + 1
-    _check_data(X, y, num_classes)
     W = rng.uniform(-0.01, 0.01, size=(num_classes, X.shape[1] + 1))
     W = _run_sgd(W, X, y, cfg, cfg.learning_rate, rng)
-    return LearnerModel(weights=W, trained_steps=0, origin=PRETRAINED_ORIGIN)
+    return LearnerModel(weights=W)
 
 
 def fit(
@@ -193,7 +185,7 @@ def fit(
         raise ShapeError(f"feature dim {X.shape[1]} != model dim {base.feature_dim}")
     lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
     W = _run_sgd(base.weights, X, y, cfg, lr0, rng)
-    return LearnerModel(weights=W, trained_steps=base.trained_steps + 1, origin=FINETUNED_ORIGIN)
+    return LearnerModel(weights=W)
 
 
 def predict_features(model: LearnerModel, X) -> np.ndarray:
@@ -212,12 +204,28 @@ def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
     return predict_features(model, candidate.features)
 
 
-def candidate_probability(P) -> np.ndarray:
-    """Candidate-level class probabilities: the column means of P."""
-    from .criteria import check_prediction_matrix
+def predict_all(model: LearnerModel, candidates: Sequence[Candidate]) -> list[np.ndarray]:
+    """Prediction matrices of many candidates from one pass over their
+    stacked patches; block ``i`` equals ``predict(model, candidates[i])``."""
+    if not candidates:
+        return []
+    P = predict_features(model, np.vstack([c.features for c in candidates]))
+    blocks = np.split(P, np.cumsum([c.num_patches for c in candidates])[:-1])
+    # numpy multiplies a single row through a matrix-vector routine that
+    # rounds differently from the matrix product, so a one-patch candidate
+    # is predicted alone to match predict() bit for bit.
+    return [
+        predict(model, c) if c.num_patches == 1 else block
+        for c, block in zip(candidates, blocks)
+    ]
 
-    P = check_prediction_matrix(P)
-    return P.mean(axis=0)
+
+def candidate_probabilities(model: LearnerModel, candidates: Sequence[Candidate]) -> np.ndarray:
+    """Candidate-level class probabilities, one row per candidate: the
+    column means of its prediction matrix."""
+    # A mean per block, not np.add.reduceat: reduceat sums in another order.
+    means = [P.mean(axis=0) for P in predict_all(model, candidates)]
+    return np.array(means).reshape(len(means), model.num_classes)
 
 
 def collect_patches(

@@ -1,7 +1,8 @@
 """The active, continuous fine-tuning loop over the candidate pool.
 
 Each step: score every unlabeled candidate with the previous step's
-model (skipped entirely for random selection), select a batch, ask the
+model, from one prediction pass over the whole unlabeled set (skipped
+entirely for random selection), select a batch, ask the
 oracle for labels, collect the misclassified labeled candidates with the
 *pre-update* model, build the training set per the strategy policy, fit
 per the strategy's model-start policy, then move the batch into the
@@ -34,14 +35,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .criteria import CandidateScore, CriteriaConfig, classify_pattern, score_candidate
-from .errors import ConfigError, InvariantError
+from .datagen import infer_num_classes
+from .errors import ConfigError, InvariantError, check_integer
 from .learner import (
     LearnerModel,
     TrainConfig,
-    candidate_probability,
+    candidate_probabilities,
     collect_patches,
     fit,
-    predict,
+    predict_all,
     pretrain_m0,
 )
 from .metrics import ExperimentRecord, auc, macro_auc
@@ -82,10 +84,6 @@ CRITERION_PRESETS = {
 
 DEFAULT_ALPHA = 0.25
 DEFAULT_OMEGA = 5
-
-
-def normalize_criterion(label: str) -> str:
-    return label.replace("α", "a").replace("ω", "w")
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def make_strategy(
             training_set_policy=policy,
             model_start=start,
         )
-    label = normalize_criterion(criterion)
+    label = criterion.replace("α", "a").replace("ω", "w")
     if label not in CRITERION_PRESETS:
         raise ConfigError(f"unknown criterion {criterion!r}")
     l1, l2, majority, randomized = CRITERION_PRESETS[label]
@@ -178,8 +176,8 @@ class StopRule:
     auc_target: float | None = None
 
     def __post_init__(self) -> None:
-        if self.query_budget is not None and self.query_budget < 0:
-            raise ConfigError("query_budget must be >= 0")
+        if self.query_budget is not None:
+            check_integer("query_budget", self.query_budget, 0)
         if self.auc_target is not None and not (0 < self.auc_target <= 1):
             raise ConfigError("auc_target must lie in (0, 1]")
 
@@ -201,14 +199,12 @@ def misclassified_set(
     """Labeled candidates whose candidate-level argmax disagrees with
     their annotation in ``labels`` (argmax ties resolve to the smaller
     class index)."""
-    wrong = set()
+    labeled = list(labeled)
     for c in labeled:
         if c.id not in labels:
             raise InvariantError(f"candidate {c.id!r} in L is not annotated")
-        probs = candidate_probability(predict(model, c))
-        if int(np.argmax(probs)) != labels[c.id]:
-            wrong.add(c.id)
-    return wrong
+    predicted = candidate_probabilities(model, labeled).argmax(axis=1)
+    return {c.id for c, k in zip(labeled, predicted) if k != labels[c.id]}
 
 
 def build_training_set(
@@ -245,12 +241,10 @@ def run_step(
     if strat.criterion is None:
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
+        unlabeled = [state.pool.candidates[cid] for cid in unlabeled_ids]
+        blocks = dict(zip(unlabeled_ids, predict_all(model_prev, unlabeled)))
         scored = [
-            score_candidate(
-                predict(model_prev, state.pool.candidates[cid]),
-                strat.criterion,
-                candidate_id=cid,
-            )
+            score_candidate(blocks[cid], strat.criterion, candidate_id=cid)
             for cid in unlabeled_ids
         ]
         scores = {s.candidate_id: s for s in scored}
@@ -309,10 +303,8 @@ def run_step(
                     diversity=s.diversity,
                     score=s.score,
                 )
-                P = predict(model_prev, state.pool.candidates[cid])
-                entry["pattern"] = (
-                    classify_pattern(P) if P.shape[1] == 2 else None
-                )
+                P = blocks[cid]
+                entry["pattern"] = classify_pattern(P) if P.shape[1] == 2 else None
             entries.append(entry)
         audit.write(
             json.dumps(
@@ -338,9 +330,7 @@ def make_evaluator(
     labels = true_labels(test_candidates)
 
     def evaluate(model: LearnerModel) -> float:
-        probs = np.stack(
-            [candidate_probability(predict(model, c)) for c in test_candidates]
-        )
+        probs = candidate_probabilities(model, test_candidates)
         if num_classes == 2:
             return auc(probs[:, positive_class], (labels == positive_class).astype(int))
         return macro_auc(probs, labels)
@@ -366,10 +356,7 @@ def run_experiment(
     if not train_candidates or not test_candidates:
         raise ConfigError("train and test candidate sets must be non-empty")
     if num_classes is None:
-        labels = {c.true_label for c in train_candidates} | {
-            c.true_label for c in test_candidates
-        }
-        num_classes = max(max(labels) + 1, 2)
+        num_classes = infer_num_classes([*train_candidates, *test_candidates])
     if not (0 <= positive_class < num_classes):
         raise ConfigError("positive_class outside the label range")
     oracle_cfg = OracleConfig(label_noise_rate=oracle_noise)
@@ -382,25 +369,23 @@ def run_experiment(
         candidates=pool.candidates, config=oracle_cfg, rng=rng, num_classes=num_classes
     )
     evaluator = make_evaluator(test_candidates, num_classes, positive_class)
+    baseline = ExperimentRecord(
+        step=0,
+        queries_cum=0,
+        labeled_count=0,
+        test_auc=evaluator(model_zero),
+        selected_positive_fraction=0.0,
+        misclassified_count_pre_fit=0,
+    )
     state = ExperimentState(
         pool=pool,
         model=model_zero,
         model_zero=model_zero,
-        records=[],
+        records=[baseline],
         rng=rng,
         train_cfg=train_cfg,
         positive_class=positive_class,
     )
-    records = [
-        ExperimentRecord(
-            step=0,
-            queries_cum=0,
-            labeled_count=0,
-            test_auc=evaluator(model_zero),
-            selected_positive_fraction=0.0,
-            misclassified_count_pre_fit=0,
-        )
-    ]
 
     audit = open(audit_path, "w", encoding="utf-8") if audit_path is not None else None
     try:
@@ -410,7 +395,7 @@ def run_experiment(
                 break
             if not state.pool.unlabeled:
                 break
-            if stop.auc_target is not None and records[-1].test_auc >= stop.auc_target:
+            if stop.auc_target is not None and state.records[-1].test_auc >= stop.auc_target:
                 break
             step_strat = strat
             if stop.query_budget is not None:
@@ -421,8 +406,7 @@ def run_experiment(
                         sampler=dataclasses.replace(strat.sampler, batch_size=remaining),
                     )
             run_step(state, step_strat, oracle, evaluator, audit=audit)
-            records.append(state.records[-1])
     finally:
         if audit is not None:
             audit.close()
-    return records
+    return state.records

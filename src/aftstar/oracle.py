@@ -38,6 +38,10 @@ class Oracle:
     access_log: list[str] = field(default_factory=list)
     _answered: set[str] = field(default_factory=set)
 
+    def __post_init__(self) -> None:
+        if self.config.label_noise_rate > 0 and self.rng is None:
+            raise ConfigError("a nonzero label_noise_rate needs an rng")
+
     def query(self, ids: Sequence[str]) -> dict[str, int]:
         """Labels for a batch of previously unqueried candidates.
 
@@ -50,12 +54,12 @@ class Oracle:
                 raise PartitionError(f"unknown candidate id {cid!r}")
             if cid in self._answered:
                 raise DoubleAnnotationError(f"candidate {cid!r} was already annotated")
+        rate = self.config.label_noise_rate
         for cid in ids:
             label = self.candidates[cid].true_label
-            if self.config.label_noise_rate > 0 and self.rng is not None:
-                if self.rng.random() < self.config.label_noise_rate:
-                    others = [k for k in range(self.num_classes) if k != label]
-                    label = int(others[self.rng.integers(len(others))])
+            if rate > 0 and self.rng.random() < rate:
+                others = [k for k in range(self.num_classes) if k != label]
+                label = int(others[self.rng.integers(len(others))])
             out[cid] = int(label)
             self._answered.add(cid)
             self.access_log.append(cid)

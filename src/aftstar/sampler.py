@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .criteria import CandidateScore
-from .errors import ConfigError, SamplingWindowError
+from .errors import ConfigError, SamplingWindowError, check_integer
 
 MODES = ("top_b", "randomized", "uniform_random")
 
@@ -33,10 +33,8 @@ class SamplerConfig:
     mode: str = "top_b"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.omega < 1:
-            raise ConfigError("omega must be >= 1")
+        check_integer("batch_size", self.batch_size, 1)
+        check_integer("omega", self.omega, 1)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -263,6 +263,40 @@ def test_missing_dataset_is_config_error(tmp_path):
     assert main(["run", "--config", cfg]) == 1
 
 
+def inline_run_config(out_dir):
+    datagen = generate_config(out_dir)["datagen"]
+    return {
+        "schema_version": 1,
+        "dataset": datagen,
+        "strategy": {"name": "AFT_star", "criterion": "entropy^a_w", "batch_size": 5},
+        "learner": {"epochs": 2, "minibatch_size": 16},
+        "stop": {"query_budget": 20},
+        "seeds": [1],
+        "output_dir": str(out_dir),
+    }
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("stop", "query_budget", 1.5),
+        ("stop", "query_budget", float("nan")),
+        ("learner", "epochs", 1.5),
+        ("learner", "minibatch_size", 2.5),
+        ("learner", "learning_rate", float("nan")),
+        ("strategy", "omega", 1.5),
+        ("strategy", "batch_size", 10.7),
+        ("dataset", "patches_per_candidate", 2.5),
+    ],
+)
+def test_non_integer_counts_and_nan_are_config_errors(tmp_path, capsys, section, field, value):
+    payload = inline_run_config(tmp_path / "o")
+    payload[section][field] = value
+    cfg = write_config(tmp_path / "run.json", payload)
+    assert main(["run", "--config", cfg]) == 1
+    assert f"config error: {section}: {field} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "section, edit",
     [

@@ -41,6 +41,40 @@ def test_matrix_validation():
     check_prediction_matrix([[0.5, 0.5]])
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        entropy,
+        diversity,
+        dominant_class,
+        classify_pattern,
+        lambda P: majority_subset(P, 0.5),
+        lambda P: score_candidate(P, CriteriaConfig(lambda1=1.0, lambda2=1.0, alpha=0.5)),
+    ],
+    ids=["entropy", "diversity", "dominant_class", "classify_pattern", "majority_subset",
+         "score_candidate"],
+)
+def test_public_functions_reject_rows_not_summing_to_one(fn):
+    with pytest.raises(ShapeError):
+        fn([[0.5, 0.5], [0.7, 0.4], [0.2, 0.8]])
+
+
+def test_score_candidate_checks_the_matrix_once(monkeypatch):
+    import aftstar.criteria as criteria_mod
+
+    calls = []
+    real_check = criteria_mod.check_prediction_matrix
+
+    def counting_check(P):
+        calls.append(1)
+        return real_check(P)
+
+    monkeypatch.setattr(criteria_mod, "check_prediction_matrix", counting_check)
+    P = make_pattern_c_candidate()
+    score_candidate(P, CriteriaConfig(lambda1=1.0, lambda2=1.0, alpha=0.25))
+    assert len(calls) == 1
+
+
 # --- dominant class ---------------------------------------------------------
 
 def test_dominant_class_column_sums():
@@ -219,6 +253,12 @@ def test_criteria_config_validation():
         CriteriaConfig(alpha=0.0)
     with pytest.raises(ConfigError):
         CriteriaConfig(alpha=1.2)
+
+
+@pytest.mark.parametrize("field", ["lambda1", "lambda2", "alpha"])
+def test_criteria_config_rejects_nan(field):
+    with pytest.raises(ConfigError, match=field):
+        CriteriaConfig(**{field: math.nan})
 
 
 # --- pattern diagnostic -----------------------------------------------------

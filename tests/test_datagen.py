@@ -49,6 +49,27 @@ def test_config_rejects_bad_weights():
         small_config(class_weights=(0.2,))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_classes", 2.0),
+        ("train_candidates", 40.5),
+        ("test_candidates", True),
+        ("patches_per_candidate", 2.5),
+        ("feature_dim", 4.0),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("class_weights", (float("nan"), 0.8)),
+        ("class_center_separation", float("nan")),
+        ("candidate_center_spread", float("nan")),
+        ("patch_spread", float("nan")),
+    ],
+)
+def test_config_rejects_non_integer_counts_and_nan(field, value):
+    with pytest.raises(ConfigError):
+        small_config(**{field: value})
+
+
 # --- generation -------------------------------------------------------------
 
 def test_shapes_and_counts():

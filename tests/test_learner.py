@@ -6,11 +6,12 @@ from aftstar.learner import (
     LearnerModel,
     TrainConfig,
     _augment,
-    candidate_probability,
+    candidate_probabilities,
     collect_patches,
     fit,
     loss_and_gradient,
     predict,
+    predict_all,
     predict_features,
     pretrain_m0,
 )
@@ -41,8 +42,6 @@ def test_pretrain_without_data_is_near_uniform():
     model = pretrain_m0(None, cfg, rng, feature_dim=6, num_classes=3)
     P = predict_features(model, np.random.default_rng(1).normal(size=(20, 6)))
     assert np.abs(P - 1.0 / 3.0).max() < 0.15
-    assert model.origin == "pretrained_M0"
-    assert model.trained_steps == 0
 
 
 def test_pretrain_requires_dims_without_data():
@@ -108,16 +107,6 @@ def test_warm_factor_one_equals_cold_fit_from_same_base():
     assert np.abs(warm.weights - cold.weights).max() < 1e-12
 
 
-def test_fit_increments_trained_steps_and_sets_origin():
-    rng = np.random.default_rng(2)
-    X, y = blob_data(rng, n_per_class=10)
-    base = pretrain_m0(None, TrainConfig(), np.random.default_rng(0), feature_dim=4, num_classes=2)
-    m1 = fit(base, (X, y), TrainConfig(), warm=True, rng=np.random.default_rng(1))
-    m2 = fit(m1, (X, y), TrainConfig(), warm=True, rng=np.random.default_rng(1))
-    assert (m1.trained_steps, m2.trained_steps) == (1, 2)
-    assert m1.origin == "finetuned"
-
-
 def test_loss_decreases_in_expectation():
     X, y = blob_data(np.random.default_rng(13), n_per_class=25)
     initial, final = [], []
@@ -178,14 +167,45 @@ def test_predict_dimension_mismatch():
         predict(model, make_candidate(d=3))
 
 
-# --- candidate probability --------------------------------------------------
+def ragged_candidates(seed, d=5):
+    """Candidates with 1 to 40 patches each."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, 40, 2, 17, 1, 33, 8] + rng.integers(1, 41, size=10).tolist()
+    return [
+        Candidate(id=f"c{i}", features=rng.normal(scale=2.0, size=(m, d)))
+        for i, m in enumerate(sizes)
+    ]
 
-def test_candidate_probability_mean():
-    assert candidate_probability([(1.0, 0.0), (0.0, 1.0)]).tolist() == [0.5, 0.5]
-    assert candidate_probability([(0.3, 0.7)]).tolist() == [0.3, 0.7]
-    assert np.allclose(
-        candidate_probability([(0.9, 0.1), (0.6, 0.4)]), [0.75, 0.25]
-    )
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_predict_all_equals_per_candidate_predict(num_classes):
+    rng = np.random.default_rng(num_classes)
+    model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
+    candidates = ragged_candidates(num_classes)
+    blocks = predict_all(model, candidates)
+    assert len(blocks) == len(candidates)
+    for P, c in zip(blocks, candidates):
+        assert np.array_equal(P, predict(model, c))
+
+
+def test_predict_all_of_no_candidates_is_empty():
+    assert predict_all(LearnerModel(weights=np.zeros((2, 5))), []) == []
+
+
+# --- candidate probabilities ------------------------------------------------
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_candidate_probabilities_are_column_means(num_classes):
+    rng = np.random.default_rng(10 + num_classes)
+    model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
+    candidates = ragged_candidates(num_classes)
+    probs = candidate_probabilities(model, candidates)
+    assert probs.shape == (len(candidates), num_classes)
+    for row, c in zip(probs, candidates):
+        assert np.array_equal(row, predict(model, c).mean(axis=0))
+    uniform = candidate_probabilities(LearnerModel(weights=np.zeros((num_classes, 6))), candidates)
+    assert np.abs(uniform - 1.0 / num_classes).max() < 1e-15
+    assert candidate_probabilities(model, []).shape == (0, num_classes)
 
 
 # --- patch collection -------------------------------------------------------

@@ -214,31 +214,41 @@ def test_rft_never_computes_candidate_scores(monkeypatch):
     assert len(calls) > 0
 
 
-def test_aft_restarts_from_pretrained_each_step_and_aft_star_accumulates():
+def test_aft_restarts_from_pretrained_each_step_and_aft_star_accumulates(monkeypatch):
     train, test = tiny_dataset()
-    seen: list[int] = []
-    real_fit = loop_mod.fit
+    starts: list[LearnerModel] = []
+    bases: list[LearnerModel] = []
+    fitted: list[LearnerModel] = []
+    real_pretrain, real_fit = loop_mod.pretrain_m0, loop_mod.fit
+
+    def spy_pretrain(*args, **kwargs):
+        starts.append(real_pretrain(*args, **kwargs))
+        return starts[-1]
 
     def spy_fit(base, data, cfg, warm, rng):
-        seen.append(base.trained_steps)
-        return real_fit(base, data, cfg, warm, rng)
+        bases.append(base)
+        fitted.append(real_fit(base, data, cfg, warm, rng))
+        return fitted[-1]
 
-    import unittest.mock as mock
+    monkeypatch.setattr(loop_mod, "pretrain_m0", spy_pretrain)
+    monkeypatch.setattr(loop_mod, "fit", spy_fit)
+    run_experiment(
+        train, test, make_strategy("AFT", criterion="entropy", batch_size=10),
+        FAST_TRAIN, StopRule(query_budget=30), 3,
+    )
+    assert len(bases) == 3
+    assert all(base is starts[-1] for base in bases)  # every cold fit starts from M0
 
-    with mock.patch.object(loop_mod, "fit", side_effect=spy_fit):
-        run_experiment(
-            train, test, make_strategy("AFT", criterion="entropy", batch_size=10),
-            FAST_TRAIN, StopRule(query_budget=30), 3,
-        )
-    assert seen == [0, 0, 0]  # every cold fit starts from the pre-trained model
-
-    seen.clear()
-    with mock.patch.object(loop_mod, "fit", side_effect=spy_fit):
-        records = run_experiment(
-            train, test, make_strategy("AFT_star", criterion="entropy", batch_size=10),
-            FAST_TRAIN, StopRule(query_budget=30), 3,
-        )
-    assert seen == [0, 1, 2]  # warm fits continue from the previous step
+    bases.clear()
+    fitted.clear()
+    records = run_experiment(
+        train, test, make_strategy("AFT_star", criterion="entropy", batch_size=10),
+        FAST_TRAIN, StopRule(query_budget=30), 3,
+    )
+    assert len(bases) == 3
+    assert bases[0] is starts[-1]
+    # warm fits continue from the model the previous fit returned
+    assert all(base is prev for base, prev in zip(bases[1:], fitted))
     assert len(records) == 4
 
 

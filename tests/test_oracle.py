@@ -72,6 +72,13 @@ def test_oracle_config_validation():
         OracleConfig(label_noise_rate=-0.1)
 
 
+def test_noise_without_rng_is_config_error():
+    cands = make_candidates([0] * 10)
+    with pytest.raises(ConfigError):
+        Oracle(candidates=cands, config=OracleConfig(label_noise_rate=0.9), num_classes=2)
+    assert Oracle(candidates=cands, num_classes=2).query(sorted(cands)) == dict.fromkeys(cands, 0)
+
+
 def test_true_labels_accessor():
     cands = make_candidates([0, 1, 0])
     assert true_labels(cands.values()).tolist() == [0, 1, 0]
