@@ -16,6 +16,7 @@ from .criteria import (
     entropy,
     majority_subset,
     score_candidate,
+    score_candidates,
 )
 from .datagen import DatagenConfig, generate, load_csv, standard_benchmark
 from .learner import (
@@ -75,6 +76,7 @@ __all__ = [
     "run_experiment",
     "sampling_probabilities",
     "score_candidate",
+    "score_candidates",
     "select_batch",
     "standard_benchmark",
 ]

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import datagen, loop, metrics
 from .datagen import DatagenConfig
-from .errors import AftError, ConfigError
+from .errors import AftError, ConfigError, check_integer
 from .learner import TrainConfig
 from .loop import StopRule, make_strategy
 from .metrics import FLOAT_FMT
@@ -218,9 +218,11 @@ def _parse_run(cfg: dict, args, where: str):
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{where}: seeds must be a non-empty list")
     with _section("seeds"):
-        seeds = [int(s) for s in seeds]
+        for seed in seeds:
+            check_integer("seed", seed, 0)
+    positive_class = cfg.get("positive_class", 0)
     with _section("positive_class"):
-        positive_class = int(cfg.get("positive_class", 0))
+        check_integer("positive_class", positive_class, 0)
     settings = (
         _parse_fields(TrainConfig, cfg.get("learner", {}), "learner"),
         _parse_fields(StopRule, cfg.get("stop", {}), "stop"),

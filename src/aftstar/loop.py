@@ -1,12 +1,12 @@
 """The active, continuous fine-tuning loop over the candidate pool.
 
 Each step: score every unlabeled candidate with the previous step's
-model, from one prediction pass over the whole unlabeled set (skipped
-entirely for random selection), select a batch, ask the
-oracle for labels, collect the misclassified labeled candidates with the
-*pre-update* model, build the training set per the strategy policy, fit
-per the strategy's model-start policy, then move the batch into the
-labeled set and append a learning-curve record.
+model, from one prediction pass and one batched scoring pass over the
+whole unlabeled set (both skipped for random selection), select a
+batch, ask the oracle for labels, collect the misclassified labeled
+candidates with the *pre-update* model, build the training set per the
+strategy policy, fit per the strategy's model-start policy, then move
+the batch into the labeled set and append a learning-curve record.
 
 The five named strategies differ in three choices:
 
@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .criteria import CandidateScore, CriteriaConfig, classify_pattern, score_candidate
+from .criteria import CandidateScore, CriteriaConfig, classify_pattern, score_candidates
 from .datagen import infer_num_classes
 from .errors import ConfigError, InvariantError, check_integer
 from .learner import (
@@ -242,12 +242,10 @@ def run_step(
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
         unlabeled = [state.pool.candidates[cid] for cid in unlabeled_ids]
-        blocks = dict(zip(unlabeled_ids, predict_all(model_prev, unlabeled)))
-        scored = [
-            score_candidate(blocks[cid], strat.criterion, candidate_id=cid)
-            for cid in unlabeled_ids
-        ]
-        scores = {s.candidate_id: s for s in scored}
+        predicted = predict_all(model_prev, unlabeled)
+        scored = score_candidates(predicted, strat.criterion, unlabeled_ids)
+        blocks = dict(zip(unlabeled_ids, predicted))
+        scores = dict(zip(unlabeled_ids, scored))
         batch = select_batch(scored, strat.sampler, state.rng)
 
     labels = oracle.query(batch)
@@ -359,6 +357,10 @@ def run_experiment(
         num_classes = infer_num_classes([*train_candidates, *test_candidates])
     if not (0 <= positive_class < num_classes):
         raise ConfigError("positive_class outside the label range")
+    missing = sorted(set(range(num_classes)) - {c.true_label for c in test_candidates})
+    if missing:
+        names = ", ".join(map(str, missing))
+        raise ConfigError(f"the test split has no candidate of class {names}: AUC is undefined")
     oracle_cfg = OracleConfig(label_noise_rate=oracle_noise)
 
     rng = np.random.default_rng(seed)

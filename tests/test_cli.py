@@ -312,3 +312,48 @@ def test_wrongly_typed_values_are_config_errors(dataset_dir, tmp_path, capsys, s
     cfg = write_config(tmp_path / "cmp.json", payload)
     assert main(["compare", "--config", cfg]) == 1
     assert f"config error: {section}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, edit",
+    [
+        ("seeds", lambda cfg: cfg.update(seeds=[1.5])),
+        ("seeds", lambda cfg: cfg.update(seeds=[True])),
+        ("seeds", lambda cfg: cfg.update(seeds=[-1])),
+        ("positive_class", lambda cfg: cfg.update(positive_class=True)),
+        ("positive_class", lambda cfg: cfg.update(positive_class=1.5)),
+    ],
+    ids=["seed-1.5", "seed-true", "seed-negative", "positive_class-true", "positive_class-1.5"],
+)
+def test_seeds_and_positive_class_must_be_non_negative_integers(tmp_path, capsys, section, edit):
+    payload = inline_run_config(tmp_path / "o")
+    edit(payload)
+    cfg = write_config(tmp_path / "run.json", payload)
+    assert main(["run", "--config", cfg]) == 1
+    assert f"config error: {section}: " in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("summary_*"))
+
+
+def test_test_split_missing_a_class_is_config_error(tmp_path, capsys):
+    from aftstar.datagen import DatagenConfig, generate, write_csv
+
+    train, test, _ = generate(
+        DatagenConfig(
+            num_classes=3,
+            class_weights=(0.3, 0.3, 0.4),
+            train_candidates=30,
+            test_candidates=15,
+            patches_per_candidate=3,
+            feature_dim=4,
+            seed=1,
+        )
+    )
+    data = tmp_path / "data"
+    data.mkdir()
+    write_csv(train, data / "train.csv")
+    write_csv([c for c in test if c.true_label != 2], data / "test.csv")
+    cfg = write_config(
+        tmp_path / "run.json", run_config(data, tmp_path / "o", {"name": "RFT", "batch_size": 5})
+    )
+    assert main(["run", "--config", cfg]) == 1
+    assert "config error: the test split has no candidate of class 2" in capsys.readouterr().err

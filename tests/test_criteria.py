@@ -14,6 +14,7 @@ from aftstar.criteria import (
     entropy,
     majority_subset,
     score_candidate,
+    score_candidates,
 )
 from aftstar.errors import ConfigError, DiagnosticError, ShapeError
 
@@ -240,6 +241,96 @@ def test_score_diversity_is_direct_diversity_of_majority_subset():
         subset = majority_subset(P, alpha)
         assert subset.shape[0] == s.subset_size == math.ceil(alpha * 12)
         assert abs(s.diversity - diversity_direct(subset)) <= 1e-9
+
+
+# --- score_candidates -------------------------------------------------------
+
+def ragged_blocks(rng, n=60):
+    """Stochastic matrices with 1 to 40 rows and 2 to 4 columns, in random order."""
+    blocks = []
+    for _ in range(n):
+        m = int(rng.integers(1, 41))
+        k = int(rng.integers(2, 5))
+        raw = rng.random((m, k)) + 1e-6
+        blocks.append(raw / raw.sum(axis=1, keepdims=True))
+    return [blocks[i] for i in rng.permutation(n)]
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_score_candidates_match_direct_oracles_in_input_order(alpha):
+    blocks = ragged_blocks(np.random.default_rng(11))
+    ids = [f"c{i:03d}" for i in range(len(blocks))]
+    cfg = CriteriaConfig(lambda1=0.7, lambda2=0.3, alpha=alpha)
+    scores = score_candidates(blocks, cfg, ids)
+    assert [s.candidate_id for s in scores] == ids
+    for s, P in zip(scores, blocks):
+        subset = majority_subset(P, alpha)
+        assert s.dominant == dominant_class(P)
+        assert s.subset_size == subset.shape[0] == math.ceil(alpha * P.shape[0])
+        assert abs(s.entropy - entropy_direct(subset.tolist())) < 1e-9
+        assert abs(s.diversity - diversity_direct(subset.tolist())) < 1e-9
+        assert s.score == cfg.lambda1 * s.entropy + cfg.lambda2 * s.diversity
+        assert s == score_candidate(P, cfg, s.candidate_id)
+
+
+def test_score_candidates_of_nothing_is_empty():
+    assert score_candidates([], CriteriaConfig(), []) == []
+
+
+def test_score_candidates_rejects_ids_of_another_length():
+    with pytest.raises(ShapeError):
+        score_candidates([binary_rows([0.5])], CriteriaConfig(), ["a", "b"])
+
+
+def test_score_candidates_checks_each_shape_group_once(monkeypatch):
+    import aftstar.criteria as criteria_mod
+
+    calls = []
+    real_check = criteria_mod.check_prediction_matrix
+
+    def counting_check(P):
+        calls.append(P.shape)
+        return real_check(P)
+
+    monkeypatch.setattr(criteria_mod, "check_prediction_matrix", counting_check)
+    blocks = [binary_rows([0.5] * m) for m in (3, 1, 3, 5, 1, 3)]
+    score_candidates(blocks, CriteriaConfig(), [str(i) for i in range(6)])
+    assert sorted(calls) == [(2, 2), (5, 2), (9, 2)]
+
+
+def test_diversity_of_identical_rows_is_exactly_zero():
+    rng = np.random.default_rng(5)
+    for k in (2, 3, 4):
+        row = rng.random(k) + 1e-6
+        row /= row.sum()
+        blocks = [np.tile(row, (m, 1)) for m in range(1, 41)]
+        for s in score_candidates(blocks, CriteriaConfig(lambda2=1.0), [""] * 40):
+            assert s.diversity == 0.0
+        assert all(diversity(P) == 0.0 for P in blocks)
+
+
+def test_diversity_of_near_identical_rows_is_non_negative():
+    rng = np.random.default_rng(6)
+    blocks = []
+    for _ in range(300):
+        m = int(rng.integers(2, 41))
+        k = int(rng.integers(2, 5))
+        row = rng.random(k) + 1e-6
+        raw = row + 1e-13 * rng.random((m, k))
+        blocks.append(raw / raw.sum(axis=1, keepdims=True))
+    for s in score_candidates(blocks, CriteriaConfig(lambda2=1.0), [""] * len(blocks)):
+        assert 0.0 <= s.diversity < 1e-9
+
+
+@pytest.mark.parametrize("position", [0, 17, 59])
+def test_score_candidates_rejects_a_bad_row_in_any_block(position):
+    blocks = ragged_blocks(np.random.default_rng(12))
+    bad = blocks[position].copy()
+    bad[-1] = 0.0
+    bad[-1, 0] = 0.9  # a row summing to 0.9
+    blocks[position] = bad
+    with pytest.raises(ShapeError):
+        score_candidates(blocks, CriteriaConfig(), [""] * len(blocks))
 
 
 # --- config validation ------------------------------------------------------

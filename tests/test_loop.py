@@ -201,17 +201,38 @@ def test_auc_target_stops_at_first_crossing():
 
 def test_rft_never_computes_candidate_scores(monkeypatch):
     calls = []
-    real_score = loop_mod.score_candidate
+    real_score = loop_mod.score_candidates
 
     def counting_score(*args, **kwargs):
         calls.append(1)
         return real_score(*args, **kwargs)
 
-    monkeypatch.setattr(loop_mod, "score_candidate", counting_score)
+    monkeypatch.setattr(loop_mod, "score_candidates", counting_score)
     run(make_strategy("RFT", batch_size=10), budget=20)
     assert len(calls) == 0
     run(make_strategy("AFT", criterion="entropy", batch_size=10), budget=20)
     assert len(calls) > 0
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_test_split_missing_a_class_is_config_error(num_classes):
+    cfg = DatagenConfig(
+        num_classes=num_classes,
+        class_weights=(1.0 / num_classes,) * num_classes,
+        train_candidates=30,
+        test_candidates=15,
+        patches_per_candidate=3,
+        feature_dim=4,
+        seed=2,
+    )
+    train, test, _ = generate(cfg)
+    last = num_classes - 1
+    test = [c for c in test if c.true_label != last]
+    with pytest.raises(ConfigError, match=f"no candidate of class {last}"):
+        run_experiment(
+            train, test, make_strategy("RFT", batch_size=5), FAST_TRAIN,
+            StopRule(query_budget=10), 1,
+        )
 
 
 def test_aft_restarts_from_pretrained_each_step_and_aft_star_accumulates(monkeypatch):
