@@ -214,6 +214,7 @@ def _parse_run(cfg: dict, args, where: str):
     Returns ``(dataset, settings, seeds, out_dir)``, where ``settings``
     is ``(train_cfg, stop, oracle_cfg, positive_class)``.
     """
+    check_integer("--jobs", args.jobs, 1)
     seeds = cfg["seeds"] if args.seed is None else [args.seed]
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{where}: seeds must be a non-empty list")
@@ -304,9 +305,10 @@ def cmd_compare(args) -> int:
 
 
 def _execute(jobs: list[tuple], n_jobs: int) -> list[dict]:
-    if n_jobs <= 1 or len(jobs) <= 1:
+    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_one(*job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_one, *job) for job in jobs]
         return [f.result() for f in futures]
 
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--output", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seeds")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes (>= 1)")
         p.set_defaults(fn=fn)
     return parser
 

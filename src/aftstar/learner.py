@@ -14,9 +14,14 @@ Two start policies:
   at the full learning rate (retraining from scratch each step).
 
 Training data is an ``(X, y)`` pair of patch features and inherited
-candidate labels. Prediction over a list of candidates is one pass over
-their stacked patches, split back into one block per candidate; a
-candidate's class probabilities are the mean of its block's rows.
+candidate labels. Each epoch permutes the augmented features and the
+one-hot labels once and then walks contiguous minibatch slices of them.
+
+Prediction over a list of candidates is one pass over their stacked
+patches. ``predict_all`` splits it back into one block per candidate.
+A candidate's class probabilities are the mean of its block's rows:
+candidates are grouped by patch count ``m`` and each group's means come
+from one ``(g, m, k)`` gather and one mean over its middle axis.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ def _augment(X: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in ``Z`` (pass a fresh array)."""
+    Z -= Z.max(axis=1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=1, keepdims=True)
+    return Z
 
 
 def _check_data(X, y, num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -101,17 +108,23 @@ def _check_data(X, y, num_classes: int | None = None) -> tuple[np.ndarray, np.nd
     return X, y
 
 
+def _probs_and_gradient(
+    weights: np.ndarray, X_aug: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax probabilities and the mean cross-entropy gradient for
+    one-hot targets ``Y``; the residual ``probs - Y`` is a new array."""
+    probs = _softmax_rows(X_aug @ weights.T)
+    grad = (probs - Y).T @ X_aug / X_aug.shape[0]
+    return probs, grad
+
+
 def loss_and_gradient(
     weights: np.ndarray, X_aug: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the weight matrix."""
-    probs = _softmax_rows(X_aug @ weights.T)
-    n = X_aug.shape[0]
+    probs, grad = _probs_and_gradient(weights, X_aug, np.eye(weights.shape[0])[y])
     eps = 1e-300
-    loss = float(-np.log(probs[np.arange(n), y] + eps).mean())
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    grad = delta.T @ X_aug / n
+    loss = float(-np.log(probs[np.arange(X_aug.shape[0]), y] + eps).mean())
     return loss, grad
 
 
@@ -126,15 +139,18 @@ def _run_sgd(
     W = weights.copy()
     velocity = np.zeros_like(W)
     Xa = _augment(X)
+    Y = np.eye(W.shape[0])[y]
     n = X.shape[0]
+    size = cfg.minibatch_size
     for epoch in range(cfg.epochs):
         lr = lr0 * cfg.lr_decay_gamma**epoch
         order = rng.permutation(n)
-        for start in range(0, n, cfg.minibatch_size):
-            idx = order[start : start + cfg.minibatch_size]
-            _, grad = loss_and_gradient(W, Xa[idx], y[idx])
-            velocity = cfg.momentum * velocity - lr * grad
-            W = W + velocity
+        Xp, Yp = Xa[order], Y[order]
+        for start in range(0, n, size):
+            _, grad = _probs_and_gradient(W, Xp[start : start + size], Yp[start : start + size])
+            velocity *= cfg.momentum
+            velocity -= lr * grad
+            W += velocity
     return W
 
 
@@ -220,12 +236,58 @@ def predict_all(model: LearnerModel, candidates: Sequence[Candidate]) -> list[np
     ]
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateStack:
+    """A candidate list's stacked patches, grouped by patch count.
+
+    ``groups`` holds one ``(positions, rows)`` pair per patch count m:
+    the positions of those candidates in the list, and their ``(g, m)``
+    row indices into ``features``.
+    """
+
+    features: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    count: int
+
+
+def stack_candidates(candidates: Sequence[Candidate]) -> CandidateStack:
+    """Stack the candidates' patches once, for repeated
+    :func:`stacked_probabilities` calls."""
+    counts = np.array([c.num_patches for c in candidates], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for m in np.unique(counts):
+        positions = np.flatnonzero(counts == m)
+        groups.append((positions, starts[positions, None] + np.arange(m)))
+    features = np.vstack([c.features for c in candidates]) if candidates else np.zeros((0, 0))
+    return CandidateStack(features=features, groups=tuple(groups), count=len(candidates))
+
+
+def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
+    """Candidate-level class probabilities, one row per candidate of the
+    stack: the column means of its prediction matrix."""
+    k = model.num_classes
+    out = np.empty((stack.count, k))
+    if not stack.count:
+        return out
+    P = predict_features(model, stack.features)
+    for positions, rows in stack.groups:
+        if rows.shape[1] == 1:
+            # As in predict_all: a one-patch candidate is predicted alone.
+            out[positions] = np.vstack(
+                [predict_features(model, stack.features[r : r + 1]) for r in rows[:, 0]]
+            )
+        else:
+            # A mean over each (m, k) block, not np.add.reduceat: reduceat
+            # sums in another order.
+            out[positions] = P[rows].mean(axis=1)
+    return out
+
+
 def candidate_probabilities(model: LearnerModel, candidates: Sequence[Candidate]) -> np.ndarray:
     """Candidate-level class probabilities, one row per candidate: the
     column means of its prediction matrix."""
-    # A mean per block, not np.add.reduceat: reduceat sums in another order.
-    means = [P.mean(axis=0) for P in predict_all(model, candidates)]
-    return np.array(means).reshape(len(means), model.num_classes)
+    return stacked_probabilities(model, stack_candidates(candidates))
 
 
 def collect_patches(

@@ -45,6 +45,8 @@ from .learner import (
     fit,
     predict_all,
     pretrain_m0,
+    stack_candidates,
+    stacked_probabilities,
 )
 from .metrics import ExperimentRecord, auc, macro_auc
 from .oracle import Oracle, OracleConfig, true_labels
@@ -191,6 +193,10 @@ class ExperimentState:
     rng: np.random.Generator
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
+    # (model, pool, H): the misclassified set of ``model`` over ``pool``'s
+    # L, kept from the audit's post-fit H-mining. The next step reuses it
+    # while ``state.model`` and ``state.pool`` are still those objects.
+    mined: tuple[LearnerModel, PoolState, set[str]] | None = None
 
 
 def misclassified_set(
@@ -251,8 +257,12 @@ def run_step(
     labels = oracle.query(batch)
 
     labeled_ids = sorted(state.pool.labeled)
-    labeled_candidates = [state.pool.candidates[cid] for cid in labeled_ids]
-    hard = misclassified_set(model_prev, labeled_candidates, state.pool.labels)
+    mined = state.mined
+    if mined is not None and mined[0] is model_prev and mined[1] is state.pool:
+        hard = mined[2]
+    else:
+        labeled_candidates = [state.pool.candidates[cid] for cid in labeled_ids]
+        hard = misclassified_set(model_prev, labeled_candidates, state.pool.labels)
 
     train_ids = build_training_set(
         strat.training_set_policy, set(batch), hard, set(labeled_ids)
@@ -290,6 +300,7 @@ def run_step(
             [state.pool.candidates[cid] for cid in sorted(state.pool.labeled)],
             state.pool.labels,
         )
+        state.mined = (state.model, state.pool, post_fit)
         entries = []
         for cid in batch:
             entry: dict = {"id": cid, "label": labels[cid]}
@@ -326,9 +337,10 @@ def make_evaluator(
     then rank. Binary runs rank the positive-class probability;
     multiclass runs use macro one-vs-rest."""
     labels = true_labels(test_candidates)
+    stack = stack_candidates(test_candidates)
 
     def evaluate(model: LearnerModel) -> float:
-        probs = candidate_probabilities(model, test_candidates)
+        probs = stacked_probabilities(model, stack)
         if num_classes == 2:
             return auc(probs[:, positive_class], (labels == positive_class).astype(int))
         return macro_auc(probs, labels)

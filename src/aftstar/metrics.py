@@ -44,16 +44,12 @@ class ExperimentRecord:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of tied values i..j (sorted positions) gets
+    the midrank ``0.5 * (i + j) + 1``."""
     order = np.argsort(values, kind="mergesort")
+    _, first, counts = np.unique(values[order], return_index=True, return_counts=True)
     ranks = np.empty(values.shape[0], dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < sorted_vals.shape[0]:
-        j = i
-        while j + 1 < sorted_vals.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return ranks
 
 
@@ -66,6 +62,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
         raise MetricError("scores and labels must be 1-d and equal length")
     if not np.isin(labels, (0, 1)).all():
         raise MetricError("labels must be binary 0/1")
+    if not np.isfinite(scores).all():
+        raise MetricError("scores must be finite")
     n_pos = int(labels.sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -1,7 +1,9 @@
+import concurrent.futures
 import json
 
 import pytest
 
+from aftstar import cli
 from aftstar.cli import main
 from aftstar.metrics import read_curve_csv
 
@@ -357,3 +359,75 @@ def test_test_split_missing_a_class_is_config_error(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 1
     assert "config error: the test split has no candidate of class 2" in capsys.readouterr().err
+
+
+# --- worker count ---------------------------------------------------------------
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    each job in this process, so no worker process is started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture()
+def recording_executor(monkeypatch):
+    RecordingExecutor.created = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return RecordingExecutor.created
+
+
+@pytest.mark.parametrize(
+    "n_jobs, n_tasks, cpus, expected",
+    [
+        (10000, 8, 64, [8]),  # bounded by the job count
+        (10000, 8, 3, [3]),  # bounded by the CPU count
+        (2, 8, 64, [2]),
+        (4, 8, None, []),  # unknown CPU count: serial
+        (4, 1, 64, []),  # one job: serial
+        (1, 8, 64, []),
+    ],
+)
+def test_worker_count_is_bounded(monkeypatch, recording_executor, n_jobs, n_tasks, cpus, expected):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_run_one", lambda i: {"job": i})
+    results = cli._execute([(i,) for i in range(n_tasks)], n_jobs)
+    assert results == [{"job": i} for i in range(n_tasks)]
+    assert recording_executor == expected
+
+
+def test_compare_with_huge_jobs_uses_one_worker_per_job(
+    dataset_dir, tmp_path, monkeypatch, recording_executor
+):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
+    cfg = write_config(tmp_path / "c.json", compare_config(dataset_dir, tmp_path / "o", strategies))
+    assert main(["compare", "--config", cfg, "--jobs", "10000"]) == 0
+    assert recording_executor == [4]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_config_error(dataset_dir, tmp_path, capsys, command, jobs):
+    if command == "run":
+        payload = run_config(dataset_dir, tmp_path / "o", {"name": "RFT", "batch_size": 5})
+    else:
+        payload = compare_config(dataset_dir, tmp_path / "o", [{"name": "RFT", "batch_size": 5}])
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg, "--jobs", jobs]) == 1
+    assert "config error: --jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

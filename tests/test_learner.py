@@ -107,6 +107,45 @@ def test_warm_factor_one_equals_cold_fit_from_same_base():
     assert np.abs(warm.weights - cold.weights).max() < 1e-12
 
 
+def sgd_reference(weights, X, y, cfg, lr0, rng):
+    """The SGD loop that fancy-indexed every minibatch out of the unpermuted
+    data and applied the residual by index; ``fit`` must match it bit for bit."""
+    W = weights.copy()
+    velocity = np.zeros_like(W)
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    n = X.shape[0]
+    for epoch in range(cfg.epochs):
+        lr = lr0 * cfg.lr_decay_gamma**epoch
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.minibatch_size):
+            idx = order[start : start + cfg.minibatch_size]
+            Xb, yb = Xa[idx], y[idx]
+            Z = Xb @ W.T
+            expz = np.exp(Z - Z.max(axis=1, keepdims=True))
+            delta = expz / expz.sum(axis=1, keepdims=True)
+            delta[np.arange(len(idx)), yb] -= 1.0
+            grad = delta.T @ Xb / len(idx)
+            velocity = cfg.momentum * velocity - lr * grad
+            W = W + velocity
+    return W
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("warm", [True, False])
+@pytest.mark.parametrize("n", [20, 32, 96, 75])  # below, equal to, multiple of, and not a multiple of 32
+def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
+    rng = np.random.default_rng(100 * num_classes + n)
+    d = 6
+    X = rng.normal(scale=2.0, size=(n, d))
+    y = rng.integers(0, num_classes, size=n)
+    cfg = TrainConfig(minibatch_size=32)
+    base = LearnerModel(weights=rng.normal(scale=0.3, size=(num_classes, d + 1)))
+    model = fit(base, (X, y), cfg, warm, np.random.default_rng(n))
+    lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
+    expected = sgd_reference(base.weights, X, y, cfg, lr0, np.random.default_rng(n))
+    assert np.array_equal(model.weights, expected)
+
+
 def test_loss_decreases_in_expectation():
     X, y = blob_data(np.random.default_rng(13), n_per_class=25)
     initial, final = [], []

@@ -321,6 +321,36 @@ def test_misclassified_computed_before_fit_on_pre_update_model():
     assert calls == ["misclassified", "fit", "misclassified", "fit"]
 
 
+@pytest.mark.parametrize("name", ["AFT_star", "RFT"])
+def test_audit_reuses_post_fit_misclassified_set(tmp_path, monkeypatch, name):
+    import json
+
+    train, test = tiny_dataset()
+    strategy = make_strategy(name, criterion="entropy", batch_size=10)
+    plain = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3)
+    calls = []
+    real_mis = loop_mod.misclassified_set
+
+    def spy_mis(model, labeled, labels):
+        calls.append(model)
+        return real_mis(model, labeled, labels)
+
+    monkeypatch.setattr(loop_mod, "misclassified_set", spy_mis)
+    path = tmp_path / "audit.jsonl"
+    audited = run_experiment(
+        train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3, audit_path=path
+    )
+    steps = len(audited) - 1
+    assert steps == 4
+    # One pre-fit mining at step 1, then one post-fit mining per step that
+    # the next step takes over as its pre-fit set.
+    assert len(calls) == steps + 1
+    assert audited == plain
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for before, after in zip(lines, lines[1:]):
+        assert after["misclassified_pre_fit"] == before["misclassified_post_fit"]
+
+
 def test_oracle_access_audit_no_leakage():
     train, test = tiny_dataset()
     logs: list[list[str]] = []

@@ -5,6 +5,7 @@ from aftstar.errors import MetricError
 from aftstar.metrics import (
     ExperimentRecord,
     LearningCurve,
+    _midranks,
     alc,
     auc,
     macro_auc,
@@ -44,6 +45,39 @@ def test_auc_matches_brute_force_pairwise():
             labels[0] = 1 - labels[0]
         scores = np.round(rng.random(n), 2)  # induce ties
         assert abs(auc(scores, labels) - auc_pairwise(scores, labels)) < 1e-12
+
+
+def midranks_loop(values):
+    """The tie-run loop the vectorised ``_midranks`` replaced."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.shape[0], dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < sorted_vals.shape[0]:
+        j = i
+        while j + 1 < sorted_vals.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_midranks_equal_the_tie_run_loop():
+    rng = np.random.default_rng(31)
+    cases = [np.zeros(1), np.zeros(7), np.array([0.0, -0.0, 0.0, 1.0, -0.0])]
+    for _ in range(300):
+        n = int(rng.integers(1, 200))
+        cases.append(np.round(rng.normal(size=n), int(rng.integers(0, 3))))  # tie-heavy
+    for values in cases:
+        assert np.array_equal(_midranks(values), midranks_loop(values))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(MetricError, match="finite"):
+        auc([0.1, bad, 0.3, 0.4], [1, 0, 1, 0])
+    with pytest.raises(MetricError, match="finite"):
+        macro_auc([[0.5, 0.5], [bad, 0.5], [0.2, 0.8]], [0, 1, 1])
 
 
 def test_auc_invariant_under_monotone_transform():
