@@ -25,7 +25,6 @@ from .learner import (
     candidate_probabilities,
     fit,
     predict,
-    predict_all,
     pretrain_m0,
 )
 from .loop import (
@@ -71,7 +70,6 @@ __all__ = [
     "make_strategy",
     "move_to_labeled",
     "predict",
-    "predict_all",
     "pretrain_m0",
     "run_experiment",
     "sampling_probabilities",

@@ -18,12 +18,14 @@ which suppresses patches whose inherited label is effectively noisy.
 All probabilities are clamped to ``[EPSILON, 1]`` before any log; rows
 are not re-normalized after clamping.
 
-:func:`score_candidates` scores a whole list of candidates at once: it
-groups the matrices by shape, stacks each group into an ``(n, m, k)``
-array, checks it once, and takes the dominant class, the majority
+:func:`score_candidates` scores a whole list of candidates at once, from
+their prediction matrices grouped by shape as
+``learner.stacked_predictions`` gives them: it checks each group's
+``(n, m, k)`` array once and takes the dominant class, the majority
 subset (a stable per-row sort), entropy and diversity as array
-operations over the group. The single-matrix functions are the
-``n = 1`` case of the same private helpers, which check nothing.
+operations over the group. The single-matrix functions check their one
+matrix and are the ``n = 1`` case of the same private helpers, which
+check nothing.
 
 Diversity is computed in O(m k), not over the m (m - 1) / 2 pairs. For
 one class with clamped column ``a`` and ``D_j = a_j - a_1``,
@@ -68,8 +70,9 @@ class CriteriaConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
-            raise ConfigError("lambda1 and lambda2 must be >= 0")
+        for name in ("lambda1", "lambda2"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and >= 0")
         if not (self.lambda1 + self.lambda2 > 0):
             raise ConfigError("lambda1 + lambda2 must be > 0")
         if not (0 < self.alpha <= 1):
@@ -130,19 +133,9 @@ def _diversity(P: np.ndarray) -> np.ndarray:
     return np.maximum(per_class, 0.0).sum(axis=1)
 
 
-def _checked_stack(blocks: list) -> np.ndarray:
-    """Stack same-shape matrices into an (n, m, k) array checked once."""
-    if np.ndim(blocks[0]) != 2:
-        check_prediction_matrix(blocks[0])  # raises the 2-d error
-    P = np.array(blocks, dtype=float)
-    n, m, k = P.shape
-    check_prediction_matrix(P.reshape(n * m, k))
-    return P
-
-
 def dominant_class(P) -> int:
     """Class with the largest column sum (ties go to the smaller index)."""
-    return int(_dominant(_checked_stack([P]))[0])
+    return int(_dominant(check_prediction_matrix(P)[None])[0])
 
 
 def majority_subset(P, alpha: float) -> np.ndarray:
@@ -152,7 +145,7 @@ def majority_subset(P, alpha: float) -> np.ndarray:
     probability on the dominant class; equal probabilities keep the
     lower patch index first.
     """
-    P = _checked_stack([P])
+    P = check_prediction_matrix(P)[None]
     if not (0 < alpha <= 1):
         raise ConfigError("alpha must lie in (0, 1]")
     return _majority(P, alpha, _dominant(P))[0]
@@ -160,7 +153,7 @@ def majority_subset(P, alpha: float) -> np.ndarray:
 
 def entropy(P) -> float:
     """Mean per-patch prediction entropy in nats; lies in [0, ln |Y|]."""
-    return float(_entropy(_checked_stack([P]))[0])
+    return float(_entropy(check_prediction_matrix(P)[None])[0])
 
 
 def diversity(P) -> float:
@@ -170,24 +163,29 @@ def diversity(P) -> float:
     non-negative because each pair term has the form
     ``(a - b) * (ln a - ln b)``.
     """
-    return float(_diversity(_checked_stack([P]))[0])
+    return float(_diversity(check_prediction_matrix(P)[None])[0])
 
 
-def score_candidates(blocks, cfg: CriteriaConfig, ids) -> list[CandidateScore]:
+def score_candidates(groups, cfg: CriteriaConfig, ids) -> list[CandidateScore]:
     """Score many candidates: majority subset, then weighted entropy + diversity.
 
-    ``blocks[i]`` is the prediction matrix of the candidate ``ids[i]``;
-    the matrices may differ in their number of rows. Returns the scores
-    in input order.
+    ``groups`` holds ``(positions, P)`` pairs, as from
+    ``learner.stacked_predictions``: ``P`` is an ``(n, m, k)`` array and
+    ``P[j]`` the prediction matrix of the candidate ``ids[positions[j]]``.
+    The positions must cover each id exactly once. Returns the scores in
+    id order.
     """
-    if len(blocks) != len(ids):
-        raise ShapeError(f"{len(blocks)} prediction matrices for {len(ids)} ids")
-    groups: dict[tuple, list[int]] = {}
-    for i, P in enumerate(blocks):
-        groups.setdefault(np.shape(P), []).append(i)
-    scores: list = [None] * len(blocks)
-    for members in groups.values():
-        P = _checked_stack([blocks[i] for i in members])
+    covered = np.sort(np.concatenate([positions for positions, _ in groups] or [[]]))
+    if not np.array_equal(covered, np.arange(len(ids))):
+        raise ShapeError(f"group positions must cover each of the {len(ids)} ids once")
+    scores: list = [None] * len(ids)
+    for positions, P in groups:
+        members = np.asarray(positions).tolist()
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 3 or P.shape[0] != len(members):
+            raise ShapeError(f"{len(members)} positions but predictions of shape {P.shape}")
+        n, m, k = P.shape
+        check_prediction_matrix(P.reshape(n * m, k))
         dominant = _dominant(P)
         subset = _majority(P, cfg.alpha, dominant)
         entropies = _entropy(subset).tolist()
@@ -206,7 +204,7 @@ def score_candidates(blocks, cfg: CriteriaConfig, ids) -> list[CandidateScore]:
 
 def score_candidate(P, cfg: CriteriaConfig, candidate_id: str = "") -> CandidateScore:
     """Score one candidate: the one-matrix case of :func:`score_candidates`."""
-    return score_candidates([P], cfg, [candidate_id])[0]
+    return score_candidates([([0], np.asarray(P, dtype=float)[None])], cfg, [candidate_id])[0]
 
 
 def classify_pattern(P) -> str:

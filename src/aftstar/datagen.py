@@ -64,10 +64,9 @@ class DatagenConfig:
             raise ConfigError(
                 "feature_dim must be >= num_classes for basis-aligned class centers"
             )
-        if not (self.class_center_separation > 0):
-            raise ConfigError("class_center_separation must be > 0")
-        if not (self.candidate_center_spread > 0 and self.patch_spread > 0):
-            raise ConfigError("spreads must be > 0")
+        for name in ("class_center_separation", "candidate_center_spread", "patch_spread"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and > 0")
         if not (0 <= self.ambiguous_fraction <= 1):
             raise ConfigError("ambiguous_fraction must lie in [0, 1]")
         if not (0 <= self.ambiguous_patch_fraction < 1):

@@ -17,11 +17,12 @@ Training data is an ``(X, y)`` pair of patch features and inherited
 candidate labels. Each epoch permutes the augmented features and the
 one-hot labels once and then walks contiguous minibatch slices of them.
 
-Prediction over a list of candidates is one pass over their stacked
-patches. ``predict_all`` splits it back into one block per candidate.
-A candidate's class probabilities are the mean of its block's rows:
-candidates are grouped by patch count ``m`` and each group's means come
-from one ``(g, m, k)`` gather and one mean over its middle axis.
+A list of candidates is predicted in one pass over its stacked patches.
+:func:`stack_candidates` groups the candidates by patch count ``m``, and
+:func:`stacked_predictions` gives each group's prediction matrices as
+one ``(g, m, k)`` array, the form that ``criteria.score_candidates``
+scores. A candidate's class probabilities are the mean of its matrix's
+rows, one mean over each group array's middle axis.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class TrainConfig:
     finetune_lr_factor: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (self.learning_rate > 0):
-            raise ConfigError("learning_rate must be > 0")
+        if not (0 < self.learning_rate < np.inf):
+            raise ConfigError("learning_rate must be finite and > 0")
         check_integer("epochs", self.epochs, 1)
         if not (0 <= self.momentum < 1):
             raise ConfigError("momentum must lie in [0, 1)")
@@ -220,22 +221,6 @@ def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
     return predict_features(model, candidate.features)
 
 
-def predict_all(model: LearnerModel, candidates: Sequence[Candidate]) -> list[np.ndarray]:
-    """Prediction matrices of many candidates from one pass over their
-    stacked patches; block ``i`` equals ``predict(model, candidates[i])``."""
-    if not candidates:
-        return []
-    P = predict_features(model, np.vstack([c.features for c in candidates]))
-    blocks = np.split(P, np.cumsum([c.num_patches for c in candidates])[:-1])
-    # numpy multiplies a single row through a matrix-vector routine that
-    # rounds differently from the matrix product, so a one-patch candidate
-    # is predicted alone to match predict() bit for bit.
-    return [
-        predict(model, c) if c.num_patches == 1 else block
-        for c, block in zip(candidates, blocks)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class CandidateStack:
     """A candidate list's stacked patches, grouped by patch count.
@@ -252,7 +237,7 @@ class CandidateStack:
 
 def stack_candidates(candidates: Sequence[Candidate]) -> CandidateStack:
     """Stack the candidates' patches once, for repeated
-    :func:`stacked_probabilities` calls."""
+    :func:`stacked_predictions` calls."""
     counts = np.array([c.num_patches for c in candidates], dtype=np.intp)
     starts = np.cumsum(counts) - counts
     groups = []
@@ -263,24 +248,38 @@ def stack_candidates(candidates: Sequence[Candidate]) -> CandidateStack:
     return CandidateStack(features=features, groups=tuple(groups), count=len(candidates))
 
 
-def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
-    """Candidate-level class probabilities, one row per candidate of the
-    stack: the column means of its prediction matrix."""
-    k = model.num_classes
-    out = np.empty((stack.count, k))
-    if not stack.count:
-        return out
+def stacked_predictions(
+    model: LearnerModel, stack: CandidateStack
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Prediction matrices of a stack's candidates from one pass over its
+    patches: one ``(positions, P)`` pair per patch-count group, where
+    ``P[j]`` equals ``predict(model, candidates[positions[j]])``."""
+    if not stack.groups:
+        return []
     P = predict_features(model, stack.features)
+    out = []
     for positions, rows in stack.groups:
         if rows.shape[1] == 1:
-            # As in predict_all: a one-patch candidate is predicted alone.
-            out[positions] = np.vstack(
+            # numpy multiplies a single row through a matrix-vector routine
+            # that rounds differently from the matrix product, so a
+            # one-patch candidate is predicted alone to match predict().
+            block = np.stack(
                 [predict_features(model, stack.features[r : r + 1]) for r in rows[:, 0]]
             )
         else:
-            # A mean over each (m, k) block, not np.add.reduceat: reduceat
-            # sums in another order.
-            out[positions] = P[rows].mean(axis=1)
+            block = P[rows]
+        out.append((positions, block))
+    return out
+
+
+def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
+    """Candidate-level class probabilities, one row per candidate of the
+    stack: the column means of its prediction matrix."""
+    out = np.empty((stack.count, model.num_classes))
+    for positions, P in stacked_predictions(model, stack):
+        # A mean over each (m, k) matrix, not np.add.reduceat: reduceat
+        # sums in another order.
+        out[positions] = P.mean(axis=1)
     return out
 
 
@@ -295,13 +294,12 @@ def collect_patches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack all patches of the candidates with their inherited labels:
     every patch of a candidate gets ``labels[candidate.id]``."""
-    blocks: list[np.ndarray] = []
-    ys: list[int] = []
+    candidates = list(candidates)
     for c in candidates:
         if c.id not in labels:
             raise InvariantError(f"candidate {c.id!r} has no label for training")
-        blocks.append(c.features)
-        ys.extend([int(labels[c.id])] * c.num_patches)
-    if not blocks:
+    if not candidates:
         return np.zeros((0, 0)), np.zeros((0,), dtype=int)
-    return np.vstack(blocks), np.asarray(ys, dtype=int)
+    counts = [len(c.features) for c in candidates]
+    y = np.repeat(np.array([labels[c.id] for c in candidates], dtype=int), counts)
+    return np.vstack([c.features for c in candidates]), y

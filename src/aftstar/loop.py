@@ -1,12 +1,13 @@
 """The active, continuous fine-tuning loop over the candidate pool.
 
 Each step: score every unlabeled candidate with the previous step's
-model, from one prediction pass and one batched scoring pass over the
-whole unlabeled set (both skipped for random selection), select a
-batch, ask the oracle for labels, collect the misclassified labeled
-candidates with the *pre-update* model, build the training set per the
-strategy policy, fit per the strategy's model-start policy, then move
-the batch into the labeled set and append a learning-curve record.
+model, from one prediction pass over the whole unlabeled set whose
+patch-count groups go straight to one batched scoring pass (both skipped
+for random selection), select a batch, ask the oracle for labels,
+collect the misclassified labeled candidates with the *pre-update*
+model, build the training set per the strategy policy, fit per the
+strategy's model-start policy, then move the batch into the labeled set
+and append a learning-curve record.
 
 The five named strategies differ in three choices:
 
@@ -43,9 +44,9 @@ from .learner import (
     candidate_probabilities,
     collect_patches,
     fit,
-    predict_all,
     pretrain_m0,
     stack_candidates,
+    stacked_predictions,
     stacked_probabilities,
 )
 from .metrics import ExperimentRecord, auc, macro_auc
@@ -244,13 +245,13 @@ def run_step(
     model_prev = state.model
 
     scores: dict[str, CandidateScore] = {}
+    groups: list = []
     if strat.criterion is None:
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
         unlabeled = [state.pool.candidates[cid] for cid in unlabeled_ids]
-        predicted = predict_all(model_prev, unlabeled)
-        scored = score_candidates(predicted, strat.criterion, unlabeled_ids)
-        blocks = dict(zip(unlabeled_ids, predicted))
+        groups = stacked_predictions(model_prev, stack_candidates(unlabeled))
+        scored = score_candidates(groups, strat.criterion, unlabeled_ids)
         scores = dict(zip(unlabeled_ids, scored))
         batch = select_batch(scored, strat.sampler, state.rng)
 
@@ -301,6 +302,7 @@ def run_step(
             state.pool.labels,
         )
         state.mined = (state.model, state.pool, post_fit)
+        blocks = {unlabeled_ids[i]: P for pos, group in groups for i, P in zip(pos, group)}
         entries = []
         for cid in batch:
             entry: dict = {"id": cid, "label": labels[cid]}

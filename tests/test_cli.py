@@ -289,6 +289,12 @@ def inline_run_config(out_dir):
         ("strategy", "omega", 1.5),
         ("strategy", "batch_size", 10.7),
         ("dataset", "patches_per_candidate", 2.5),
+        ("strategy", "lambda1", float("inf")),
+        ("strategy", "lambda2", float("inf")),
+        ("learner", "learning_rate", float("inf")),
+        ("dataset", "class_center_separation", float("inf")),
+        ("dataset", "candidate_center_spread", float("inf")),
+        ("dataset", "patch_spread", float("inf")),
     ],
 )
 def test_non_integer_counts_and_nan_are_config_errors(tmp_path, capsys, section, field, value):

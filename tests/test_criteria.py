@@ -256,12 +256,21 @@ def ragged_blocks(rng, n=60):
     return [blocks[i] for i in rng.permutation(n)]
 
 
+def grouped(blocks):
+    """``(positions, P)`` pairs for score_candidates: the blocks grouped by
+    shape, each group stacked into an ``(n, m, k)`` array."""
+    members = {}
+    for i, P in enumerate(blocks):
+        members.setdefault(np.shape(P), []).append(i)
+    return [(np.array(pos), np.array([blocks[i] for i in pos])) for pos in members.values()]
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
 def test_score_candidates_match_direct_oracles_in_input_order(alpha):
     blocks = ragged_blocks(np.random.default_rng(11))
     ids = [f"c{i:03d}" for i in range(len(blocks))]
     cfg = CriteriaConfig(lambda1=0.7, lambda2=0.3, alpha=alpha)
-    scores = score_candidates(blocks, cfg, ids)
+    scores = score_candidates(grouped(blocks), cfg, ids)
     assert [s.candidate_id for s in scores] == ids
     for s, P in zip(scores, blocks):
         subset = majority_subset(P, alpha)
@@ -274,12 +283,25 @@ def test_score_candidates_match_direct_oracles_in_input_order(alpha):
 
 
 def test_score_candidates_of_nothing_is_empty():
-    assert score_candidates([], CriteriaConfig(), []) == []
+    assert score_candidates(grouped([]), CriteriaConfig(), []) == []
 
 
-def test_score_candidates_rejects_ids_of_another_length():
+@pytest.mark.parametrize(
+    "positions",
+    [[[0, 1], [3]], [[0, 1], [1, 2]], [[0, 1, 2], [3, 4]], [[0, 1], [2, 2]], [[-1, 0], [1, 2]]],
+    ids=["missing", "repeated", "out_of_range", "repeated_in_a_group", "negative"],
+)
+def test_score_candidates_rejects_groups_missing_or_repeating_a_position(positions):
+    groups = [(np.array(pos), np.array([binary_rows([0.5, 0.7])] * len(pos))) for pos in positions]
     with pytest.raises(ShapeError):
-        score_candidates([binary_rows([0.5])], CriteriaConfig(), ["a", "b"])
+        score_candidates(groups, CriteriaConfig(), ["a", "b", "c", "d"])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_score_candidates_rejects_a_group_of_another_size_than_its_positions(n):
+    groups = [(np.array([0, 1]), np.array([binary_rows([0.5, 0.7])] * n))]
+    with pytest.raises(ShapeError):
+        score_candidates(groups, CriteriaConfig(), ["a", "b"])
 
 
 def test_score_candidates_checks_each_shape_group_once(monkeypatch):
@@ -294,7 +316,7 @@ def test_score_candidates_checks_each_shape_group_once(monkeypatch):
 
     monkeypatch.setattr(criteria_mod, "check_prediction_matrix", counting_check)
     blocks = [binary_rows([0.5] * m) for m in (3, 1, 3, 5, 1, 3)]
-    score_candidates(blocks, CriteriaConfig(), [str(i) for i in range(6)])
+    score_candidates(grouped(blocks), CriteriaConfig(), [str(i) for i in range(6)])
     assert sorted(calls) == [(2, 2), (5, 2), (9, 2)]
 
 
@@ -304,7 +326,7 @@ def test_diversity_of_identical_rows_is_exactly_zero():
         row = rng.random(k) + 1e-6
         row /= row.sum()
         blocks = [np.tile(row, (m, 1)) for m in range(1, 41)]
-        for s in score_candidates(blocks, CriteriaConfig(lambda2=1.0), [""] * 40):
+        for s in score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), [""] * 40):
             assert s.diversity == 0.0
         assert all(diversity(P) == 0.0 for P in blocks)
 
@@ -318,7 +340,7 @@ def test_diversity_of_near_identical_rows_is_non_negative():
         row = rng.random(k) + 1e-6
         raw = row + 1e-13 * rng.random((m, k))
         blocks.append(raw / raw.sum(axis=1, keepdims=True))
-    for s in score_candidates(blocks, CriteriaConfig(lambda2=1.0), [""] * len(blocks)):
+    for s in score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), [""] * len(blocks)):
         assert 0.0 <= s.diversity < 1e-9
 
 
@@ -330,7 +352,7 @@ def test_score_candidates_rejects_a_bad_row_in_any_block(position):
     bad[-1, 0] = 0.9  # a row summing to 0.9
     blocks[position] = bad
     with pytest.raises(ShapeError):
-        score_candidates(blocks, CriteriaConfig(), [""] * len(blocks))
+        score_candidates(grouped(blocks), CriteriaConfig(), [""] * len(blocks))
 
 
 # --- config validation ------------------------------------------------------

@@ -11,9 +11,10 @@ from aftstar.learner import (
     fit,
     loss_and_gradient,
     predict,
-    predict_all,
     predict_features,
     pretrain_m0,
+    stack_candidates,
+    stacked_predictions,
 )
 from aftstar.pool import Candidate
 
@@ -217,18 +218,22 @@ def ragged_candidates(seed, d=5):
 
 
 @pytest.mark.parametrize("num_classes", [2, 3])
-def test_predict_all_equals_per_candidate_predict(num_classes):
+def test_stacked_predictions_equal_per_candidate_predict(num_classes):
     rng = np.random.default_rng(num_classes)
     model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
     candidates = ragged_candidates(num_classes)
-    blocks = predict_all(model, candidates)
-    assert len(blocks) == len(candidates)
-    for P, c in zip(blocks, candidates):
-        assert np.array_equal(P, predict(model, c))
+    groups = stacked_predictions(model, stack_candidates(candidates))
+    positions = np.concatenate([pos for pos, _ in groups])
+    assert sorted(positions.tolist()) == list(range(len(candidates)))
+    for pos, P in groups:
+        assert P.shape == (len(pos), candidates[pos[0]].num_patches, num_classes)
+        for i, block in zip(pos, P):
+            assert np.array_equal(block, predict(model, candidates[i]))
 
 
-def test_predict_all_of_no_candidates_is_empty():
-    assert predict_all(LearnerModel(weights=np.zeros((2, 5))), []) == []
+def test_stacked_predictions_of_no_candidates_are_empty():
+    model = LearnerModel(weights=np.zeros((2, 5)))
+    assert stacked_predictions(model, stack_candidates([])) == []
 
 
 # --- candidate probabilities ------------------------------------------------

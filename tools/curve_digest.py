@@ -1,35 +1,56 @@
-"""Print one sha256 digest per learning curve of the standard benchmark grid.
+"""Print one sha256 digest per learning curve of the standard benchmark
+grid, then one per artifact of a ragged ``aftstar compare``.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
 AFT and RFT. Each line is ``<strategy label> seed=<s> <sha256>``, where
 the digest covers every record field in order, floats by ``repr``.
 
-Two checkouts give the same learning curves exactly when this script
-prints the same lines in both::
+The compare: the ragged three-class set of ``perfbench/inputs.py``
+(seed 7), with AFT*-entropy^a_w, AFT*-diversity_w, AFT-diversity^a and
+RFT, seeds 1-2, budget 100, batch 20, ``--jobs 2``, run in a temporary
+directory. Each line is ``<artifact file name> <sha256>``; the curves,
+summaries, selection audits and the two comparison files are covered.
+
+Two checkouts give the same learning curves and artifacts exactly when
+this script prints the same lines in both::
 
     python tools/curve_digest.py > a.txt   # in each checkout
     diff a.txt b.txt
 
-The script imports the package from the ``src`` directory next to it.
+The script imports the package from the ``src`` directory next to it
+and the dataset writer from ``perfbench/inputs.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import json
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+from aftstar.cli import main as cli_main  # noqa: E402
 from aftstar.datagen import generate, standard_benchmark  # noqa: E402
 from aftstar.learner import TrainConfig  # noqa: E402
 from aftstar.loop import CRITERION_PRESETS, StopRule, make_strategy, run_experiment  # noqa: E402
+from inputs import RAGGED, write_dataset  # noqa: E402
 
 SEEDS = range(1, 6)
 BUDGET = 300
 BATCH = 20
+COMPARE_STRATEGIES = [
+    {"name": "AFT_star", "criterion": "entropy^a_w", "batch_size": BATCH},
+    {"name": "AFT_star", "criterion": "diversity_w", "batch_size": BATCH},
+    {"name": "AFT", "criterion": "diversity^a", "batch_size": BATCH},
+    {"name": "RFT", "batch_size": BATCH},
+]
 
 
 def grid():
@@ -54,6 +75,22 @@ def main() -> None:
                 train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), seed
             )
             print(f"{strategy.label} seed={seed} {digest(records)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out, config = Path(tmp, "data"), Path(tmp, "out"), Path(tmp, "compare.json")
+        write_dataset(RAGGED, 7, data)
+        config.write_text(json.dumps({
+            "schema_version": 1,
+            "dataset": str(data),
+            "strategies": COMPARE_STRATEGIES,
+            "stop": {"query_budget": 100},
+            "seeds": [1, 2],
+        }), encoding="utf-8")
+        argv = ["compare", "--config", str(config), "--output", str(out), "--jobs", "2"]
+        with contextlib.redirect_stdout(sys.stderr):
+            if cli_main(argv) != 0:
+                raise SystemExit("aftstar compare failed")
+        for path in sorted(out.iterdir()):
+            print(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
