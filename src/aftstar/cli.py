@@ -74,12 +74,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}")
+    version = cfg.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: must be {SCHEMA_VERSION} in {path}, got {version!r}")
     return cfg
 
 
 def _resolve_output_dir(cfg: dict, args) -> Path:
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir: must be a path string, got {cfg['output_dir']!r}")
     out = args.output or cfg.get("output_dir") or os.environ.get(OUTPUT_ENV_VAR)
     if not out:
         raise ConfigError(
@@ -281,7 +284,7 @@ def cmd_compare(args) -> int:
     for i, cell in enumerate(cells):
         cell["best"] = i == best
 
-    with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
+    with metrics.replacing(out_dir / "comparison.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "mean_alc", "sd_alc", "n_seeds", "best"])
         for cell in cells:
@@ -295,9 +298,8 @@ def cmd_compare(args) -> int:
                 ]
             )
     comparison = {"seeds": seeds, "cells": cells, "best": cells[best]["strategy"]}
-    (out_dir / "comparison.json").write_text(
-        json.dumps(comparison, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    with metrics.replacing(out_dir / "comparison.json") as fh:
+        fh.write(json.dumps(comparison, indent=2, sort_keys=True))
     for cell in cells:
         marker = " *" if cell["best"] else ""
         print(f"{cell['strategy']}: {cell['mean_alc']:.6f} +/- {cell['sd_alc']:.6f}{marker}")

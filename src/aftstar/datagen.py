@@ -14,6 +14,17 @@ labels.
 The generator also writes/reads the dataset CSV format defined in
 :mod:`aftstar.pool` plus a sidecar ``meta.json`` recording the config and
 the ambiguity bookkeeping (test-only; selection never sees it).
+
+``load_csv`` parses a plain file in bulk: it reads chunks of whole lines
+(about 64 KiB), splits each into lines and tokens once, and converts the
+features with ``float`` and each distinct label text with ``int``, so the
+values equal the per-row parser's to the bit. A file with a quote, a
+carriage return or a line as long as ``csv.field_size_limit()``, or one
+with a row the per-row parser rejects (wrong width, bad label, non-numeric
+or non-finite value, inconsistent labels), is read again by the per-row
+``csv.reader`` loop. That loop is the reference the tests compare against
+and the only code that reports a row's format error; a file that is not
+UTF-8 or has a field over the ``csv`` limit is a format error too.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,6 +44,7 @@ from .errors import ConfigError, DatasetFormatError, check_integer
 from .pool import Candidate
 
 FLOAT_FMT = "%.17g"
+CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
 
 
 @dataclass(frozen=True)
@@ -178,51 +191,81 @@ def load_csv(path: str | Path) -> list[Candidate]:
     """Load candidates from the pool CSV format.
 
     Patches are ordered by file appearance; the label column must repeat
-    identically on every row of a candidate.
+    identically on every row of a candidate. A plain file is parsed in
+    bulk; anything else goes to the per-row reference parser, which also
+    reports every format error.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    candidates = _load_plain_csv(path)
+    return _load_csv_rows(path) if candidates is None else candidates
+
+
+def _feature_count(header: list[str], path: str | Path) -> int:
+    """Check a header row and return the number of feature columns."""
+    if header[:2] != ["candidate_id", "label"]:
+        raise DatasetFormatError(f"{path}: header must start with candidate_id,label")
+    feature_cols = header[2:]
+    expected = [f"f{i}" for i in range(len(feature_cols))]
+    if feature_cols != expected:
+        raise DatasetFormatError(f"{path}: feature columns must be f0..f{len(feature_cols) - 1}")
+    if not feature_cols:
+        raise DatasetFormatError(f"{path}: no feature columns")
+    return len(feature_cols)
+
+
+def _load_csv_rows(path: str | Path) -> list[Candidate]:
+    """The reference parser, one ``csv.reader`` row at a time, and the one
+    that reports a file's format errors."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                return _parse_rows(reader, path)
+            except csv.Error as exc:
+                raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file, expected a header row")
-        if header[:2] != ["candidate_id", "label"]:
-            raise DatasetFormatError(f"{path}: header must start with candidate_id,label")
-        feature_cols = header[2:]
-        expected = [f"f{i}" for i in range(len(feature_cols))]
-        if feature_cols != expected:
-            raise DatasetFormatError(f"{path}: feature columns must be f0..f{len(feature_cols) - 1}")
-        d = len(feature_cols)
-        if d == 0:
-            raise DatasetFormatError(f"{path}: no feature columns")
-        values_by_id: dict[str, array] = {}  # each candidate's rows, flattened
-        label_by_id: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + d:
-                raise DatasetFormatError(f"{path}:{lineno}: expected {2 + d} columns, got {len(row)}")
-            cid = row[0]
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: label {row[1]!r} is not an integer")
-            try:
-                feats = [float(v) for v in row[2:]]
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature value")
-            if not all(map(math.isfinite, feats)):
-                raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
-            if cid in label_by_id:
-                if label_by_id[cid] != label:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: candidate {cid!r} has inconsistent labels "
-                        f"{label_by_id[cid]} and {label}"
-                    )
-            else:
-                label_by_id[cid] = label
-                values_by_id[cid] = array("d")
-            values_by_id[cid].extend(feats)
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise DatasetFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        raise
+
+
+def _parse_rows(reader, path: str | Path) -> list[Candidate]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError(f"{path}: empty file, expected a header row")
+    d = _feature_count(header, path)
+    values_by_id: dict[str, array] = {}  # each candidate's rows, flattened
+    label_by_id: dict[str, int] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2 + d:
+            raise DatasetFormatError(f"{path}:{lineno}: expected {2 + d} columns, got {len(row)}")
+        cid = row[0]
+        try:
+            label = int(row[1])
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: label {row[1]!r} is not an integer")
+        try:
+            feats = [float(v) for v in row[2:]]
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature value")
+        if not all(map(math.isfinite, feats)):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
+        if cid in label_by_id:
+            if label_by_id[cid] != label:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: candidate {cid!r} has inconsistent labels "
+                    f"{label_by_id[cid]} and {label}"
+                )
+        else:
+            label_by_id[cid] = label
+            values_by_id[cid] = array("d")
+        values_by_id[cid].extend(feats)
     return [
         Candidate(
             id=cid,
@@ -230,6 +273,80 @@ def load_csv(path: str | Path) -> list[Candidate]:
             true_label=label_by_id[cid],
         )
         for cid, values in values_by_id.items()
+    ]
+
+
+def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
+    """Parse a plain file in bulk, a chunk of whole lines at a time.
+
+    Returns None, for the reference parser to read the file again, when
+    a plain comma split could read the file otherwise than ``csv.reader``
+    (a quote, a carriage return, a line that could hold a field over
+    ``csv.field_size_limit()``) or when the reference parser would reject
+    a row. ``float`` and ``int`` are the reference parser's own, so the
+    values are the same to the bit. The header check is shared.
+
+    No buffer grows with the file: each chunk's rows stay in their own
+    small array and each candidate keeps views of its runs of rows, which
+    keeps the peak memory of repeated loads near the per-row parser's.
+    """
+    limit = csv.field_size_limit()
+    code_of: dict[str, int] = {}  # candidate id -> code, in order of first appearance
+    label_code: dict[str, int] = {}  # label text -> code of its integer value
+    label_values: dict[int, int] = {}  # label value -> its code
+    label_of: list[int] = []  # candidate code -> the code of its label
+    runs: list[list[np.ndarray]] = []  # candidate code -> its runs of rows, in file order
+    d = None
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            while chunk := fh.read(CHUNK_CHARS):
+                if not chunk.endswith("\n"):
+                    chunk += fh.readline()
+                lines = chunk.removesuffix("\n").split("\n")
+                if '"' in chunk or "\r" in chunk or max(map(len, lines)) >= limit:
+                    return None
+                if d is None:
+                    d = _feature_count(lines.pop(0).split(","), path)
+                if "" in lines:  # blank lines hold no row
+                    lines = list(filter(None, lines))
+                if not lines:
+                    continue
+                if not set(map(str.count, lines, repeat(","))) <= {d + 1}:
+                    return None
+                tokens = ",".join(lines).split(",")
+                ids, labels = tokens[:: d + 2], tokens[1 :: d + 2]
+                del tokens[:: d + 2], tokens[:: d + 1]
+                rows = np.frombuffer(array("d", map(float, tokens))).reshape(-1, d)
+                if not np.isfinite(rows).all():
+                    return None
+                for text in set(labels).difference(label_code):
+                    label_code[text] = label_values.setdefault(int(text), len(label_values))
+                for cid, text in zip(ids, labels):
+                    if cid not in code_of:
+                        code_of[cid] = len(runs)
+                        label_of.append(label_code[text])
+                        runs.append([])
+                codes = list(map(code_of.__getitem__, ids))
+                row_labels = list(map(label_code.__getitem__, labels))
+                if list(map(label_of.__getitem__, codes)) != row_labels:
+                    return None
+                start = 0
+                for code, run in groupby(codes):
+                    end = start + len(list(run))
+                    runs[code].append(rows[start:end])
+                    start = end
+    except ValueError:  # also what float, int and the UTF-8 decoder raise
+        return None
+    if d is None:
+        return None
+    value_of = list(label_values)
+    return [
+        Candidate(
+            id=cid,
+            features=blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+            true_label=value_of[label],
+        )
+        for cid, blocks, label in zip(code_of, runs, label_of)
     ]
 
 

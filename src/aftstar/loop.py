@@ -27,6 +27,7 @@ labeled candidates the current model misclassifies.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ from .learner import (
     stacked_predictions,
     stacked_probabilities,
 )
-from .metrics import ExperimentRecord, auc, macro_auc
+from .metrics import ExperimentRecord, auc, macro_auc, replacing
 from .oracle import Oracle, OracleConfig, true_labels
 from .pool import Candidate, PoolState, make_pool, move_to_labeled
 from .sampler import SamplerConfig, select_batch, uniform_batch
@@ -147,6 +148,8 @@ def make_strategy(
             training_set_policy=policy,
             model_start=start,
         )
+    if not isinstance(criterion, str):
+        raise ConfigError(f"criterion must be a string, got {criterion!r}")
     label = criterion.replace("α", "a").replace("ω", "w")
     if label not in CRITERION_PRESETS:
         raise ConfigError(f"unknown criterion {criterion!r}")
@@ -403,8 +406,8 @@ def run_experiment(
         positive_class=positive_class,
     )
 
-    audit = open(audit_path, "w", encoding="utf-8") if audit_path is not None else None
-    try:
+    audit_file = replacing(audit_path) if audit_path is not None else contextlib.nullcontext()
+    with audit_file as audit:
         while True:
             queries = len(state.pool.labeled)
             if stop.query_budget is not None and queries >= stop.query_budget:
@@ -422,7 +425,4 @@ def run_experiment(
                         sampler=dataclasses.replace(strat.sampler, batch_size=remaining),
                     )
             run_step(state, step_strat, oracle, evaluator, audit=audit)
-    finally:
-        if audit is not None:
-            audit.close()
     return state.records

@@ -9,8 +9,10 @@ ends, so curves stopped early remain comparable on a [0, 1] x-axis.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -122,8 +124,24 @@ class LearningCurve:
         return cls(records=tuple(records), alc=value)
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path, newline: str | None = None):
+    """Write text to a temporary file beside ``path`` and move it onto
+    ``path`` when the block ends; remove it when the block raises. So an
+    artifact is either complete or absent, never truncated."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_curve_csv(records: Sequence[ExperimentRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_HEADER)
         for r in records:
@@ -161,4 +179,5 @@ def read_curve_csv(path: str | Path) -> list[ExperimentRecord]:
 
 
 def write_summary_json(summary: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True))

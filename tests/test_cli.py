@@ -1,10 +1,18 @@
 import concurrent.futures
+import contextlib
+import dataclasses
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aftstar import cli
+from aftstar import cli, loop
 from aftstar.cli import main
+from aftstar.datagen import DatagenConfig
+from aftstar.errors import InvariantError
+from aftstar.learner import TrainConfig
 from aftstar.metrics import read_curve_csv
 
 
@@ -257,6 +265,32 @@ def test_compare_parallel_jobs_match_serial(dataset_dir, tmp_path):
     assert (out_a / "comparison.csv").read_bytes() == (out_b / "comparison.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_run_failing_mid_way_leaves_no_artifacts(
+    dataset_dir, tmp_path, monkeypatch, capsys, command
+):
+    run_step, steps = loop.run_step, []
+
+    def step_then_fail(*args, **kwargs):
+        steps.append(1)
+        if len(steps) == 2:
+            raise InvariantError("injected failure")
+        return run_step(*args, **kwargs)
+
+    monkeypatch.setattr(loop, "run_step", step_then_fail)
+    out = tmp_path / "o"
+    strategy = {"name": "AFT_star", "criterion": "entropy^a_w", "batch_size": 5}
+    if command == "run":
+        payload = run_config(dataset_dir, out, strategy)
+    else:
+        payload = compare_config(dataset_dir, out, [strategy])
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    assert "error: injected failure" in capsys.readouterr().err
+    assert len(steps) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_missing_dataset_is_config_error(tmp_path):
     cfg = write_config(
         tmp_path / "run.json",
@@ -311,8 +345,13 @@ def test_non_integer_counts_and_nan_are_config_errors(tmp_path, capsys, section,
         ("strategies[0]", lambda cfg: cfg["strategies"][0].update(batch_size="x")),
         ("learner", lambda cfg: cfg["learner"].update(learning_rate="0.1")),
         ("seeds", lambda cfg: cfg.update(seeds=["a"])),
+        ("output_dir", lambda cfg: cfg.update(output_dir=5)),
+        ("output_dir", lambda cfg: cfg.update(output_dir=["a"])),
+        ("strategies[0]", lambda cfg: cfg["strategies"][0].update(name="AFT", criterion=5)),
+        ("schema_version", lambda cfg: cfg.update(schema_version=True)),
     ],
-    ids=["batch_size", "learning_rate", "seeds"],
+    ids=["batch_size", "learning_rate", "seeds", "output_dir-5", "output_dir-list", "criterion",
+         "schema_version-true"],
 )
 def test_wrongly_typed_values_are_config_errors(dataset_dir, tmp_path, capsys, section, edit):
     payload = compare_config(dataset_dir, tmp_path / "o", [{"name": "RFT", "batch_size": 5}])
@@ -365,6 +404,90 @@ def test_test_split_missing_a_class_is_config_error(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 1
     assert "config error: the test split has no candidate of class 2" in capsys.readouterr().err
+
+
+# --- fuzzed config boundary ------------------------------------------------------
+
+def fuzz_base_config():
+    """A valid run config on a tiny inline dataset, every optional field set."""
+    dataset = dataclasses.asdict(
+        DatagenConfig(
+            class_weights=(0.5, 0.5),
+            train_candidates=12,
+            test_candidates=6,
+            patches_per_candidate=2,
+            feature_dim=2,
+        )
+    )
+    dataset["class_weights"] = list(dataset["class_weights"])
+    strategy = {"name": "AFT_star", "criterion": "entropy^a_w", "batch_size": 4,
+                "alpha": 0.5, "omega": 2, "lambda1": 1.0, "lambda2": 1.0}
+    return {
+        "schema_version": 1,
+        "dataset": dataset,
+        "strategy": strategy,
+        "learner": dataclasses.asdict(TrainConfig(epochs=1, minibatch_size=8)),
+        "stop": {"query_budget": 8, "auc_target": 1.0},
+        "oracle": {"label_noise_rate": 0.0},
+        "positive_class": 0,
+        "seeds": [1],
+        "output_dir": "out",
+    }
+
+
+def value_paths(value, path=()):
+    """Every path to a value inside a config, the config itself excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield path + (key,)
+        yield from value_paths(inner, path + (key,))
+
+
+JSON_TYPES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False)),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers(0, 2), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2),
+}
+
+
+JSON_TYPE_OF = {
+    type(None): "null", bool: "bool", int: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    """The base config with one value replaced by a value of another JSON type."""
+    cfg = fuzz_base_config()
+    path = draw(st.sampled_from(list(value_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    other = draw(st.sampled_from(sorted(set(JSON_TYPES) - {JSON_TYPE_OF[type(parent[path[-1]])]})))
+    parent[path[-1]] = draw(JSON_TYPES[other])
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=mutated_configs())
+def test_mutated_run_configs_never_raise(tmp_path_factory, cfg):
+    work = tmp_path_factory.mktemp("fuzz")
+    config = write_config(work / "run.json", cfg)
+    with (
+        contextlib.chdir(work),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        assert main(["run", "--config", config]) in (0, 1, 2)
 
 
 # --- worker count ---------------------------------------------------------------

@@ -1,8 +1,13 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aftstar import cli, datagen
 from aftstar.criteria import CriteriaConfig, score_candidate
 from aftstar.datagen import (
     DatagenConfig,
@@ -186,6 +191,182 @@ def test_load_dataset_and_infer_classes(tmp_path):
     assert len(train) == 20 and len(test) == 5
     assert meta["config"]["num_classes"] == 2
     assert infer_num_classes(train) == 2
+
+
+def test_undecodable_file_is_a_format_error_naming_its_line(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_bytes(b"candidate_id,label,f0\nx,0,1.0\ny,1,\xff2.0\n")
+    with pytest.raises(DatasetFormatError, match=r"train\.csv:3: not UTF-8 text"):
+        load_csv(path)
+
+
+def test_field_over_the_csv_limit_is_a_format_error_naming_its_line(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_text("candidate_id,label,f0\nx,0,1.0\nx,0," + "1" * 131073 + "\n")
+    with pytest.raises(DatasetFormatError, match=r"train\.csv:3: field larger than field limit"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "train_bytes, message",
+    [
+        (b"candidate_id,label,f0\nx,0,\xff\n", "train.csv:2: not UTF-8 text"),
+        (b"candidate_id,label,f0\nx,0," + b"1" * 131073 + b"\n", "train.csv:2: field larger"),
+    ],
+    ids=["not-utf8", "long-field"],
+)
+def test_unreadable_dataset_file_exits_2_through_the_cli(tmp_path, capsys, train_bytes, message):
+    write_dataset(small_config(train_candidates=10, test_candidates=4), tmp_path / "data")
+    (tmp_path / "data" / "train.csv").write_bytes(train_bytes)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "dataset": str(tmp_path / "data"),
+        "strategy": {"name": "RFT", "batch_size": 2},
+        "seeds": [1],
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+# --- bulk parser against the per-row reference --------------------------------
+
+def loaded_or_error(load, path):
+    try:
+        return [(c.id, c.true_label, c.features) for c in load(path)]
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+def assert_same_load(path):
+    fast = loaded_or_error(load_csv, path)
+    reference = loaded_or_error(datagen._load_csv_rows, path)
+    if isinstance(reference, str) or isinstance(fast, str):
+        assert fast == reference
+        return
+    assert [(cid, label) for cid, label, _ in fast] == [(cid, label) for cid, label, _ in reference]
+    for (_, _, a), (_, _, b) in zip(fast, reference):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+QUIRKS = [
+    "quoted-id", "crlf", "bare-cr", "blank-line", "label-form", "bad-label", "inconsistent-label",
+    "width", "odd-value", "long-field", "not-utf8", "header",
+]
+ODD_VALUES = ["-0", " 3", "1_0.5", "1e309", "nan", "inf", "-inf", "abc", "", "0x10"]
+
+
+@st.composite
+def csv_files(draw):
+    """Dataset CSV bytes: a plain file, or one with up to three quirks that
+    only the reference parser reads or reports, each on about half of the
+    rows: quoted ids (with commas and quotes in them), CRLF or bare CR line
+    ends, blank lines, other spellings of a label, a bad or inconsistent
+    label, a wrong width, a non-numeric or non-finite value, an over-long
+    field, a byte that is not UTF-8, or a bad header."""
+    quirks = draw(st.sets(st.sampled_from(QUIRKS), max_size=3))
+
+    def quirk(name):
+        return name in quirks and draw(st.booleans())
+
+    d = draw(st.integers(1, 3))
+    header = ["candidate_id", "label"] + [f"f{i}" for i in range(d)]
+    if "header" in quirks:
+        header = draw(st.sampled_from([header[:2], ["id", *header[1:]], [*header[:2], "f1"]]))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, 3))
+        cid = f"c{i}"
+        if quirk("quoted-id"):
+            cid = draw(st.sampled_from([f'"c{i}"', f'"c,{i}"', f'"c""{i}"']))
+        label = str((i + quirk("inconsistent-label")) % 3)
+        if quirk("label-form"):
+            label = draw(st.sampled_from([f"+{label}", f" {label}", f"0_{label}"]))
+        if quirk("bad-label"):
+            label = draw(st.sampled_from(["x", "", "1.0", "9" * 5000]))
+        values = draw(st.lists(finite, min_size=d, max_size=d))
+        if quirk("width"):
+            values = values[1:] if draw(st.booleans()) else values + ["1.0"]
+        if values and quirk("odd-value"):
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_VALUES))
+        row = [cid, label, *values]
+        if quirk("long-field"):
+            row[draw(st.integers(0, len(row) - 1))] = "1" * 131073
+        rows.append((i, ",".join(row)))
+        if quirk("blank-line"):
+            rows.append((i, ""))
+    if draw(st.booleans()):  # each candidate's rows contiguous
+        rows.sort(key=lambda row: row[0])
+    lines = [",".join(header)] + [line for _, line in rows]
+    ends = [
+        draw(st.sampled_from(["\r\n", "\r"])) if quirk("crlf") or quirk("bare-cr") else "\n"
+        for _ in lines
+    ]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    data = text.encode("utf-8")
+    if "not-utf8" in quirks:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=csv_files(), chunk_chars=st.sampled_from([1, 7, 64, datagen.CHUNK_CHARS]))
+def test_bulk_parser_matches_the_reference_parser(tmp_path_factory, data, chunk_chars):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(data)
+    with mock.patch.object(datagen, "CHUNK_CHARS", chunk_chars):
+        assert_same_load(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        "candidate_id,label,f0\n",
+        "candidate_id,label,f0",
+        "candidate_id,label,f0,f1\na,0,1,2\n\n\nb,1,3,4\na,0,5,6",
+        "candidate_id,label,f0\na,1,1\nb,0,2\na,+1,3\n",
+        "candidate_id,label,f0\na,1,1\nb,0,2\na,0,3\n",
+        'candidate_id,label,f0\n"a,b",0,1.5\r\n"a,b",0,2.5\r\n',
+        "candidate_id,label,f0\ra,0,1\r",
+        "candidate_id,label,f0\n" + "a" * 131073 + ",0,1\n",
+    ],
+    ids=["empty", "blank", "header-only", "header-no-newline", "blank-lines-interleaved",
+         "plus-label", "inconsistent-label", "quoted-crlf", "bare-cr", "long-id"],
+)
+def test_bulk_parser_matches_the_reference_parser_on_edge_files(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_same_load(path)
+
+
+@pytest.mark.parametrize(
+    "interleaved", [False, True], ids=["benchmark-shape", "blank-lines-interleaved"]
+)
+def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, interleaved):
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(300):
+        prefix = f"train-{i:04d},{i % 3},"
+        rows += [prefix + ",".join(map(repr, r)) for r in rng.standard_normal((8, 4)).tolist()]
+    if interleaved:
+        rows = rows[::2] + ["", ""] + rows[1::2]
+    path = tmp_path / "train.csv"
+    header = "candidate_id,label," + ",".join(f"f{i}" for i in range(4))
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    expected = datagen._load_csv_rows(path)
+    monkeypatch.setattr(datagen, "CHUNK_CHARS", 1000)
+    monkeypatch.setattr(datagen, "_load_csv_rows", mock.Mock(side_effect=AssertionError))
+    loaded = load_csv(path)
+    assert [(c.id, c.true_label) for c in loaded] == [(c.id, c.true_label) for c in expected]
+    assert all(np.array_equal(a.features, b.features) for a, b in zip(loaded, expected))
 
 
 # --- link to selection criteria ----------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,15 @@ def test_curve_csv_round_trip(tmp_path):
         "selected_positive_fraction,misclassified_pre_fit"
     )
     assert read_curve_csv(path) == records
+
+
+def test_curve_csv_failing_mid_file_keeps_the_old_file_and_no_temporary(tmp_path):
+    records = records_fixture()
+    path = tmp_path / "curve.csv"
+    write_curve_csv(records, path)
+    before = path.read_bytes()
+    unformattable = records[:1] + [dataclasses.replace(records[1], test_auc="x")]
+    with pytest.raises(TypeError):
+        write_curve_csv(unformattable, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
