@@ -63,6 +63,15 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _reject_booleans(obj: dict, where: str) -> None:
+    """No config field is a boolean, and JSON ``true``/``false`` would
+    pass for 1 and 0 in a number field."""
+    for key, value in obj.items():
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, bool) for v in values):
+            raise ConfigError(f"{where}: {key} must not be a boolean, got {json.dumps(value)}")
+
+
 def _load_config(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -96,6 +105,7 @@ def _resolve_output_dir(cfg: dict, args) -> Path:
 def _parse_fields(cls, obj: dict, where: str):
     """Build the config dataclass ``cls`` from a JSON object of its fields."""
     _check_keys(obj, {f.name for f in dataclasses.fields(cls)}, set(), where)
+    _reject_booleans(obj, where)
     with _section(where):
         return cls(**obj)
 
@@ -108,6 +118,7 @@ def _parse_datagen(obj: dict, where: str) -> DatagenConfig:
 
 def _parse_strategy(obj: dict, where: str):
     _check_keys(obj, STRATEGY_KEYS, {"name", "batch_size"}, where)
+    _reject_booleans(obj, where)
     kwargs = {
         k: obj[k] for k in ("alpha", "omega", "lambda1", "lambda2") if k in obj
     }
@@ -137,21 +148,17 @@ def cmd_generate(args) -> int:
 
 
 def _resolve_dataset(spec, where: str):
-    """Return (train, test, num_classes) from a directory path or an
-    inline datagen config."""
+    """Return (train, test) from a directory path or an inline datagen
+    config. ``run_experiment`` takes the class count from their labels;
+    a directory's ``meta.json`` is not read for it."""
     if isinstance(spec, str):
         try:
-            train, test, meta = datagen.load_dataset(spec)
+            train, test, _ = datagen.load_dataset(spec)
         except OSError as exc:
             raise ConfigError(f"{where}: cannot load dataset {spec}: {exc}")
-        if meta is not None:
-            num_classes = int(meta["config"]["num_classes"])
-        else:
-            num_classes = datagen.infer_num_classes(train + test)
-        return train, test, num_classes
-    cfg = _parse_datagen(spec, where)
-    train, test, _ = datagen.generate(cfg)
-    return train, test, cfg.num_classes
+        return train, test
+    train, test, _ = datagen.generate(_parse_datagen(spec, where))
+    return train, test
 
 
 def _run_one(
@@ -165,12 +172,12 @@ def _run_one(
     out_dir: str,
 ) -> dict:
     """Run one (strategy, seed) experiment on a resolved dataset
-    ``(train, test, num_classes)`` and write its artifacts.
+    ``(train, test)`` and write its artifacts.
 
     Module-level and takes only picklable arguments, so compare can fan
     out worker processes.
     """
-    train, test, num_classes = dataset
+    train, test = dataset
     slug = _slug(strategy.label)
     out = Path(out_dir)
     records = loop.run_experiment(
@@ -180,7 +187,6 @@ def _run_one(
         train_cfg,
         stop,
         seed,
-        num_classes=num_classes,
         positive_class=positive_class,
         oracle_noise=oracle_cfg.label_noise_rate,
         audit_path=out / f"audit_{slug}_seed{seed}.jsonl",

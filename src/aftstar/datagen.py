@@ -15,13 +15,15 @@ The generator also writes/reads the dataset CSV format defined in
 :mod:`aftstar.pool` plus a sidecar ``meta.json`` recording the config and
 the ambiguity bookkeeping (test-only; selection never sees it).
 
-``load_csv`` parses a plain file in bulk: it reads chunks of whole lines
-(about 64 KiB), splits each into lines and tokens once, and converts the
-features with ``float`` and each distinct label text with ``int``, so the
-values equal the per-row parser's to the bit. A file with a quote, a
-carriage return or a line as long as ``csv.field_size_limit()``, or one
-with a row the per-row parser rejects (wrong width, bad label, non-numeric
-or non-finite value, inconsistent labels), is read again by the per-row
+``load_csv`` parses in bulk the file shape that ``write_csv`` and the
+benchmark's writer produce: ``\n`` line ends, no quote, no blank line,
+and each candidate's rows in one contiguous run with one label text. It
+reads chunks of whole lines (about 64 KiB), splits each into lines and
+tokens once, and converts the features with ``float`` and each
+candidate's label with ``int``, so the values equal the per-row parser's
+to the bit. Any other file (a quote, a carriage return, a blank line, a
+line as long as ``csv.field_size_limit()``, a candidate's rows in two
+runs, or a row the per-row parser rejects) is read again by the per-row
 ``csv.reader`` loop. That loop is the reference the tests compare against
 and the only code that reports a row's format error; a file that is not
 UTF-8 or has a field over the ``csv`` limit is a format error too.
@@ -180,7 +182,7 @@ def write_csv(candidates: Iterable[Candidate], path: str | Path) -> None:
         d = 0
     header = ["candidate_id", "label"] + [f"f{i}" for i in range(d)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for c in candidates:
             for row in c.features.tolist():
@@ -191,9 +193,9 @@ def load_csv(path: str | Path) -> list[Candidate]:
     """Load candidates from the pool CSV format.
 
     Patches are ordered by file appearance; the label column must repeat
-    identically on every row of a candidate. A plain file is parsed in
-    bulk; anything else goes to the per-row reference parser, which also
-    reports every format error.
+    identically on every row of a candidate. A file in the shape
+    ``write_csv`` writes is parsed in bulk; anything else goes to the
+    per-row reference parser, which also reports every format error.
     """
     candidates = _load_plain_csv(path)
     return _load_csv_rows(path) if candidates is None else candidates
@@ -277,25 +279,26 @@ def _parse_rows(reader, path: str | Path) -> list[Candidate]:
 
 
 def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
-    """Parse a plain file in bulk, a chunk of whole lines at a time.
+    """Parse in bulk, a chunk of whole lines at a time, a file in which
+    each candidate's rows form one contiguous run with one label text.
 
-    Returns None, for the reference parser to read the file again, when
-    a plain comma split could read the file otherwise than ``csv.reader``
-    (a quote, a carriage return, a line that could hold a field over
-    ``csv.field_size_limit()``) or when the reference parser would reject
-    a row. ``float`` and ``int`` are the reference parser's own, so the
+    Returns None, for the reference parser to read the file again, for
+    any other file: a quote, a carriage return or a line that could hold
+    a field over ``csv.field_size_limit()`` (where a plain comma split
+    could read it otherwise than ``csv.reader``), a blank line, a
+    candidate's rows in two runs, or a row the reference parser would
+    reject. ``float`` and ``int`` are the reference parser's own, so the
     values are the same to the bit. The header check is shared.
 
     No buffer grows with the file: each chunk's rows stay in their own
-    small array and each candidate keeps views of its runs of rows, which
-    keeps the peak memory of repeated loads near the per-row parser's.
+    small array and each candidate keeps a view of them per chunk it
+    spans, which keeps the peak memory of repeated loads near the
+    per-row parser's.
     """
     limit = csv.field_size_limit()
-    code_of: dict[str, int] = {}  # candidate id -> code, in order of first appearance
-    label_code: dict[str, int] = {}  # label text -> code of its integer value
-    label_values: dict[int, int] = {}  # label value -> its code
-    label_of: list[int] = []  # candidate code -> the code of its label
-    runs: list[list[np.ndarray]] = []  # candidate code -> its runs of rows, in file order
+    seen: set[str] = set()
+    found: list[tuple[str, int, list[np.ndarray]]] = []  # (id, label, blocks of rows)
+    last = None  # the (id, label text) of the last run, which may go on in the next chunk
     d = None
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
@@ -307,46 +310,39 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
                     return None
                 if d is None:
                     d = _feature_count(lines.pop(0).split(","), path)
-                if "" in lines:  # blank lines hold no row
-                    lines = list(filter(None, lines))
                 if not lines:
                     continue
-                if not set(map(str.count, lines, repeat(","))) <= {d + 1}:
+                if not set(map(str.count, lines, repeat(","))) <= {d + 1}:  # also a blank line
                     return None
                 tokens = ",".join(lines).split(",")
-                ids, labels = tokens[:: d + 2], tokens[1 :: d + 2]
+                keys = list(zip(tokens[:: d + 2], tokens[1 :: d + 2]))
                 del tokens[:: d + 2], tokens[:: d + 1]
                 rows = np.frombuffer(array("d", map(float, tokens))).reshape(-1, d)
                 if not np.isfinite(rows).all():
                     return None
-                for text in set(labels).difference(label_code):
-                    label_code[text] = label_values.setdefault(int(text), len(label_values))
-                for cid, text in zip(ids, labels):
-                    if cid not in code_of:
-                        code_of[cid] = len(runs)
-                        label_of.append(label_code[text])
-                        runs.append([])
-                codes = list(map(code_of.__getitem__, ids))
-                row_labels = list(map(label_code.__getitem__, labels))
-                if list(map(label_of.__getitem__, codes)) != row_labels:
-                    return None
                 start = 0
-                for code, run in groupby(codes):
+                for key, run in groupby(keys):
+                    if key != last:
+                        if key[0] in seen:
+                            return None
+                        seen.add(key[0])
+                        blocks = []
+                        found.append((key[0], int(key[1]), blocks))
+                        last = key
                     end = start + len(list(run))
-                    runs[code].append(rows[start:end])
+                    blocks.append(rows[start:end])
                     start = end
     except ValueError:  # also what float, int and the UTF-8 decoder raise
         return None
     if d is None:
         return None
-    value_of = list(label_values)
     return [
         Candidate(
             id=cid,
             features=blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-            true_label=value_of[label],
+            true_label=label,
         )
-        for cid, blocks, label in zip(code_of, runs, label_of)
+        for cid, label, blocks in found
     ]
 
 
@@ -369,7 +365,12 @@ def load_dataset(data_dir: str | Path) -> tuple[list[Candidate], list[Candidate]
     train = load_csv(data_dir / "train.csv")
     test = load_csv(data_dir / "test.csv")
     meta_path = data_dir / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else None
+    if not meta_path.exists():
+        return train, test, None
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also what the UTF-8 decoder raises
+        raise DatasetFormatError(f"{meta_path}: invalid JSON: {exc}") from None
     return train, test, meta
 
 

@@ -361,17 +361,17 @@ def run_experiment(
     stop: StopRule,
     seed: int,
     *,
-    num_classes: int | None = None,
     positive_class: int = 0,
     oracle_noise: float = 0.0,
     audit_path: str | Path | None = None,
 ) -> list[ExperimentRecord]:
     """Run one full experiment; returns the baseline row plus one record
-    per step. Deterministic given (dataset, strategy, config, seed)."""
+    per step. Deterministic given (dataset, strategy, config, seed). The
+    class count comes from the labels of both splits
+    (:func:`~aftstar.datagen.infer_num_classes`)."""
     if not train_candidates or not test_candidates:
         raise ConfigError("train and test candidate sets must be non-empty")
-    if num_classes is None:
-        num_classes = infer_num_classes([*train_candidates, *test_candidates])
+    num_classes = infer_num_classes([*train_candidates, *test_candidates])
     if not (0 <= positive_class < num_classes):
         raise ConfigError("positive_class outside the label range")
     missing = sorted(set(range(num_classes)) - {c.true_label for c in test_candidates})

@@ -157,27 +157,6 @@ def write_curve_csv(records: Sequence[ExperimentRecord], path: str | Path) -> No
             )
 
 
-def read_curve_csv(path: str | Path) -> list[ExperimentRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CURVE_HEADER:
-            raise MetricError(f"{path}: unexpected curve header {header}")
-        out = []
-        for row in reader:
-            out.append(
-                ExperimentRecord(
-                    step=int(row[0]),
-                    queries_cum=int(row[1]),
-                    labeled_count=int(row[2]),
-                    test_auc=float(row[3]),
-                    selected_positive_fraction=float(row[4]),
-                    misclassified_count_pre_fit=int(row[5]),
-                )
-            )
-    return out
-
-
 def write_summary_json(summary: dict, path: str | Path) -> None:
     with replacing(path) as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True))

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -13,7 +14,6 @@ from aftstar.cli import main
 from aftstar.datagen import DatagenConfig
 from aftstar.errors import InvariantError
 from aftstar.learner import TrainConfig
-from aftstar.metrics import read_curve_csv
 
 
 def write_config(path, payload):
@@ -114,12 +114,43 @@ def test_run_rft_row_count(dataset_dir, tmp_path):
         run_config(dataset_dir, out, {"name": "RFT", "batch_size": 5}, budget=20),
     )
     assert main(["run", "--config", cfg]) == 0
-    records = read_curve_csv(out / "curve_RFT_seed1.csv")
+    with open(out / "curve_RFT_seed1.csv", newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert header[0] == "step"
     assert len(records) == 5  # baseline + 4 steps
     summary = json.loads((out / "summary_RFT_seed1.json").read_text())
     assert set(summary) == {"strategy", "seed", "alc", "final_auc", "total_queries"}
     assert summary["total_queries"] == 20
     assert (out / "audit_RFT_seed1.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "meta, code",
+    [
+        ("{}", 0),
+        ("[]", 0),
+        ('{"config": {"num_classes": "x"}}', 0),
+        ('{"config": {"num_classes": 1}}', 0),
+        ('{"config": {"num_classes": 3}}', 0),
+        ("{not json", 2),
+    ],
+    ids=["empty-object", "array", "num_classes-string", "num_classes-1", "num_classes-3",
+         "not-json"],
+)
+def test_class_count_comes_from_the_labels_not_meta_json(
+    dataset_dir, tmp_path, capsys, meta, code
+):
+    (dataset_dir / "meta.json").write_text(meta)
+    out = tmp_path / "runs"
+    cfg = write_config(
+        tmp_path / "run.json", run_config(dataset_dir, out, {"name": "RFT", "batch_size": 5})
+    )
+    assert main(["run", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert json.loads((out / "summary_RFT_seed1.json").read_text())["total_queries"] == 20
+    else:
+        assert err.startswith(f"error: {dataset_dir / 'meta.json'}: invalid JSON")
 
 
 def test_run_resolves_named_criterion(dataset_dir, tmp_path):
@@ -299,6 +330,10 @@ def test_missing_dataset_is_config_error(tmp_path):
     assert main(["run", "--config", cfg]) == 1
 
 
+def inline_dataset(**fields):
+    return {**generate_config("")["datagen"], **fields}
+
+
 def inline_run_config(out_dir):
     datagen = generate_config(out_dir)["datagen"]
     return {
@@ -349,9 +384,20 @@ def test_non_integer_counts_and_nan_are_config_errors(tmp_path, capsys, section,
         ("output_dir", lambda cfg: cfg.update(output_dir=["a"])),
         ("strategies[0]", lambda cfg: cfg["strategies"][0].update(name="AFT", criterion=5)),
         ("schema_version", lambda cfg: cfg.update(schema_version=True)),
+        ("learner", lambda cfg: cfg["learner"].update(learning_rate=True)),
+        ("learner", lambda cfg: cfg["learner"].update(momentum=False)),
+        ("strategies[0]", lambda cfg: cfg["strategies"][0].update(name="AFT_star", alpha=True)),
+        ("strategies[0]", lambda cfg: cfg["strategies"][0].update(name="AFT_star", lambda1=True)),
+        ("stop", lambda cfg: cfg["stop"].update(auc_target=True)),
+        ("oracle", lambda cfg: cfg.update(oracle={"label_noise_rate": False})),
+        ("dataset", lambda cfg: cfg.update(dataset=inline_dataset(class_center_separation=True))),
+        ("dataset", lambda cfg: cfg.update(dataset=inline_dataset(ambiguous_fraction=True))),
+        ("dataset", lambda cfg: cfg.update(dataset=inline_dataset(class_weights=[True, False]))),
     ],
     ids=["batch_size", "learning_rate", "seeds", "output_dir-5", "output_dir-list", "criterion",
-         "schema_version-true"],
+         "schema_version-true", "learning_rate-true", "momentum-false", "alpha-true",
+         "lambda1-true", "auc_target-true", "label_noise_rate-false",
+         "class_center_separation-true", "ambiguous_fraction-true", "class_weights-booleans"],
 )
 def test_wrongly_typed_values_are_config_errors(dataset_dir, tmp_path, capsys, section, edit):
     payload = compare_config(dataset_dir, tmp_path / "o", [{"name": "RFT", "batch_size": 5}])

@@ -347,26 +347,49 @@ def test_bulk_parser_matches_the_reference_parser_on_edge_files(tmp_path, text):
     assert_same_load(path)
 
 
-@pytest.mark.parametrize(
-    "interleaved", [False, True], ids=["benchmark-shape", "blank-lines-interleaved"]
-)
-def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, interleaved):
+def plain_file_lines(shape):
+    """A header and 300 four-feature candidates of 8 contiguous rows each,
+    reshaped: rows interleaved (each candidate in two runs), a blank line,
+    or both."""
     rng = np.random.default_rng(0)
     rows = []
     for i in range(300):
         prefix = f"train-{i:04d},{i % 3},"
         rows += [prefix + ",".join(map(repr, r)) for r in rng.standard_normal((8, 4)).tolist()]
-    if interleaved:
+    if shape == "blank-lines-interleaved":
         rows = rows[::2] + ["", ""] + rows[1::2]
-    path = tmp_path / "train.csv"
-    header = "candidate_id,label," + ",".join(f"f{i}" for i in range(4))
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-    expected = datagen._load_csv_rows(path)
-    monkeypatch.setattr(datagen, "CHUNK_CHARS", 1000)
-    monkeypatch.setattr(datagen, "_load_csv_rows", mock.Mock(side_effect=AssertionError))
-    loaded = load_csv(path)
-    assert [(c.id, c.true_label) for c in loaded] == [(c.id, c.true_label) for c in expected]
-    assert all(np.array_equal(a.features, b.features) for a, b in zip(loaded, expected))
+    elif shape == "interleaved":
+        rows = rows[::2] + rows[1::2]
+    elif shape == "blank-line":
+        rows = rows[:100] + [""] + rows[100:]
+    return ["candidate_id,label," + ",".join(f"f{i}" for i in range(4)), *rows]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["benchmark-shape", "write-dataset", "blank-lines-interleaved", "interleaved", "blank-line"],
+)
+def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, shape):
+    """The file shape every writer produces loads without the reference
+    parser; a plain file with a blank line or with a candidate's rows in
+    two runs is read by it."""
+    if shape == "write-dataset":
+        write_dataset(small_config(train_candidates=30, test_candidates=10), tmp_path)
+        paths = [tmp_path / "train.csv", tmp_path / "test.csv"]
+    else:
+        paths = [tmp_path / "train.csv"]
+        paths[0].write_text("\n".join(plain_file_lines(shape)) + "\n", encoding="utf-8")
+    bulk = shape in ("benchmark-shape", "write-dataset")
+    for path in paths:
+        expected = datagen._load_csv_rows(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(datagen, "CHUNK_CHARS", 1000)
+            spy = mock.Mock(wraps=datagen._load_csv_rows)
+            patch.setattr(datagen, "_load_csv_rows", spy)
+            loaded = load_csv(path)
+        assert spy.call_count == (0 if bulk else 1)
+        assert [(c.id, c.true_label) for c in loaded] == [(c.id, c.true_label) for c in expected]
+        assert all(np.array_equal(a.features, b.features) for a, b in zip(loaded, expected))
 
 
 # --- link to selection criteria ----------------------------------------------

@@ -384,9 +384,8 @@ def test_forcing_uniform_selection_into_aft_reproduces_rft(tmp_path):
         training_set_policy="L_union_Q",
         model_start="restart_from_M0",
     )
-    kw = dict(num_classes=2)
-    rec_rft = run_experiment(train, test, rft, FAST_TRAIN, StopRule(query_budget=30), 7, **kw)
-    rec_aft = run_experiment(train, test, forced, FAST_TRAIN, StopRule(query_budget=30), 7, **kw)
+    rec_rft = run_experiment(train, test, rft, FAST_TRAIN, StopRule(query_budget=30), 7)
+    rec_aft = run_experiment(train, test, forced, FAST_TRAIN, StopRule(query_budget=30), 7)
     assert rec_rft == rec_aft
     a, b = tmp_path / "rft.csv", tmp_path / "aft.csv"
     write_curve_csv(rec_rft, a)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -11,7 +12,6 @@ from aftstar.metrics import (
     alc,
     auc,
     macro_auc,
-    read_curve_csv,
     write_curve_csv,
 )
 from oracles import auc_pairwise
@@ -173,7 +173,13 @@ def test_curve_csv_round_trip(tmp_path):
         "step,queries_cum,labeled_count,test_auc,"
         "selected_positive_fraction,misclassified_pre_fit"
     )
-    assert read_curve_csv(path) == records
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    back = [
+        ExperimentRecord(int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4]), int(r[5]))
+        for r in rows
+    ]
+    assert back == records
 
 
 def test_curve_csv_failing_mid_file_keeps_the_old_file_and_no_temporary(tmp_path):

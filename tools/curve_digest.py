@@ -1,5 +1,6 @@
 """Print one sha256 digest per learning curve of the standard benchmark
-grid, then one per artifact of a ragged ``aftstar compare``.
+grid, then one per artifact of a ragged ``aftstar compare``, then one per
+split of a generated dataset as it is read back.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -11,6 +12,11 @@ The compare: the ragged three-class set of ``perfbench/inputs.py``
 RFT, seeds 1-2, budget 100, batch 20, ``--jobs 2``, run in a temporary
 directory. Each line is ``<artifact file name> <sha256>``; the curves,
 summaries, selection audits and the two comparison files are covered.
+
+The dataset round trip: ``datagen.write_dataset(standard_benchmark(1))``
+read back by ``datagen.load_dataset``. Each line is ``dataset <split>
+<sha256>``, where the digest covers every candidate's id, label, feature
+shape and feature bytes, in order.
 
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
@@ -37,6 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from aftstar.cli import main as cli_main  # noqa: E402
+from aftstar import datagen  # noqa: E402
 from aftstar.datagen import generate, standard_benchmark  # noqa: E402
 from aftstar.learner import TrainConfig  # noqa: E402
 from aftstar.loop import CRITERION_PRESETS, StopRule, make_strategy, run_experiment  # noqa: E402
@@ -67,6 +74,14 @@ def digest(records) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def candidates_digest(candidates) -> str:
+    h = hashlib.sha256()
+    for c in candidates:
+        h.update(f"{c.id} {c.true_label} {c.features.shape}\n".encode("utf-8"))
+        h.update(c.features.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     for seed in SEEDS:
         train, test, _ = generate(standard_benchmark(seed=seed))
@@ -91,6 +106,11 @@ def main() -> None:
                 raise SystemExit("aftstar compare failed")
         for path in sorted(out.iterdir()):
             print(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}", flush=True)
+        generated = Path(tmp, "generated")
+        datagen.write_dataset(standard_benchmark(1), generated)
+        train, test, _ = datagen.load_dataset(generated)
+        for split, candidates in (("train", train), ("test", test)):
+            print(f"dataset {split} {candidates_digest(candidates)}", flush=True)
 
 
 if __name__ == "__main__":
