@@ -149,11 +149,12 @@ def cmd_generate(args) -> int:
 
 def _resolve_dataset(spec, where: str):
     """Return (train, test) from a directory path or an inline datagen
-    config. ``run_experiment`` takes the class count from their labels;
-    a directory's ``meta.json`` is not read for it."""
+    config. ``run_experiment`` takes the class count from their labels,
+    so a directory's ``meta.json`` is not read."""
     if isinstance(spec, str):
         try:
-            train, test, _ = datagen.load_dataset(spec)
+            train = datagen.load_csv(Path(spec, "train.csv"))
+            test = datagen.load_csv(Path(spec, "test.csv"))
         except OSError as exc:
             raise ConfigError(f"{where}: cannot load dataset {spec}: {exc}")
         return train, test

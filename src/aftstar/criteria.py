@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DiagnosticError, ShapeError
+from .learner import row_sum
 
 ROW_SUM_TOL = 1e-9
 EPSILON = 1e-12
@@ -103,7 +104,7 @@ def check_prediction_matrix(P) -> np.ndarray:
         raise ShapeError("prediction matrix contains non-finite entries")
     if (P < 0).any() or (P > 1).any():
         raise ShapeError("prediction matrix entries must lie in [0, 1]")
-    if np.abs(P.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+    if np.abs(row_sum(P) - 1.0).max() > ROW_SUM_TOL:
         raise ShapeError(f"prediction matrix rows must sum to 1 within {ROW_SUM_TOL}")
     return P
 
@@ -130,7 +131,7 @@ def _diversity(P: np.ndarray) -> np.ndarray:
     D = pt - pt[:, :1]
     E = logs - logs[:, :1]
     per_class = P.shape[1] * (D * E).sum(axis=1) - D.sum(axis=1) * E.sum(axis=1)
-    return np.maximum(per_class, 0.0).sum(axis=1)
+    return row_sum(np.maximum(per_class, 0.0))
 
 
 def dominant_class(P) -> int:

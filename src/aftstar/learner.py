@@ -23,6 +23,13 @@ A list of candidates is predicted in one pass over its stacked patches.
 one ``(g, m, k)`` array, the form that ``criteria.score_candidates``
 scores. A candidate's class probabilities are the mean of its matrix's
 rows, one mean over each group array's middle axis.
+
+Rounding rule: a per-row reduction over the class axis (k columns) goes
+through :func:`row_max` and :func:`row_sum`, which work on whole columns
+and give numpy's ``max(axis=1)``/``sum(axis=1)`` to the bit. numpy runs
+a separate inner loop for each short row, which is slow when k is 2 or
+3. Reductions over the patch axis stay numpy's own: a loop over patch
+columns keeps the bits but is slower on ragged groups of many patches.
 """
 
 from __future__ import annotations
@@ -85,11 +92,46 @@ def _augment(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
+_COLUMNWISE_LIMIT = 8  # from this many columns on, numpy's order differs
+
+
+def row_max(Z: np.ndarray) -> np.ndarray:
+    """``Z.max(axis=1)`` of a 2-d array with at least 2 columns, to the bit.
+
+    Below 8 columns this is ``np.maximum`` over whole columns, left to
+    right. From 8 columns on numpy's vector loop can return the other
+    signed zero of a row holding both, so the result is numpy's own
+    ``Z.max(axis=1)``.
+    """
+    if Z.shape[1] >= _COLUMNWISE_LIMIT:
+        return Z.max(axis=1)
+    out = np.maximum(Z[:, 0], Z[:, 1])
+    for j in range(2, Z.shape[1]):
+        np.maximum(out, Z[:, j], out=out)
+    return out
+
+
+def row_sum(Z: np.ndarray) -> np.ndarray:
+    """``Z.sum(axis=1)`` of a 2-d array with at least 2 columns, to the bit.
+
+    Below 8 columns numpy adds a row left to right, starting from +0.0
+    (so a row of -0.0 sums to +0.0); this adds whole columns in the same
+    order. From 8 columns on numpy sums pairwise, so the result is
+    numpy's own ``Z.sum(axis=1)``.
+    """
+    if Z.shape[1] >= _COLUMNWISE_LIMIT:
+        return Z.sum(axis=1)
+    out = Z[:, 0] + 0.0
+    for j in range(1, Z.shape[1]):
+        out += Z[:, j]
+    return out
+
+
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, computed in place in ``Z`` (pass a fresh array)."""
-    Z -= Z.max(axis=1, keepdims=True)
+    Z -= row_max(Z)[:, None]
     np.exp(Z, out=Z)
-    Z /= Z.sum(axis=1, keepdims=True)
+    Z /= row_sum(Z)[:, None]
     return Z
 
 
@@ -213,7 +255,7 @@ def predict_features(model: LearnerModel, X) -> np.ndarray:
     probs = _softmax_rows(_augment(X) @ model.weights.T)
     # Not a no-op: with three or more classes this second division moves
     # probabilities, and so the audit's scores, in their last bits.
-    return probs / probs.sum(axis=1, keepdims=True)
+    return probs / row_sum(probs)[:, None]
 
 
 def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
@@ -244,7 +286,9 @@ def stack_candidates(candidates: Sequence[Candidate]) -> CandidateStack:
     for m in np.unique(counts):
         positions = np.flatnonzero(counts == m)
         groups.append((positions, starts[positions, None] + np.arange(m)))
-    features = np.vstack([c.features for c in candidates]) if candidates else np.zeros((0, 0))
+    features = (
+        np.concatenate([c.features for c in candidates]) if candidates else np.zeros((0, 0))
+    )
     return CandidateStack(features=features, groups=tuple(groups), count=len(candidates))
 
 
@@ -302,4 +346,4 @@ def collect_patches(
         return np.zeros((0, 0)), np.zeros((0,), dtype=int)
     counts = [len(c.features) for c in candidates]
     y = np.repeat(np.array([labels[c.id] for c in candidates], dtype=int), counts)
-    return np.vstack([c.features for c in candidates]), y
+    return np.concatenate([c.features for c in candidates]), y

@@ -27,6 +27,7 @@ labeled candidates the current model misclassifies.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import json
@@ -247,7 +248,7 @@ def run_step(
     unlabeled_ids = sorted(state.pool.unlabeled)
     model_prev = state.model
 
-    scores: dict[str, CandidateScore] = {}
+    scored: list[CandidateScore] = []
     groups: list = []
     if strat.criterion is None:
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
@@ -255,7 +256,6 @@ def run_step(
         unlabeled = [state.pool.candidates[cid] for cid in unlabeled_ids]
         groups = stacked_predictions(model_prev, stack_candidates(unlabeled))
         scored = score_candidates(groups, strat.criterion, unlabeled_ids)
-        scores = dict(zip(unlabeled_ids, scored))
         batch = select_batch(scored, strat.sampler, state.rng)
 
     labels = oracle.query(batch)
@@ -305,19 +305,22 @@ def run_step(
             state.pool.labels,
         )
         state.mined = (state.model, state.pool, post_fit)
-        blocks = {unlabeled_ids[i]: P for pos, group in groups for i, P in zip(pos, group)}
+        # Each patch count has one group, whose positions are ascending.
+        by_count = {group.shape[1]: (pos, group) for pos, group in groups}
         entries = []
         for cid in batch:
             entry: dict = {"id": cid, "label": labels[cid]}
-            if cid in scores:
-                s = scores[cid]
+            if scored:
+                i = bisect.bisect_left(unlabeled_ids, cid)
+                s = scored[i]
                 entry.update(
                     dominant=s.dominant,
                     entropy=s.entropy,
                     diversity=s.diversity,
                     score=s.score,
                 )
-                P = blocks[cid]
+                pos, group = by_count[state.pool.candidates[cid].num_patches]
+                P = group[np.searchsorted(pos, i)]
                 entry["pattern"] = classify_pattern(P) if P.shape[1] == 2 else None
             entries.append(entry)
         audit.write(

@@ -125,32 +125,20 @@ def test_run_rft_row_count(dataset_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "meta, code",
-    [
-        ("{}", 0),
-        ("[]", 0),
-        ('{"config": {"num_classes": "x"}}', 0),
-        ('{"config": {"num_classes": 1}}', 0),
-        ('{"config": {"num_classes": 3}}', 0),
-        ("{not json", 2),
-    ],
+    "meta",
+    ["{}", "[]", '{"config": {"num_classes": "x"}}', '{"config": {"num_classes": 1}}',
+     '{"config": {"num_classes": 3}}', "{not json"],
     ids=["empty-object", "array", "num_classes-string", "num_classes-1", "num_classes-3",
          "not-json"],
 )
-def test_class_count_comes_from_the_labels_not_meta_json(
-    dataset_dir, tmp_path, capsys, meta, code
-):
+def test_class_count_comes_from_the_labels_not_meta_json(dataset_dir, tmp_path, meta):
     (dataset_dir / "meta.json").write_text(meta)
     out = tmp_path / "runs"
     cfg = write_config(
         tmp_path / "run.json", run_config(dataset_dir, out, {"name": "RFT", "batch_size": 5})
     )
-    assert main(["run", "--config", cfg]) == code
-    err = capsys.readouterr().err
-    if code == 0:
-        assert json.loads((out / "summary_RFT_seed1.json").read_text())["total_queries"] == 20
-    else:
-        assert err.startswith(f"error: {dataset_dir / 'meta.json'}: invalid JSON")
+    assert main(["run", "--config", cfg]) == 0
+    assert json.loads((out / "summary_RFT_seed1.json").read_text())["total_queries"] == 20
 
 
 def test_run_resolves_named_criterion(dataset_dir, tmp_path):

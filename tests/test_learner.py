@@ -13,6 +13,8 @@ from aftstar.learner import (
     predict,
     predict_features,
     pretrain_m0,
+    row_max,
+    row_sum,
     stack_candidates,
     stacked_predictions,
 )
@@ -131,7 +133,7 @@ def sgd_reference(weights, X, y, cfg, lr0, rng):
     return W
 
 
-@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
 @pytest.mark.parametrize("warm", [True, False])
 @pytest.mark.parametrize("n", [20, 32, 96, 75])  # below, equal to, multiple of, and not a multiple of 32
 def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
@@ -199,6 +201,35 @@ def test_predict_rows_sum_to_one():
     P = predict_features(model, rng.normal(scale=10.0, size=(50, 6)))
     assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
     assert (P >= 0).all()
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 1000])
+def test_row_reductions_equal_numpy_to_the_bit(k, n):
+    rng = np.random.default_rng(100 * k + n)
+    Z = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-8, 9, size=(n, k))
+    Z[rng.random((n, k)) < 0.2] = -0.0
+    Z[rng.random((n, k)) < 0.1] = 0.0
+    Z[0] = -0.0  # numpy sums a row of -0.0 to +0.0
+    if n > 1:
+        Z[1, ::2] = 0.0
+        Z[1, 1::2] = -0.0
+    for A in (Z, np.asfortranarray(Z), Z[::-1], Z[:, ::-1]):
+        assert row_sum(A).tobytes() == A.sum(axis=1).tobytes()
+        assert row_max(A).tobytes() == A.max(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
+def test_predict_features_equals_the_numpy_reduction_formula(num_classes):
+    rng = np.random.default_rng(num_classes)
+    model = LearnerModel(weights=rng.normal(scale=3.0, size=(num_classes, 7)))
+    X = rng.normal(scale=5.0, size=(500, 6))
+    Z = _augment(X) @ model.weights.T
+    Z -= Z.max(axis=1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=1, keepdims=True)
+    expected = Z / Z.sum(axis=1, keepdims=True)
+    assert predict_features(model, X).tobytes() == expected.tobytes()
 
 
 def test_predict_dimension_mismatch():

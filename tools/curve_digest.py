@@ -1,6 +1,7 @@
 """Print one sha256 digest per learning curve of the standard benchmark
 grid, then one per artifact of a ragged ``aftstar compare``, then one per
-split of a generated dataset as it is read back.
+split of a generated dataset as it is read back, then one per learning
+curve of a nine-class run.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -17,6 +18,13 @@ The dataset round trip: ``datagen.write_dataset(standard_benchmark(1))``
 read back by ``datagen.load_dataset``. Each line is ``dataset <split>
 <sha256>``, where the digest covers every candidate's id, label, feature
 shape and feature bytes, in order.
+
+The nine-class run: a generated dataset with 9 equally weighted classes
+and 10 features (seed 1), with AFT*-diversity_w and RFT, seed 1, budget
+300, batch 20. Nine classes take the learner's and the scorer's
+reductions over the class axis through numpy's own reductions, where
+two and three classes take the column-by-column ones. Each line is
+``classes=9 <strategy label> seed=1 <sha256>``, digested like the grid.
 
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
@@ -44,7 +52,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from aftstar.cli import main as cli_main  # noqa: E402
 from aftstar import datagen  # noqa: E402
-from aftstar.datagen import generate, standard_benchmark  # noqa: E402
+from aftstar.datagen import DatagenConfig, generate, standard_benchmark  # noqa: E402
 from aftstar.learner import TrainConfig  # noqa: E402
 from aftstar.loop import CRITERION_PRESETS, StopRule, make_strategy, run_experiment  # noqa: E402
 from inputs import RAGGED, write_dataset  # noqa: E402
@@ -58,6 +66,7 @@ COMPARE_STRATEGIES = [
     {"name": "AFT", "criterion": "diversity^a", "batch_size": BATCH},
     {"name": "RFT", "batch_size": BATCH},
 ]
+NINE_CLASSES = DatagenConfig(num_classes=9, class_weights=(1 / 9,) * 9, feature_dim=10, seed=1)
 
 
 def grid():
@@ -111,6 +120,16 @@ def main() -> None:
         train, test, _ = datagen.load_dataset(generated)
         for split, candidates in (("train", train), ("test", test)):
             print(f"dataset {split} {candidates_digest(candidates)}", flush=True)
+    train, test, _ = generate(NINE_CLASSES)
+    nine_class_strategies = (
+        make_strategy("AFT_star", "diversity_w", BATCH),
+        make_strategy("RFT", batch_size=BATCH),
+    )
+    for strategy in nine_class_strategies:
+        records = run_experiment(
+            train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1
+        )
+        print(f"classes=9 {strategy.label} seed=1 {digest(records)}", flush=True)
 
 
 if __name__ == "__main__":
