@@ -9,6 +9,7 @@ under one of five training strategies (AFT', AFT'', AFT, AFT*, RFT).
 
 from .criteria import (
     CandidateScore,
+    CandidateScores,
     CriteriaConfig,
     classify_pattern,
     diversity,
@@ -36,12 +37,13 @@ from .loop import (
 from .metrics import ExperimentRecord, LearningCurve, alc, auc
 from .oracle import Oracle, OracleConfig
 from .pool import Candidate, PoolState, make_pool, move_to_labeled
-from .sampler import SamplerConfig, sampling_probabilities, select_batch
+from .sampler import SamplerConfig, sampling_probabilities, select_batch, select_from_scores
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CandidateScore",
+    "CandidateScores",
     "CriteriaConfig",
     "Candidate",
     "DatagenConfig",
@@ -76,5 +78,6 @@ __all__ = [
     "score_candidate",
     "score_candidates",
     "select_batch",
+    "select_from_scores",
     "standard_benchmark",
 ]

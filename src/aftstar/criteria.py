@@ -23,9 +23,12 @@ their prediction matrices grouped by shape as
 ``learner.stacked_predictions`` gives them: it checks each group's
 ``(n, m, k)`` array once and takes the dominant class, the majority
 subset (a stable per-row sort), entropy and diversity as array
-operations over the group. The single-matrix functions check their one
-matrix and are the ``n = 1`` case of the same private helpers, which
-check nothing.
+operations over the group. It returns one :class:`CandidateScores` of
+arrays, one entry per candidate, and builds no per-candidate object.
+The single-matrix functions check their one matrix and are the
+``n = 1`` case of the same private helpers, which check nothing;
+:func:`score_candidate` returns its one result as a
+:class:`CandidateScore`.
 
 Diversity is computed in O(m k), not over the m (m - 1) / 2 pairs. For
 one class with clamped column ``a`` and ``D_j = a_j - a_1``,
@@ -90,6 +93,18 @@ class CandidateScore:
     diversity: float
     score: float
     subset_size: int
+
+
+@dataclass(frozen=True)
+class CandidateScores:
+    """Scoring results for a list of candidates, as arrays in position
+    order: entry ``i`` of each array belongs to the ``i``-th candidate."""
+
+    dominant: np.ndarray
+    entropy: np.ndarray
+    diversity: np.ndarray
+    score: np.ndarray
+    subset_size: np.ndarray
 
 
 def check_prediction_matrix(P) -> np.ndarray:
@@ -167,45 +182,54 @@ def diversity(P) -> float:
     return float(_diversity(check_prediction_matrix(P)[None])[0])
 
 
-def score_candidates(groups, cfg: CriteriaConfig, ids) -> list[CandidateScore]:
+def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores:
     """Score many candidates: majority subset, then weighted entropy + diversity.
 
     ``groups`` holds ``(positions, P)`` pairs, as from
     ``learner.stacked_predictions``: ``P`` is an ``(n, m, k)`` array and
-    ``P[j]`` the prediction matrix of the candidate ``ids[positions[j]]``.
-    The positions must cover each id exactly once. Returns the scores in
-    id order.
+    ``P[j]`` the prediction matrix of the candidate at position
+    ``positions[j]``. The positions must cover ``range(count)`` exactly
+    once. Returns the scores in position order.
     """
     covered = np.sort(np.concatenate([positions for positions, _ in groups] or [[]]))
-    if not np.array_equal(covered, np.arange(len(ids))):
-        raise ShapeError(f"group positions must cover each of the {len(ids)} ids once")
-    scores: list = [None] * len(ids)
+    if not np.array_equal(covered, np.arange(count)):
+        raise ShapeError(f"group positions must cover each of the {count} positions once")
+    dominant = np.empty(count, dtype=np.intp)
+    entropies = np.empty(count)
+    diversities = np.empty(count)
+    subset_sizes = np.empty(count, dtype=np.intp)
     for positions, P in groups:
-        members = np.asarray(positions).tolist()
         P = np.asarray(P, dtype=float)
-        if P.ndim != 3 or P.shape[0] != len(members):
-            raise ShapeError(f"{len(members)} positions but predictions of shape {P.shape}")
+        if P.ndim != 3 or P.shape[0] != len(positions):
+            raise ShapeError(f"{len(positions)} positions but predictions of shape {P.shape}")
         n, m, k = P.shape
         check_prediction_matrix(P.reshape(n * m, k))
-        dominant = _dominant(P)
-        subset = _majority(P, cfg.alpha, dominant)
-        entropies = _entropy(subset).tolist()
-        diversities = _diversity(subset).tolist()
-        for i, dom, e, d in zip(members, dominant.tolist(), entropies, diversities):
-            scores[i] = CandidateScore(
-                candidate_id=ids[i],
-                dominant=dom,
-                entropy=e,
-                diversity=d,
-                score=cfg.lambda1 * e + cfg.lambda2 * d,
-                subset_size=subset.shape[1],
-            )
-    return scores
+        group_dominant = _dominant(P)
+        subset = _majority(P, cfg.alpha, group_dominant)
+        dominant[positions] = group_dominant
+        entropies[positions] = _entropy(subset)
+        diversities[positions] = _diversity(subset)
+        subset_sizes[positions] = subset.shape[1]
+    return CandidateScores(
+        dominant=dominant,
+        entropy=entropies,
+        diversity=diversities,
+        score=cfg.lambda1 * entropies + cfg.lambda2 * diversities,
+        subset_size=subset_sizes,
+    )
 
 
 def score_candidate(P, cfg: CriteriaConfig, candidate_id: str = "") -> CandidateScore:
     """Score one candidate: the one-matrix case of :func:`score_candidates`."""
-    return score_candidates([([0], np.asarray(P, dtype=float)[None])], cfg, [candidate_id])[0]
+    s = score_candidates([([0], np.asarray(P, dtype=float)[None])], cfg, 1)
+    return CandidateScore(
+        candidate_id=candidate_id,
+        dominant=int(s.dominant[0]),
+        entropy=float(s.entropy[0]),
+        diversity=float(s.diversity[0]),
+        score=float(s.score[0]),
+        subset_size=int(s.subset_size[0]),
+    )
 
 
 def classify_pattern(P) -> str:

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .criteria import CandidateScore, CriteriaConfig, classify_pattern, score_candidates
+from .criteria import CriteriaConfig, classify_pattern, score_candidates
 from .datagen import infer_num_classes
 from .errors import ConfigError, InvariantError, check_integer
 from .learner import (
@@ -54,7 +54,9 @@ from .learner import (
 from .metrics import ExperimentRecord, auc, macro_auc, replacing
 from .oracle import Oracle, OracleConfig, true_labels
 from .pool import Candidate, PoolState, make_pool, move_to_labeled
-from .sampler import SamplerConfig, select_batch, uniform_batch
+from .sampler import SamplerConfig, uniform_batch
+# Bound as ``select_batch``, the name perfbench/tracer.py times as sampler.select.
+from .sampler import select_from_scores as select_batch
 
 ACTIVE = "active"
 UNIFORM = "uniform_random"
@@ -248,15 +250,15 @@ def run_step(
     unlabeled_ids = sorted(state.pool.unlabeled)
     model_prev = state.model
 
-    scored: list[CandidateScore] = []
+    scores = None
     groups: list = []
     if strat.criterion is None:
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
         unlabeled = [state.pool.candidates[cid] for cid in unlabeled_ids]
         groups = stacked_predictions(model_prev, stack_candidates(unlabeled))
-        scored = score_candidates(groups, strat.criterion, unlabeled_ids)
-        batch = select_batch(scored, strat.sampler, state.rng)
+        scores = score_candidates(groups, strat.criterion, len(unlabeled_ids))
+        batch = select_batch(unlabeled_ids, scores.score, strat.sampler, state.rng)
 
     labels = oracle.query(batch)
 
@@ -310,14 +312,13 @@ def run_step(
         entries = []
         for cid in batch:
             entry: dict = {"id": cid, "label": labels[cid]}
-            if scored:
+            if scores is not None:
                 i = bisect.bisect_left(unlabeled_ids, cid)
-                s = scored[i]
                 entry.update(
-                    dominant=s.dominant,
-                    entropy=s.entropy,
-                    diversity=s.diversity,
-                    score=s.score,
+                    dominant=int(scores.dominant[i]),
+                    entropy=float(scores.entropy[i]),
+                    diversity=float(scores.diversity[i]),
+                    score=float(scores.score[i]),
                 )
                 pos, group = by_count[state.pool.candidates[cid].num_patches]
                 P = group[np.searchsorted(pos, i)]

@@ -10,12 +10,20 @@ Three modes:
   draw, and remaining probabilities are renormalized after each draw;
 * ``uniform_random``: b candidates uniformly at random, ignoring scores
   (the selector used by the RFT baseline).
+
+:func:`select_from_scores` takes the candidate ids in ascending order
+and their scores as one float array, and ranks by a stable sort of the
+negated scores, so equal scores (``0.0`` and ``-0.0`` included) keep
+the id order. :func:`select_batch` takes :class:`CandidateScore`
+objects instead; it orders them by id and hands them to the same
+function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,25 +99,38 @@ def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Gene
     return chosen
 
 
-def select_batch(
-    scores: Sequence[CandidateScore], cfg: SamplerConfig, rng: np.random.Generator
+def select_from_scores(
+    ids: Sequence[str], scores: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator
 ) -> list[str]:
     """Turn scored candidates into a query batch of distinct ids.
 
-    An empty score list yields an empty batch. The batch size is
-    ``min(cfg.batch_size, len(scores))``.
+    ``ids`` must be in ascending order and ``scores[i]`` is the score of
+    ``ids[i]``. Candidates rank by descending score, ties by id. No ids
+    yield an empty batch. The batch size is
+    ``min(cfg.batch_size, len(ids))``.
     """
-    if not scores:
+    if not len(ids):
         return []
-    take = min(cfg.batch_size, len(scores))
     if cfg.mode == "uniform_random":
-        return uniform_batch((s.candidate_id for s in scores), cfg.batch_size, rng)
-    ranked = sorted(scores, key=lambda s: (-s.score, s.candidate_id))
+        return uniform_batch(ids, cfg.batch_size, rng)
+    take = min(cfg.batch_size, len(ids))
+    order = (-scores).argsort(kind="stable")
     if cfg.mode == "top_b":
-        return [s.candidate_id for s in ranked[:take]]
-    window = min(cfg.omega * cfg.batch_size, len(ranked))
+        return [ids[i] for i in order[:take].tolist()]
+    window = min(cfg.omega * cfg.batch_size, len(ids))
     if window == 1:
-        return [ranked[0].candidate_id]
-    probs = sampling_probabilities([s.score for s in ranked], window)
+        return [ids[order[0]]]
+    ranked = order[:window]
+    probs = sampling_probabilities(scores[ranked], window)
     picks = _draw_without_replacement(probs, take, rng)
-    return [ranked[i].candidate_id for i in picks]
+    return [ids[ranked[i]] for i in picks]
+
+
+def select_batch(
+    scores: Sequence[CandidateScore], cfg: SamplerConfig, rng: np.random.Generator
+) -> list[str]:
+    """:func:`select_from_scores` over :class:`CandidateScore` objects,
+    in any order."""
+    by_id = sorted(scores, key=attrgetter("candidate_id"))
+    ids = [s.candidate_id for s in by_id]
+    return select_from_scores(ids, np.array([s.score for s in by_id], dtype=float), cfg, rng)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftstar.criteria import (
+    CandidateScore,
     CriteriaConfig,
     check_prediction_matrix,
     classify_pattern,
@@ -270,20 +271,23 @@ def test_score_candidates_match_direct_oracles_in_input_order(alpha):
     blocks = ragged_blocks(np.random.default_rng(11))
     ids = [f"c{i:03d}" for i in range(len(blocks))]
     cfg = CriteriaConfig(lambda1=0.7, lambda2=0.3, alpha=alpha)
-    scores = score_candidates(grouped(blocks), cfg, ids)
-    assert [s.candidate_id for s in scores] == ids
-    for s, P in zip(scores, blocks):
+    scores = score_candidates(grouped(blocks), cfg, len(blocks))
+    fields = ("dominant", "entropy", "diversity", "score", "subset_size")
+    assert all(getattr(scores, name).shape == (len(blocks),) for name in fields)
+    for i, (cid, P) in enumerate(zip(ids, blocks)):
+        s = CandidateScore(cid, *(getattr(scores, name)[i].item() for name in fields))
         subset = majority_subset(P, alpha)
         assert s.dominant == dominant_class(P)
         assert s.subset_size == subset.shape[0] == math.ceil(alpha * P.shape[0])
         assert abs(s.entropy - entropy_direct(subset.tolist())) < 1e-9
         assert abs(s.diversity - diversity_direct(subset.tolist())) < 1e-9
         assert s.score == cfg.lambda1 * s.entropy + cfg.lambda2 * s.diversity
-        assert s == score_candidate(P, cfg, s.candidate_id)
+        assert s == score_candidate(P, cfg, cid)
 
 
 def test_score_candidates_of_nothing_is_empty():
-    assert score_candidates(grouped([]), CriteriaConfig(), []) == []
+    scores = score_candidates(grouped([]), CriteriaConfig(), 0)
+    assert scores.dominant.shape == scores.score.shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -294,14 +298,14 @@ def test_score_candidates_of_nothing_is_empty():
 def test_score_candidates_rejects_groups_missing_or_repeating_a_position(positions):
     groups = [(np.array(pos), np.array([binary_rows([0.5, 0.7])] * len(pos))) for pos in positions]
     with pytest.raises(ShapeError):
-        score_candidates(groups, CriteriaConfig(), ["a", "b", "c", "d"])
+        score_candidates(groups, CriteriaConfig(), 4)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_score_candidates_rejects_a_group_of_another_size_than_its_positions(n):
     groups = [(np.array([0, 1]), np.array([binary_rows([0.5, 0.7])] * n))]
     with pytest.raises(ShapeError):
-        score_candidates(groups, CriteriaConfig(), ["a", "b"])
+        score_candidates(groups, CriteriaConfig(), 2)
 
 
 def test_score_candidates_checks_each_shape_group_once(monkeypatch):
@@ -316,7 +320,7 @@ def test_score_candidates_checks_each_shape_group_once(monkeypatch):
 
     monkeypatch.setattr(criteria_mod, "check_prediction_matrix", counting_check)
     blocks = [binary_rows([0.5] * m) for m in (3, 1, 3, 5, 1, 3)]
-    score_candidates(grouped(blocks), CriteriaConfig(), [str(i) for i in range(6)])
+    score_candidates(grouped(blocks), CriteriaConfig(), 6)
     assert sorted(calls) == [(2, 2), (5, 2), (9, 2)]
 
 
@@ -326,8 +330,8 @@ def test_diversity_of_identical_rows_is_exactly_zero():
         row = rng.random(k) + 1e-6
         row /= row.sum()
         blocks = [np.tile(row, (m, 1)) for m in range(1, 41)]
-        for s in score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), [""] * 40):
-            assert s.diversity == 0.0
+        scores = score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), 40)
+        assert (scores.diversity == 0.0).all()
         assert all(diversity(P) == 0.0 for P in blocks)
 
 
@@ -340,8 +344,8 @@ def test_diversity_of_near_identical_rows_is_non_negative():
         row = rng.random(k) + 1e-6
         raw = row + 1e-13 * rng.random((m, k))
         blocks.append(raw / raw.sum(axis=1, keepdims=True))
-    for s in score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), [""] * len(blocks)):
-        assert 0.0 <= s.diversity < 1e-9
+    scores = score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), len(blocks))
+    assert ((0.0 <= scores.diversity) & (scores.diversity < 1e-9)).all()
 
 
 @pytest.mark.parametrize("position", [0, 17, 59])
@@ -352,7 +356,7 @@ def test_score_candidates_rejects_a_bad_row_in_any_block(position):
     bad[-1, 0] = 0.9  # a row summing to 0.9
     blocks[position] = bad
     with pytest.raises(ShapeError):
-        score_candidates(grouped(blocks), CriteriaConfig(), [""] * len(blocks))
+        score_candidates(grouped(blocks), CriteriaConfig(), len(blocks))
 
 
 # --- config validation ------------------------------------------------------

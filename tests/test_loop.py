@@ -435,6 +435,24 @@ def test_audit_log_written(tmp_path):
         assert "misclassified_post_fit" in line
 
 
+def test_an_aft_star_step_builds_no_score_object(tmp_path, monkeypatch):
+    from aftstar.criteria import CandidateScore
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a CandidateScore was built")
+
+    monkeypatch.setattr(CandidateScore, "__init__", refuse)
+    with pytest.raises(AssertionError, match="CandidateScore"):
+        CandidateScore("c", 0, 0.0, 0.0, 0.0, 1)
+    path = tmp_path / "audit.jsonl"
+    records = run(
+        make_strategy("AFT_star", criterion="entropy^a_w", batch_size=10), budget=20,
+        audit_path=path,
+    )
+    assert len(records) == 3
+    assert len(path.read_text().splitlines()) == 2
+
+
 def test_invalid_positive_class_rejected():
     train, test = tiny_dataset()
     with pytest.raises(ConfigError):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aftstar.criteria import CandidateScore
 from aftstar.errors import ConfigError, SamplingWindowError
 from aftstar.sampler import (
+    MODES,
     SamplerConfig,
+    _draw_without_replacement,
     sampling_probabilities,
     select_batch,
+    select_from_scores,
     uniform_batch,
 )
 
@@ -183,6 +188,57 @@ def test_first_draw_top_frequency_one_half_with_window_four():
         (pick,) = select_batch(scores, cfg, rng)
         hits += pick == "c000"
     assert abs(hits / trials - 0.5) < 0.01
+
+
+def reference_select_batch(scores, cfg, rng):
+    """Batch selection by a Python sort of the score objects on
+    ``(-score, id)``: the ranking :func:`select_from_scores` replaces."""
+    if not scores:
+        return []
+    take = min(cfg.batch_size, len(scores))
+    if cfg.mode == "uniform_random":
+        return uniform_batch((s.candidate_id for s in scores), cfg.batch_size, rng)
+    ranked = sorted(scores, key=lambda s: (-s.score, s.candidate_id))
+    if cfg.mode == "top_b":
+        return [s.candidate_id for s in ranked[:take]]
+    window = min(cfg.omega * cfg.batch_size, len(ranked))
+    if window == 1:
+        return [ranked[0].candidate_id]
+    probs = sampling_probabilities([s.score for s in ranked], window)
+    picks = _draw_without_replacement(probs, take, rng)
+    return [ranked[i].candidate_id for i in picks]
+
+
+# mostly values that tie, both signed zeros among them
+tied_scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(tied_scores, max_size=40),
+    order_seed=st.integers(min_value=0, max_value=2**16),
+    mode=st.sampled_from(MODES),
+    batch_size=st.integers(min_value=1, max_value=12),
+    omega=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_array_ranking_equals_the_sorted_reference(
+    values, order_seed, mode, batch_size, omega, seed
+):
+    objects = scored(values)
+    objects = [objects[i] for i in np.random.default_rng(order_seed).permutation(len(objects))]
+    cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_select_batch(objects, cfg, reference_rng)
+    assert select_batch(objects, cfg, rng) == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    ids = [f"c{i:03d}" for i in range(len(values))]
+    rng = np.random.default_rng(seed)
+    assert select_from_scores(ids, np.array(values, dtype=float), cfg, rng) == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_sampler_config_validation():

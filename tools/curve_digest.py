@@ -1,7 +1,7 @@
 """Print one sha256 digest per learning curve of the standard benchmark
 grid, then one per artifact of a ragged ``aftstar compare``, then one per
 split of a generated dataset as it is read back, then one per learning
-curve of a nine-class run.
+curve of a nine-class run, then one of a two-class selection audit.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -25,6 +25,13 @@ and 10 features (seed 1), with AFT*-diversity_w and RFT, seed 1, budget
 reductions over the class axis through numpy's own reductions, where
 two and three classes take the column-by-column ones. Each line is
 ``classes=9 <strategy label> seed=1 <sha256>``, digested like the grid.
+
+The two-class audit: the selection audit JSONL of AFT*-entropy^a_w on
+``standard_benchmark(1)``, seed 1, budget 300, batch 20. Its entries
+carry each selected candidate's scores and, with two classes, the
+``classify_pattern`` label, which the three-class compare audits leave
+``null``. The line is ``audit <strategy label> seed=1 <sha256>`` of the
+file's bytes.
 
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
@@ -130,6 +137,16 @@ def main() -> None:
             train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1
         )
         print(f"classes=9 {strategy.label} seed=1 {digest(records)}", flush=True)
+    train, test, _ = generate(standard_benchmark(seed=1))
+    strategy = make_strategy("AFT_star", "entropy^a_w", BATCH)
+    with tempfile.TemporaryDirectory() as tmp:
+        audit = Path(tmp, "audit.jsonl")
+        run_experiment(
+            train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1,
+            audit_path=audit,
+        )
+        print(f"audit {strategy.label} seed=1 {hashlib.sha256(audit.read_bytes()).hexdigest()}",
+              flush=True)
 
 
 if __name__ == "__main__":
