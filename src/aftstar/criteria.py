@@ -22,8 +22,11 @@ are not re-normalized after clamping.
 their prediction matrices grouped by shape as
 ``learner.stacked_predictions`` gives them: it checks each group's
 ``(n, m, k)`` array once and takes the dominant class, the majority
-subset (a stable per-row sort), entropy and diversity as array
-operations over the group. It returns one :class:`CandidateScores` of
+subset (a per-row sort), entropy and diversity as array operations over
+the group. The dominant class and the majority subset do not depend on
+the order of a matrix's rows: near-ties in the column sums are summed
+again exactly, and rows tied on the dominant class are ordered by the
+whole row. It returns one :class:`CandidateScores` of
 arrays, one entry per candidate, and builds no per-candidate object.
 The single-matrix functions check their one matrix and are the
 ``n = 1`` case of the same private helpers, which check nothing;
@@ -125,13 +128,31 @@ def check_prediction_matrix(P) -> np.ndarray:
 
 
 def _dominant(P: np.ndarray) -> np.ndarray:
-    return P.sum(axis=1).argmax(axis=1)
+    m, k = P.shape[1:]
+    sums = P.sum(axis=1)
+    dominant = sums.argmax(axis=1)
+    # A sum of m entries in [0, 1], added in any order, is off by at most
+    # (m - 1) * eps / 2 times the sum. Where the top two sums differ by
+    # more than 4 * m * eps times the larger, the exact sums are in the
+    # same order and round apart, so every row order picks the class that
+    # the exactly rounded sums pick. Closer candidates are summed again
+    # with math.fsum, which rounds the exact sum: ties go to the smaller
+    # index whatever the row order.
+    top2 = np.sort(sums, axis=1)[:, -2:]
+    near = top2[:, 1] - top2[:, 0] <= 4 * m * np.finfo(float).eps * top2[:, 1]
+    for i in np.flatnonzero(near).tolist():
+        exact = [math.fsum(P[i, :, j]) for j in range(k)]
+        dominant[i] = exact.index(max(exact))
+    return dominant
 
 
 def _majority(P: np.ndarray, alpha: float, dominant: np.ndarray) -> np.ndarray:
-    keep = max(1, math.ceil(alpha * P.shape[1]))
+    m, k = P.shape[1:]
+    keep = max(1, math.ceil(alpha * m))
     q = np.take_along_axis(P, dominant[:, None, None], axis=2)[:, :, 0]
-    order = np.argsort(-q, axis=1, kind="stable")[:, :keep]
+    # Descending q; rows with equal q are ordered by the whole row, column
+    # by column, so the subset and its order do not depend on the row order.
+    order = np.lexsort([*(P[:, :, j] for j in reversed(range(k))), -q], axis=1)[:, :keep]
     return np.take_along_axis(P, order[:, :, None], axis=1)
 
 
@@ -150,7 +171,12 @@ def _diversity(P: np.ndarray) -> np.ndarray:
 
 
 def dominant_class(P) -> int:
-    """Class with the largest column sum (ties go to the smaller index)."""
+    """Class with the largest column sum (ties go to the smaller index).
+
+    Where two column sums come within rounding of each other, the sums
+    are taken exactly rounded (``math.fsum``), so the class does not
+    depend on the row order.
+    """
     return int(_dominant(check_prediction_matrix(P)[None])[0])
 
 
@@ -158,8 +184,10 @@ def majority_subset(P, alpha: float) -> np.ndarray:
     """Rows with the highest probability on the dominant class.
 
     Keeps ``ceil(alpha * m)`` rows (at least one), ordered by descending
-    probability on the dominant class; equal probabilities keep the
-    lower patch index first.
+    probability on the dominant class; rows with equal probability are
+    ordered by their whole row, ascending, first column first. The
+    subset, and its row order, do not depend on the order of the rows
+    of ``P``.
     """
     P = check_prediction_matrix(P)[None]
     if not (0 < alpha <= 1):

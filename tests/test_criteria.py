@@ -443,9 +443,64 @@ def test_permutation_invariance(P, seed):
     assert entropy(Q) == pytest.approx(entropy(P), rel=1e-9, abs=1e-12)
     assert diversity(Q) == pytest.approx(diversity(P), rel=1e-9, abs=1e-9)
     cfg = CriteriaConfig(lambda1=0.5, lambda2=0.5, alpha=0.5)
-    assert score_candidate(Q, cfg).score == pytest.approx(
-        score_candidate(P, cfg).score, rel=1e-9, abs=1e-9
-    )
+    assert score_candidate(Q, cfg).score == score_candidate(P, cfg).score
+
+
+# Rows that tie: equal halves, sums that tie only up to rounding, and
+# rows that share the dominant-class probability but differ elsewhere.
+TIED_ROWS = {
+    2: [(0.5, 0.5), (2 / 3, 1 / 3), (1 / 3, 2 / 3), (0.1, 0.9), (0.9, 0.1), (0.7, 0.3)],
+    3: [(0.4, 0.4, 0.2), (0.4, 0.2, 0.4), (0.2, 0.4, 0.4), (1 / 3, 1 / 3, 1 / 3),
+        (0.1, 0.2, 0.7), (0.7, 0.2, 0.1)],
+}
+
+
+@st.composite
+def tied_prediction_matrices(draw):
+    rows = TIED_ROWS[draw(st.sampled_from(sorted(TIED_ROWS)))]
+    picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=9))
+    return np.array(picks)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[0.5, 0.5], [2 / 3, 1 / 3], [1 / 3, 2 / 3]],
+        [[0.4, 0.4, 0.2], [0.4, 0.4, 0.2], [0.4, 0.2, 0.4]],
+    ],
+    ids=["tied_column_sums", "tied_dominant_probabilities"],
+)
+def test_criteria_of_recorded_ties_do_not_depend_on_the_row_order(P):
+    P = np.array(P)
+    cfg = CriteriaConfig(lambda1=0.5, lambda2=0.5, alpha=0.5)
+    orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+    assert len({dominant_class(P[o]) for o in orders}) == 1
+    assert len({majority_subset(P[o], 0.5).tobytes() for o in orders}) == 1
+    assert len({score_candidate(P[o], cfg) for o in orders}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=tied_prediction_matrices(), seed=st.integers(min_value=0, max_value=2**16),
+       alpha=st.sampled_from([0.25, 0.5, 1.0]))
+def test_tied_rows_give_the_same_bits_in_any_order(P, seed, alpha):
+    Q = P[np.random.default_rng(seed).permutation(P.shape[0])]
+    assert dominant_class(Q) == dominant_class(P)
+    assert majority_subset(Q, alpha).tobytes() == majority_subset(P, alpha).tobytes()
+    cfg = CriteriaConfig(lambda1=0.5, lambda2=0.5, alpha=alpha)
+    assert score_candidate(Q, cfg) == score_candidate(P, cfg)
+
+
+def test_dominant_class_of_sums_tied_up_to_rounding_goes_to_the_smaller_index():
+    # both columns hold the same three values; summed in row order they round apart
+    P = np.array([[0.5, 0.5], [2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+    assert P.sum(axis=0)[0] < P.sum(axis=0)[1]
+    assert dominant_class(P) == 0
+
+
+def test_majority_subset_orders_tied_rows_by_the_whole_row():
+    P = np.array([[0.4, 0.4, 0.2], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]])
+    sub = majority_subset(P, 0.5)
+    assert sub.tolist() == [[0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]
 
 
 @settings(max_examples=80, deadline=None)
