@@ -6,36 +6,39 @@ The randomized mode widens the pool to the top omega*b candidates and
 samples according to min-max-normalized scores: the best candidate is
 most likely but not certain, and the window's weakest member starts
 with probability zero.
+
+The sampler takes the candidate ids in ascending order and their scores
+as one array, as the AFT* loop passes them after scoring the unlabeled
+pool; it ranks by descending score, ties by id.
 """
 
 import numpy as np
 
-from aftstar import SamplerConfig, sampling_probabilities, select_batch
-from aftstar.criteria import CandidateScore
+from aftstar import SamplerConfig, sampling_probabilities, select_from_scores
 
 values = [10.0, 7.0, 4.0, 1.0]
 print("scores:", values)
 print("sampling probabilities (window 4):", sampling_probabilities(values, 4))
 
-scores = [
-    CandidateScore(f"cand{i}", 0, 0.0, 0.0, v, 1) for i, v in enumerate(values)
-]
+ids = [f"cand{i}" for i in range(len(values))]
+scores = np.array(values)
 
 rng = np.random.default_rng(7)
 cfg = SamplerConfig(batch_size=1, omega=5, mode="randomized")
 trials = 50_000
-counts = {s.candidate_id: 0 for s in scores}
+counts = {cid: 0 for cid in ids}
 for _ in range(trials):
-    (pick,) = select_batch(scores, cfg, rng)
+    (pick,) = select_from_scores(ids, scores, cfg, rng)
     counts[pick] += 1
 
 print(f"\nempirical first-draw frequencies over {trials} draws:")
 for cid, n in counts.items():
     print(f"  {cid}: {n / trials:.4f}")
 
-print("\ntop-b for comparison:", select_batch(scores, SamplerConfig(batch_size=2, mode="top_b"), rng))
+print("\ntop-b for comparison:",
+      select_from_scores(ids, scores, SamplerConfig(batch_size=2, mode="top_b"), rng))
 print("batches of 2 without replacement (renormalized after each draw):")
 for seed in range(5):
-    batch = select_batch(scores, SamplerConfig(batch_size=2, omega=5, mode="randomized"),
-                         np.random.default_rng(seed))
+    batch = select_from_scores(ids, scores, SamplerConfig(batch_size=2, omega=5, mode="randomized"),
+                               np.random.default_rng(seed))
     print(f"  seed {seed}: {batch}")

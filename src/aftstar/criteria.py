@@ -23,15 +23,16 @@ their prediction matrices grouped by shape as
 ``learner.stacked_predictions`` gives them: it checks each group's
 ``(n, m, k)`` array once and takes the dominant class, the majority
 subset (a per-row sort), entropy and diversity as array operations over
-the group. The dominant class and the majority subset do not depend on
-the order of a matrix's rows: near-ties in the column sums are summed
-again exactly, and rows tied on the dominant class are ordered by the
-whole row. It returns one :class:`CandidateScores` of
-arrays, one entry per candidate, and builds no per-candidate object.
-The single-matrix functions check their one matrix and are the
-``n = 1`` case of the same private helpers, which check nothing;
-:func:`score_candidate` returns its one result as a
-:class:`CandidateScore`.
+the group. It returns one :class:`CandidateScores` of arrays, one entry
+per candidate, and builds no per-candidate object. The single-matrix
+functions check their one matrix and are the ``n = 1`` case of the same
+private helpers, which check nothing; :func:`score_candidate` returns
+its one result as a :class:`CandidateScore`.
+
+The dominant class and the majority subset do not depend on the order
+of a matrix's rows: near-ties in the column sums are summed again
+exactly, and rows tied on the dominant-class probability are ordered
+by the whole row.
 
 Diversity is computed in O(m k), not over the m (m - 1) / 2 pairs. For
 one class with clamped column ``a`` and ``D_j = a_j - a_1``,
@@ -132,7 +133,7 @@ def _dominant(P: np.ndarray) -> np.ndarray:
     sums = P.sum(axis=1)
     dominant = sums.argmax(axis=1)
     # A sum of m entries in [0, 1], added in any order, is off by at most
-    # (m - 1) * eps / 2 times the sum. Where the top two sums differ by
+    # about (m - 1) * eps / 2 times the sum. Where the top two sums differ by
     # more than 4 * m * eps times the larger, the exact sums are in the
     # same order and round apart, so every row order picks the class that
     # the exactly rounded sums pick. Closer candidates are summed again

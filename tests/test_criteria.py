@@ -86,6 +86,10 @@ def test_dominant_class_column_sums():
 
 def test_dominant_class_tie_breaks_low():
     assert dominant_class([(0.5, 0.5)]) == 0
+    # both columns hold the same three values; summed in row order they round apart
+    P = np.array([[0.5, 0.5], [2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+    assert P.sum(axis=0)[0] < P.sum(axis=0)[1]
+    assert dominant_class(P) == 0
 
 
 # --- majority subset --------------------------------------------------------
@@ -110,12 +114,15 @@ def test_majority_subset_minimum_one_row():
     assert majority_subset(P, 0.1).shape == (1, 2)
 
 
-def test_majority_subset_tie_prefers_lower_patch_index():
+def test_majority_subset_orders_tied_rows_by_the_whole_row():
     P = np.array([[0.7, 0.3], [0.9, 0.1], [0.7, 0.3]])
     sub = majority_subset(P, 0.67)  # keep 3 -> all, ordering matters
     assert np.allclose(sub, [[0.9, 0.1], [0.7, 0.3], [0.7, 0.3]])
-    sub2 = majority_subset(P, 0.5)  # keep 2: 0.9 then the earlier 0.7 row
+    sub2 = majority_subset(P, 0.5)  # keep 2: 0.9 then a 0.7 row
     assert np.allclose(sub2, [[0.9, 0.1], [0.7, 0.3]])
+    # equal dominant-class probability: the row smaller in its other columns first
+    P = np.array([[0.4, 0.4, 0.2], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]])
+    assert majority_subset(P, 0.5).tolist() == [[0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]
 
 
 def test_majority_subset_alpha_validation():
@@ -489,18 +496,6 @@ def test_tied_rows_give_the_same_bits_in_any_order(P, seed, alpha):
     cfg = CriteriaConfig(lambda1=0.5, lambda2=0.5, alpha=alpha)
     assert score_candidate(Q, cfg) == score_candidate(P, cfg)
 
-
-def test_dominant_class_of_sums_tied_up_to_rounding_goes_to_the_smaller_index():
-    # both columns hold the same three values; summed in row order they round apart
-    P = np.array([[0.5, 0.5], [2 / 3, 1 / 3], [1 / 3, 2 / 3]])
-    assert P.sum(axis=0)[0] < P.sum(axis=0)[1]
-    assert dominant_class(P) == 0
-
-
-def test_majority_subset_orders_tied_rows_by_the_whole_row():
-    P = np.array([[0.4, 0.4, 0.2], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]])
-    sub = majority_subset(P, 0.5)
-    assert sub.tolist() == [[0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]
 
 
 @settings(max_examples=80, deadline=None)
