@@ -75,7 +75,7 @@ def _reject_booleans(obj: dict, where: str) -> None:
 def _load_config(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         cfg = json.loads(raw)

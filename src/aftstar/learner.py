@@ -280,7 +280,7 @@ class CandidateStack:
 def stack_candidates(candidates: Sequence[Candidate]) -> CandidateStack:
     """Stack the candidates' patches once, for repeated
     :func:`stacked_predictions` calls."""
-    counts = np.array([c.num_patches for c in candidates], dtype=np.intp)
+    counts = np.array([len(c.features) for c in candidates], dtype=np.intp)
     starts = np.cumsum(counts) - counts
     groups = []
     for m in np.unique(counts):

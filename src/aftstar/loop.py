@@ -3,10 +3,11 @@
 Each step: score every unlabeled candidate with the previous step's
 model, from one prediction pass over the whole unlabeled set whose
 patch-count groups go straight to one batched scoring pass (both skipped
-for random selection), select a batch, ask the oracle for labels,
-collect the misclassified labeled candidates with the *pre-update*
-model, build the training set per the strategy policy, fit per the
-strategy's model-start policy, then move the batch into the labeled set
+for random selection), select a batch, ask the oracle for labels, build
+the training set per the strategy policy from the batch and the
+misclassified set H that the previous step mined, move the batch into
+the labeled set, fit per the strategy's model-start policy, evaluate,
+mine H for the next step with the new model over the new labeled set,
 and append a learning-curve record.
 
 The five named strategies differ in three choices:
@@ -200,10 +201,9 @@ class ExperimentState:
     rng: np.random.Generator
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
-    # (model, pool, H): the misclassified set of ``model`` over ``pool``'s
-    # L, kept from the audit's post-fit H-mining. The next step reuses it
-    # while ``state.model`` and ``state.pool`` are still those objects.
-    mined: tuple[LearnerModel, PoolState, set[str]] | None = None
+    # H: the ids in L that ``model`` misclassifies, mined at the end of
+    # each step for the next one. Empty while L is.
+    hard: set[str] = field(default_factory=set)
 
 
 def misclassified_set(
@@ -248,7 +248,6 @@ def run_step(
     if not state.pool.unlabeled:
         return state
     unlabeled_ids = sorted(state.pool.unlabeled)
-    model_prev = state.model
 
     scores = None
     groups: list = []
@@ -256,35 +255,30 @@ def run_step(
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
         unlabeled = [state.pool.candidates[cid] for cid in unlabeled_ids]
-        groups = stacked_predictions(model_prev, stack_candidates(unlabeled))
+        groups = stacked_predictions(state.model, stack_candidates(unlabeled))
         scores = score_candidates(groups, strat.criterion, len(unlabeled_ids))
         batch = select_batch(unlabeled_ids, scores.score, strat.sampler, state.rng)
 
     labels = oracle.query(batch)
-
-    labeled_ids = sorted(state.pool.labeled)
-    mined = state.mined
-    if mined is not None and mined[0] is model_prev and mined[1] is state.pool:
-        hard = mined[2]
-    else:
-        labeled_candidates = [state.pool.candidates[cid] for cid in labeled_ids]
-        hard = misclassified_set(model_prev, labeled_candidates, state.pool.labels)
-
+    hard = state.hard
     train_ids = build_training_set(
-        strat.training_set_policy, set(batch), hard, set(labeled_ids)
+        strat.training_set_policy, set(batch), hard, set(state.pool.labeled)
     )
+    state.pool = move_to_labeled(state.pool, batch, labels)
     X, y = collect_patches(
-        [state.pool.candidates[cid] for cid in sorted(train_ids)],
-        {**state.pool.labels, **labels},
+        [state.pool.candidates[cid] for cid in sorted(train_ids)], state.pool.labels
     )
     if X.shape[0] > 0:
         warm = strat.model_start == CONTINUE_PREVIOUS
-        base = model_prev if warm else state.model_zero
+        base = state.model if warm else state.model_zero
         state.model = fit(base, (X, y), state.train_cfg, warm, state.rng)
 
-    state.pool = move_to_labeled(state.pool, batch, labels)
-
     test_auc = evaluator(state.model)
+    state.hard = misclassified_set(
+        state.model,
+        [state.pool.candidates[cid] for cid in sorted(state.pool.labeled)],
+        state.pool.labels,
+    )
     pos_frac = (
         float(np.mean([labels[cid] == state.positive_class for cid in batch]))
         if batch
@@ -301,12 +295,6 @@ def run_step(
     state.records.append(record)
 
     if audit is not None:
-        post_fit = misclassified_set(
-            state.model,
-            [state.pool.candidates[cid] for cid in sorted(state.pool.labeled)],
-            state.pool.labels,
-        )
-        state.mined = (state.model, state.pool, post_fit)
         # Each patch count has one group, whose positions are ascending.
         by_count = {group.shape[1]: (pos, group) for pos, group in groups}
         entries = []
@@ -330,7 +318,7 @@ def run_step(
                     "step": record.step,
                     "selected": entries,
                     "misclassified_pre_fit": len(hard),
-                    "misclassified_post_fit": len(post_fit),
+                    "misclassified_post_fit": len(state.hard),
                 },
                 sort_keys=True,
             )

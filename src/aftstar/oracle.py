@@ -49,11 +49,15 @@ class Oracle:
         by a uniformly random *other* class with that probability.
         """
         out: dict[str, int] = {}
+        seen: set[str] = set()
         for cid in ids:
             if cid not in self.candidates:
                 raise PartitionError(f"unknown candidate id {cid!r}")
             if cid in self._answered:
                 raise DoubleAnnotationError(f"candidate {cid!r} was already annotated")
+            if cid in seen:
+                raise DoubleAnnotationError(f"candidate {cid!r} is repeated in the batch")
+            seen.add(cid)
         rate = self.config.label_noise_rate
         for cid in ids:
             label = self.candidates[cid].true_label

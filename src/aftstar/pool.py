@@ -107,7 +107,7 @@ def move_to_labeled(
     id_set = set(ids)
     if len(id_set) != len(ids):
         raise PartitionError("duplicate ids in move")
-    stray = id_set - set(pool.unlabeled)
+    stray = id_set - pool.unlabeled
     if stray:
         raise PartitionError(f"ids not in unlabeled set: {sorted(stray)}")
     for cid in ids:

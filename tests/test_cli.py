@@ -105,6 +105,14 @@ def test_missing_schema_version_rejected(tmp_path):
     assert main(["generate", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("command", ["generate", "run", "compare"])
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"schema_version": 1, "output_dir": "caf\u00e9"}'.encode("latin-1"))
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "config error: cannot read config" in capsys.readouterr().err
+
+
 # --- run ------------------------------------------------------------------------
 
 def test_run_rft_row_count(dataset_dir, tmp_path):

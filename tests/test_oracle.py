@@ -32,6 +32,24 @@ def test_double_query_rejected():
     assert oracle.queries == 1
 
 
+def test_repeated_id_in_one_batch_rejected_before_any_answer():
+    rng = np.random.default_rng(5)
+    oracle = Oracle(
+        candidates=make_candidates([0, 1]),
+        config=OracleConfig(label_noise_rate=0.3),
+        rng=rng,
+        num_classes=2,
+    )
+    before = rng.bit_generator.state
+    with pytest.raises(DoubleAnnotationError):
+        oracle.query(["c0001", "c0000", "c0000"])
+    assert oracle.queries == 0
+    assert oracle.access_log == []
+    assert rng.bit_generator.state == before
+    # nothing was recorded as answered, so the ids can still be queried once
+    assert sorted(oracle.query(["c0000", "c0001"])) == ["c0000", "c0001"]
+
+
 def test_unknown_id_rejected():
     oracle = Oracle(candidates=make_candidates([0]), num_classes=2)
     with pytest.raises(PartitionError):

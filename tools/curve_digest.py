@@ -1,7 +1,8 @@
 """Print one sha256 digest per learning curve of the standard benchmark
 grid, then one per artifact of a ragged ``aftstar compare``, then one per
 split of a generated dataset as it is read back, then one per learning
-curve of a nine-class run, then one of a two-class selection audit.
+curve of a nine-class run, then one of a two-class selection audit, then
+one of a learning curve with a noisy oracle.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -32,6 +33,11 @@ carry each selected candidate's scores and, with two classes, the
 ``classify_pattern`` label, which the three-class compare audits leave
 ``null``. The line is ``audit <strategy label> seed=1 <sha256>`` of the
 file's bytes.
+
+The noisy oracle: AFT*-entropy^a_w on ``standard_benchmark(1)`` with
+``oracle_noise=0.1``, seed 1, budget 300, batch 20, so the oracle's rng
+draws sit between the selection's and the fit's. The line is
+``noise=0.1 <strategy label> seed=1 <sha256>``, digested like the grid.
 
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
@@ -67,6 +73,7 @@ from inputs import RAGGED, write_dataset  # noqa: E402
 SEEDS = range(1, 6)
 BUDGET = 300
 BATCH = 20
+NOISE = 0.1
 COMPARE_STRATEGIES = [
     {"name": "AFT_star", "criterion": "entropy^a_w", "batch_size": BATCH},
     {"name": "AFT_star", "criterion": "diversity_w", "batch_size": BATCH},
@@ -147,6 +154,11 @@ def main() -> None:
         )
         print(f"audit {strategy.label} seed=1 {hashlib.sha256(audit.read_bytes()).hexdigest()}",
               flush=True)
+    records = run_experiment(
+        train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1,
+        oracle_noise=NOISE,
+    )
+    print(f"noise={NOISE} {strategy.label} seed=1 {digest(records)}", flush=True)
 
 
 if __name__ == "__main__":
