@@ -9,9 +9,12 @@ Subcommands:
   write a mean/sd ALC comparison table (CSV + JSON).
 
 Configs are strict JSON: a ``schema_version`` field is required and
-unknown keys are errors. Exit codes: 0 success, 1 config error,
-2 runtime error. The environment variable ``AFTSTAR_OUTPUT_DIR``
-provides the default output directory.
+unknown keys are errors. Each section (``strategy``, ``strategies[i]``,
+``learner``, ``stop``, ``oracle``, an inline ``dataset`` and
+``datagen``) takes the parameters of what it configures, a config
+dataclass or ``make_strategy``, which checks its own values. Exit codes: 0 success, 1 config error, 2 runtime
+error. The environment variable ``AFTSTAR_OUTPUT_DIR`` provides the
+default output directory.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -38,9 +42,7 @@ from .oracle import OracleConfig
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "AFTSTAR_OUTPUT_DIR"
-
-
-STRATEGY_KEYS = {"name", "criterion", "batch_size", "alpha", "omega", "lambda1", "lambda2"}
+STRATEGY_REQUIRED = {"name", "batch_size"}
 
 
 @contextlib.contextmanager
@@ -102,33 +104,14 @@ def _resolve_output_dir(cfg: dict, args) -> Path:
     return path
 
 
-def _parse_fields(cls, obj: dict, where: str):
-    """Build the config dataclass ``cls`` from a JSON object of its fields."""
-    _check_keys(obj, {f.name for f in dataclasses.fields(cls)}, set(), where)
+def _parse_fields(fn, obj: dict, where: str, required=frozenset()):
+    """Build a config section as ``fn(**obj)``, where ``fn`` is a config
+    dataclass or ``make_strategy`` and the allowed keys are its
+    parameters. ``fn`` checks the values itself."""
+    _check_keys(obj, set(inspect.signature(fn).parameters), required, where)
     _reject_booleans(obj, where)
     with _section(where):
-        return cls(**obj)
-
-
-def _parse_datagen(obj: dict, where: str) -> DatagenConfig:
-    if isinstance(obj, dict) and isinstance(obj.get("class_weights"), list):
-        obj = {**obj, "class_weights": tuple(obj["class_weights"])}
-    return _parse_fields(DatagenConfig, obj, where)
-
-
-def _parse_strategy(obj: dict, where: str):
-    _check_keys(obj, STRATEGY_KEYS, {"name", "batch_size"}, where)
-    _reject_booleans(obj, where)
-    kwargs = {
-        k: obj[k] for k in ("alpha", "omega", "lambda1", "lambda2") if k in obj
-    }
-    with _section(where):
-        return make_strategy(
-            obj["name"],
-            criterion=obj.get("criterion", "entropy^a_w"),
-            batch_size=obj["batch_size"],
-            **kwargs,
-        )
+        return fn(**obj)
 
 
 def _slug(label: str) -> str:
@@ -138,7 +121,7 @@ def _slug(label: str) -> str:
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"schema_version", "output_dir", "datagen"}, {"datagen"}, args.config)
-    datagen_cfg = _parse_datagen(cfg["datagen"], "datagen")
+    datagen_cfg = _parse_fields(DatagenConfig, cfg["datagen"], "datagen")
     if args.seed is not None:
         datagen_cfg = dataclasses.replace(datagen_cfg, seed=args.seed)
     out_dir = _resolve_output_dir(cfg, args)
@@ -158,7 +141,7 @@ def _resolve_dataset(spec, where: str):
         except OSError as exc:
             raise ConfigError(f"{where}: cannot load dataset {spec}: {exc}")
         return train, test
-    train, test, _ = datagen.generate(_parse_datagen(spec, where))
+    train, test, _ = datagen.generate(_parse_fields(DatagenConfig, spec, where))
     return train, test
 
 
@@ -247,7 +230,7 @@ def _parse_run(cfg: dict, args, where: str):
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, RUN_KEYS, {"dataset", "strategy", "seeds"}, args.config)
-    strategy = _parse_strategy(cfg["strategy"], "strategy")
+    strategy = _parse_fields(make_strategy, cfg["strategy"], "strategy", STRATEGY_REQUIRED)
     dataset, settings, seeds, out_dir = _parse_run(cfg, args, args.config)
     jobs = [(dataset, strategy, *settings, seed, str(out_dir)) for seed in seeds]
     summaries = _execute(jobs, args.jobs)
@@ -266,7 +249,8 @@ def cmd_compare(args) -> int:
     if not isinstance(strategy_objs, list) or not strategy_objs:
         raise ConfigError(f"{args.config}: strategies must be a non-empty list")
     strategies = [
-        _parse_strategy(obj, f"strategies[{i}]") for i, obj in enumerate(strategy_objs)
+        _parse_fields(make_strategy, obj, f"strategies[{i}]", STRATEGY_REQUIRED)
+        for i, obj in enumerate(strategy_objs)
     ]
     labels = [strategy.label for strategy in strategies]
     dataset, settings, seeds, out_dir = _parse_run(cfg, args, args.config)
@@ -305,8 +289,7 @@ def cmd_compare(args) -> int:
                 ]
             )
     comparison = {"seeds": seeds, "cells": cells, "best": cells[best]["strategy"]}
-    with metrics.replacing(out_dir / "comparison.json") as fh:
-        fh.write(json.dumps(comparison, indent=2, sort_keys=True))
+    metrics.write_summary_json(comparison, out_dir / "comparison.json")
     for cell in cells:
         marker = " *" if cell["best"] else ""
         print(f"{cell['strategy']}: {cell['mean_alc']:.6f} +/- {cell['sd_alc']:.6f}{marker}")

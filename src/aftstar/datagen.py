@@ -43,9 +43,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, check_integer
+from .metrics import FLOAT_FMT
 from .pool import Candidate
 
-FLOAT_FMT = "%.17g"
 CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
 
 
@@ -65,6 +65,7 @@ class DatagenConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "class_weights", tuple(self.class_weights))
         check_integer("num_classes", self.num_classes, 2)
         check_integer("train_candidates", self.train_candidates, 1)
         check_integer("test_candidates", self.test_candidates, 0)
@@ -93,15 +94,6 @@ def standard_benchmark(seed: int = 1) -> DatagenConfig:
     return DatagenConfig(seed=seed)
 
 
-@dataclass
-class AmbiguityRecord:
-    """Generator-side bookkeeping for one ambiguous candidate."""
-
-    candidate_id: str
-    contaminant_class: int
-    noisy_patch_indices: list[int]
-
-
 def class_counts(weights: Sequence[float], n: int) -> list[int]:
     """Largest-remainder apportionment of n candidates across classes."""
     raw = [w * n for w in weights]
@@ -117,7 +109,7 @@ def class_counts(weights: Sequence[float], n: int) -> list[int]:
 
 def _generate_split(
     cfg: DatagenConfig, n: int, prefix: str, rng: np.random.Generator
-) -> tuple[list[Candidate], list[AmbiguityRecord]]:
+) -> tuple[list[Candidate], dict]:
     centers = np.zeros((cfg.num_classes, cfg.feature_dim))
     for k in range(cfg.num_classes):
         centers[k, k] = cfg.class_center_separation
@@ -125,7 +117,7 @@ def _generate_split(
     n_noisy_patches = math.floor(cfg.ambiguous_patch_fraction * cfg.patches_per_candidate)
 
     candidates: list[Candidate] = []
-    ambiguity: list[AmbiguityRecord] = []
+    ambiguous: dict[str, dict] = {}
     next_index = 0
     width = max(5, len(str(n)))
     for label, count in enumerate(counts):
@@ -146,9 +138,12 @@ def _generate_split(
                 feats[noisy_rows] = alien_center + cfg.patch_spread * rng.standard_normal(
                     (n_noisy_patches, cfg.feature_dim)
                 )
-                ambiguity.append(AmbiguityRecord(cid, contaminant, noisy_rows))
+                ambiguous[cid] = {
+                    "contaminant_class": contaminant,
+                    "noisy_patch_indices": noisy_rows,
+                }
             candidates.append(Candidate(id=cid, features=feats, true_label=label))
-    return candidates, ambiguity
+    return candidates, ambiguous
 
 
 def generate(cfg: DatagenConfig) -> tuple[list[Candidate], list[Candidate], dict]:
@@ -160,16 +155,7 @@ def generate(cfg: DatagenConfig) -> tuple[list[Candidate], list[Candidate], dict
     rng = np.random.default_rng(cfg.seed)
     train, train_amb = _generate_split(cfg, cfg.train_candidates, "train", rng)
     test, test_amb = _generate_split(cfg, cfg.test_candidates, "test", rng)
-    meta = {
-        "config": asdict(cfg),
-        "ambiguous": {
-            rec.candidate_id: {
-                "contaminant_class": rec.contaminant_class,
-                "noisy_patch_indices": rec.noisy_patch_indices,
-            }
-            for rec in train_amb + test_amb
-        },
-    }
+    meta = {"config": asdict(cfg), "ambiguous": {**train_amb, **test_amb}}
     return train, test, meta
 
 
@@ -326,8 +312,9 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
                         if key[0] in seen:
                             return None
                         seen.add(key[0])
+                        label = int(key[1])
                         blocks = []
-                        found.append((key[0], int(key[1]), blocks))
+                        found.append((key[0], label, blocks))
                         last = key
                     end = start + len(list(run))
                     blocks.append(rows[start:end])

@@ -116,10 +116,6 @@ class LearningCurve:
     def from_records(
         cls, records: Sequence[ExperimentRecord], total_pool: int
     ) -> "LearningCurve":
-        if any(
-            b.queries_cum <= a.queries_cum for a, b in zip(records, records[1:])
-        ):
-            raise MetricError("queries_cum must be strictly increasing")
         value = alc([(r.queries_cum, r.test_auc) for r in records], total_pool)
         return cls(records=tuple(records), alc=value)
 
