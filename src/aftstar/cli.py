@@ -12,7 +12,9 @@ Configs are strict JSON: a ``schema_version`` field is required and
 unknown keys are errors. Each section (``strategy``, ``strategies[i]``,
 ``learner``, ``stop``, ``oracle``, an inline ``dataset`` and
 ``datagen``) takes the parameters of what it configures, a config
-dataclass or ``make_strategy``, which checks its own values. Exit codes: 0 success, 1 config error, 2 runtime
+dataclass or ``make_strategy``, which checks its own values. Seeds must
+not repeat, nor may strategy labels within one ``compare``: each names
+its own artifacts. Exit codes: 0 success, 1 config error, 2 runtime
 error. The environment variable ``AFTSTAR_OUTPUT_DIR`` provides the
 default output directory.
 """
@@ -112,6 +114,14 @@ def _parse_fields(fn, obj: dict, where: str, required=frozenset()):
     _reject_booleans(obj, where)
     with _section(where):
         return fn(**obj)
+
+
+def _reject_repeats(values: list, where: str) -> None:
+    """Each seed and strategy label names its own artifacts, so a repeat
+    would write one set of files over another."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{where}[{i}]: {value!r} repeats {where}[{values.index(value)}]")
 
 
 def _slug(label: str) -> str:
@@ -214,6 +224,7 @@ def _parse_run(cfg: dict, args, where: str):
     with _section("seeds"):
         for seed in seeds:
             check_integer("seed", seed, 0)
+    _reject_repeats(seeds, "seeds")
     positive_class = cfg.get("positive_class", 0)
     with _section("positive_class"):
         check_integer("positive_class", positive_class, 0)
@@ -253,6 +264,7 @@ def cmd_compare(args) -> int:
         for i, obj in enumerate(strategy_objs)
     ]
     labels = [strategy.label for strategy in strategies]
+    _reject_repeats(labels, "strategies")
     dataset, settings, seeds, out_dir = _parse_run(cfg, args, args.config)
 
     jobs = [

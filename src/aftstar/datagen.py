@@ -13,7 +13,10 @@ labels.
 
 The generator also writes/reads the dataset CSV format defined in
 :mod:`aftstar.pool` plus a sidecar ``meta.json`` recording the config and
-the ambiguity bookkeeping (test-only; selection never sees it).
+the ambiguity bookkeeping (test-only; selection never sees it). Each
+file is written to a temporary name and moved into place, so an
+interrupted write leaves no cut file. A class label must be a
+non-negative integer.
 
 ``load_csv`` parses in bulk the file shape that ``write_csv`` and the
 benchmark's writer produce: ``\n`` line ends, no quote, no blank line,
@@ -43,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, check_integer
-from .metrics import FLOAT_FMT
+from .metrics import FLOAT_FMT, replacing
 from .pool import Candidate
 
 CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
@@ -167,7 +170,7 @@ def write_csv(candidates: Iterable[Candidate], path: str | Path) -> None:
     else:
         d = 0
     header = ["candidate_id", "label"] + [f"f{i}" for i in range(d)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for c in candidates:
@@ -238,6 +241,8 @@ def _parse_rows(reader, path: str | Path) -> list[Candidate]:
             label = int(row[1])
         except ValueError:
             raise DatasetFormatError(f"{path}:{lineno}: label {row[1]!r} is not an integer")
+        if label < 0:
+            raise DatasetFormatError(f"{path}:{lineno}: label {label} is negative")
         try:
             feats = [float(v) for v in row[2:]]
         except ValueError:
@@ -313,6 +318,8 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
                             return None
                         seen.add(key[0])
                         label = int(key[1])
+                        if label < 0:
+                            return None
                         blocks = []
                         found.append((key[0], label, blocks))
                         last = key
@@ -340,9 +347,8 @@ def write_dataset(cfg: DatagenConfig, out_dir: str | Path) -> dict:
     train, test, meta = generate(cfg)
     write_csv(train, out_dir / "train.csv")
     write_csv(test, out_dir / "test.csv")
-    (out_dir / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    with replacing(out_dir / "meta.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True))
     return meta
 
 
@@ -366,4 +372,6 @@ def infer_num_classes(candidates: Iterable[Candidate]) -> int:
     labels = {c.true_label for c in candidates}
     if not labels:
         raise DatasetFormatError("cannot infer class count from an empty candidate set")
+    if min(labels) < 0:
+        raise DatasetFormatError(f"class label {min(labels)} is negative")
     return max(int(max(labels)) + 1, 2)

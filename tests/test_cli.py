@@ -602,3 +602,73 @@ def test_jobs_below_one_is_config_error(dataset_dir, tmp_path, capsys, command, 
     assert main([command, "--config", cfg, "--jobs", jobs]) == 1
     assert "config error: --jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# --- strategy sections, repeats and labels --------------------------------------
+
+def one_strategy_config(command, data_dir, out_dir, strategy, seeds=(1,)):
+    if command == "run":
+        return run_config(data_dir, out_dir, strategy, seeds=seeds)
+    return compare_config(data_dir, out_dir, [strategy], seeds=seeds)
+
+
+@pytest.mark.parametrize("command, section", [("run", "strategy"), ("compare", "strategies[0]")])
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        ({"name": "AFT_star", "batch_size": 5, "beta": 0.5}, "unknown keys ['beta']"),
+        ({"name": "AFT_star", "criterion": "entropy"}, "missing keys ['batch_size']"),
+    ],
+    ids=["unknown-key", "no-batch-size"],
+)
+def test_strategy_section_keys_are_checked(
+    dataset_dir, tmp_path, capsys, command, section, strategy, message
+):
+    payload = one_strategy_config(command, dataset_dir, tmp_path / "o", strategy)
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == 1
+    assert f"config error: {section}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_repeated_seed_is_config_error(dataset_dir, tmp_path, capsys, command):
+    strategy = {"name": "RFT", "batch_size": 5}
+    payload = one_strategy_config(command, dataset_dir, tmp_path / "o", strategy, seeds=(2, 1, 1))
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == 1
+    assert "config error: seeds[2]: 1 repeats seeds[1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_strategy_label_in_compare_is_config_error(dataset_dir, tmp_path, capsys):
+    strategies = [
+        {"name": "RFT", "batch_size": 5},
+        {"name": "AFT_star", "batch_size": 5},
+        {"name": "AFT_star", "criterion": "entropy^α_ω", "batch_size": 10},
+    ]
+    payload = compare_config(dataset_dir, tmp_path / "o", strategies)
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main(["compare", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error: strategies[2]: 'AFT_star-entropy^a_w' repeats strategies[1]" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_negative_label_in_either_split_exits_2_naming_its_line(
+    dataset_dir, tmp_path, capsys, split
+):
+    from aftstar.datagen import load_csv, write_csv
+
+    path = dataset_dir / f"{split}.csv"
+    candidates = load_csv(path)
+    first = candidates[1]
+    candidates[1] = dataclasses.replace(first, true_label=-1)
+    write_csv(candidates, path)
+    line = 2 + first.num_patches  # the header, then the first candidate's rows
+    payload = run_config(dataset_dir, tmp_path / "o", {"name": "RFT", "batch_size": 5})
+    cfg = write_config(tmp_path / "run.json", payload)
+    assert main(["run", "--config", cfg]) == 2
+    assert f"error: {path}:{line}: label -1 is negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

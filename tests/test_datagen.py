@@ -47,6 +47,13 @@ def test_config_rejects_low_dimension():
         small_config(num_classes=3, class_weights=(0.3, 0.3, 0.4), feature_dim=1)
 
 
+def test_class_weights_list_and_tuple_give_one_hashable_config():
+    as_list = DatagenConfig(class_weights=[0.5, 0.5])
+    as_tuple = DatagenConfig(class_weights=(0.5, 0.5))
+    assert as_list == as_tuple
+    assert hash(as_list) == hash(as_tuple)
+
+
 def test_config_rejects_bad_weights():
     with pytest.raises(ConfigError):
         small_config(class_weights=(0.5, 0.6))
@@ -144,6 +151,39 @@ def test_inconsistent_labels_rejected(tmp_path):
         load_csv(path)
 
 
+class FailingCandidate:
+    """A candidate whose rows cannot be read, to fail a write part-way."""
+
+    id = "boom"
+    true_label = 0
+
+    @property
+    def features(self):
+        raise RuntimeError("injected failure")
+
+
+def test_write_failing_part_way_leaves_no_file(tmp_path):
+    train, _, _ = generate(small_config(train_candidates=10, test_candidates=1))
+    path = tmp_path / "train.csv"
+    with pytest.raises(RuntimeError, match="injected failure"):
+        write_csv([*train, FailingCandidate()], path)
+    assert list(tmp_path.iterdir()) == []
+    write_csv(train[:3], path)
+    complete = path.read_bytes()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        write_csv([*train, FailingCandidate()], path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == complete
+
+
+def test_negative_label_rejected_with_line_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("candidate_id,label,f0\nx,0,1.5\ny,-1,2.5\ny,-1,3.5\n")
+    assert datagen._load_plain_csv(path) is None
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv:3: label -1 is negative"):
+        load_csv(path)
+
+
 def test_header_only_gives_empty_set(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("candidate_id,label,f0,f1\n")
@@ -191,6 +231,24 @@ def test_load_dataset_and_infer_classes(tmp_path):
     assert len(train) == 20 and len(test) == 5
     assert meta["config"]["num_classes"] == 2
     assert infer_num_classes(train) == 2
+
+
+def test_negative_label_fails_a_run_before_its_first_step(monkeypatch):
+    from aftstar import loop
+    from aftstar.pool import Candidate
+
+    train, test, _ = generate(small_config(train_candidates=20, test_candidates=6))
+    train[3] = Candidate(id=train[3].id, features=train[3].features, true_label=-1)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(loop, "run_step", no_step)
+    with pytest.raises(DatasetFormatError, match="class label -1 is negative"):
+        loop.run_experiment(
+            train, test, loop.make_strategy("RFT", batch_size=5), TrainConfig(epochs=1),
+            loop.StopRule(query_budget=10), 1,
+        )
 
 
 def test_undecodable_file_is_a_format_error_naming_its_line(tmp_path):
@@ -286,7 +344,7 @@ def csv_files(draw):
         if quirk("label-form"):
             label = draw(st.sampled_from([f"+{label}", f" {label}", f"0_{label}"]))
         if quirk("bad-label"):
-            label = draw(st.sampled_from(["x", "", "1.0", "9" * 5000]))
+            label = draw(st.sampled_from(["x", "", "1.0", "9" * 5000, "-1"]))
         values = draw(st.lists(finite, min_size=d, max_size=d))
         if quirk("width"):
             values = values[1:] if draw(st.booleans()) else values + ["1.0"]

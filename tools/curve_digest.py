@@ -18,7 +18,9 @@ summaries, selection audits and the two comparison files are covered.
 The dataset round trip: ``datagen.write_dataset(standard_benchmark(1))``
 read back by ``datagen.load_dataset``. Each line is ``dataset <split>
 <sha256>``, where the digest covers every candidate's id, label, feature
-shape and feature bytes, in order.
+shape and feature bytes, in order. One more line, ``dataset meta.json
+<sha256>``, covers the bytes of the ``meta.json`` it writes: the config
+and the ambiguity flags.
 
 The nine-class run: a generated dataset with 9 equally weighted classes
 and 10 features (seed 1), with AFT*-diversity_w and RFT, seed 1, budget
@@ -134,6 +136,8 @@ def main() -> None:
         train, test, _ = datagen.load_dataset(generated)
         for split, candidates in (("train", train), ("test", test)):
             print(f"dataset {split} {candidates_digest(candidates)}", flush=True)
+        meta = (generated / "meta.json").read_bytes()
+        print(f"dataset meta.json {hashlib.sha256(meta).hexdigest()}", flush=True)
     train, test, _ = generate(NINE_CLASSES)
     nine_class_strategies = (
         make_strategy("AFT_star", "diversity_w", BATCH),
