@@ -218,13 +218,17 @@ def _parse_run(cfg: dict, args, where: str):
     is ``(train_cfg, stop, oracle_cfg, positive_class)``.
     """
     check_integer("--jobs", args.jobs, 1)
-    seeds = cfg["seeds"] if args.seed is None else [args.seed]
+    seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{where}: seeds must be a non-empty list")
     with _section("seeds"):
         for seed in seeds:
             check_integer("seed", seed, 0)
     _reject_repeats(seeds, "seeds")
+    if args.seed is not None:
+        with _section("seeds"):
+            check_integer("seed", args.seed, 0)
+        seeds = [args.seed]
     positive_class = cfg.get("positive_class", 0)
     with _section("positive_class"):
         check_integer("positive_class", positive_class, 0)

@@ -14,28 +14,41 @@ Two start policies:
   at the full learning rate (retraining from scratch each step).
 
 Training data is an ``(X, y)`` pair of patch features and inherited
-candidate labels. Each epoch permutes the augmented features and the
-one-hot labels once and then walks contiguous minibatch slices of them.
+candidate labels; :func:`fit` appends the bias column, and
+:func:`fit_rows` takes rows that already carry it. Each epoch permutes
+the rows and the one-hot labels once and then walks contiguous minibatch
+slices of them. The SGD is buffered: every minibatch computes into work
+arrays made once per fit, in the same order of operations, so the
+weights are those of the unbuffered loop to the bit.
 
-A list of candidates is predicted in one pass over its stacked patches.
-:func:`stack_candidates` groups the candidates by patch count ``m``, and
-:func:`stacked_predictions` gives each group's prediction matrices as
-one ``(g, m, k)`` array, the form that ``criteria.score_candidates``
-scores. A candidate's class probabilities are the mean of its matrix's
-rows, one mean over each group array's middle axis.
+A candidate list is stacked once. :func:`stack_candidates` copies its
+patches into one array of augmented rows (bias column appended) and
+groups the candidates by patch count ``m``. A :meth:`CandidateStack.subset`
+takes candidates by position: it filters the groups and shares the
+rows, so a run stacks its pool once and takes each step's unlabeled and
+labeled sets from that stack. :func:`training_rows` takes the rows of
+the candidates at given positions in one gather, and
+:func:`stacked_predictions` predicts the rows of every group in one
+pass and gives each group's prediction matrices as one ``(g, m, k)``
+array, the form that ``criteria.score_candidates`` scores. A
+candidate's class probabilities are the mean of its matrix's rows, one
+mean over each group array's middle axis.
 
 Rounding rule: a per-row reduction over the class axis (k columns) goes
 through :func:`row_max` and :func:`row_sum`, which work on whole columns
-and give numpy's ``max(axis=1)``/``sum(axis=1)`` to the bit. numpy runs
-a separate inner loop for each short row, which is slow when k is 2 or
-3. Reductions over the patch axis stay numpy's own: a loop over patch
-columns keeps the bits but is slower on ragged groups of many patches.
+and give numpy's ``max(axis=1)``/``sum(axis=1)`` to the bit; the
+softmax sums its columns the same way. numpy runs a separate inner loop
+for each short row, which is slow when k is 2 or 3. Reductions over the
+patch axis stay numpy's own: a loop over patch columns keeps the bits
+but is slower on ragged groups of many patches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import compress
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -95,8 +108,9 @@ def _augment(X: np.ndarray) -> np.ndarray:
 _COLUMNWISE_LIMIT = 8  # from this many columns on, numpy's order differs
 
 
-def row_max(Z: np.ndarray) -> np.ndarray:
-    """``Z.max(axis=1)`` of a 2-d array with at least 2 columns, to the bit.
+def row_max(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``Z.max(axis=1)`` of a 2-d array with at least 2 columns, to the bit,
+    written into ``out`` when one is given.
 
     Below 8 columns this is ``np.maximum`` over whole columns, left to
     right. From 8 columns on numpy's vector loop can return the other
@@ -104,15 +118,16 @@ def row_max(Z: np.ndarray) -> np.ndarray:
     ``Z.max(axis=1)``.
     """
     if Z.shape[1] >= _COLUMNWISE_LIMIT:
-        return Z.max(axis=1)
-    out = np.maximum(Z[:, 0], Z[:, 1])
+        return Z.max(axis=1, out=out)
+    out = np.maximum(Z[:, 0], Z[:, 1], out=out)
     for j in range(2, Z.shape[1]):
         np.maximum(out, Z[:, j], out=out)
     return out
 
 
-def row_sum(Z: np.ndarray) -> np.ndarray:
-    """``Z.sum(axis=1)`` of a 2-d array with at least 2 columns, to the bit.
+def row_sum(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``Z.sum(axis=1)`` of a 2-d array with at least 2 columns, to the bit,
+    written into ``out`` when one is given.
 
     Below 8 columns numpy adds a row left to right, starting from +0.0
     (so a row of -0.0 sums to +0.0); this adds whole columns in the same
@@ -120,18 +135,41 @@ def row_sum(Z: np.ndarray) -> np.ndarray:
     numpy's own ``Z.sum(axis=1)``.
     """
     if Z.shape[1] >= _COLUMNWISE_LIMIT:
-        return Z.sum(axis=1)
-    out = Z[:, 0] + 0.0
+        return Z.sum(axis=1, out=out)
+    out = np.add(Z[:, 0], 0.0, out=out)
     for j in range(1, Z.shape[1]):
         out += Z[:, j]
     return out
 
 
-def _softmax_rows(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in ``Z`` (pass a fresh array)."""
-    Z -= row_max(Z)[:, None]
+def _softmax_rows(
+    Z: np.ndarray, columns: list[np.ndarray] | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise softmax, computed in place in ``Z`` (a fresh or a work array).
+
+    Below 8 classes the subtraction of the row maximum, the row sum and
+    the division run over whole columns: ``columns``, Z's column views,
+    made here unless given. The sum adds them left to right as
+    :func:`row_sum` does, but without its +0.0 start, which changes
+    nothing here: exp gives no -0.0. ``work``, one entry per row, takes
+    the maxima and then the sums.
+    """
+    top = row_max(Z, work)
+    if Z.shape[1] >= _COLUMNWISE_LIMIT:
+        Z -= top[:, None]
+        np.exp(Z, out=Z)
+        Z /= row_sum(Z, top)[:, None]
+        return Z
+    if columns is None:
+        columns = [Z[:, j] for j in range(Z.shape[1])]
+    for column in columns:
+        column -= top
     np.exp(Z, out=Z)
-    Z /= row_sum(Z)[:, None]
+    total = np.add(columns[0], columns[1], out=top)
+    for column in columns[2:]:
+        total += column
+    for column in columns:
+        column /= total
     return Z
 
 
@@ -151,21 +189,12 @@ def _check_data(X, y, num_classes: int | None = None) -> tuple[np.ndarray, np.nd
     return X, y
 
 
-def _probs_and_gradient(
-    weights: np.ndarray, X_aug: np.ndarray, Y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax probabilities and the mean cross-entropy gradient for
-    one-hot targets ``Y``; the residual ``probs - Y`` is a new array."""
-    probs = _softmax_rows(X_aug @ weights.T)
-    grad = (probs - Y).T @ X_aug / X_aug.shape[0]
-    return probs, grad
-
-
 def loss_and_gradient(
     weights: np.ndarray, X_aug: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the weight matrix."""
-    probs, grad = _probs_and_gradient(weights, X_aug, np.eye(weights.shape[0])[y])
+    probs = _softmax_rows(X_aug @ weights.T)
+    grad = (probs - np.eye(weights.shape[0])[y]).T @ X_aug / X_aug.shape[0]
     eps = 1e-300
     loss = float(-np.log(probs[np.arange(X_aug.shape[0]), y] + eps).mean())
     return loss, grad
@@ -173,26 +202,49 @@ def loss_and_gradient(
 
 def _run_sgd(
     weights: np.ndarray,
-    X: np.ndarray,
+    rows: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
     lr0: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """Minibatch SGD with momentum over augmented rows ``rows``.
+
+    Each epoch permutes the rows and the one-hot labels into two arrays
+    and walks contiguous minibatch slices of them. Each minibatch runs
+    the softmax, the residual ``probs - Y``, the mean gradient and the
+    momentum update, always in that order, in work arrays made once per
+    call: one set for the full minibatches and one for the shorter last
+    one.
+    """
     W = weights.copy()
     velocity = np.zeros_like(W)
-    Xa = _augment(X)
+    grad = np.empty_like(W)
     Y = np.eye(W.shape[0])[y]
-    n = X.shape[0]
+    n = rows.shape[0]
     size = cfg.minibatch_size
+    Xp, Yp = np.empty_like(rows), np.empty_like(Y)
+    work = {}
+    for b in {min(size, n), n % size} - {0}:
+        Z = np.empty((b, W.shape[0]))
+        work[b] = (Z, [Z[:, j] for j in range(Z.shape[1])], np.empty(b))
     for epoch in range(cfg.epochs):
         lr = lr0 * cfg.lr_decay_gamma**epoch
         order = rng.permutation(n)
-        Xp, Yp = Xa[order], Y[order]
+        np.take(rows, order, axis=0, out=Xp)
+        np.take(Y, order, axis=0, out=Yp)
         for start in range(0, n, size):
-            _, grad = _probs_and_gradient(W, Xp[start : start + size], Yp[start : start + size])
+            Xb = Xp[start : start + size]
+            Z, columns, row_work = work[len(Xb)]
+            # np.dot makes the BLAS call of the @ product, with less overhead.
+            np.dot(Xb, W.T, out=Z)
+            _softmax_rows(Z, columns, row_work)
+            Z -= Yp[start : start + size]
+            np.dot(Z.T, Xb, out=grad)
+            grad /= len(Xb)
             velocity *= cfg.momentum
-            velocity -= lr * grad
+            grad *= lr
+            velocity -= grad
             W += velocity
     return W
 
@@ -223,7 +275,7 @@ def pretrain_m0(
     if num_classes is None:
         num_classes = int(y.max()) + 1
     W = rng.uniform(-0.01, 0.01, size=(num_classes, X.shape[1] + 1))
-    W = _run_sgd(W, X, y, cfg, cfg.learning_rate, rng)
+    W = _run_sgd(W, _augment(X), y, cfg, cfg.learning_rate, rng)
     return LearnerModel(weights=W)
 
 
@@ -242,9 +294,29 @@ def fit(
         raise InvariantError("fit requires non-empty training data")
     if X.shape[1] != base.feature_dim:
         raise ShapeError(f"feature dim {X.shape[1]} != model dim {base.feature_dim}")
+    return fit_rows(base, (_augment(X), y), cfg, warm, rng)
+
+
+def fit_rows(
+    base: LearnerModel,
+    data: tuple[np.ndarray, np.ndarray],
+    cfg: TrainConfig,
+    warm: bool,
+    rng: np.random.Generator,
+) -> LearnerModel:
+    """:func:`fit` on ``(rows, y)`` as :func:`training_rows` gives them:
+    augmented ``(n, d + 1)`` rows of checked candidates, ``n >= 1``, and
+    their labels, which are not checked again."""
+    rows, y = data
     lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
-    W = _run_sgd(base.weights, X, y, cfg, lr0, rng)
-    return LearnerModel(weights=W)
+    return LearnerModel(weights=_run_sgd(base.weights, rows, y, cfg, lr0, rng))
+
+
+def _predict_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    probs = _softmax_rows(rows @ weights.T)
+    # Not a no-op: with three or more classes this second division moves
+    # probabilities, and so the audit's scores, in their last bits.
+    return probs / row_sum(probs)[:, None]
 
 
 def predict_features(model: LearnerModel, X) -> np.ndarray:
@@ -252,10 +324,7 @@ def predict_features(model: LearnerModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise ShapeError(f"expected (m, {model.feature_dim}) features, got {X.shape}")
-    probs = _softmax_rows(_augment(X) @ model.weights.T)
-    # Not a no-op: with three or more classes this second division moves
-    # probabilities, and so the audit's scores, in their last bits.
-    return probs / row_sum(probs)[:, None]
+    return _predict_rows(model.weights, _augment(X))
 
 
 def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
@@ -265,31 +334,81 @@ def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CandidateStack:
-    """A candidate list's stacked patches, grouped by patch count.
+    """A candidate list's patches, stacked once as augmented rows and
+    grouped by patch count.
 
-    ``groups`` holds one ``(positions, rows)`` pair per patch count m:
-    the positions of those candidates in the list, and their ``(g, m)``
-    row indices into ``features``.
+    ``rows`` is an ``(R, d + 1)`` array of patch features with the bias
+    column appended. Candidate ``i`` (id ``ids[i]``) has ``counts[i]``
+    patches, in ``rows[first[i]:first[i] + counts[i]]``. ``groups``
+    holds one ``(positions, index)`` pair per patch count m: the
+    ascending positions of those candidates, and their ``(g, m)`` row
+    indices into ``rows``. A :meth:`subset` shares its parent's rows.
     """
 
-    features: np.ndarray
+    ids: tuple[str, ...]
+    rows: np.ndarray
+    first: np.ndarray
+    counts: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    count: int
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def mask(self, ids: Collection[str]) -> np.ndarray:
+        """Which of the stack's candidates have an id in ``ids``, all of
+        which must be the stack's."""
+        keep = np.zeros(len(self.ids), dtype=bool)
+        keep[np.fromiter(map(self._position.__getitem__, ids), np.intp, len(ids))] = True
+        return keep
+
+    def subset(self, keep: np.ndarray) -> CandidateStack:
+        """The candidates at the true positions of ``keep``, in stack order:
+        the groups filtered, not regrouped, over the same rows."""
+        position = np.cumsum(keep) - 1
+        groups = []
+        for positions, index in self.groups:
+            kept = keep[positions]
+            if kept.any():
+                groups.append((position[positions[kept]], index[kept]))
+        return CandidateStack(
+            ids=tuple(compress(self.ids, keep)),
+            rows=self.rows,
+            first=self.first[keep],
+            counts=self.counts[keep],
+            groups=tuple(groups),
+        )
 
 
-def stack_candidates(candidates: Sequence[Candidate]) -> CandidateStack:
+def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
     """Stack the candidates' patches once, for repeated
-    :func:`stacked_predictions` calls."""
+    :func:`stacked_predictions` calls. A stack is returned as it is, so
+    every function that stacks its candidates also takes a stack."""
+    if isinstance(candidates, CandidateStack):
+        return candidates
+    candidates = list(candidates)
     counts = np.array([len(c.features) for c in candidates], dtype=np.intp)
-    starts = np.cumsum(counts) - counts
+    first = np.cumsum(counts) - counts
     groups = []
     for m in np.unique(counts):
         positions = np.flatnonzero(counts == m)
-        groups.append((positions, starts[positions, None] + np.arange(m)))
-    features = (
-        np.concatenate([c.features for c in candidates]) if candidates else np.zeros((0, 0))
+        groups.append((positions, first[positions, None] + np.arange(m)))
+    d = candidates[0].features.shape[1] if candidates else 0
+    rows = np.empty((int(counts.sum()), d + 1))
+    rows[:, -1] = 1.0
+    if candidates:
+        np.concatenate([c.features for c in candidates], out=rows[:, :-1])
+    rows.flags.writeable = False  # subsets share it
+    return CandidateStack(
+        ids=tuple(c.id for c in candidates),
+        rows=rows,
+        first=first,
+        counts=counts,
+        groups=tuple(groups),
     )
-    return CandidateStack(features=features, groups=tuple(groups), count=len(candidates))
 
 
 def stacked_predictions(
@@ -300,18 +419,28 @@ def stacked_predictions(
     ``P[j]`` equals ``predict(model, candidates[positions[j]])``."""
     if not stack.groups:
         return []
-    P = predict_features(model, stack.features)
-    out = []
-    for positions, rows in stack.groups:
-        if rows.shape[1] == 1:
+    if stack.rows.shape[1] != model.weights.shape[1]:
+        d = stack.rows.shape[1] - 1
+        raise ShapeError(f"expected (m, {model.feature_dim}) features, got (m, {d})")
+    # The rows of every group of two or more patches are gathered, group
+    # after group, and predicted in one pass; each such group's matrices
+    # are then a reshaped slice of the result.
+    multi = [index.ravel() for _, index in stack.groups if index.shape[1] > 1]
+    if multi:
+        P = _predict_rows(model.weights, stack.rows[np.concatenate(multi)])
+    out, start = [], 0
+    for positions, index in stack.groups:
+        g, m = index.shape
+        if m == 1:
             # numpy multiplies a single row through a matrix-vector routine
             # that rounds differently from the matrix product, so a
             # one-patch candidate is predicted alone to match predict().
             block = np.stack(
-                [predict_features(model, stack.features[r : r + 1]) for r in rows[:, 0]]
+                [_predict_rows(model.weights, stack.rows[r : r + 1]) for r in index[:, 0]]
             )
         else:
-            block = P[rows]
+            block = P[start : start + g * m].reshape(g, m, -1)
+            start += g * m
         out.append((positions, block))
     return out
 
@@ -319,7 +448,7 @@ def stacked_predictions(
 def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
     """Candidate-level class probabilities, one row per candidate of the
     stack: the column means of its prediction matrix."""
-    out = np.empty((stack.count, model.num_classes))
+    out = np.empty((len(stack), model.num_classes))
     for positions, P in stacked_predictions(model, stack):
         # A mean over each (m, k) matrix, not np.add.reduceat: reduceat
         # sums in another order.
@@ -327,10 +456,27 @@ def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndar
     return out
 
 
-def candidate_probabilities(model: LearnerModel, candidates: Sequence[Candidate]) -> np.ndarray:
+def candidate_probabilities(model: LearnerModel, candidates: Iterable[Candidate]) -> np.ndarray:
     """Candidate-level class probabilities, one row per candidate: the
     column means of its prediction matrix."""
     return stacked_probabilities(model, stack_candidates(candidates))
+
+
+def training_rows(
+    stack: CandidateStack, keep: np.ndarray, labels: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The patch rows of the stack's candidates at the true positions of
+    ``keep``, in stack order, gathered into a new ``(R, d + 1)`` array,
+    and ``(R,)`` labels: every patch of a candidate gets ``labels[id]``."""
+    try:
+        y = np.array([labels[i] for i in compress(stack.ids, keep)], dtype=int)
+    except KeyError as err:
+        raise InvariantError(f"candidate {err.args[0]!r} has no label for training") from None
+    first, counts = stack.first[keep], stack.counts[keep]
+    # Row r of the result is row (first + r - offset) of its candidate's
+    # run, where offset is where that candidate starts in the result.
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return stack.rows[shift + np.arange(len(shift))], np.repeat(y, counts)
 
 
 def collect_patches(
@@ -338,12 +484,6 @@ def collect_patches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack all patches of the candidates with their inherited labels:
     every patch of a candidate gets ``labels[candidate.id]``."""
-    candidates = list(candidates)
-    for c in candidates:
-        if c.id not in labels:
-            raise InvariantError(f"candidate {c.id!r} has no label for training")
-    if not candidates:
-        return np.zeros((0, 0)), np.zeros((0,), dtype=int)
-    counts = [len(c.features) for c in candidates]
-    y = np.repeat(np.array([labels[c.id] for c in candidates], dtype=int), counts)
-    return np.concatenate([c.features for c in candidates]), y
+    stack = stack_candidates(candidates)
+    rows, y = training_rows(stack, np.ones(len(stack), dtype=bool), labels)
+    return rows[:, :-1], y

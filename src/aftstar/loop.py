@@ -10,6 +10,12 @@ the labeled set, fit per the strategy's model-start policy, evaluate,
 mine H for the next step with the new model over the new labeled set,
 and append a learning-curve record.
 
+A run stacks its pool's patches once, as augmented rows in sorted-id
+order (``learner.stack_candidates``). Each step takes the unlabeled set
+it scores and the labeled set it mines H from as subsets of that stack,
+by position, and the training set's rows by one gather from it; the
+fit runs buffered SGD on those rows. The test split is stacked once too.
+
 The five named strategies differ in three choices:
 
 ==================  =========  =============  ==================
@@ -42,16 +48,17 @@ from .criteria import CriteriaConfig, classify_pattern, score_candidates
 from .datagen import infer_num_classes
 from .errors import ConfigError, InvariantError, check_integer
 from .learner import (
+    CandidateStack,
     LearnerModel,
     TrainConfig,
-    candidate_probabilities,
-    collect_patches,
-    fit,
     pretrain_m0,
     stack_candidates,
     stacked_predictions,
     stacked_probabilities,
+    training_rows,
 )
+# Bound as ``fit``, the name perfbench/tracer.py times as learner.fit.
+from .learner import fit_rows as fit
 from .metrics import ExperimentRecord, auc, macro_auc, replacing
 from .oracle import Oracle, OracleConfig, true_labels
 from .pool import Candidate, PoolState, make_pool, move_to_labeled
@@ -195,6 +202,8 @@ class StopRule:
 @dataclass
 class ExperimentState:
     pool: PoolState
+    # The pool's candidates stacked once, in sorted-id order.
+    stack: CandidateStack
     model: LearnerModel
     model_zero: LearnerModel
     records: list[ExperimentRecord]
@@ -207,17 +216,19 @@ class ExperimentState:
 
 
 def misclassified_set(
-    model: LearnerModel, labeled: Iterable[Candidate], labels: Mapping[str, int]
+    model: LearnerModel,
+    labeled: Iterable[Candidate] | CandidateStack,
+    labels: Mapping[str, int],
 ) -> set[str]:
     """Labeled candidates whose candidate-level argmax disagrees with
     their annotation in ``labels`` (argmax ties resolve to the smaller
     class index)."""
-    labeled = list(labeled)
-    for c in labeled:
-        if c.id not in labels:
-            raise InvariantError(f"candidate {c.id!r} in L is not annotated")
-    predicted = candidate_probabilities(model, labeled).argmax(axis=1)
-    return {c.id for c, k in zip(labeled, predicted) if k != labels[c.id]}
+    stack = stack_candidates(labeled)
+    for cid in stack.ids:
+        if cid not in labels:
+            raise InvariantError(f"candidate {cid!r} in L is not annotated")
+    predicted = stacked_probabilities(model, stack).argmax(axis=1).tolist()
+    return {cid for cid, k in zip(stack.ids, predicted) if k != labels[cid]}
 
 
 def build_training_set(
@@ -247,15 +258,17 @@ def run_step(
     """Execute one selection / annotation / fine-tuning step in place."""
     if not state.pool.unlabeled:
         return state
-    unlabeled_ids = sorted(state.pool.unlabeled)
+    stack = state.stack
+    labeled = stack.mask(state.pool.labels)
+    unlabeled = stack.subset(~labeled)
+    unlabeled_ids = list(unlabeled.ids)
 
     scores = None
     groups: list = []
     if strat.criterion is None:
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
-        unlabeled = [state.pool.candidates[cid] for cid in unlabeled_ids]
-        groups = stacked_predictions(state.model, stack_candidates(unlabeled))
+        groups = stacked_predictions(state.model, unlabeled)
         scores = score_candidates(groups, strat.criterion, len(unlabeled_ids))
         batch = select_batch(unlabeled_ids, scores.score, strat.sampler, state.rng)
 
@@ -265,20 +278,15 @@ def run_step(
         strat.training_set_policy, set(batch), hard, set(state.pool.labeled)
     )
     state.pool = move_to_labeled(state.pool, batch, labels)
-    X, y = collect_patches(
-        [state.pool.candidates[cid] for cid in sorted(train_ids)], state.pool.labels
-    )
-    if X.shape[0] > 0:
+    if train_ids:
+        rows = training_rows(stack, stack.mask(train_ids), state.pool.labels)
         warm = strat.model_start == CONTINUE_PREVIOUS
         base = state.model if warm else state.model_zero
-        state.model = fit(base, (X, y), state.train_cfg, warm, state.rng)
+        state.model = fit(base, rows, state.train_cfg, warm, state.rng)
 
     test_auc = evaluator(state.model)
-    state.hard = misclassified_set(
-        state.model,
-        [state.pool.candidates[cid] for cid in sorted(state.pool.labeled)],
-        state.pool.labels,
-    )
+    labeled |= stack.mask(batch)
+    state.hard = misclassified_set(state.model, stack.subset(labeled), state.pool.labels)
     pos_frac = (
         float(np.mean([labels[cid] == state.positive_class for cid in batch]))
         if batch
@@ -308,7 +316,7 @@ def run_step(
                     diversity=float(scores.diversity[i]),
                     score=float(scores.score[i]),
                 )
-                pos, group = by_count[state.pool.candidates[cid].num_patches]
+                pos, group = by_count[int(unlabeled.counts[i])]
                 P = group[np.searchsorted(pos, i)]
                 entry["pattern"] = classify_pattern(P) if P.shape[1] == 2 else None
             entries.append(entry)
@@ -379,6 +387,7 @@ def run_experiment(
     oracle = Oracle(
         candidates=pool.candidates, config=oracle_cfg, rng=rng, num_classes=num_classes
     )
+    stack = stack_candidates(pool.candidates[cid] for cid in sorted(pool.candidates))
     evaluator = make_evaluator(test_candidates, num_classes, positive_class)
     baseline = ExperimentRecord(
         step=0,
@@ -390,6 +399,7 @@ def run_experiment(
     )
     state = ExperimentState(
         pool=pool,
+        stack=stack,
         model=model_zero,
         model_zero=model_zero,
         records=[baseline],

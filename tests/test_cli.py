@@ -641,6 +641,29 @@ def test_repeated_seed_is_config_error(dataset_dir, tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ("not a list", "seeds must be a non-empty list"),
+        ([], "seeds must be a non-empty list"),
+        (["a"], "seeds: seed must be"),
+        ([2, 2], "seeds[1]: 2 repeats seeds[0]"),
+    ],
+    ids=["string", "empty", "not-integer", "repeated"],
+)
+def test_config_seeds_are_checked_when_seed_overrides_them(
+    dataset_dir, tmp_path, capsys, command, seeds, message
+):
+    strategy = {"name": "RFT", "batch_size": 5}
+    payload = one_strategy_config(command, dataset_dir, tmp_path / "o", strategy)
+    payload["seeds"] = seeds
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg, "--seed", "1"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_repeated_strategy_label_in_compare_is_config_error(dataset_dir, tmp_path, capsys):
     strategies = [
         {"name": "RFT", "batch_size": 5},

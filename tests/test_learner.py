@@ -17,6 +17,7 @@ from aftstar.learner import (
     row_sum,
     stack_candidates,
     stacked_predictions,
+    training_rows,
 )
 from aftstar.pool import Candidate
 
@@ -135,7 +136,9 @@ def sgd_reference(weights, X, y, cfg, lr0, rng):
 
 @pytest.mark.parametrize("num_classes", [2, 3, 9])
 @pytest.mark.parametrize("warm", [True, False])
-@pytest.mark.parametrize("n", [20, 32, 96, 75])  # below, equal to, multiple of, and not a multiple of 32
+# One row; below, equal to, multiple of, and not a multiple of 32; and a last
+# minibatch of one row, which numpy multiplies as a matrix-vector product.
+@pytest.mark.parametrize("n", [1, 20, 32, 96, 75, 33])
 def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
     rng = np.random.default_rng(100 * num_classes + n)
     d = 6
@@ -253,13 +256,40 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
     rng = np.random.default_rng(num_classes)
     model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
     candidates = ragged_candidates(num_classes)
-    groups = stacked_predictions(model, stack_candidates(candidates))
-    positions = np.concatenate([pos for pos, _ in groups])
-    assert sorted(positions.tolist()) == list(range(len(candidates)))
-    for pos, P in groups:
-        assert P.shape == (len(pos), candidates[pos[0]].num_patches, num_classes)
-        for i, block in zip(pos, P):
-            assert np.array_equal(block, predict(model, candidates[i]))
+    labels = {c.id: i % num_classes for i, c in enumerate(candidates)}
+    stack = stack_candidates(candidates)
+    assert not stack.rows.flags.writeable  # subsets share the rows
+    n = len(candidates)
+    subsets = {
+        "none": np.zeros(n, dtype=bool),
+        "one": np.arange(n) == 4,  # a one-patch candidate
+        "every other": np.arange(n) % 2 == 1,
+        "all": np.ones(n, dtype=bool),
+    }
+    for name, keep in subsets.items():
+        chosen = [c for c, k in zip(candidates, keep) if k]
+        assert np.array_equal(stack.mask([c.id for c in chosen]), keep), name
+        sub = stack.subset(keep)
+        assert sub.ids == tuple(c.id for c in chosen), name
+        groups = stacked_predictions(model, sub)
+        positions = [i for pos, _ in groups for i in pos.tolist()]
+        assert sorted(positions) == list(range(len(chosen))), name
+        for pos, P in groups:
+            assert P.shape == (len(pos), chosen[pos[0]].num_patches, num_classes)
+            assert (np.diff(pos) > 0).all(), name  # the audit searches them
+            for i, block in zip(pos, P):
+                assert np.array_equal(block, predict(model, chosen[i])), name
+        rows, y = training_rows(stack, keep, labels)
+        rows_of_subset, y_of_subset = training_rows(sub, np.ones(len(sub), dtype=bool), labels)
+        assert np.array_equal(rows_of_subset, rows) and np.array_equal(y_of_subset, y), name
+        assert rows.shape == (sum(c.num_patches for c in chosen), 6), name
+        if chosen:
+            X, y_collected = collect_patches(chosen, labels)
+            assert np.array_equal(rows, _augment(X)), name
+            assert np.array_equal(y, y_collected), name
+            assert np.array_equal(X, np.concatenate([c.features for c in chosen])), name
+        else:
+            assert y.shape == (0,), name
 
 
 def test_stacked_predictions_of_no_candidates_are_empty():

@@ -2,7 +2,8 @@
 grid, then one per artifact of a ragged ``aftstar compare``, then one per
 split of a generated dataset as it is read back, then one per learning
 curve of a nine-class run, then one of a two-class selection audit, then
-one of a learning curve with a noisy oracle.
+one of a learning curve with a noisy oracle, then one of two runs on a
+pool with one-patch candidates.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -41,6 +42,16 @@ The noisy oracle: AFT*-entropy^a_w on ``standard_benchmark(1)`` with
 draws sit between the selection's and the fit's. The line is
 ``noise=0.1 <strategy label> seed=1 <sha256>``, digested like the grid.
 
+The one-patch pool: ``inputs.Blobs`` with 1 to 3 patches per candidate
+(two classes, 400 train and 200 test candidates, 6 features; seed 5),
+written with ``write_dataset`` and read back by ``datagen.load_dataset``,
+with AFT*-entropy^a_w and RFT, seed 1, budget 300, batch 20. Its
+one-patch candidates take the prediction path that predicts such a
+candidate alone. The line is ``one-patch <sha256>`` over the grid-style
+digest of both runs' records, one run after the other, followed by the
+bytes of the AFT* run's selection audit, whose scores keep every bit of
+the predictions they come from.
+
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
 
@@ -70,7 +81,7 @@ from aftstar import datagen  # noqa: E402
 from aftstar.datagen import DatagenConfig, generate, standard_benchmark  # noqa: E402
 from aftstar.learner import TrainConfig  # noqa: E402
 from aftstar.loop import CRITERION_PRESETS, StopRule, make_strategy, run_experiment  # noqa: E402
-from inputs import RAGGED, write_dataset  # noqa: E402
+from inputs import RAGGED, Blobs, write_dataset  # noqa: E402
 
 SEEDS = range(1, 6)
 BUDGET = 300
@@ -82,6 +93,7 @@ COMPARE_STRATEGIES = [
     {"name": "AFT", "criterion": "diversity^a", "batch_size": BATCH},
     {"name": "RFT", "batch_size": BATCH},
 ]
+ONE_PATCH = Blobs(class_weights=(0.4, 0.6), train=400, test=200, m_lo=1, m_hi=3, dim=6)
 NINE_CLASSES = DatagenConfig(num_classes=9, class_weights=(1 / 9,) * 9, feature_dim=10, seed=1)
 
 
@@ -163,6 +175,20 @@ def main() -> None:
         oracle_noise=NOISE,
     )
     print(f"noise={NOISE} {strategy.label} seed=1 {digest(records)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(ONE_PATCH, 5, Path(tmp))
+        train, test, _ = datagen.load_dataset(Path(tmp))
+        audit = Path(tmp, "audit.jsonl")
+        records = run_experiment(
+            train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1,
+            audit_path=audit,
+        )
+        records += run_experiment(
+            train, test, make_strategy("RFT", batch_size=BATCH), TrainConfig(),
+            StopRule(query_budget=BUDGET), 1,
+        )
+        h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
+    print(f"one-patch {h}", flush=True)
 
 
 if __name__ == "__main__":
