@@ -36,7 +36,7 @@ from .loop import (
 )
 from .metrics import ExperimentRecord, LearningCurve, alc, auc
 from .oracle import Oracle, OracleConfig
-from .pool import Candidate, PoolState, make_pool, move_to_labeled
+from .pool import Candidate
 from .sampler import SamplerConfig, sampling_probabilities, select_batch, select_from_scores
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "LearningCurve",
     "Oracle",
     "OracleConfig",
-    "PoolState",
     "SamplerConfig",
     "StopRule",
     "StrategyConfig",
@@ -68,9 +67,7 @@ __all__ = [
     "generate",
     "load_csv",
     "majority_subset",
-    "make_pool",
     "make_strategy",
-    "move_to_labeled",
     "predict",
     "pretrain_m0",
     "run_experiment",

@@ -14,9 +14,10 @@ unknown keys are errors. Each section (``strategy``, ``strategies[i]``,
 ``datagen``) takes the parameters of what it configures, a config
 dataclass or ``make_strategy``, which checks its own values. Seeds must
 not repeat, nor may strategy labels within one ``compare``: each names
-its own artifacts. Exit codes: 0 success, 1 config error, 2 runtime
-error. The environment variable ``AFTSTAR_OUTPUT_DIR`` provides the
-default output directory.
+its own artifacts. A ``query_budget`` of 0 is a config error, since a
+learning curve needs at least one query. Exit codes: 0 success, 1
+config error, 2 runtime error. The environment variable
+``AFTSTAR_OUTPUT_DIR`` provides the default output directory.
 """
 
 from __future__ import annotations
@@ -232,9 +233,12 @@ def _parse_run(cfg: dict, args, where: str):
     positive_class = cfg.get("positive_class", 0)
     with _section("positive_class"):
         check_integer("positive_class", positive_class, 0)
+    stop = _parse_fields(StopRule, cfg.get("stop", {}), "stop")
+    if stop.query_budget == 0:
+        raise ConfigError("stop: query_budget must be >= 1: a learning curve needs a query")
     settings = (
         _parse_fields(TrainConfig, cfg.get("learner", {}), "learner"),
-        _parse_fields(StopRule, cfg.get("stop", {}), "stop"),
+        stop,
         _parse_fields(OracleConfig, cfg.get("oracle", {}), "oracle"),
         positive_class,
     )

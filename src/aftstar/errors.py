@@ -13,11 +13,7 @@ class ConfigError(AftError):
 
 
 class PartitionError(AftError):
-    """The labeled/unlabeled pool partition would be violated."""
-
-
-class LabelDomainError(AftError):
-    """A class label lies outside [0, num_classes)."""
+    """A candidate id is repeated in the pool or unknown to it."""
 
 
 class ShapeError(AftError):

@@ -400,7 +400,14 @@ def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
     rows = np.empty((int(counts.sum()), d + 1))
     rows[:, -1] = 1.0
     if candidates:
-        np.concatenate([c.features for c in candidates], out=rows[:, :-1])
+        try:
+            np.concatenate([c.features for c in candidates], out=rows[:, :-1])
+        except ValueError:
+            odd = next(c for c in candidates if c.features.shape[1] != d)
+            raise ShapeError(
+                f"candidate {odd.id!r} has {odd.features.shape[1]} features, "
+                f"candidate {candidates[0].id!r} has {d}"
+            ) from None
     rows.flags.writeable = False  # subsets share it
     return CandidateStack(
         ids=tuple(c.id for c in candidates),

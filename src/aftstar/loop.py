@@ -5,16 +5,20 @@ model, from one prediction pass over the whole unlabeled set whose
 patch-count groups go straight to one batched scoring pass (both skipped
 for random selection), select a batch, ask the oracle for labels, build
 the training set per the strategy policy from the batch and the
-misclassified set H that the previous step mined, move the batch into
-the labeled set, fit per the strategy's model-start policy, evaluate,
-mine H for the next step with the new model over the new labeled set,
-and append a learning-curve record.
+misclassified set H that the previous step mined, add the batch's
+labels to the labeled set, fit per the strategy's model-start policy,
+evaluate, mine H for the next step with the new model over the new
+labeled set, and append a learning-curve record.
 
-A run stacks its pool's patches once, as augmented rows in sorted-id
-order (``learner.stack_candidates``). Each step takes the unlabeled set
-it scores and the labeled set it mines H from as subsets of that stack,
-by position, and the training set's rows by one gather from it; the
-fit runs buffered SGD on those rows. The test split is stacked once too.
+The labeled set L is one id -> label map, ``ExperimentState.labels``:
+L is its key set, in labeling order, and each step adds the oracle's
+answers for its batch. A run stacks its pool's patches once, as
+augmented rows in sorted-id order (``learner.stack_candidates``). The
+unlabeled set U is the stack's candidates outside L. Each step takes U,
+which it scores, and L, which it mines H from, as subsets of that
+stack, by position, and the training set's rows by one gather from it;
+the fit runs buffered SGD on those rows. The test split is stacked once
+too.
 
 The five named strategies differ in three choices:
 
@@ -40,13 +44,13 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .criteria import CriteriaConfig, classify_pattern, score_candidates
 from .datagen import infer_num_classes
-from .errors import ConfigError, InvariantError, check_integer
+from .errors import ConfigError, InvariantError, PartitionError, check_integer
 from .learner import (
     CandidateStack,
     LearnerModel,
@@ -61,7 +65,7 @@ from .learner import (
 from .learner import fit_rows as fit
 from .metrics import ExperimentRecord, auc, macro_auc, replacing
 from .oracle import Oracle, OracleConfig, true_labels
-from .pool import Candidate, PoolState, make_pool, move_to_labeled
+from .pool import Candidate
 from .sampler import SamplerConfig, uniform_batch
 # Bound as ``select_batch``, the name perfbench/tracer.py times as sampler.select.
 from .sampler import select_from_scores as select_batch
@@ -187,7 +191,8 @@ def make_strategy(
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop on query budget, pool exhaustion, or an optional AUC target."""
+    """Stop on query budget, pool exhaustion, or an optional AUC target,
+    which only a step's record can meet, not the baseline's."""
 
     query_budget: int | None = None
     auc_target: float | None = None
@@ -201,7 +206,11 @@ class StopRule:
 
 @dataclass
 class ExperimentState:
-    pool: PoolState
+    """One run's state. ``labels`` is the run's only record of the
+    labeled set L: L is its key set, in labeling order, and U is the
+    stack's candidates outside it. A record's step number is
+    ``len(records)`` when it is appended, after the baseline row."""
+
     # The pool's candidates stacked once, in sorted-id order.
     stack: CandidateStack
     model: LearnerModel
@@ -210,6 +219,7 @@ class ExperimentState:
     rng: np.random.Generator
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
+    labels: dict[str, int] = field(default_factory=dict)
     # H: the ids in L that ``model`` misclassifies, mined at the end of
     # each step for the next one. Empty while L is.
     hard: set[str] = field(default_factory=set)
@@ -232,7 +242,7 @@ def misclassified_set(
 
 
 def build_training_set(
-    policy: str, batch: set[str], misclassified: set[str], labeled: set[str]
+    policy: str, batch: set[str], misclassified: set[str], labeled: AbstractSet[str]
 ) -> set[str]:
     """Candidate ids to train on this step, per the strategy policy."""
     if batch & labeled:
@@ -255,11 +265,10 @@ def run_step(
     evaluator: Callable[[LearnerModel], float],
     audit=None,
 ) -> ExperimentState:
-    """Execute one selection / annotation / fine-tuning step in place."""
-    if not state.pool.unlabeled:
-        return state
+    """Execute one selection / annotation / fine-tuning step in place, on
+    a pool with at least one unlabeled candidate."""
     stack = state.stack
-    labeled = stack.mask(state.pool.labels)
+    labeled = stack.mask(state.labels)
     unlabeled = stack.subset(~labeled)
     unlabeled_ids = list(unlabeled.ids)
 
@@ -275,27 +284,27 @@ def run_step(
     labels = oracle.query(batch)
     hard = state.hard
     train_ids = build_training_set(
-        strat.training_set_policy, set(batch), hard, set(state.pool.labeled)
+        strat.training_set_policy, set(batch), hard, state.labels.keys()
     )
-    state.pool = move_to_labeled(state.pool, batch, labels)
+    state.labels.update(labels)
     if train_ids:
-        rows = training_rows(stack, stack.mask(train_ids), state.pool.labels)
+        rows = training_rows(stack, stack.mask(train_ids), state.labels)
         warm = strat.model_start == CONTINUE_PREVIOUS
         base = state.model if warm else state.model_zero
         state.model = fit(base, rows, state.train_cfg, warm, state.rng)
 
     test_auc = evaluator(state.model)
     labeled |= stack.mask(batch)
-    state.hard = misclassified_set(state.model, stack.subset(labeled), state.pool.labels)
+    state.hard = misclassified_set(state.model, stack.subset(labeled), state.labels)
     pos_frac = (
         float(np.mean([labels[cid] == state.positive_class for cid in batch]))
         if batch
         else 0.0
     )
     record = ExperimentRecord(
-        step=state.pool.step,
-        queries_cum=len(state.pool.labeled),
-        labeled_count=len(state.pool.labeled),
+        step=len(state.records),
+        queries_cum=len(state.labels),
+        labeled_count=len(state.labels),
         test_auc=test_auc,
         selected_positive_fraction=pos_frac,
         misclassified_count_pre_fit=len(hard),
@@ -368,9 +377,18 @@ def run_experiment(
     """Run one full experiment; returns the baseline row plus one record
     per step. Deterministic given (dataset, strategy, config, seed). The
     class count comes from the labels of both splits
-    (:func:`~aftstar.datagen.infer_num_classes`)."""
+    (:func:`~aftstar.datagen.infer_num_classes`). The run stops when the
+    query budget is spent, when the pool is all labeled, or when a
+    step's test AUC reaches ``auc_target``: the baseline's AUC is not
+    compared with it, so every run with a budget above 0 makes its first
+    query."""
     if not train_candidates or not test_candidates:
         raise ConfigError("train and test candidate sets must be non-empty")
+    candidates: dict[str, Candidate] = {}
+    for c in train_candidates:
+        if c.id in candidates:
+            raise PartitionError(f"duplicate candidate id {c.id!r}")
+        candidates[c.id] = c
     num_classes = infer_num_classes([*train_candidates, *test_candidates])
     if not (0 <= positive_class < num_classes):
         raise ConfigError("positive_class outside the label range")
@@ -383,11 +401,8 @@ def run_experiment(
     rng = np.random.default_rng(seed)
     d = train_candidates[0].feature_dim
     model_zero = pretrain_m0(None, train_cfg, rng, feature_dim=d, num_classes=num_classes)
-    pool = make_pool(train_candidates, num_classes)
-    oracle = Oracle(
-        candidates=pool.candidates, config=oracle_cfg, rng=rng, num_classes=num_classes
-    )
-    stack = stack_candidates(pool.candidates[cid] for cid in sorted(pool.candidates))
+    oracle = Oracle(candidates=candidates, config=oracle_cfg, rng=rng, num_classes=num_classes)
+    stack = stack_candidates(candidates[cid] for cid in sorted(candidates))
     evaluator = make_evaluator(test_candidates, num_classes, positive_class)
     baseline = ExperimentRecord(
         step=0,
@@ -398,7 +413,6 @@ def run_experiment(
         misclassified_count_pre_fit=0,
     )
     state = ExperimentState(
-        pool=pool,
         stack=stack,
         model=model_zero,
         model_zero=model_zero,
@@ -410,13 +424,12 @@ def run_experiment(
 
     audit_file = replacing(audit_path) if audit_path is not None else contextlib.nullcontext()
     with audit_file as audit:
-        while True:
-            queries = len(state.pool.labeled)
+        while len(state.labels) < len(stack):
+            queries = len(state.labels)
             if stop.query_budget is not None and queries >= stop.query_budget:
                 break
-            if not state.pool.unlabeled:
-                break
-            if stop.auc_target is not None and state.records[-1].test_auc >= stop.auc_target:
+            last = state.records[-1]
+            if stop.auc_target is not None and last.step > 0 and last.test_auc >= stop.auc_target:
                 break
             step_strat = strat
             if stop.query_budget is not None:

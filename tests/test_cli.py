@@ -664,6 +664,32 @@ def test_config_seeds_are_checked_when_seed_overrides_them(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_budget_zero_is_config_error(dataset_dir, tmp_path, capsys, command):
+    strategy = {"name": "RFT", "batch_size": 5}
+    payload = one_strategy_config(command, dataset_dir, tmp_path / "o", strategy)
+    payload["stop"] = {"query_budget": 0}
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == 1
+    assert "config error: stop: query_budget must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_auc_target_met_by_the_start_model_still_makes_the_first_query(
+    dataset_dir, tmp_path, command
+):
+    out = tmp_path / "o"
+    payload = one_strategy_config(command, dataset_dir, out, {"name": "RFT", "batch_size": 5})
+    payload["stop"] = {"query_budget": 20, "auc_target": 0.01}
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == 0
+    with open(out / "curve_RFT_seed1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # the baseline row, then the first step's, whose AUC meets the target
+    assert [int(row["queries_cum"]) for row in rows] == [0, 5]
+
+
 def test_repeated_strategy_label_in_compare_is_config_error(dataset_dir, tmp_path, capsys):
     strategies = [
         {"name": "RFT", "batch_size": 5},

@@ -297,6 +297,30 @@ def test_stacked_predictions_of_no_candidates_are_empty():
     assert stacked_predictions(model, stack_candidates([])) == []
 
 
+def test_candidates_of_mixed_feature_dims_are_a_shape_error():
+    from aftstar.loop import StopRule, make_strategy, misclassified_set, run_experiment
+
+    model = LearnerModel(weights=np.zeros((2, 5)))
+    even = [make_candidate(cid, d=4, seed=i, label=i % 2) for i, cid in enumerate("abcd")]
+    odd = even[:2] + [make_candidate("x", d=3, label=0)] + even[2:]
+    labels = {c.id: c.true_label for c in odd}
+    message = "candidate 'x' has 3 features, candidate 'a' has 4"
+    calls = {
+        "stack": lambda: stack_candidates(odd),
+        "probabilities": lambda: candidate_probabilities(model, odd),
+        "misclassified": lambda: misclassified_set(model, odd, labels),
+    }
+    for split in ("train", "test"):
+        data = {"train": even, "test": even, split: odd}
+        calls[f"run {split}"] = lambda data=data: run_experiment(
+            data["train"], data["test"], make_strategy("RFT", batch_size=1),
+            TrainConfig(epochs=1), StopRule(query_budget=1), 1,
+        )
+    for name, call in calls.items():
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+
 # --- candidate probabilities ------------------------------------------------
 
 @pytest.mark.parametrize("num_classes", [2, 3])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aftstar.loop as loop_mod
 from aftstar.criteria import CriteriaConfig
 from aftstar.datagen import DatagenConfig, generate
-from aftstar.errors import ConfigError, InvariantError
+from aftstar.errors import ConfigError, InvariantError, PartitionError
 from aftstar.learner import LearnerModel, TrainConfig
 from aftstar.loop import (
     STRATEGY_TABLE,
@@ -475,6 +477,55 @@ def test_invalid_positive_class_rejected():
             train, test, make_strategy("RFT", batch_size=5), FAST_TRAIN,
             StopRule(query_budget=10), 1, positive_class=5,
         )
+
+
+def test_repeated_train_id_is_rejected_before_any_query(monkeypatch):
+    from aftstar.oracle import Oracle
+
+    train, test = tiny_dataset()
+    queried = []
+    monkeypatch.setattr(Oracle, "query", lambda self, ids: queried.append(ids))
+    with pytest.raises(PartitionError, match=f"duplicate candidate id {train[5].id!r}"):
+        run_experiment(
+            [*train, train[5]], test, make_strategy("RFT", batch_size=5), FAST_TRAIN,
+            StopRule(query_budget=10), 1,
+        )
+    assert queried == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 15),
+    budget=st.one_of(st.none(), st.integers(1, 50)),
+    name=st.sampled_from(["RFT", "AFT_star"]),
+    seed=st.integers(0, 3),
+)
+def test_each_step_labels_a_clipped_batch_of_new_ids(batch, budget, name, seed):
+    import unittest.mock as mock
+
+    train, test = tiny_dataset()
+    oracles = []
+    real_oracle = loop_mod.Oracle
+
+    def spy_oracle(*args, **kwargs):
+        oracles.append(real_oracle(*args, **kwargs))
+        return oracles[-1]
+
+    strategy = make_strategy(name, criterion="entropy^a_w", batch_size=batch)
+    with mock.patch.object(loop_mod, "Oracle", side_effect=spy_oracle):
+        records = run_experiment(
+            train, test, strategy, FAST_TRAIN, StopRule(query_budget=budget), seed
+        )
+    (oracle,) = oracles
+    limit = len(train) if budget is None else min(budget, len(train))
+    assert len(oracle.access_log) == len(set(oracle.access_log)) == limit
+    assert [r.step for r in records] == list(range(len(records)))
+    for before, after in zip(records, records[1:]):
+        # min(batch, budget left, unlabeled left)
+        assert after.labeled_count - before.labeled_count == min(
+            batch, limit - before.labeled_count
+        )
+    assert records[-1].labeled_count == limit
 
 
 # --- the misclassified set H on a larger pool ---------------------------------

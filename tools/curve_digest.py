@@ -3,7 +3,8 @@ grid, then one per artifact of a ragged ``aftstar compare``, then one per
 split of a generated dataset as it is read back, then one per learning
 curve of a nine-class run, then one of a two-class selection audit, then
 one of a learning curve with a noisy oracle, then one of two runs on a
-pool with one-patch candidates.
+pool with one-patch candidates, then one of two runs that label their
+whole pool.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -52,6 +53,13 @@ digest of both runs' records, one run after the other, followed by the
 bytes of the AFT* run's selection audit, whose scores keep every bit of
 the predictions they come from.
 
+The exhausted pool: ``generate(DatagenConfig(train_candidates=50,
+test_candidates=30, seed=2))`` with AFT*-entropy^a_w and RFT, seed 1,
+batch 20 and no query budget, so each run stops when its pool is all
+labeled, after steps of 20, 20 and a clipped last batch of 10. The line
+is ``exhausted <sha256>`` over the grid-style digest of both runs'
+records, one run after the other.
+
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
 
@@ -95,6 +103,7 @@ COMPARE_STRATEGIES = [
 ]
 ONE_PATCH = Blobs(class_weights=(0.4, 0.6), train=400, test=200, m_lo=1, m_hi=3, dim=6)
 NINE_CLASSES = DatagenConfig(num_classes=9, class_weights=(1 / 9,) * 9, feature_dim=10, seed=1)
+EXHAUSTED = DatagenConfig(train_candidates=50, test_candidates=30, seed=2)
 
 
 def grid():
@@ -189,6 +198,11 @@ def main() -> None:
         )
         h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
     print(f"one-patch {h}", flush=True)
+    train, test, _ = generate(EXHAUSTED)
+    records = []
+    for strategy in (strategy, make_strategy("RFT", batch_size=BATCH)):
+        records += run_experiment(train, test, strategy, TrainConfig(), StopRule(), 1)
+    print(f"exhausted {digest(records)}", flush=True)
 
 
 if __name__ == "__main__":
