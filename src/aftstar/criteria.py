@@ -21,13 +21,18 @@ are not re-normalized after clamping.
 :func:`score_candidates` scores a whole list of candidates at once, from
 their prediction matrices grouped by shape as
 ``learner.stacked_predictions`` gives them: it checks each group's
-``(n, m, k)`` array once and takes the dominant class, the majority
-subset (a per-row sort), entropy and diversity as array operations over
-the group. It returns one :class:`CandidateScores` of arrays, one entry
-per candidate, and builds no per-candidate object. The single-matrix
-functions check their one matrix and are the ``n = 1`` case of the same
-private helpers, which check nothing; :func:`score_candidate` returns
-its one result as a :class:`CandidateScore`.
+``(n, m, k)`` array once and takes the dominant class and the majority
+subset (a per-row sort) as array operations over the group. It computes
+a term only when its weight is above 0: entropy when ``lambda1 > 0``,
+diversity when ``lambda2 > 0``, so the four ``entropy`` presets never
+compute diversity to rank. It returns one :class:`CandidateScores` of
+arrays, one entry per candidate, and builds no per-candidate object; a
+term it skipped is computed from the kept majority subsets when it is
+read, for all candidates or for a few, with the bits of the eager
+computation. The single-matrix functions check their one matrix and are
+the ``n = 1`` case of the same private helpers, which check nothing;
+:func:`score_candidate` returns its one result as a
+:class:`CandidateScore`.
 
 The dominant class and the majority subset do not depend on the order
 of a matrix's rows: near-ties in the column sums are summed again
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -99,16 +105,60 @@ class CandidateScore:
     subset_size: int
 
 
-@dataclass(frozen=True)
 class CandidateScores:
     """Scoring results for a list of candidates, as arrays in position
-    order: entry ``i`` of each array belongs to the ``i``-th candidate."""
+    order: entry ``i`` of each array belongs to the ``i``-th candidate.
 
-    dominant: np.ndarray
-    entropy: np.ndarray
-    diversity: np.ndarray
-    score: np.ndarray
-    subset_size: np.ndarray
+    ``dominant``, ``score`` and ``subset_size`` are computed by
+    :func:`score_candidates`. So are ``entropy`` and ``diversity`` when
+    their weight is above 0; a term that was not is computed from the
+    majority subsets on first read of the attribute, or by :meth:`terms`
+    for a few candidates only. Either way it has the bits of the eager
+    computation: a term of one candidate does not depend on the others
+    in its group.
+    """
+
+    def __init__(self, dominant, subset_size, score, subsets, entropy=None, diversity=None):
+        self.dominant = dominant
+        self.subset_size = subset_size
+        self.score = score
+        # (positions, majority subsets) of each patch-count group.
+        self._subsets = subsets
+        self._full = {"entropy": entropy, "diversity": diversity}
+
+    @property
+    def entropy(self) -> np.ndarray:
+        return self._term("entropy", _entropy)
+
+    @property
+    def diversity(self) -> np.ndarray:
+        return self._term("diversity", _diversity)
+
+    def _term(self, name: str, term) -> np.ndarray:
+        if self._full[name] is None:
+            self._full[name] = _per_group(term, self._subsets, len(self.score))
+        return self._full[name]
+
+    def terms(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Entropy and diversity of the candidates at ``positions``. A term
+        not computed yet is computed for these candidates only."""
+        positions = np.asarray(positions, dtype=np.intp)
+        return (
+            self._term_at("entropy", _entropy, positions),
+            self._term_at("diversity", _diversity, positions),
+        )
+
+    def _term_at(self, name: str, term, positions: np.ndarray) -> np.ndarray:
+        full = self._full[name]
+        if full is not None:
+            return full[positions]
+        out = np.empty(len(positions))
+        for group_positions, subset in self._subsets:
+            rows = np.searchsorted(group_positions, positions).clip(max=len(group_positions) - 1)
+            here = group_positions[rows] == positions
+            if here.any():
+                out[here] = term(subset[rows[here]])
+        return out
 
 
 def check_prediction_matrix(P) -> np.ndarray:
@@ -171,6 +221,15 @@ def _diversity(P: np.ndarray) -> np.ndarray:
     return row_sum(np.maximum(per_class, 0.0))
 
 
+def _per_group(term, subsets, count: int) -> np.ndarray:
+    """``term`` of every candidate, in position order, from ``(positions,
+    subset)`` pairs that cover ``range(count)``."""
+    out = np.empty(count)
+    for positions, subset in subsets:
+        out[positions] = term(subset)
+    return out
+
+
 def dominant_class(P) -> int:
     """Class with the largest column sum (ties go to the smaller index).
 
@@ -219,14 +278,19 @@ def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores
     ``P[j]`` the prediction matrix of the candidate at position
     ``positions[j]``. The positions must cover ``range(count)`` exactly
     once. Returns the scores in position order.
+
+    Entropy is computed here only when ``lambda1 > 0``, and diversity
+    only when ``lambda2 > 0``; the other term is left to the returned
+    :class:`CandidateScores`. The score keeps the bits of
+    ``lambda1 * e + lambda2 * d``: entropy is > 0 and diversity >= +0.0,
+    so a zero weight's product is a zero that adds as ``0.0``.
     """
     covered = np.sort(np.concatenate([positions for positions, _ in groups] or [[]]))
     if not np.array_equal(covered, np.arange(count)):
         raise ShapeError(f"group positions must cover each of the {count} positions once")
     dominant = np.empty(count, dtype=np.intp)
-    entropies = np.empty(count)
-    diversities = np.empty(count)
     subset_sizes = np.empty(count, dtype=np.intp)
+    subsets = []
     for positions, P in groups:
         P = np.asarray(P, dtype=float)
         if P.ndim != 3 or P.shape[0] != len(positions):
@@ -236,15 +300,23 @@ def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores
         group_dominant = _dominant(P)
         subset = _majority(P, cfg.alpha, group_dominant)
         dominant[positions] = group_dominant
-        entropies[positions] = _entropy(subset)
-        diversities[positions] = _diversity(subset)
         subset_sizes[positions] = subset.shape[1]
+        subsets.append((positions, subset))
+    entropies = _per_group(_entropy, subsets, count) if cfg.lambda1 > 0 else None
+    diversities = _per_group(_diversity, subsets, count) if cfg.lambda2 > 0 else None
+    if diversities is None:
+        score = cfg.lambda1 * entropies + 0.0
+    elif entropies is None:
+        score = 0.0 + cfg.lambda2 * diversities
+    else:
+        score = cfg.lambda1 * entropies + cfg.lambda2 * diversities
     return CandidateScores(
         dominant=dominant,
+        subset_size=subset_sizes,
+        score=score,
+        subsets=subsets,
         entropy=entropies,
         diversity=diversities,
-        score=cfg.lambda1 * entropies + cfg.lambda2 * diversities,
-        subset_size=subset_sizes,
     )
 
 

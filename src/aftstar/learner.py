@@ -24,9 +24,10 @@ weights are those of the unbuffered loop to the bit.
 A candidate list is stacked once. :func:`stack_candidates` copies its
 patches into one array of augmented rows (bias column appended) and
 groups the candidates by patch count ``m``. A :meth:`CandidateStack.subset`
-takes candidates by position: it filters the groups and shares the
-rows, so a run stacks its pool once and takes each step's unlabeled and
-labeled sets from that stack. :func:`training_rows` takes the rows of
+takes candidates by position: it filters the groups' positions in one
+pass over their concatenation, slices the result per group and shares
+the rows, so a run stacks its pool once and takes each step's unlabeled
+and labeled sets from that stack. :func:`training_rows` takes the rows of
 the candidates at given positions in one gather, and
 :func:`stacked_predictions` predicts the rows of every group in one
 pass and gives each group's prediction matrices as one ``(g, m, k)``
@@ -365,15 +366,31 @@ class CandidateStack:
         keep[np.fromiter(map(self._position.__getitem__, ids), np.intp, len(ids))] = True
         return keep
 
+    @cached_property
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
+        """The groups' positions, concatenated in group order, and where
+        each group starts in that array."""
+        sizes = [len(positions) for positions, _ in self.groups]
+        starts = np.cumsum([0, *sizes[:-1]])
+        return np.concatenate([positions for positions, _ in self.groups]), starts
+
     def subset(self, keep: np.ndarray) -> CandidateStack:
         """The candidates at the true positions of ``keep``, in stack order:
-        the groups filtered, not regrouped, over the same rows."""
-        position = np.cumsum(keep) - 1
+        the groups filtered, not regrouped, over the same rows. The groups'
+        positions are filtered in one pass over their concatenation, then
+        sliced per group."""
         groups = []
-        for positions, index in self.groups:
-            kept = keep[positions]
-            if kept.any():
-                groups.append((position[positions[kept]], index[kept]))
+        if self.groups:
+            order, starts = self._grouped
+            kept = keep[order]
+            sizes = np.add.reduceat(kept, starts, dtype=np.intp).tolist()
+            positions = (np.cumsum(keep) - 1)[order[kept]]
+            taken = 0
+            for (_, index), start, size in zip(self.groups, starts.tolist(), sizes):
+                if size:
+                    kept_index = index[kept[start : start + len(index)]]
+                    groups.append((positions[taken : taken + size], kept_index))
+                    taken += size
         return CandidateStack(
             ids=tuple(compress(self.ids, keep)),
             rows=self.rows,

@@ -312,23 +312,23 @@ def run_step(
     state.records.append(record)
 
     if audit is not None:
-        # Each patch count has one group, whose positions are ascending.
-        by_count = {group.shape[1]: (pos, group) for pos, group in groups}
-        entries = []
-        for cid in batch:
-            entry: dict = {"id": cid, "label": labels[cid]}
-            if scores is not None:
-                i = bisect.bisect_left(unlabeled_ids, cid)
-                entry.update(
-                    dominant=int(scores.dominant[i]),
-                    entropy=float(scores.entropy[i]),
-                    diversity=float(scores.diversity[i]),
-                    score=float(scores.score[i]),
-                )
+        entries = [{"id": cid, "label": labels[cid]} for cid in batch]
+        if scores is not None:
+            # Each patch count has one group, whose positions are ascending.
+            by_count = {group.shape[1]: (pos, group) for pos, group in groups}
+            picked = [bisect.bisect_left(unlabeled_ids, cid) for cid in batch]
+            # A term the criterion does not weight is computed for the batch only.
+            entropies, diversities = scores.terms(picked)
+            for entry, i, e, d in zip(entries, picked, entropies.tolist(), diversities.tolist()):
                 pos, group = by_count[int(unlabeled.counts[i])]
                 P = group[np.searchsorted(pos, i)]
-                entry["pattern"] = classify_pattern(P) if P.shape[1] == 2 else None
-            entries.append(entry)
+                entry.update(
+                    dominant=int(scores.dominant[i]),
+                    entropy=e,
+                    diversity=d,
+                    score=float(scores.score[i]),
+                    pattern=classify_pattern(P) if P.shape[1] == 2 else None,
+                )
         audit.write(
             json.dumps(
                 {

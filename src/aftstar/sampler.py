@@ -17,6 +17,20 @@ negated scores, so equal scores (``0.0`` and ``-0.0`` included) keep
 the id order. :func:`select_batch` takes :class:`CandidateScore`
 objects instead; it orders them by id and hands them to the same
 function.
+
+:func:`select_from_scores` checks its scores once, at the top: a 1-d
+array of one finite value per id, or :class:`~aftstar.errors.ShapeError`.
+The randomized draw then checks nothing more. Each draw takes the
+remaining probabilities ``p``, divided by their sum, and does what
+``Generator.choice(n, p=p / total)`` does inside for one value, without
+its validation of the whole window:
+``cdf = (p / total).cumsum()``, ``cdf /= cdf[-1]``, and the index is
+``cdf.searchsorted(rng.random(), side="right")``. So the picks, and the
+generator's state after them, follow numpy's ``choice`` algorithm; if a
+numpy release changes that algorithm, the differential test
+``tests/test_sampler.py::test_draw_equals_generator_choice`` fails.
+Once every remaining probability is zero, a draw is
+``rng.choice`` over the window members not yet chosen.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .criteria import CandidateScore
-from .errors import ConfigError, SamplingWindowError, check_integer
+from .errors import ConfigError, SamplingWindowError, ShapeError, check_integer
 
 MODES = ("top_b", "randomized", "uniform_random")
 
@@ -54,6 +68,11 @@ def sampling_probabilities(sorted_scores: Sequence[float], window: int) -> np.nd
     ``(a_i - a_w) / (a_1 - a_w)`` and the results are divided by their
     sum; if the window is flat (``a_1 == a_w``) the distribution is
     uniform.
+
+    A window outside ``[2, len(sorted_scores)]`` is a
+    :class:`~aftstar.errors.SamplingWindowError`. A window of scores that
+    are not finite, not sorted descending, or so far apart that
+    ``a_1 - a_w`` overflows is a :class:`~aftstar.errors.ShapeError`.
     """
     scores = np.asarray(sorted_scores, dtype=float)
     if window < 2 or window > scores.shape[0]:
@@ -61,7 +80,11 @@ def sampling_probabilities(sorted_scores: Sequence[float], window: int) -> np.nd
             f"window must lie in [2, {scores.shape[0]}], got {window}"
         )
     head = scores[:window]
+    if not (np.isfinite(head).all() and (head[1:] <= head[:-1]).all()):
+        raise ShapeError("window scores must be finite and sorted descending")
     top, last = float(head[0]), float(head[-1])
+    if not math.isfinite(top - last):
+        raise ShapeError(f"window score range {top} - {last} overflows")
     if top == last:
         return np.full(window, 1.0 / window)
     v = (head - last) / (top - last)
@@ -81,8 +104,11 @@ def uniform_batch(ids: Iterable[str], batch_size: int, rng: np.random.Generator)
 def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
     """Draw ``count`` distinct indices, renormalizing after each draw.
 
-    Once every remaining probability is zero, the rest of the draws are
-    uniform over the not-yet-chosen window members.
+    ``probs`` must be finite and non-negative; nothing checks them here.
+    A draw is ``rng.choice(len(p), p=p / total)`` computed as numpy
+    computes it (see the module docstring). Once every remaining
+    probability is zero, the rest of the draws are uniform over the
+    not-yet-chosen window members.
     """
     p = np.array(probs, dtype=float)
     chosen: list[int] = []
@@ -90,7 +116,9 @@ def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Gene
     for _ in range(count):
         total = p.sum()
         if total > 0:
-            j = int(rng.choice(p.shape[0], p=p / total))
+            cdf = (p / total).cumsum()
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             j = int(rng.choice(np.flatnonzero(available)))
         chosen.append(j)
@@ -105,10 +133,17 @@ def select_from_scores(
     """Turn scored candidates into a query batch of distinct ids.
 
     ``ids`` must be in ascending order and ``scores[i]`` is the score of
-    ``ids[i]``. Candidates rank by descending score, ties by id. No ids
+    ``ids[i]``: ``scores`` must be a 1-d array of ``len(ids)`` finite
+    values, or :class:`~aftstar.errors.ShapeError` is raised, whatever
+    the mode. Candidates rank by descending score, ties by id. No ids
     yield an empty batch. The batch size is
     ``min(cfg.batch_size, len(ids))``.
     """
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (len(ids),):
+        raise ShapeError(f"{len(ids)} ids but scores of shape {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise ShapeError("scores must be finite")
     if not len(ids):
         return []
     if cfg.mode == "uniform_random":

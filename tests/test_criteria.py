@@ -18,6 +18,7 @@ from aftstar.criteria import (
     score_candidates,
 )
 from aftstar.errors import ConfigError, DiagnosticError, ShapeError
+from aftstar.loop import CRITERION_PRESETS
 
 from oracles import diversity_direct, entropy_direct, random_prediction_matrix
 
@@ -364,6 +365,88 @@ def test_score_candidates_rejects_a_bad_row_in_any_block(position):
     blocks[position] = bad
     with pytest.raises(ShapeError):
         score_candidates(grouped(blocks), CriteriaConfig(), len(blocks))
+
+
+# --- which terms are computed -----------------------------------------------
+
+def eager_terms(blocks, alpha):
+    """Entropy and diversity of every block, each computed over its whole
+    shape group, as score_candidates computed both terms for any weights."""
+    from aftstar.criteria import _diversity, _dominant, _entropy, _majority
+
+    entropies, diversities = np.empty(len(blocks)), np.empty(len(blocks))
+    for positions, P in grouped(blocks):
+        subset = _majority(P, alpha, _dominant(P))
+        entropies[positions] = _entropy(subset)
+        diversities[positions] = _diversity(subset)
+    return entropies, diversities
+
+
+def scoring_blocks(seed):
+    """Ragged blocks, plus blocks of one-hot rows and blocks of 9 classes,
+    whose class sums take numpy's own reductions."""
+    rng = np.random.default_rng(seed)
+    blocks = ragged_blocks(rng)
+    for _ in range(20):
+        m, k = int(rng.integers(1, 13)), int(rng.integers(2, 4))
+        blocks.append(np.eye(k)[rng.integers(k, size=m)])
+        raw = rng.random((m, 9)) ** 4 + 1e-9
+        blocks.append(raw / raw.sum(axis=1, keepdims=True))
+    return [blocks[i] for i in rng.permutation(len(blocks))]
+
+
+# Every criterion preset's weights and majority ratio, and one mix of both terms.
+WEIGHTINGS = [
+    pytest.param(l1, l2, 0.25 if majority else 1.0, id=label)
+    for label, (l1, l2, majority, _) in CRITERION_PRESETS.items()
+] + [pytest.param(1.0, 0.5, 0.25, id="mixed")]
+
+
+@pytest.mark.parametrize("lambda1,lambda2,alpha", WEIGHTINGS)
+def test_score_keeps_the_bits_of_the_eager_weighted_sum(lambda1, lambda2, alpha):
+    blocks = scoring_blocks(21)
+    entropies, diversities = eager_terms(blocks, alpha)
+    cfg = CriteriaConfig(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
+    scores = score_candidates(grouped(blocks), cfg, len(blocks))
+    assert scores.score.tobytes() == (lambda1 * entropies + lambda2 * diversities).tobytes()
+
+
+@pytest.mark.parametrize("lambda1,lambda2,alpha", WEIGHTINGS)
+def test_a_term_read_later_has_the_bits_of_the_eager_one(lambda1, lambda2, alpha):
+    blocks = scoring_blocks(22)
+    entropies, diversities = eager_terms(blocks, alpha)
+    cfg = CriteriaConfig(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
+    picked = np.random.default_rng(3).choice(len(blocks), size=25, replace=False)
+    scores = score_candidates(grouped(blocks), cfg, len(blocks))
+    e, d = scores.terms(picked)
+    assert e.tobytes() == entropies[picked].tobytes()
+    assert d.tobytes() == diversities[picked].tobytes()
+    assert scores.entropy.tobytes() == entropies.tobytes()
+    assert scores.diversity.tobytes() == diversities.tobytes()
+    e, d = scores.terms(picked)  # now from the full arrays
+    assert e.tobytes() == entropies[picked].tobytes()
+    assert d.tobytes() == diversities[picked].tobytes()
+
+
+def test_score_candidates_computes_only_the_weighted_terms(monkeypatch):
+    import aftstar.criteria as criteria_mod
+
+    calls = []
+    for name in ("_entropy", "_diversity"):
+        real = getattr(criteria_mod, name)
+        monkeypatch.setattr(
+            criteria_mod, name, lambda P, name=name, real=real: calls.append(name) or real(P)
+        )
+    blocks = scoring_blocks(23)
+    groups = grouped(blocks)
+    score_candidates(groups, CriteriaConfig(lambda1=1.0, lambda2=0.0), len(blocks))
+    assert set(calls) == {"_entropy"}
+    calls.clear()
+    scores = score_candidates(groups, CriteriaConfig(lambda1=0.0, lambda2=1.0), len(blocks))
+    assert set(calls) == {"_diversity"}
+    calls.clear()
+    scores.terms([0, 5])
+    assert 1 <= calls.count("_entropy") <= 2 and set(calls) == {"_entropy"}
 
 
 # --- config validation ------------------------------------------------------

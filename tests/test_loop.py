@@ -470,6 +470,27 @@ def test_an_aft_star_step_builds_no_score_object(tmp_path, monkeypatch):
     assert len(path.read_text().splitlines()) == 2
 
 
+def test_an_entropy_step_computes_diversity_for_the_audited_batch_only(tmp_path, monkeypatch):
+    import aftstar.criteria as criteria_mod
+
+    rows = []
+    real_diversity = criteria_mod._diversity
+
+    def spy_diversity(P):
+        rows.append(P.shape[0])
+        return real_diversity(P)
+
+    monkeypatch.setattr(criteria_mod, "_diversity", spy_diversity)
+    strategy = make_strategy("AFT_star", criterion="entropy^a_w", batch_size=10)
+    run(strategy, budget=20)
+    assert rows == []
+    run(strategy, budget=20, audit_path=tmp_path / "audit.jsonl")
+    assert sum(rows) == 20 and max(rows) <= 10  # the two batches of 10, not U
+    rows.clear()
+    run(make_strategy("AFT_star", criterion="diversity_w", batch_size=10), budget=20)
+    assert rows[0] == 40  # the spy sees a diversity-weighted step score all of U
+
+
 def test_invalid_positive_class_rejected():
     train, test = tiny_dataset()
     with pytest.raises(ConfigError):

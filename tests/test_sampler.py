@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftstar.criteria import CandidateScore
-from aftstar.errors import ConfigError, SamplingWindowError
+from aftstar.errors import ConfigError, SamplingWindowError, ShapeError
 from aftstar.sampler import (
     MODES,
     SamplerConfig,
@@ -64,6 +64,82 @@ def test_window_errors():
         sampling_probabilities([3.0, 2.0], 3)
     with pytest.raises(SamplingWindowError):
         sampling_probabilities([3.0, 2.0], 1)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [[0.1, 0.5, 0.3], [3.0, 1.0, 2.0], [3.0, np.nan, 1.0], [np.inf, 1.0, 0.0],
+     [1.0, 0.0, -np.inf], [1e308, 0.0, -1e308]],
+    ids=["ascending_head", "unsorted_tail", "nan", "plus_inf", "minus_inf", "range_overflows"],
+)
+def test_probabilities_reject_a_window_not_finite_or_not_descending(scores):
+    with pytest.raises(ShapeError):
+        sampling_probabilities(scores, 3)
+
+
+def test_probabilities_check_only_the_window_head():
+    # Entries past the window are not the window's: they may be in any order.
+    assert sampling_probabilities([2.0, 0.0, 5.0, np.nan], 2).tolist() == [1.0, 0.0]
+
+
+# --- the draw ---------------------------------------------------------------
+
+def choice_draw(probs, count, rng):
+    """The draw by ``Generator.choice``, one validated call per draw: the
+    reference that :func:`_draw_without_replacement` must equal."""
+    p = np.array(probs, dtype=float)
+    chosen = []
+    available = np.ones(p.shape[0], dtype=bool)
+    for _ in range(count):
+        total = p.sum()
+        if total > 0:
+            j = int(rng.choice(p.shape[0], p=p / total))
+        else:
+            j = int(rng.choice(np.flatnonzero(available)))
+        chosen.append(j)
+        available[j] = False
+        p[j] = 0.0
+    return chosen
+
+
+def window_probabilities(kind, n, rng):
+    if kind == "all_zero":
+        return np.zeros(n)
+    if kind == "scores":
+        return sampling_probabilities(np.sort(rng.random(n))[::-1], n)
+    p = rng.random(n) ** (30 if kind == "skewed" else 1)
+    if kind == "zeros":
+        p[rng.random(n) < rng.random()] = 0.0
+    return p / p.sum() if p.sum() > 0 else p
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=2, max_value=20), st.integers(min_value=2, max_value=1200)),
+    kind=st.sampled_from(["uniform", "skewed", "zeros", "all_zero", "scores"]),
+    draws=st.integers(min_value=1, max_value=250),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_draw_equals_generator_choice(n, kind, draws, seed):
+    # Ties the batches to numpy's choice algorithm: fails if a numpy
+    # release changes how choice(n, p=...) turns one random() into an index.
+    probs = window_probabilities(kind, n, np.random.default_rng(seed))
+    count = min(draws, n)
+    rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    assert _draw_without_replacement(probs, count, rng) == choice_draw(
+        probs, count, reference_rng
+    )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_draw_of_a_whole_window_ends_uniform():
+    # Two non-zero entries, then the rest of the window by the uniform fallback.
+    probs = np.array([0.75, 0.25, 0.0, 0.0, 0.0])
+    rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+    picks = _draw_without_replacement(probs, 5, rng)
+    assert sorted(picks[:2]) == [0, 1] and sorted(picks) == [0, 1, 2, 3, 4]
+    assert picks == choice_draw(probs, 5, reference_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # --- select_batch -----------------------------------------------------------
@@ -239,6 +315,20 @@ def test_array_ranking_equals_the_sorted_reference(
     rng = np.random.default_rng(seed)
     assert select_from_scores(ids, np.array(values, dtype=float), cfg, rng) == expected
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "scores",
+    [[5.0, 4.0, 3.0], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0], [[5.0, 4.0, 3.0, 2.0, 1.0]],
+     [5.0, np.inf, 3.0, 2.0, 1.0], [5.0, 4.0, np.nan, 2.0, 1.0], [5.0, 4.0, 3.0, 2.0, -np.inf]],
+    ids=["too_few", "too_many", "two_dims", "plus_inf", "nan", "minus_inf"],
+)
+def test_select_from_scores_rejects_scores_that_do_not_match_the_ids(mode, scores):
+    ids = [f"c{i}" for i in range(5)]
+    cfg = SamplerConfig(batch_size=2, omega=2, mode=mode)
+    with pytest.raises(ShapeError):
+        select_from_scores(ids, np.array(scores), cfg, np.random.default_rng(0))
 
 
 def test_sampler_config_validation():

@@ -4,7 +4,7 @@ split of a generated dataset as it is read back, then one per learning
 curve of a nine-class run, then one of a two-class selection audit, then
 one of a learning curve with a noisy oracle, then one of two runs on a
 pool with one-patch candidates, then one of two runs that label their
-whole pool.
+whole pool, then one of a run that weights both criterion terms.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -60,6 +60,13 @@ labeled, after steps of 20, 20 and a clipped last batch of 10. The line
 is ``exhausted <sha256>`` over the grid-style digest of both runs'
 records, one run after the other.
 
+The mixed weights: AFT*-entropy^a_w with ``lambda2=0.5`` (so lambda1 = 1
+and lambda2 = 0.5, where every preset has one weight at 0) on
+``standard_benchmark(1)``, seed 1, budget 300, batch 20. The line is
+``mixed lambda2=0.5 <strategy label> seed=1 <sha256>`` over the
+grid-style digest of its records followed by the bytes of its selection
+audit.
+
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
 
@@ -104,6 +111,7 @@ COMPARE_STRATEGIES = [
 ONE_PATCH = Blobs(class_weights=(0.4, 0.6), train=400, test=200, m_lo=1, m_hi=3, dim=6)
 NINE_CLASSES = DatagenConfig(num_classes=9, class_weights=(1 / 9,) * 9, feature_dim=10, seed=1)
 EXHAUSTED = DatagenConfig(train_candidates=50, test_candidates=30, seed=2)
+MIXED_LAMBDA2 = 0.5
 
 
 def grid():
@@ -203,6 +211,16 @@ def main() -> None:
     for strategy in (strategy, make_strategy("RFT", batch_size=BATCH)):
         records += run_experiment(train, test, strategy, TrainConfig(), StopRule(), 1)
     print(f"exhausted {digest(records)}", flush=True)
+    train, test, _ = generate(standard_benchmark(seed=1))
+    strategy = make_strategy("AFT_star", "entropy^a_w", BATCH, lambda2=MIXED_LAMBDA2)
+    with tempfile.TemporaryDirectory() as tmp:
+        audit = Path(tmp, "audit.jsonl")
+        records = run_experiment(
+            train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1,
+            audit_path=audit,
+        )
+        h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
+    print(f"mixed lambda2={MIXED_LAMBDA2} {strategy.label} seed=1 {h}", flush=True)
 
 
 if __name__ == "__main__":
