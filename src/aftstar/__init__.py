@@ -20,14 +20,7 @@ from .criteria import (
     score_candidates,
 )
 from .datagen import DatagenConfig, generate, load_csv, standard_benchmark
-from .learner import (
-    LearnerModel,
-    TrainConfig,
-    candidate_probabilities,
-    fit,
-    predict,
-    pretrain_m0,
-)
+from .learner import LearnerModel, TrainConfig, predict, pretrain_m0
 from .loop import (
     StopRule,
     StrategyConfig,
@@ -58,12 +51,10 @@ __all__ = [
     "TrainConfig",
     "alc",
     "auc",
-    "candidate_probabilities",
     "classify_pattern",
     "diversity",
     "dominant_class",
     "entropy",
-    "fit",
     "generate",
     "load_csv",
     "majority_subset",

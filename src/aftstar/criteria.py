@@ -26,13 +26,14 @@ subset (a per-row sort) as array operations over the group. It computes
 a term only when its weight is above 0: entropy when ``lambda1 > 0``,
 diversity when ``lambda2 > 0``, so the four ``entropy`` presets never
 compute diversity to rank. It returns one :class:`CandidateScores` of
-arrays, one entry per candidate, and builds no per-candidate object; a
-term it skipped is computed from the kept majority subsets when it is
-read, for all candidates or for a few, with the bits of the eager
-computation. The single-matrix functions check their one matrix and are
-the ``n = 1`` case of the same private helpers, which check nothing;
-:func:`score_candidate` returns its one result as a
-:class:`CandidateScore`.
+arrays, one entry per candidate, and builds no per-candidate object. Its
+:meth:`CandidateScores.terms` reads both terms of the candidates at
+given positions: a term that was skipped is computed for those
+candidates only, from the kept majority subsets, with the bits of the
+eager computation. The single-matrix functions check their one matrix
+and are the ``n = 1`` case of the same private helpers, which check
+nothing; :func:`score_candidate` returns its one result, terms read
+through :meth:`CandidateScores.terms`, as a :class:`CandidateScore`.
 
 The dominant class and the majority subset do not depend on the order
 of a matrix's rows: near-ties in the column sums are summed again
@@ -110,12 +111,13 @@ class CandidateScores:
     order: entry ``i`` of each array belongs to the ``i``-th candidate.
 
     ``dominant``, ``score`` and ``subset_size`` are computed by
-    :func:`score_candidates`. So are ``entropy`` and ``diversity`` when
-    their weight is above 0; a term that was not is computed from the
-    majority subsets on first read of the attribute, or by :meth:`terms`
-    for a few candidates only. Either way it has the bits of the eager
-    computation: a term of one candidate does not depend on the others
-    in its group.
+    :func:`score_candidates`. The entropy and diversity terms are read
+    through :meth:`terms`. :func:`score_candidates` computes a term for
+    every candidate when its weight is above 0; a term that it did not
+    compute is computed by :meth:`terms` from the majority subsets, for
+    the candidates asked for only. Either way it has the bits of the
+    eager computation: a term of one candidate does not depend on the
+    others in its group.
     """
 
     def __init__(self, dominant, subset_size, score, subsets, entropy=None, diversity=None):
@@ -126,23 +128,14 @@ class CandidateScores:
         self._subsets = subsets
         self._full = {"entropy": entropy, "diversity": diversity}
 
-    @property
-    def entropy(self) -> np.ndarray:
-        return self._term("entropy", _entropy)
-
-    @property
-    def diversity(self) -> np.ndarray:
-        return self._term("diversity", _diversity)
-
-    def _term(self, name: str, term) -> np.ndarray:
-        if self._full[name] is None:
-            self._full[name] = _per_group(term, self._subsets, len(self.score))
-        return self._full[name]
-
     def terms(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Entropy and diversity of the candidates at ``positions``. A term
-        not computed yet is computed for these candidates only."""
+        that :func:`score_candidates` did not compute is computed for
+        these candidates only. A position outside the scored candidates is
+        a :class:`ShapeError`."""
         positions = np.asarray(positions, dtype=np.intp)
+        if positions.size and not (0 <= positions.min() <= positions.max() < len(self.score)):
+            raise ShapeError(f"positions must lie in [0, {len(self.score)})")
         return (
             self._term_at("entropy", _entropy, positions),
             self._term_at("diversity", _diversity, positions),
@@ -280,8 +273,8 @@ def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores
     once. Returns the scores in position order.
 
     Entropy is computed here only when ``lambda1 > 0``, and diversity
-    only when ``lambda2 > 0``; the other term is left to the returned
-    :class:`CandidateScores`. The score keeps the bits of
+    only when ``lambda2 > 0``; the other term is left to
+    :meth:`CandidateScores.terms`. The score keeps the bits of
     ``lambda1 * e + lambda2 * d``: entropy is > 0 and diversity >= +0.0,
     so a zero weight's product is a zero that adds as ``0.0``.
     """
@@ -322,12 +315,14 @@ def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores
 
 def score_candidate(P, cfg: CriteriaConfig, candidate_id: str = "") -> CandidateScore:
     """Score one candidate: the one-matrix case of :func:`score_candidates`."""
-    s = score_candidates([([0], np.asarray(P, dtype=float)[None])], cfg, 1)
+    only = np.zeros(1, dtype=np.intp)
+    s = score_candidates([(only, np.asarray(P, dtype=float)[None])], cfg, 1)
+    (e,), (d,) = s.terms(only)
     return CandidateScore(
         candidate_id=candidate_id,
         dominant=int(s.dominant[0]),
-        entropy=float(s.entropy[0]),
-        diversity=float(s.diversity[0]),
+        entropy=float(e),
+        diversity=float(d),
         score=float(s.score[0]),
         subset_size=int(s.subset_size[0]),
     )

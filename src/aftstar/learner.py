@@ -13,13 +13,13 @@ Two start policies:
 * cold fit: train from the base model (normally the pre-trained start)
   at the full learning rate (retraining from scratch each step).
 
-Training data is an ``(X, y)`` pair of patch features and inherited
-candidate labels; :func:`fit` appends the bias column, and
-:func:`fit_rows` takes rows that already carry it. Each epoch permutes
-the rows and the one-hot labels once and then walks contiguous minibatch
-slices of them. The SGD is buffered: every minibatch computes into work
-arrays made once per fit, in the same order of operations, so the
-weights are those of the unbuffered loop to the bit.
+Training data is a ``(rows, y)`` pair as :func:`training_rows` gives
+it: augmented patch rows (bias column appended) and their inherited
+candidate labels. Each epoch permutes the rows and the one-hot labels
+once and then walks contiguous minibatch slices of them. The SGD is
+buffered: every minibatch computes into work arrays made once per fit,
+in the same order of operations, so the weights are those of the
+unbuffered loop to the bit.
 
 A candidate list is stacked once. :func:`stack_candidates` copies its
 patches into one array of augmented rows (bias column appended) and
@@ -282,32 +282,16 @@ def pretrain_m0(
 
 def fit(
     base: LearnerModel,
-    data: tuple,
+    data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     warm: bool,
     rng: np.random.Generator,
 ) -> LearnerModel:
     """Train from ``base``: warm continues at the reduced fine-tuning rate,
     cold trains at the full rate (pass the pre-trained model as ``base``
-    to restart from it)."""
-    X, y = _check_data(*data, base.num_classes)
-    if X.shape[0] == 0:
-        raise InvariantError("fit requires non-empty training data")
-    if X.shape[1] != base.feature_dim:
-        raise ShapeError(f"feature dim {X.shape[1]} != model dim {base.feature_dim}")
-    return fit_rows(base, (_augment(X), y), cfg, warm, rng)
-
-
-def fit_rows(
-    base: LearnerModel,
-    data: tuple[np.ndarray, np.ndarray],
-    cfg: TrainConfig,
-    warm: bool,
-    rng: np.random.Generator,
-) -> LearnerModel:
-    """:func:`fit` on ``(rows, y)`` as :func:`training_rows` gives them:
-    augmented ``(n, d + 1)`` rows of checked candidates, ``n >= 1``, and
-    their labels, which are not checked again."""
+    to restart from it). ``data`` is ``(rows, y)`` as :func:`training_rows`
+    gives it: augmented ``(n, d + 1)`` rows of checked candidates,
+    ``n >= 1``, and their labels, which are not checked again."""
     rows, y = data
     lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
     return LearnerModel(weights=_run_sgd(base.weights, rows, y, cfg, lr0, rng))
@@ -400,12 +384,17 @@ class CandidateStack:
         )
 
 
+def dim_mismatch(odd: Candidate, first: Candidate) -> ShapeError:
+    """The error for candidates of one run whose feature dims differ."""
+    return ShapeError(
+        f"candidate {odd.id!r} has {odd.feature_dim} features, "
+        f"candidate {first.id!r} has {first.feature_dim}"
+    )
+
+
 def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
     """Stack the candidates' patches once, for repeated
-    :func:`stacked_predictions` calls. A stack is returned as it is, so
-    every function that stacks its candidates also takes a stack."""
-    if isinstance(candidates, CandidateStack):
-        return candidates
+    :func:`stacked_predictions` and :func:`training_rows` calls."""
     candidates = list(candidates)
     counts = np.array([len(c.features) for c in candidates], dtype=np.intp)
     first = np.cumsum(counts) - counts
@@ -420,11 +409,8 @@ def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
         try:
             np.concatenate([c.features for c in candidates], out=rows[:, :-1])
         except ValueError:
-            odd = next(c for c in candidates if c.features.shape[1] != d)
-            raise ShapeError(
-                f"candidate {odd.id!r} has {odd.features.shape[1]} features, "
-                f"candidate {candidates[0].id!r} has {d}"
-            ) from None
+            odd = next(c for c in candidates if c.feature_dim != d)
+            raise dim_mismatch(odd, candidates[0]) from None
     rows.flags.writeable = False  # subsets share it
     return CandidateStack(
         ids=tuple(c.id for c in candidates),
@@ -478,12 +464,6 @@ def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndar
         # sums in another order.
         out[positions] = P.mean(axis=1)
     return out
-
-
-def candidate_probabilities(model: LearnerModel, candidates: Iterable[Candidate]) -> np.ndarray:
-    """Candidate-level class probabilities, one row per candidate: the
-    column means of its prediction matrix."""
-    return stacked_probabilities(model, stack_candidates(candidates))
 
 
 def training_rows(

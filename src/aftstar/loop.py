@@ -44,7 +44,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,14 +55,14 @@ from .learner import (
     CandidateStack,
     LearnerModel,
     TrainConfig,
+    dim_mismatch,
+    fit,
     pretrain_m0,
     stack_candidates,
     stacked_predictions,
     stacked_probabilities,
     training_rows,
 )
-# Bound as ``fit``, the name perfbench/tracer.py times as learner.fit.
-from .learner import fit_rows as fit
 from .metrics import ExperimentRecord, auc, macro_auc, replacing
 from .oracle import Oracle, OracleConfig, true_labels
 from .pool import Candidate
@@ -226,19 +226,16 @@ class ExperimentState:
 
 
 def misclassified_set(
-    model: LearnerModel,
-    labeled: Iterable[Candidate] | CandidateStack,
-    labels: Mapping[str, int],
+    model: LearnerModel, labeled: CandidateStack, labels: Mapping[str, int]
 ) -> set[str]:
     """Labeled candidates whose candidate-level argmax disagrees with
     their annotation in ``labels`` (argmax ties resolve to the smaller
     class index)."""
-    stack = stack_candidates(labeled)
-    for cid in stack.ids:
+    for cid in labeled.ids:
         if cid not in labels:
             raise InvariantError(f"candidate {cid!r} in L is not annotated")
-    predicted = stacked_probabilities(model, stack).argmax(axis=1).tolist()
-    return {cid for cid, k in zip(stack.ids, predicted) if k != labels[cid]}
+    predicted = stacked_probabilities(model, labeled).argmax(axis=1).tolist()
+    return {cid for cid, k in zip(labeled.ids, predicted) if k != labels[cid]}
 
 
 def build_training_set(
@@ -384,6 +381,8 @@ def run_experiment(
     query."""
     if not train_candidates or not test_candidates:
         raise ConfigError("train and test candidate sets must be non-empty")
+    if test_candidates[0].feature_dim != train_candidates[0].feature_dim:
+        raise dim_mismatch(test_candidates[0], train_candidates[0])
     candidates: dict[str, Candidate] = {}
     for c in train_candidates:
         if c.id in candidates:

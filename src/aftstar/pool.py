@@ -47,9 +47,5 @@ class Candidate:
         object.__setattr__(self, "features", features)
 
     @property
-    def num_patches(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]

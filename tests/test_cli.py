@@ -715,7 +715,7 @@ def test_negative_label_in_either_split_exits_2_naming_its_line(
     first = candidates[1]
     candidates[1] = dataclasses.replace(first, true_label=-1)
     write_csv(candidates, path)
-    line = 2 + first.num_patches  # the header, then the first candidate's rows
+    line = 2 + len(first.features)  # the header, then the first candidate's rows
     payload = run_config(dataset_dir, tmp_path / "o", {"name": "RFT", "batch_size": 5})
     cfg = write_config(tmp_path / "run.json", payload)
     assert main(["run", "--config", cfg]) == 2

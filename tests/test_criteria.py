@@ -280,10 +280,11 @@ def test_score_candidates_match_direct_oracles_in_input_order(alpha):
     ids = [f"c{i:03d}" for i in range(len(blocks))]
     cfg = CriteriaConfig(lambda1=0.7, lambda2=0.3, alpha=alpha)
     scores = score_candidates(grouped(blocks), cfg, len(blocks))
-    fields = ("dominant", "entropy", "diversity", "score", "subset_size")
-    assert all(getattr(scores, name).shape == (len(blocks),) for name in fields)
+    entropies, diversities = scores.terms(np.arange(len(blocks)))
+    columns = (scores.dominant, entropies, diversities, scores.score, scores.subset_size)
+    assert all(column.shape == (len(blocks),) for column in columns)
     for i, (cid, P) in enumerate(zip(ids, blocks)):
-        s = CandidateScore(cid, *(getattr(scores, name)[i].item() for name in fields))
+        s = CandidateScore(cid, *(column[i].item() for column in columns))
         subset = majority_subset(P, alpha)
         assert s.dominant == dominant_class(P)
         assert s.subset_size == subset.shape[0] == math.ceil(alpha * P.shape[0])
@@ -339,7 +340,7 @@ def test_diversity_of_identical_rows_is_exactly_zero():
         row /= row.sum()
         blocks = [np.tile(row, (m, 1)) for m in range(1, 41)]
         scores = score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), 40)
-        assert (scores.diversity == 0.0).all()
+        assert (scores.terms(np.arange(40))[1] == 0.0).all()
         assert all(diversity(P) == 0.0 for P in blocks)
 
 
@@ -353,7 +354,8 @@ def test_diversity_of_near_identical_rows_is_non_negative():
         raw = row + 1e-13 * rng.random((m, k))
         blocks.append(raw / raw.sum(axis=1, keepdims=True))
     scores = score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), len(blocks))
-    assert ((0.0 <= scores.diversity) & (scores.diversity < 1e-9)).all()
+    _, diversities = scores.terms(np.arange(len(blocks)))
+    assert ((0.0 <= diversities) & (diversities < 1e-9)).all()
 
 
 @pytest.mark.parametrize("position", [0, 17, 59])
@@ -421,11 +423,18 @@ def test_a_term_read_later_has_the_bits_of_the_eager_one(lambda1, lambda2, alpha
     e, d = scores.terms(picked)
     assert e.tobytes() == entropies[picked].tobytes()
     assert d.tobytes() == diversities[picked].tobytes()
-    assert scores.entropy.tobytes() == entropies.tobytes()
-    assert scores.diversity.tobytes() == diversities.tobytes()
-    e, d = scores.terms(picked)  # now from the full arrays
-    assert e.tobytes() == entropies[picked].tobytes()
-    assert d.tobytes() == diversities[picked].tobytes()
+    e, d = scores.terms(np.arange(len(blocks)))
+    assert e.tobytes() == entropies.tobytes()
+    assert d.tobytes() == diversities.tobytes()
+
+
+@pytest.mark.parametrize("lambda1,lambda2", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("position", [-1, 4])
+def test_terms_reject_a_position_outside_the_scored_candidates(lambda1, lambda2, position):
+    blocks = [binary_rows([0.3, 0.6])] * 4
+    scores = score_candidates(grouped(blocks), CriteriaConfig(lambda1=lambda1, lambda2=lambda2), 4)
+    with pytest.raises(ShapeError):
+        scores.terms([0, position])
 
 
 def test_score_candidates_computes_only_the_weighted_terms(monkeypatch):

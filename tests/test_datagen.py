@@ -89,7 +89,7 @@ def test_shapes_and_counts():
     assert len(train) == 100
     assert len(test) == 20
     for c in train + test:
-        assert c.num_patches == 12
+        assert len(c.features) == 12
         assert c.feature_dim == 10
 
 
@@ -222,7 +222,7 @@ def test_non_contiguous_rows_grouped(tmp_path):
     loaded = load_csv(path)
     by_id = {c.id: c for c in loaded}
     assert by_id["a"].features[:, 0].tolist() == [1.0, 3.0]
-    assert by_id["b"].num_patches == 1
+    assert len(by_id["b"].features) == 1
 
 
 def test_load_dataset_and_infer_classes(tmp_path):

@@ -1,4 +1,5 @@
-"""Each demo runs to completion against the public API."""
+"""The public API: every name it exports resolves, and each demo runs to
+completion against it."""
 
 import contextlib
 import io
@@ -8,6 +9,12 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_every_exported_name_resolves():
+    import aftstar
+
+    assert [name for name in aftstar.__all__ if not hasattr(aftstar, name)] == []
 
 
 def test_all_three_demos_found():

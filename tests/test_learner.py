@@ -6,7 +6,6 @@ from aftstar.learner import (
     LearnerModel,
     TrainConfig,
     _augment,
-    candidate_probabilities,
     collect_patches,
     fit,
     loss_and_gradient,
@@ -17,6 +16,7 @@ from aftstar.learner import (
     row_sum,
     stack_candidates,
     stacked_predictions,
+    stacked_probabilities,
     training_rows,
 )
 from aftstar.pool import Candidate
@@ -81,23 +81,18 @@ def test_fit_moves_predictions_toward_labels():
     y = np.zeros(30, dtype=int)
     base = pretrain_m0(None, TrainConfig(), np.random.default_rng(0), feature_dim=4, num_classes=2)
     before = predict_features(base, X)[:, 0].mean()
-    model = fit(base, (X, y), TrainConfig(), warm=False, rng=np.random.default_rng(1))
+    model = fit(base, (_augment(X), y), TrainConfig(), warm=False, rng=np.random.default_rng(1))
     after = predict_features(model, X)[:, 0].mean()
     assert after > before
-
-
-def test_fit_empty_data_rejected():
-    base = pretrain_m0(None, TrainConfig(), np.random.default_rng(0), feature_dim=4, num_classes=2)
-    with pytest.raises(InvariantError):
-        fit(base, (np.zeros((0, 4)), np.zeros(0, dtype=int)), TrainConfig(), True, np.random.default_rng(0))
 
 
 def test_cold_fit_deterministic():
     rng = np.random.default_rng(2)
     X, y = blob_data(rng, n_per_class=20)
     base = pretrain_m0(None, TrainConfig(), np.random.default_rng(0), feature_dim=4, num_classes=2)
-    m1 = fit(base, (X, y), TrainConfig(), warm=False, rng=np.random.default_rng(5))
-    m2 = fit(base, (X, y), TrainConfig(), warm=False, rng=np.random.default_rng(5))
+    data = (_augment(X), y)
+    m1 = fit(base, data, TrainConfig(), warm=False, rng=np.random.default_rng(5))
+    m2 = fit(base, data, TrainConfig(), warm=False, rng=np.random.default_rng(5))
     assert np.array_equal(m1.weights, m2.weights)
 
 
@@ -106,8 +101,9 @@ def test_warm_factor_one_equals_cold_fit_from_same_base():
     X, y = blob_data(rng, n_per_class=15)
     cfg = TrainConfig(finetune_lr_factor=1.0)
     base = pretrain_m0(None, cfg, np.random.default_rng(0), feature_dim=4, num_classes=2)
-    warm = fit(base, (X, y), cfg, warm=True, rng=np.random.default_rng(9))
-    cold = fit(base, (X, y), cfg, warm=False, rng=np.random.default_rng(9))
+    data = (_augment(X), y)
+    warm = fit(base, data, cfg, warm=True, rng=np.random.default_rng(9))
+    cold = fit(base, data, cfg, warm=False, rng=np.random.default_rng(9))
     assert np.abs(warm.weights - cold.weights).max() < 1e-12
 
 
@@ -146,7 +142,7 @@ def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
     y = rng.integers(0, num_classes, size=n)
     cfg = TrainConfig(minibatch_size=32)
     base = LearnerModel(weights=rng.normal(scale=0.3, size=(num_classes, d + 1)))
-    model = fit(base, (X, y), cfg, warm, np.random.default_rng(n))
+    model = fit(base, (_augment(X), y), cfg, warm, np.random.default_rng(n))
     lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
     expected = sgd_reference(base.weights, X, y, cfg, lr0, np.random.default_rng(n))
     assert np.array_equal(model.weights, expected)
@@ -154,12 +150,13 @@ def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
 
 def test_loss_decreases_in_expectation():
     X, y = blob_data(np.random.default_rng(13), n_per_class=25)
+    Xa = _augment(X)
     initial, final = [], []
     for seed in range(10):
         base = pretrain_m0(None, TrainConfig(), np.random.default_rng(seed), feature_dim=4, num_classes=2)
-        model = fit(base, (X, y), TrainConfig(), warm=False, rng=np.random.default_rng(seed + 100))
-        initial.append(loss_and_gradient(base.weights, _augment(X), y)[0])
-        final.append(loss_and_gradient(model.weights, _augment(X), y)[0])
+        model = fit(base, (Xa, y), TrainConfig(), warm=False, rng=np.random.default_rng(seed + 100))
+        initial.append(loss_and_gradient(base.weights, Xa, y)[0])
+        final.append(loss_and_gradient(model.weights, Xa, y)[0])
     assert np.mean(final) < np.mean(initial)
 
 
@@ -275,14 +272,14 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
         positions = [i for pos, _ in groups for i in pos.tolist()]
         assert sorted(positions) == list(range(len(chosen))), name
         for pos, P in groups:
-            assert P.shape == (len(pos), chosen[pos[0]].num_patches, num_classes)
+            assert P.shape == (len(pos), len(chosen[pos[0]].features), num_classes)
             assert (np.diff(pos) > 0).all(), name  # the audit searches them
             for i, block in zip(pos, P):
                 assert np.array_equal(block, predict(model, chosen[i])), name
         rows, y = training_rows(stack, keep, labels)
         rows_of_subset, y_of_subset = training_rows(sub, np.ones(len(sub), dtype=bool), labels)
         assert np.array_equal(rows_of_subset, rows) and np.array_equal(y_of_subset, y), name
-        assert rows.shape == (sum(c.num_patches for c in chosen), 6), name
+        assert rows.shape == (sum(len(c.features) for c in chosen), 6), name
         if chosen:
             X, y_collected = collect_patches(chosen, labels)
             assert np.array_equal(rows, _augment(X)), name
@@ -298,17 +295,17 @@ def test_stacked_predictions_of_no_candidates_are_empty():
 
 
 def test_candidates_of_mixed_feature_dims_are_a_shape_error():
-    from aftstar.loop import StopRule, make_strategy, misclassified_set, run_experiment
+    from aftstar.loop import StopRule, make_strategy, run_experiment
 
-    model = LearnerModel(weights=np.zeros((2, 5)))
     even = [make_candidate(cid, d=4, seed=i, label=i % 2) for i, cid in enumerate("abcd")]
     odd = even[:2] + [make_candidate("x", d=3, label=0)] + even[2:]
-    labels = {c.id: c.true_label for c in odd}
     message = "candidate 'x' has 3 features, candidate 'a' has 4"
     calls = {
         "stack": lambda: stack_candidates(odd),
-        "probabilities": lambda: candidate_probabilities(model, odd),
-        "misclassified": lambda: misclassified_set(model, odd, labels),
+        "run train/test dims": lambda: run_experiment(
+            even, [make_candidate("x", d=3)], make_strategy("RFT", batch_size=1),
+            TrainConfig(epochs=1), StopRule(query_budget=1), 1,
+        ),
     }
     for split in ("train", "test"):
         data = {"train": even, "test": even, split: odd}
@@ -324,17 +321,18 @@ def test_candidates_of_mixed_feature_dims_are_a_shape_error():
 # --- candidate probabilities ------------------------------------------------
 
 @pytest.mark.parametrize("num_classes", [2, 3])
-def test_candidate_probabilities_are_column_means(num_classes):
+def test_stacked_probabilities_are_column_means(num_classes):
     rng = np.random.default_rng(10 + num_classes)
     model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
     candidates = ragged_candidates(num_classes)
-    probs = candidate_probabilities(model, candidates)
+    probs = stacked_probabilities(model, stack_candidates(candidates))
     assert probs.shape == (len(candidates), num_classes)
     for row, c in zip(probs, candidates):
         assert np.array_equal(row, predict(model, c).mean(axis=0))
-    uniform = candidate_probabilities(LearnerModel(weights=np.zeros((num_classes, 6))), candidates)
+    zero = LearnerModel(weights=np.zeros((num_classes, 6)))
+    uniform = stacked_probabilities(zero, stack_candidates(candidates))
     assert np.abs(uniform - 1.0 / num_classes).max() < 1e-15
-    assert candidate_probabilities(model, []).shape == (0, num_classes)
+    assert stacked_probabilities(model, stack_candidates([])).shape == (0, num_classes)
 
 
 # --- patch collection -------------------------------------------------------

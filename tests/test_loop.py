@@ -7,7 +7,7 @@ import aftstar.loop as loop_mod
 from aftstar.criteria import CriteriaConfig
 from aftstar.datagen import DatagenConfig, generate
 from aftstar.errors import ConfigError, InvariantError, PartitionError
-from aftstar.learner import LearnerModel, TrainConfig
+from aftstar.learner import LearnerModel, TrainConfig, stack_candidates
 from aftstar.loop import (
     STRATEGY_TABLE,
     StopRule,
@@ -124,7 +124,7 @@ def one_patch_candidate(cid, label):
 
 def test_misclassified_empty_on_empty_labeled():
     model = LearnerModel(weights=np.zeros((2, 4)))
-    assert misclassified_set(model, [], {}) == set()
+    assert misclassified_set(model, stack_candidates([]), {}) == set()
 
 
 def test_misclassified_tie_resolves_to_class_zero():
@@ -132,13 +132,13 @@ def test_misclassified_tie_resolves_to_class_zero():
     labeled_one = one_patch_candidate("a", 1)
     labeled_zero = one_patch_candidate("b", 0)
     labels = {"a": 1, "b": 0}
-    assert misclassified_set(model, [labeled_one, labeled_zero], labels) == {"a"}
+    assert misclassified_set(model, stack_candidates([labeled_one, labeled_zero]), labels) == {"a"}
 
 
 def test_misclassified_requires_annotation():
     model = LearnerModel(weights=np.zeros((2, 4)))
     with pytest.raises(InvariantError):
-        misclassified_set(model, [one_patch_candidate("a", 0)], {})
+        misclassified_set(model, stack_candidates([one_patch_candidate("a", 0)]), {})
 
 
 # --- training set policies -------------------------------------------------------

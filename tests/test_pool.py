@@ -24,6 +24,6 @@ def test_candidate_validation():
 def test_feature_matrix_shape():
     c = make_candidate("a", m=4, d=6)
     assert c.features.shape == (4, 6)
-    assert c.num_patches == 4
+    assert len(c.features) == 4
     assert c.feature_dim == 6
     assert not c.features.flags.writeable
