@@ -243,6 +243,7 @@ def _parse_run(cfg: dict, args, where: str):
         positive_class,
     )
     dataset = _resolve_dataset(cfg["dataset"], "dataset")
+    loop.check_splits(*dataset, positive_class)
     return dataset, settings, seeds, _resolve_output_dir(cfg, args)
 
 

@@ -21,13 +21,16 @@ non-negative integer.
 ``load_csv`` parses in bulk the file shape that ``write_csv`` and the
 benchmark's writer produce: ``\n`` line ends, no quote, no blank line,
 and each candidate's rows in one contiguous run with one label text. It
-reads chunks of whole lines (about 64 KiB), splits each into lines and
-tokens once, and converts the features with ``float`` and each
-candidate's label with ``int``, so the values equal the per-row parser's
-to the bit. Any other file (a quote, a carriage return, a blank line, a
-line as long as ``csv.field_size_limit()``, a candidate's rows in two
-runs, or a row the per-row parser rejects) is read again by the per-row
-``csv.reader`` loop. That loop is the reference the tests compare against
+reads chunks of whole lines (about 64 KiB), splits each into lines once
+(to check them) and into tokens once, and converts the features with
+``float`` into a preallocated array and each candidate's label with
+``int``, so the values equal the per-row parser's to the bit. Each
+chunk's array is checked once and made read-only, and its candidates
+keep views of it, built without a second copy or check. Any other file
+(a quote, a carriage return, a blank line, a line as long as
+``csv.field_size_limit()``, a candidate's rows in two runs, or a row the
+per-row parser rejects) is read again by the per-row ``csv.reader``
+loop. That loop is the reference the tests compare against
 and the only code that reports a row's format error; a file that is not
 UTF-8 or has a field over the ``csv`` limit is a format error too.
 """
@@ -50,6 +53,7 @@ from .metrics import FLOAT_FMT, replacing
 from .pool import Candidate
 
 CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
+SHOWN_CHARS = 40  # characters of a field that a format error repeats
 
 
 @dataclass(frozen=True)
@@ -223,6 +227,15 @@ def _load_csv_rows(path: str | Path) -> list[Candidate]:
         raise
 
 
+def _shown(value: str | int) -> str:
+    """A field as a format error repeats it: a string quoted, a number as
+    its digits, cut to ``SHOWN_CHARS`` characters plus its length."""
+    text = str(value)
+    cut = text[:SHOWN_CHARS]
+    shown = repr(cut) if isinstance(value, str) else cut
+    return shown if cut == text else f"{shown}... ({len(text)} characters)"
+
+
 def _parse_rows(reader, path: str | Path) -> list[Candidate]:
     try:
         header = next(reader)
@@ -240,9 +253,9 @@ def _parse_rows(reader, path: str | Path) -> list[Candidate]:
         try:
             label = int(row[1])
         except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: label {row[1]!r} is not an integer")
+            raise DatasetFormatError(f"{path}:{lineno}: label {_shown(row[1])} is not an integer")
         if label < 0:
-            raise DatasetFormatError(f"{path}:{lineno}: label {label} is negative")
+            raise DatasetFormatError(f"{path}:{lineno}: label {_shown(label)} is negative")
         try:
             feats = [float(v) for v in row[2:]]
         except ValueError:
@@ -252,8 +265,8 @@ def _parse_rows(reader, path: str | Path) -> list[Candidate]:
         if cid in label_by_id:
             if label_by_id[cid] != label:
                 raise DatasetFormatError(
-                    f"{path}:{lineno}: candidate {cid!r} has inconsistent labels "
-                    f"{label_by_id[cid]} and {label}"
+                    f"{path}:{lineno}: candidate {_shown(cid)} has inconsistent labels "
+                    f"{_shown(label_by_id[cid])} and {_shown(label)}"
                 )
         else:
             label_by_id[cid] = label
@@ -281,9 +294,18 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
     reject. ``float`` and ``int`` are the reference parser's own, so the
     values are the same to the bit. The header check is shared.
 
+    Each chunk is split into lines once, for the checks, and its body
+    (the chunk less the header) into tokens once; the line-length scan
+    runs only on a chunk as long as the limit, since no line is longer
+    than its chunk. ``float`` fills an array of the tokens' count made
+    up front. The chunk's rows are checked once (width, finiteness) and
+    made read-only, and each candidate is built by
+    ``Candidate._checked`` over a view of them, without the copy and
+    the second check of ``Candidate(...)``; a candidate whose rows span
+    chunks gets one read-only concatenation of its views.
+
     No buffer grows with the file: each chunk's rows stay in their own
-    small array and each candidate keeps a view of them per chunk it
-    spans, which keeps the peak memory of repeated loads near the
+    small array, which keeps the peak memory of repeated loads near the
     per-row parser's.
     """
     limit = csv.field_size_limit()
@@ -296,21 +318,26 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
             while chunk := fh.read(CHUNK_CHARS):
                 if not chunk.endswith("\n"):
                     chunk += fh.readline()
-                lines = chunk.removesuffix("\n").split("\n")
-                if '"' in chunk or "\r" in chunk or max(map(len, lines)) >= limit:
+                if '"' in chunk or "\r" in chunk:
+                    return None
+                body = chunk.removesuffix("\n")
+                lines = body.split("\n")
+                if len(chunk) >= limit and max(map(len, lines)) >= limit:
                     return None
                 if d is None:
                     d = _feature_count(lines.pop(0).split(","), path)
+                    body = body.partition("\n")[2]
                 if not lines:
                     continue
                 if not set(map(str.count, lines, repeat(","))) <= {d + 1}:  # also a blank line
                     return None
-                tokens = ",".join(lines).split(",")
+                tokens = body.replace("\n", ",").split(",")
                 keys = list(zip(tokens[:: d + 2], tokens[1 :: d + 2]))
                 del tokens[:: d + 2], tokens[:: d + 1]
-                rows = np.frombuffer(array("d", map(float, tokens))).reshape(-1, d)
+                rows = np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, d)
                 if not np.isfinite(rows).all():
                     return None
+                rows.flags.writeable = False  # and so every candidate's view of it
                 start = 0
                 for key, run in groupby(keys):
                     if key != last:
@@ -330,14 +357,14 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
         return None
     if d is None:
         return None
-    return [
-        Candidate(
-            id=cid,
-            features=blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-            true_label=label,
-        )
-        for cid, label, blocks in found
-    ]
+    candidates = []
+    for cid, label, blocks in found:
+        features = blocks[0]
+        if len(blocks) > 1:
+            features = np.concatenate(blocks)
+            features.flags.writeable = False
+        candidates.append(Candidate._checked(cid, features, label))
+    return candidates
 
 
 def write_dataset(cfg: DatagenConfig, out_dir: str | Path) -> dict:

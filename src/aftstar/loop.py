@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -359,6 +360,46 @@ def make_evaluator(
     return evaluate
 
 
+def _missing_classes(present: AbstractSet[int], num_classes: int) -> str:
+    """Name the first three classes of ``range(num_classes)`` outside
+    ``present`` (a subset of that range) and count the rest, without
+    building the range: its end comes from a label in the data."""
+    missing = num_classes - len(present)
+    outside = (k for k in itertools.count() if k not in present)
+    names = ", ".join(map(str, itertools.islice(outside, min(3, missing))))
+    return names if missing <= 3 else f"{names} and {missing - 3} more"
+
+
+def check_splits(
+    train_candidates: Sequence[Candidate],
+    test_candidates: Sequence[Candidate],
+    positive_class: int = 0,
+) -> int:
+    """Check a run's two splits and return its class count, which comes
+    from the labels of both (:func:`~aftstar.datagen.infer_num_classes`).
+    ``run_experiment`` calls it first; the CLI calls it before it makes
+    an output directory."""
+    if not train_candidates or not test_candidates:
+        raise ConfigError("train and test candidate sets must be non-empty")
+    if test_candidates[0].feature_dim != train_candidates[0].feature_dim:
+        raise dim_mismatch(test_candidates[0], train_candidates[0])
+    ids: set[str] = set()
+    for c in train_candidates:
+        if c.id in ids:
+            raise PartitionError(f"duplicate candidate id {c.id!r}")
+        ids.add(c.id)
+    num_classes = infer_num_classes([*train_candidates, *test_candidates])
+    if not (0 <= positive_class < num_classes):
+        raise ConfigError("positive_class outside the label range")
+    present = {c.true_label for c in test_candidates}  # all in range(num_classes)
+    if len(present) < num_classes:
+        raise ConfigError(
+            f"the test split has no candidate of class {_missing_classes(present, num_classes)}: "
+            "AUC is undefined"
+        )
+    return num_classes
+
+
 def run_experiment(
     train_candidates: Sequence[Candidate],
     test_candidates: Sequence[Candidate],
@@ -373,28 +414,13 @@ def run_experiment(
 ) -> list[ExperimentRecord]:
     """Run one full experiment; returns the baseline row plus one record
     per step. Deterministic given (dataset, strategy, config, seed). The
-    class count comes from the labels of both splits
-    (:func:`~aftstar.datagen.infer_num_classes`). The run stops when the
-    query budget is spent, when the pool is all labeled, or when a
-    step's test AUC reaches ``auc_target``: the baseline's AUC is not
-    compared with it, so every run with a budget above 0 makes its first
-    query."""
-    if not train_candidates or not test_candidates:
-        raise ConfigError("train and test candidate sets must be non-empty")
-    if test_candidates[0].feature_dim != train_candidates[0].feature_dim:
-        raise dim_mismatch(test_candidates[0], train_candidates[0])
-    candidates: dict[str, Candidate] = {}
-    for c in train_candidates:
-        if c.id in candidates:
-            raise PartitionError(f"duplicate candidate id {c.id!r}")
-        candidates[c.id] = c
-    num_classes = infer_num_classes([*train_candidates, *test_candidates])
-    if not (0 <= positive_class < num_classes):
-        raise ConfigError("positive_class outside the label range")
-    missing = sorted(set(range(num_classes)) - {c.true_label for c in test_candidates})
-    if missing:
-        names = ", ".join(map(str, missing))
-        raise ConfigError(f"the test split has no candidate of class {names}: AUC is undefined")
+    class count comes from the labels of both splits (:func:`check_splits`).
+    The run stops when the query budget is spent, when the pool is all
+    labeled, or when a step's test AUC reaches ``auc_target``: the
+    baseline's AUC is not compared with it, so every run with a budget
+    above 0 makes its first query."""
+    num_classes = check_splits(train_candidates, test_candidates, positive_class)
+    candidates = {c.id: c for c in train_candidates}
     oracle_cfg = OracleConfig(label_noise_rate=oracle_noise)
 
     rng = np.random.default_rng(seed)

@@ -15,6 +15,13 @@ candidate's class index identically on every row of that candidate.
 ``true_label`` is oracle-side ground truth: it is read only by
 :mod:`aftstar.oracle` (annotation queries, evaluation labels), never by
 the selection path.
+
+``Candidate(...)`` copies and checks its features. The bulk CSV parser
+(:func:`aftstar.datagen.load_csv`) checks each chunk of rows once and
+builds its candidates with ``Candidate._checked``, so a bulk-loaded
+candidate's features are a read-only view of its chunk's array, shared
+with the other candidates of that chunk, or one read-only concatenation
+when its rows span chunks.
 """
 
 from __future__ import annotations
@@ -45,6 +52,17 @@ class Candidate:
             raise ShapeError(f"candidate {self.id!r}: features must be finite")
         features.flags.writeable = False
         object.__setattr__(self, "features", features)
+
+    @classmethod
+    def _checked(cls, id: str, features: np.ndarray, true_label: int) -> "Candidate":
+        """A candidate over rows that are already checked: a read-only,
+        C-contiguous ``(m >= 1, d)`` float64 array of finite values, which
+        it keeps without a copy."""
+        candidate = object.__new__(cls)
+        object.__setattr__(candidate, "id", id)
+        object.__setattr__(candidate, "features", features)
+        object.__setattr__(candidate, "true_label", true_label)
+        return candidate
 
     @property
     def feature_dim(self) -> int:

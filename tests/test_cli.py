@@ -448,6 +448,22 @@ def test_test_split_missing_a_class_is_config_error(tmp_path, capsys):
     assert "config error: the test split has no candidate of class 2" in capsys.readouterr().err
 
 
+def test_a_stray_huge_train_label_is_a_short_config_error(dataset_dir, tmp_path, capsys):
+    from aftstar.datagen import load_csv, write_csv
+
+    path = dataset_dir / "train.csv"
+    candidates = load_csv(path)
+    candidates[0] = dataclasses.replace(candidates[0], true_label=10**12)
+    write_csv(candidates, path)
+    payload = run_config(dataset_dir, tmp_path / "o", {"name": "RFT", "batch_size": 5})
+    cfg = write_config(tmp_path / "run.json", payload)
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error: the test split has no candidate of class 2, 3, 4 and 999999999996 more" in err
+    assert len(err) < 200
+    assert not (tmp_path / "o").exists()
+
+
 # --- fuzzed config boundary ------------------------------------------------------
 
 def fuzz_base_config():

@@ -184,6 +184,27 @@ def test_negative_label_rejected_with_line_number(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("x," + "7" * 5000 + ",1.5", "bad.csv:2: label '" + "7" * 40 + "'... (5000 characters) is not an integer"),
+        ("x,-" + "7" * 4000 + ",1.5", "bad.csv:2: label -" + "7" * 39 + "... (4001 characters) is negative"),
+        ("i" * 131071 + ",0,1.5\n" + "i" * 131071 + ",1,2.5",
+         "bad.csv:3: candidate '" + "i" * 40 + "'... (131071 characters) has inconsistent labels 0 and 1"),
+        ("x,1,1.5\nx," + "9" * 45 + ",2.5",
+         "bad.csv:3: candidate 'x' has inconsistent labels 1 and " + "9" * 40 + "... (45 characters)"),
+    ],
+    ids=["long-bad-label", "long-negative-label", "long-id-inconsistent", "long-second-label"],
+)
+def test_format_errors_cut_an_over_long_field(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("candidate_id,label,f0\n" + row + "\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path.parent}/{message}"
+    assert len(message) < 200
+
+
 def test_header_only_gives_empty_set(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("candidate_id,label,f0,f1\n")
@@ -306,7 +327,10 @@ def assert_same_load(path):
         return
     assert [(cid, label) for cid, label, _ in fast] == [(cid, label) for cid, label, _ in reference]
     for (_, _, a), (_, _, b) in zip(fast, reference):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        for features in (a, b):
+            assert features.dtype == np.float64 and features.ndim == 2
+            assert features.flags.c_contiguous and not features.flags.writeable
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
 
 
 QUIRKS = [

@@ -27,3 +27,12 @@ def test_feature_matrix_shape():
     assert len(c.features) == 4
     assert c.feature_dim == 6
     assert not c.features.flags.writeable
+
+
+def test_candidate_copies_its_input():
+    rows = np.arange(6.0).reshape(2, 3)
+    c = Candidate(id="a", features=rows, true_label=0)
+    rows[0, 0] = 99.0
+    assert rows.flags.writeable
+    assert c.features[0, 0] == 0.0
+    assert not np.shares_memory(c.features, rows)
