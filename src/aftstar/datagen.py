@@ -48,12 +48,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DatasetFormatError, check_integer
+from .errors import ConfigError, DatasetFormatError, check_integer, shown
 from .metrics import FLOAT_FMT, replacing
 from .pool import Candidate
 
 CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
-SHOWN_CHARS = 40  # characters of a field that a format error repeats
 
 
 @dataclass(frozen=True)
@@ -227,15 +226,6 @@ def _load_csv_rows(path: str | Path) -> list[Candidate]:
         raise
 
 
-def _shown(value: str | int) -> str:
-    """A field as a format error repeats it: a string quoted, a number as
-    its digits, cut to ``SHOWN_CHARS`` characters plus its length."""
-    text = str(value)
-    cut = text[:SHOWN_CHARS]
-    shown = repr(cut) if isinstance(value, str) else cut
-    return shown if cut == text else f"{shown}... ({len(text)} characters)"
-
-
 def _parse_rows(reader, path: str | Path) -> list[Candidate]:
     try:
         header = next(reader)
@@ -253,9 +243,9 @@ def _parse_rows(reader, path: str | Path) -> list[Candidate]:
         try:
             label = int(row[1])
         except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: label {_shown(row[1])} is not an integer")
+            raise DatasetFormatError(f"{path}:{lineno}: label {shown(row[1])} is not an integer")
         if label < 0:
-            raise DatasetFormatError(f"{path}:{lineno}: label {_shown(label)} is negative")
+            raise DatasetFormatError(f"{path}:{lineno}: label {shown(label)} is negative")
         try:
             feats = [float(v) for v in row[2:]]
         except ValueError:
@@ -265,8 +255,8 @@ def _parse_rows(reader, path: str | Path) -> list[Candidate]:
         if cid in label_by_id:
             if label_by_id[cid] != label:
                 raise DatasetFormatError(
-                    f"{path}:{lineno}: candidate {_shown(cid)} has inconsistent labels "
-                    f"{_shown(label_by_id[cid])} and {_shown(label)}"
+                    f"{path}:{lineno}: candidate {shown(cid)} has inconsistent labels "
+                    f"{shown(label_by_id[cid])} and {shown(label)}"
                 )
         else:
             label_by_id[cid] = label

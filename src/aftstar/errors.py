@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the integer check that
-every config dataclass uses for its count fields."""
+"""Exception types shared across the package, the integer check that
+every config dataclass uses for its count fields, and the cut that an
+error message applies to a field it repeats."""
 
 import numbers
+
+SHOWN_CHARS = 40  # characters of a field that an error message repeats
 
 
 class AftError(Exception):
@@ -52,3 +55,12 @@ def check_integer(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def shown(value: str | int) -> str:
+    """A field as an error message repeats it: a string quoted, a number as
+    its digits, cut to ``SHOWN_CHARS`` characters plus its length."""
+    text = str(value)
+    cut = text[:SHOWN_CHARS]
+    quoted = repr(cut) if isinstance(value, str) else cut
+    return quoted if cut == text else f"{quoted}... ({len(text)} characters)"

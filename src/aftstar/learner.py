@@ -13,13 +13,20 @@ Two start policies:
 * cold fit: train from the base model (normally the pre-trained start)
   at the full learning rate (retraining from scratch each step).
 
-Training data is a ``(rows, y)`` pair as :func:`training_rows` gives
-it: augmented patch rows (bias column appended) and their inherited
-candidate labels. Each epoch permutes the rows and the one-hot labels
-once and then walks contiguous minibatch slices of them. The SGD is
-buffered: every minibatch computes into work arrays made once per fit,
-in the same order of operations, so the weights are those of the
-unbuffered loop to the bit.
+Training data is an ``(index, y, rows)`` triple as :func:`training_rows`
+gives it: ``rows`` is an ``(R, d + 1)`` array of augmented patch rows
+(bias column appended), normally a stack's, which the fit reads and
+never writes; ``index`` holds the positions of the training rows in it,
+one entry per training row; and ``y`` their inherited candidate labels.
+No training row is copied before the fit: each epoch gathers the rows at
+the permuted positions straight into one array, and the permuted one-hot
+labels into another, and then walks contiguous minibatch slices of them.
+The SGD is buffered: the minibatch slices, the work arrays, their
+transposes and their column views are made once per fit, and the
+momentum and the learning rate scale the velocity and the gradient in
+one multiply of the two stacked in one array. Every operation runs in
+the same order, so the weights are those of the unbuffered loop to the
+bit.
 
 A candidate list is stacked once. :func:`stack_candidates` copies its
 patches into one array of augmented rows (bias column appended) and
@@ -27,8 +34,8 @@ groups the candidates by patch count ``m``. A :meth:`CandidateStack.subset`
 takes candidates by position: it filters the groups' positions in one
 pass over their concatenation, slices the result per group and shares
 the rows, so a run stacks its pool once and takes each step's unlabeled
-and labeled sets from that stack. :func:`training_rows` takes the rows of
-the candidates at given positions in one gather, and
+and labeled sets from that stack. :func:`training_rows` gives the positions
+of the rows of the candidates at given positions, and
 :func:`stacked_predictions` predicts the rows of every group in one
 pass and gives each group's prediction matrices as one ``(g, m, k)``
 array, the form that ``criteria.score_candidates`` scores. A
@@ -38,10 +45,12 @@ mean over each group array's middle axis.
 Rounding rule: a per-row reduction over the class axis (k columns) goes
 through :func:`row_max` and :func:`row_sum`, which work on whole columns
 and give numpy's ``max(axis=1)``/``sum(axis=1)`` to the bit; the
-softmax sums its columns the same way. numpy runs a separate inner loop
-for each short row, which is slow when k is 2 or 3. Reductions over the
-patch axis stay numpy's own: a loop over patch columns keeps the bits
-but is slower on ragged groups of many patches.
+softmax takes the maxima and the sums of its columns the same way, and
+the two-class fit runs that softmax written out in its minibatch loop.
+numpy runs a separate inner loop for each short row, which is slow when
+k is 2 or 3. Reductions over the patch axis stay numpy's own: a loop
+over patch columns keeps the bits but is slower on ragged groups of
+many patches.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ShapeError, check_integer
+from .errors import ConfigError, InvariantError, ShapeError, check_integer, shown
 from .pool import Candidate
 
 
@@ -148,21 +157,28 @@ def _softmax_rows(
 ) -> np.ndarray:
     """Row-wise softmax, computed in place in ``Z`` (a fresh or a work array).
 
-    Below 8 classes the subtraction of the row maximum, the row sum and
+    Below 8 classes the row maximum, its subtraction, the row sum and
     the division run over whole columns: ``columns``, Z's column views,
-    made here unless given. The sum adds them left to right as
-    :func:`row_sum` does, but without its +0.0 start, which changes
-    nothing here: exp gives no -0.0. ``work``, one entry per row, takes
-    the maxima and then the sums.
+    made here unless given. The maximum takes ``np.maximum`` over them
+    left to right, as :func:`row_max` does. The sum adds them left to
+    right as :func:`row_sum` does, but without its +0.0 start, which
+    changes nothing here: exp gives no -0.0. ``work``, one entry per row,
+    takes the maxima and then the sums. From 8 classes on, the maximum
+    and the sum are numpy's own reductions. With two classes the fit's
+    minibatch loop (:func:`_run_sgd`) runs these operations written out,
+    in the same order.
     """
-    top = row_max(Z, work)
     if Z.shape[1] >= _COLUMNWISE_LIMIT:
+        top = row_max(Z, work)
         Z -= top[:, None]
         np.exp(Z, out=Z)
         Z /= row_sum(Z, top)[:, None]
         return Z
     if columns is None:
         columns = [Z[:, j] for j in range(Z.shape[1])]
+    top = np.maximum(columns[0], columns[1], out=work)
+    for column in columns[2:]:
+        np.maximum(top, column, out=top)
     for column in columns:
         column -= top
     np.exp(Z, out=Z)
@@ -203,48 +219,71 @@ def loss_and_gradient(
 
 def _run_sgd(
     weights: np.ndarray,
-    rows: np.ndarray,
+    index: np.ndarray,
     y: np.ndarray,
+    rows: np.ndarray,
     cfg: TrainConfig,
     lr0: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Minibatch SGD with momentum over augmented rows ``rows``.
+    """Minibatch SGD with momentum over the augmented rows ``rows[index]``
+    and their labels ``y``, one per entry of ``index``.
 
-    Each epoch permutes the rows and the one-hot labels into two arrays
-    and walks contiguous minibatch slices of them. Each minibatch runs
-    the softmax, the residual ``probs - Y``, the mean gradient and the
-    momentum update, always in that order, in work arrays made once per
-    call: one set for the full minibatches and one for the shorter last
-    one.
+    Each epoch gathers the permuted rows straight from ``rows`` and the
+    permuted one-hot labels into two arrays, and walks contiguous
+    minibatch slices of them. Each minibatch runs the softmax, the
+    residual ``probs - Y``, the mean gradient and the momentum update,
+    always in that order. Every view, work array and transpose the
+    minibatches use is made once per call: one set for the full
+    minibatches and one for the shorter last one. The momentum and the
+    learning rate scale the velocity and the gradient in one multiply of
+    the stacked ``[velocity; grad]`` by ``[momentum; lr]``.
     """
     W = weights.copy()
-    velocity = np.zeros_like(W)
-    grad = np.empty_like(W)
-    Y = np.eye(W.shape[0])[y]
-    n = rows.shape[0]
+    W_T = W.T
+    k = W.shape[0]
+    scaled = np.zeros((2, *W.shape))  # [velocity; grad]
+    velocity, grad = scaled
+    factor = np.full((2, 1, 1), cfg.momentum)
+    Y = np.eye(k)[y]
+    n = len(index)
     size = cfg.minibatch_size
-    Xp, Yp = np.empty_like(rows), np.empty_like(Y)
+    Xp, Yp = np.empty((n, rows.shape[1])), np.empty_like(Y)
     work = {}
     for b in {min(size, n), n % size} - {0}:
-        Z = np.empty((b, W.shape[0]))
-        work[b] = (Z, [Z[:, j] for j in range(Z.shape[1])], np.empty(b))
+        Z = np.empty((b, k))
+        # The row count as a float: numpy divides by it faster than by an int.
+        work[b] = (float(b), Z, Z.T, [Z[:, j] for j in range(k)], np.empty(b))
+    batches = [
+        (Xp[start : start + size], Yp[start : start + size], *work[min(size, n - start)])
+        for start in range(0, n, size)
+    ]
     for epoch in range(cfg.epochs):
-        lr = lr0 * cfg.lr_decay_gamma**epoch
+        factor[1] = lr0 * cfg.lr_decay_gamma**epoch
         order = rng.permutation(n)
-        np.take(rows, order, axis=0, out=Xp)
-        np.take(Y, order, axis=0, out=Yp)
-        for start in range(0, n, size):
-            Xb = Xp[start : start + size]
-            Z, columns, row_work = work[len(Xb)]
+        # mode="clip" leaves the gathers unbuffered; every index is in range.
+        np.take(rows, index[order], axis=0, out=Xp, mode="clip")
+        np.take(Y, order, axis=0, out=Yp, mode="clip")
+        for Xb, Yb, b, Z, Z_T, columns, row_work in batches:
             # np.dot makes the BLAS call of the @ product, with less overhead.
-            np.dot(Xb, W.T, out=Z)
-            _softmax_rows(Z, columns, row_work)
-            Z -= Yp[start : start + size]
-            np.dot(Z.T, Xb, out=grad)
-            grad /= len(Xb)
-            velocity *= cfg.momentum
-            grad *= lr
+            np.dot(Xb, W_T, out=Z)
+            if k == 2:
+                # _softmax_rows of two columns written out: the same
+                # operations in the same order, without its call and loops.
+                first, second = columns
+                np.maximum(first, second, out=row_work)
+                first -= row_work
+                second -= row_work
+                np.exp(Z, out=Z)
+                np.add(first, second, out=row_work)
+                first /= row_work
+                second /= row_work
+            else:
+                _softmax_rows(Z, columns, row_work)
+            Z -= Yb
+            np.dot(Z_T, Xb, out=grad)
+            grad /= b
+            scaled *= factor
             velocity -= grad
             W += velocity
     return W
@@ -276,25 +315,27 @@ def pretrain_m0(
     if num_classes is None:
         num_classes = int(y.max()) + 1
     W = rng.uniform(-0.01, 0.01, size=(num_classes, X.shape[1] + 1))
-    W = _run_sgd(W, _augment(X), y, cfg, cfg.learning_rate, rng)
+    W = _run_sgd(W, np.arange(len(X)), y, _augment(X), cfg, cfg.learning_rate, rng)
     return LearnerModel(weights=W)
 
 
 def fit(
     base: LearnerModel,
-    data: tuple[np.ndarray, np.ndarray],
+    data: tuple[np.ndarray, np.ndarray, np.ndarray],
     cfg: TrainConfig,
     warm: bool,
     rng: np.random.Generator,
 ) -> LearnerModel:
     """Train from ``base``: warm continues at the reduced fine-tuning rate,
     cold trains at the full rate (pass the pre-trained model as ``base``
-    to restart from it). ``data`` is ``(rows, y)`` as :func:`training_rows`
-    gives it: augmented ``(n, d + 1)`` rows of checked candidates,
-    ``n >= 1``, and their labels, which are not checked again."""
-    rows, y = data
+    to restart from it). ``data`` is ``(index, y, rows)`` as
+    :func:`training_rows` gives it: the training rows are
+    ``rows[index]``, ``n >= 1`` augmented rows of checked candidates out
+    of an ``(R, d + 1)`` array, which is read, never written, and ``y``
+    holds their ``n`` labels, which are not checked again."""
+    index, y, rows = data
     lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
-    return LearnerModel(weights=_run_sgd(base.weights, rows, y, cfg, lr0, rng))
+    return LearnerModel(weights=_run_sgd(base.weights, index, y, rows, cfg, lr0, rng))
 
 
 def _predict_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -387,8 +428,8 @@ class CandidateStack:
 def dim_mismatch(odd: Candidate, first: Candidate) -> ShapeError:
     """The error for candidates of one run whose feature dims differ."""
     return ShapeError(
-        f"candidate {odd.id!r} has {odd.feature_dim} features, "
-        f"candidate {first.id!r} has {first.feature_dim}"
+        f"candidate {shown(odd.id)} has {odd.feature_dim} features, "
+        f"candidate {shown(first.id)} has {first.feature_dim}"
     )
 
 
@@ -468,19 +509,21 @@ def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndar
 
 def training_rows(
     stack: CandidateStack, keep: np.ndarray, labels: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The patch rows of the stack's candidates at the true positions of
-    ``keep``, in stack order, gathered into a new ``(R, d + 1)`` array,
-    and ``(R,)`` labels: every patch of a candidate gets ``labels[id]``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The training data of the stack's candidates at the true positions of
+    ``keep``, in the form :func:`fit` takes: ``(index, y, stack.rows)``.
+    ``index`` holds the positions in ``stack.rows`` of those candidates'
+    ``R`` patch rows, in stack order, and ``y`` their ``(R,)`` labels:
+    every patch of a candidate gets ``labels[id]``. No row is copied."""
     try:
         y = np.array([labels[i] for i in compress(stack.ids, keep)], dtype=int)
     except KeyError as err:
         raise InvariantError(f"candidate {err.args[0]!r} has no label for training") from None
     first, counts = stack.first[keep], stack.counts[keep]
-    # Row r of the result is row (first + r - offset) of its candidate's
-    # run, where offset is where that candidate starts in the result.
+    # Training row r is row (first + r - offset) of its candidate's run,
+    # where offset is where that candidate starts among the training rows.
     shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
-    return stack.rows[shift + np.arange(len(shift))], np.repeat(y, counts)
+    return shift + np.arange(len(shift)), np.repeat(y, counts), stack.rows
 
 
 def collect_patches(
@@ -489,5 +532,5 @@ def collect_patches(
     """Stack all patches of the candidates with their inherited labels:
     every patch of a candidate gets ``labels[candidate.id]``."""
     stack = stack_candidates(candidates)
-    rows, y = training_rows(stack, np.ones(len(stack), dtype=bool), labels)
-    return rows[:, :-1], y
+    index, y, rows = training_rows(stack, np.ones(len(stack), dtype=bool), labels)
+    return rows[index, :-1], y

@@ -16,9 +16,11 @@ answers for its batch. A run stacks its pool's patches once, as
 augmented rows in sorted-id order (``learner.stack_candidates``). The
 unlabeled set U is the stack's candidates outside L. Each step takes U,
 which it scores, and L, which it mines H from, as subsets of that
-stack, by position, and the training set's rows by one gather from it;
-the fit runs buffered SGD on those rows. The test split is stacked once
-too.
+stack, by position; a random-selection step, which scores nothing,
+takes only U's ids. The training set is the positions of its rows in
+the stack, and each epoch of the fit's buffered SGD gathers those rows
+straight from the stack, so no row is copied before the fit. The test
+split is stacked once too.
 
 The five named strategies differ in three choices:
 
@@ -51,7 +53,7 @@ import numpy as np
 
 from .criteria import CriteriaConfig, classify_pattern, score_candidates
 from .datagen import infer_num_classes
-from .errors import ConfigError, InvariantError, PartitionError, check_integer
+from .errors import ConfigError, InvariantError, PartitionError, check_integer, shown
 from .learner import (
     CandidateStack,
     LearnerModel,
@@ -267,14 +269,15 @@ def run_step(
     a pool with at least one unlabeled candidate."""
     stack = state.stack
     labeled = stack.mask(state.labels)
-    unlabeled = stack.subset(~labeled)
-    unlabeled_ids = list(unlabeled.ids)
 
     scores = None
     groups: list = []
     if strat.criterion is None:
+        unlabeled_ids = list(itertools.compress(stack.ids, ~labeled))
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
+        unlabeled = stack.subset(~labeled)
+        unlabeled_ids = list(unlabeled.ids)
         groups = stacked_predictions(state.model, unlabeled)
         scores = score_candidates(groups, strat.criterion, len(unlabeled_ids))
         batch = select_batch(unlabeled_ids, scores.score, strat.sampler, state.rng)
@@ -286,10 +289,10 @@ def run_step(
     )
     state.labels.update(labels)
     if train_ids:
-        rows = training_rows(stack, stack.mask(train_ids), state.labels)
+        data = training_rows(stack, stack.mask(train_ids), state.labels)
         warm = strat.model_start == CONTINUE_PREVIOUS
         base = state.model if warm else state.model_zero
-        state.model = fit(base, rows, state.train_cfg, warm, state.rng)
+        state.model = fit(base, data, state.train_cfg, warm, state.rng)
 
     test_auc = evaluator(state.model)
     labeled |= stack.mask(batch)
@@ -386,7 +389,7 @@ def check_splits(
     ids: set[str] = set()
     for c in train_candidates:
         if c.id in ids:
-            raise PartitionError(f"duplicate candidate id {c.id!r}")
+            raise PartitionError(f"duplicate candidate id {shown(c.id)}")
         ids.add(c.id)
     num_classes = infer_num_classes([*train_candidates, *test_candidates])
     if not (0 <= positive_class < num_classes):

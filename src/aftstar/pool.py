@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, shown
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +46,11 @@ class Candidate:
         features = np.array(self.features, dtype=float)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ShapeError(
-                f"candidate {self.id!r}: features must be (m >= 1, d), got shape {features.shape}"
+                f"candidate {shown(self.id)}: features must be (m >= 1, d), "
+                f"got shape {features.shape}"
             )
         if not np.isfinite(features).all():
-            raise ShapeError(f"candidate {self.id!r}: features must be finite")
+            raise ShapeError(f"candidate {shown(self.id)}: features must be finite")
         features.flags.writeable = False
         object.__setattr__(self, "features", features)
 

@@ -464,6 +464,24 @@ def test_a_stray_huge_train_label_is_a_short_config_error(dataset_dir, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_a_huge_candidate_id_is_cut_in_a_dim_mismatch_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    long_id = "x" * 100_000
+    (data / "train.csv").write_text(
+        f"candidate_id,label,f0,f1\n{long_id},0,0.5,1.5\nb,1,2.5,3.5\n", encoding="utf-8"
+    )
+    (data / "test.csv").write_text("candidate_id,label,f0\nt0,0,0.5\nt1,1,1.5\n", encoding="utf-8")
+    payload = run_config(data, tmp_path / "o", {"name": "RFT", "batch_size": 1})
+    cfg = write_config(tmp_path / "run.json", payload)
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: candidate 't0' has 1 features, candidate 'xxx")
+    assert "(100000 characters) has 2" in err
+    assert len(err) < 200
+    assert not (tmp_path / "o").exists()
+
+
 # --- fuzzed config boundary ------------------------------------------------------
 
 def fuzz_base_config():

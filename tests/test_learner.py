@@ -33,6 +33,11 @@ def blob_data(rng, n_per_class=40, d=4, separation=4.0):
     return X, y
 
 
+def fit_data(X, y):
+    """``fit``'s data form for a plain feature matrix: every row, in order."""
+    return np.arange(len(X)), y, _augment(X)
+
+
 def make_candidate(cid="c", m=3, d=4, seed=0, label=0):
     rng = np.random.default_rng(seed)
     return Candidate(id=cid, features=rng.random((m, d)), true_label=label)
@@ -81,7 +86,7 @@ def test_fit_moves_predictions_toward_labels():
     y = np.zeros(30, dtype=int)
     base = pretrain_m0(None, TrainConfig(), np.random.default_rng(0), feature_dim=4, num_classes=2)
     before = predict_features(base, X)[:, 0].mean()
-    model = fit(base, (_augment(X), y), TrainConfig(), warm=False, rng=np.random.default_rng(1))
+    model = fit(base, fit_data(X, y), TrainConfig(), warm=False, rng=np.random.default_rng(1))
     after = predict_features(model, X)[:, 0].mean()
     assert after > before
 
@@ -90,7 +95,7 @@ def test_cold_fit_deterministic():
     rng = np.random.default_rng(2)
     X, y = blob_data(rng, n_per_class=20)
     base = pretrain_m0(None, TrainConfig(), np.random.default_rng(0), feature_dim=4, num_classes=2)
-    data = (_augment(X), y)
+    data = fit_data(X, y)
     m1 = fit(base, data, TrainConfig(), warm=False, rng=np.random.default_rng(5))
     m2 = fit(base, data, TrainConfig(), warm=False, rng=np.random.default_rng(5))
     assert np.array_equal(m1.weights, m2.weights)
@@ -101,7 +106,7 @@ def test_warm_factor_one_equals_cold_fit_from_same_base():
     X, y = blob_data(rng, n_per_class=15)
     cfg = TrainConfig(finetune_lr_factor=1.0)
     base = pretrain_m0(None, cfg, np.random.default_rng(0), feature_dim=4, num_classes=2)
-    data = (_augment(X), y)
+    data = fit_data(X, y)
     warm = fit(base, data, cfg, warm=True, rng=np.random.default_rng(9))
     cold = fit(base, data, cfg, warm=False, rng=np.random.default_rng(9))
     assert np.abs(warm.weights - cold.weights).max() < 1e-12
@@ -142,10 +147,77 @@ def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
     y = rng.integers(0, num_classes, size=n)
     cfg = TrainConfig(minibatch_size=32)
     base = LearnerModel(weights=rng.normal(scale=0.3, size=(num_classes, d + 1)))
-    model = fit(base, (_augment(X), y), cfg, warm, np.random.default_rng(n))
+    model = fit(base, fit_data(X, y), cfg, warm, np.random.default_rng(n))
     lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
     expected = sgd_reference(base.weights, X, y, cfg, lr0, np.random.default_rng(n))
     assert np.array_equal(model.weights, expected)
+
+
+def ragged_training_subset(n, num_classes, seed, d=6):
+    """A stack of ragged candidates and a non-contiguous ``keep`` of them
+    holding exactly ``n`` patch rows: each kept candidate (1 to 5 patches,
+    the last one cut to fit) follows an unkept one (1 to 4 patches)."""
+    rng = np.random.default_rng(seed)
+    candidates, keep, labels, rows = [], [], {}, 0
+    while rows < n:
+        sizes = (int(rng.integers(1, 5)), min(int(rng.integers(1, 6)), n - rows))
+        for kept, m in zip((False, True), sizes):
+            cid = f"c{len(candidates)}"
+            candidates.append(Candidate(id=cid, features=rng.normal(scale=2.0, size=(m, d))))
+            keep.append(kept)
+            labels[cid] = int(rng.integers(0, num_classes))
+            rows += m if kept else 0
+    return stack_candidates(candidates), np.array(keep), labels
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5, 9])
+@pytest.mark.parametrize(
+    "size, n",
+    # n at, around and between multiples of the minibatch size, and one row.
+    [(1, 1), (1, 2), (1, 3), (7, 1), (7, 6), (7, 7), (7, 8), (7, 13), (7, 14), (7, 15),
+     (32, 1), (32, 31), (32, 32), (32, 33), (32, 63), (32, 64), (32, 65), (32, 75)],
+)
+def test_fit_over_stack_positions_equals_the_reference_on_gathered_rows(num_classes, size, n):
+    stack, keep, labels = ragged_training_subset(n, num_classes, seed=1000 * num_classes + n)
+    index, y, rows = training_rows(stack, keep, labels)
+    assert len(index) == n and index[0] > 0 and len(stack.rows) > n  # rows skipped before each run
+    cfg = TrainConfig(minibatch_size=size)
+    rng = np.random.default_rng(size + n)
+    base = LearnerModel(weights=rng.normal(scale=0.3, size=(num_classes, rows.shape[1])))
+    model = fit(base, (index, y, rows), cfg, False, np.random.default_rng(n))
+    X = rows[index][:, :-1]
+    expected = sgd_reference(base.weights, X, y, cfg, cfg.learning_rate, np.random.default_rng(n))
+    assert np.array_equal(model.weights, expected)
+
+
+def test_fit_reads_its_rows_and_never_writes_them():
+    stack, keep, labels = ragged_training_subset(40, 3, seed=4)
+    index, y, rows = training_rows(stack, keep, labels)
+    assert not rows.flags.writeable  # the stack's rows are read-only
+    before = rows.copy()
+    base = LearnerModel(weights=np.random.default_rng(4).normal(size=(3, rows.shape[1])))
+    model = fit(base, (index, y, rows), TrainConfig(), True, np.random.default_rng(4))
+    assert rows.tobytes() == before.tobytes()
+    writable = rows.copy()
+    again = fit(base, (index, y, writable), TrainConfig(), True, np.random.default_rng(4))
+    assert writable.tobytes() == before.tobytes()
+    assert np.array_equal(again.weights, model.weights)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_training_rows_positions_select_the_candidates_rows(seed):
+    candidates = ragged_candidates(seed)
+    labels = {c.id: i % 3 for i, c in enumerate(candidates)}
+    stack = stack_candidates(candidates)
+    keep = np.random.default_rng(seed).random(len(candidates)) < 0.5
+    index, y, rows = training_rows(stack, keep, labels)
+    chosen = [c for c, k in zip(candidates, keep) if k]
+    # The rows the gather into a new array gave: each chosen candidate's
+    # augmented patches, in stack order.
+    gathered = np.concatenate([_augment(c.features) for c in chosen])
+    assert rows is stack.rows and index.dtype.kind == "i"
+    assert rows[index].tobytes() == gathered.tobytes()
+    assert y.tolist() == [labels[c.id] for c in chosen for _ in range(len(c.features))]
 
 
 def test_loss_decreases_in_expectation():
@@ -154,7 +226,9 @@ def test_loss_decreases_in_expectation():
     initial, final = [], []
     for seed in range(10):
         base = pretrain_m0(None, TrainConfig(), np.random.default_rng(seed), feature_dim=4, num_classes=2)
-        model = fit(base, (Xa, y), TrainConfig(), warm=False, rng=np.random.default_rng(seed + 100))
+        model = fit(
+            base, fit_data(X, y), TrainConfig(), warm=False, rng=np.random.default_rng(seed + 100)
+        )
         initial.append(loss_and_gradient(base.weights, Xa, y)[0])
         final.append(loss_and_gradient(model.weights, Xa, y)[0])
     assert np.mean(final) < np.mean(initial)
@@ -276,8 +350,10 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
             assert (np.diff(pos) > 0).all(), name  # the audit searches them
             for i, block in zip(pos, P):
                 assert np.array_equal(block, predict(model, chosen[i])), name
-        rows, y = training_rows(stack, keep, labels)
-        rows_of_subset, y_of_subset = training_rows(sub, np.ones(len(sub), dtype=bool), labels)
+        index, y, stack_rows = training_rows(stack, keep, labels)
+        sub_index, y_of_subset, sub_rows = training_rows(sub, np.ones(len(sub), dtype=bool), labels)
+        assert stack_rows is stack.rows and sub_rows is stack.rows, name  # no row is copied
+        rows, rows_of_subset = stack_rows[index], sub_rows[sub_index]
         assert np.array_equal(rows_of_subset, rows) and np.array_equal(y_of_subset, y), name
         assert rows.shape == (sum(len(c.features) for c in chosen), 6), name
         if chosen:

@@ -514,6 +514,17 @@ def test_repeated_train_id_is_rejected_before_any_query(monkeypatch):
     assert queried == []
 
 
+def test_a_repeated_over_long_train_id_is_cut_in_its_error():
+    from aftstar.loop import check_splits
+
+    train, test = tiny_dataset()
+    long = Candidate(id="z" * 5000, features=train[0].features, true_label=train[0].true_label)
+    message = r"duplicate candidate id 'zzz.*\(5000 characters\)$"
+    with pytest.raises(PartitionError, match=message) as err:
+        check_splits([long, *train, long], test)
+    assert len(str(err.value)) < 200
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     batch=st.integers(1, 15),

@@ -21,6 +21,13 @@ def test_candidate_validation():
         Candidate(id="x", features=[[1.0, np.inf]], true_label=0)
 
 
+@pytest.mark.parametrize("features", [np.zeros((0, 3)), [[1.0, np.nan]]])
+def test_candidate_errors_cut_an_over_long_id(features):
+    with pytest.raises(ShapeError, match=r"candidate 'yyy.*\.\.\. \(5000 characters\)") as err:
+        Candidate(id="y" * 5000, features=features, true_label=0)
+    assert len(str(err.value)) < 200
+
+
 def test_feature_matrix_shape():
     c = make_candidate("a", m=4, d=6)
     assert c.features.shape == (4, 6)

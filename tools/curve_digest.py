@@ -4,7 +4,8 @@ split of a generated dataset as it is read back, then one per learning
 curve of a nine-class run, then one of a two-class selection audit, then
 one of a learning curve with a noisy oracle, then one of two runs on a
 pool with one-patch candidates, then one of two runs that label their
-whole pool, then one of a run that weights both criterion terms.
+whole pool, then one of a run that weights both criterion terms, then one per learning
+curve of two runs with other SGD settings.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -67,6 +68,14 @@ and lambda2 = 0.5, where every preset has one weight at 0) on
 grid-style digest of its records followed by the bytes of its selection
 audit.
 
+The other SGD settings: AFT*-entropy^a_w and RFT on
+``standard_benchmark(1)``, seed 1, budget 300, batch 20, trained with
+``TrainConfig(minibatch_size=7, epochs=2, momentum=0.5)``, so the fits
+walk minibatches of 7 rows, last ones of other short lengths included,
+and scale by other factors than the defaults. Each line is
+``sgd minibatch=7 epochs=2 momentum=0.5 <strategy label> seed=1
+<sha256>``, digested like the grid.
+
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
 
@@ -112,6 +121,7 @@ ONE_PATCH = Blobs(class_weights=(0.4, 0.6), train=400, test=200, m_lo=1, m_hi=3,
 NINE_CLASSES = DatagenConfig(num_classes=9, class_weights=(1 / 9,) * 9, feature_dim=10, seed=1)
 EXHAUSTED = DatagenConfig(train_candidates=50, test_candidates=30, seed=2)
 MIXED_LAMBDA2 = 0.5
+OTHER_SGD = TrainConfig(minibatch_size=7, epochs=2, momentum=0.5)
 
 
 def grid():
@@ -221,6 +231,12 @@ def main() -> None:
         )
         h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
     print(f"mixed lambda2={MIXED_LAMBDA2} {strategy.label} seed=1 {h}", flush=True)
+    settings = (f"minibatch={OTHER_SGD.minibatch_size} epochs={OTHER_SGD.epochs} "
+                f"momentum={OTHER_SGD.momentum}")
+    for strategy in (make_strategy("AFT_star", "entropy^a_w", BATCH),
+                     make_strategy("RFT", batch_size=BATCH)):
+        records = run_experiment(train, test, strategy, OTHER_SGD, StopRule(query_budget=BUDGET), 1)
+        print(f"sgd {settings} {strategy.label} seed=1 {digest(records)}", flush=True)
 
 
 if __name__ == "__main__":
