@@ -46,7 +46,7 @@ Rounding rule: a per-row reduction over the class axis (k columns) goes
 through :func:`row_max` and :func:`row_sum`, which work on whole columns
 and give numpy's ``max(axis=1)``/``sum(axis=1)`` to the bit; the
 softmax takes the maxima and the sums of its columns the same way, and
-the two-class fit runs that softmax written out in its minibatch loop.
+is the one statement of that order for predictions and fits alike.
 numpy runs a separate inner loop for each short row, which is slow when
 k is 2 or 3. Reductions over the patch axis stay numpy's own: a loop
 over patch columns keeps the bits but is slower on ragged groups of
@@ -164,9 +164,9 @@ def _softmax_rows(
     right as :func:`row_sum` does, but without its +0.0 start, which
     changes nothing here: exp gives no -0.0. ``work``, one entry per row,
     takes the maxima and then the sums. From 8 classes on, the maximum
-    and the sum are numpy's own reductions. With two classes the fit's
-    minibatch loop (:func:`_run_sgd`) runs these operations written out,
-    in the same order.
+    and the sum are numpy's own reductions. Two columns take the same
+    operations in the same order, written out without the loops, for the
+    fit's two-class minibatches.
     """
     if Z.shape[1] >= _COLUMNWISE_LIMIT:
         top = row_max(Z, work)
@@ -176,6 +176,17 @@ def _softmax_rows(
         return Z
     if columns is None:
         columns = [Z[:, j] for j in range(Z.shape[1])]
+    if len(columns) == 2:
+        # The lines below for two columns, written out without their loops.
+        first, second = columns
+        top = np.maximum(first, second, out=work)
+        first -= top
+        second -= top
+        np.exp(Z, out=Z)
+        total = np.add(first, second, out=top)
+        first /= total
+        second /= total
+        return Z
     top = np.maximum(columns[0], columns[1], out=work)
     for column in columns[2:]:
         np.maximum(top, column, out=top)
@@ -244,7 +255,9 @@ def _run_sgd(
     k = W.shape[0]
     scaled = np.zeros((2, *W.shape))  # [velocity; grad]
     velocity, grad = scaled
-    factor = np.full((2, 1, 1), cfg.momentum)
+    # A float array whatever the config's number types: an int momentum
+    # would make an int array, which truncates the learning rate to 0.
+    factor = np.full((2, 1, 1), cfg.momentum, dtype=float)
     Y = np.eye(k)[y]
     n = len(index)
     size = cfg.minibatch_size
@@ -267,19 +280,7 @@ def _run_sgd(
         for Xb, Yb, b, Z, Z_T, columns, row_work in batches:
             # np.dot makes the BLAS call of the @ product, with less overhead.
             np.dot(Xb, W_T, out=Z)
-            if k == 2:
-                # _softmax_rows of two columns written out: the same
-                # operations in the same order, without its call and loops.
-                first, second = columns
-                np.maximum(first, second, out=row_work)
-                first -= row_work
-                second -= row_work
-                np.exp(Z, out=Z)
-                np.add(first, second, out=row_work)
-                first /= row_work
-                second /= row_work
-            else:
-                _softmax_rows(Z, columns, row_work)
+            _softmax_rows(Z, columns, row_work)
             Z -= Yb
             np.dot(Z_T, Xb, out=grad)
             grad /= b

@@ -153,6 +153,38 @@ def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
     assert np.array_equal(model.weights, expected)
 
 
+# Whole-number settings given as ints, as a JSON config may give them.
+INT_CONFIGS = [
+    TrainConfig(momentum=0),
+    TrainConfig(momentum=0, lr_decay_gamma=1, finetune_lr_factor=1, minibatch_size=7),
+]
+
+
+@pytest.mark.parametrize("cfg", INT_CONFIGS)
+@pytest.mark.parametrize("warm", [True, False])
+def test_fit_with_int_settings_equals_the_reference(cfg, warm):
+    rng = np.random.default_rng(7)
+    X = rng.normal(scale=2.0, size=(75, 6))
+    y = rng.integers(0, 3, size=75)
+    base = LearnerModel(weights=rng.normal(scale=0.3, size=(3, 7)))
+    model = fit(base, fit_data(X, y), cfg, warm, np.random.default_rng(3))
+    lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
+    expected = sgd_reference(base.weights, X, y, cfg, lr0, np.random.default_rng(3))
+    assert not np.array_equal(model.weights, base.weights)
+    assert np.array_equal(model.weights, expected)
+
+
+@pytest.mark.parametrize("cfg", INT_CONFIGS)
+def test_pretrain_with_int_settings_equals_the_reference(cfg):
+    X, y = blob_data(np.random.default_rng(5), n_per_class=20)
+    model = pretrain_m0((X, y), cfg, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    start = rng.uniform(-0.01, 0.01, size=(2, X.shape[1] + 1))
+    expected = sgd_reference(start, X, y, cfg, cfg.learning_rate, rng)
+    assert not np.array_equal(model.weights, start)
+    assert np.array_equal(model.weights, expected)
+
+
 def ragged_training_subset(n, num_classes, seed, d=6):
     """A stack of ragged candidates and a non-contiguous ``keep`` of them
     holding exactly ``n`` patch rows: each kept candidate (1 to 5 patches,
