@@ -16,7 +16,8 @@ dataclass or ``make_strategy``, which checks its own values. Seeds must
 not repeat, nor may strategy labels within one ``compare``: each names
 its own artifacts. A ``query_budget`` of 0 is a config error, since a
 learning curve needs at least one query. Exit codes: 0 success, 1
-config error, 2 runtime error. The environment variable
+config error, 2 runtime error, running out of memory and a ``compare``
+worker process that dies included. The environment variable
 ``AFTSTAR_OUTPUT_DIR`` provides the default output directory.
 """
 
@@ -348,11 +349,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except AftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AftError, OSError, MemoryError, concurrent.futures.BrokenExecutor) as exc:
+        # A worker process that dies breaks the pool; a bare MemoryError has no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

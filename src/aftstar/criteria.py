@@ -19,10 +19,20 @@ All probabilities are clamped to ``[EPSILON, 1]`` before any log; rows
 are not re-normalized after clamping.
 
 :func:`score_candidates` scores a whole list of candidates at once, from
-their prediction matrices grouped by shape as
-``learner.stacked_predictions`` gives them: it checks each group's
-``(n, m, k)`` array once and takes the dominant class and the majority
-subset (a per-row sort) as array operations over the group. It computes
+one ``(n, M, k)`` array of their prediction matrices padded with zero
+rows to the largest patch count M, as ``learner.stacked_predictions``
+gives it, and their patch counts. It checks the array once and takes
+the dominant class, the majority subset (one ``lexsort`` of every
+candidate's rows, pad rows keyed last) and the terms as array operations
+over all candidates, with no loop over patch counts but one: entropy.
+The padding keeps every bit. numpy sums the middle axis of an
+``(n, M, k)`` array row after row, left to right, so the zero pad rows
+leave the class sums, and so the dominant class, as they are. The kept
+subsets are padded with copies of their first row, whose differences
+against the first row are +0.0 and so add nothing to diversity's
+middle-axis sums. Entropy sums the last two axes, which numpy adds
+pairwise, as one row of ``s * k`` numbers: padding would change that
+order, so it is summed once per distinct subset size s. It computes
 a term only when its weight is above 0: entropy when ``lambda1 > 0``,
 diversity when ``lambda2 > 0``, so the four ``entropy`` presets never
 compute diversity to rank. It returns one :class:`CandidateScores` of
@@ -71,6 +81,7 @@ from .learner import row_sum
 
 ROW_SUM_TOL = 1e-9
 EPSILON = 1e-12
+FLOAT_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -117,14 +128,14 @@ class CandidateScores:
     compute is computed by :meth:`terms` from the majority subsets, for
     the candidates asked for only. Either way it has the bits of the
     eager computation: a term of one candidate does not depend on the
-    others in its group.
+    others scored with it.
     """
 
     def __init__(self, dominant, subset_size, score, subsets, entropy=None, diversity=None):
         self.dominant = dominant
         self.subset_size = subset_size
         self.score = score
-        # (positions, majority subsets) of each patch-count group.
+        # The padded majority subsets, as _majority gives them.
         self._subsets = subsets
         self._full = {"entropy": entropy, "diversity": diversity}
 
@@ -136,26 +147,19 @@ class CandidateScores:
         positions = np.asarray(positions, dtype=np.intp)
         if positions.size and not (0 <= positions.min() <= positions.max() < len(self.score)):
             raise ShapeError(f"positions must lie in [0, {len(self.score)})")
-        return (
-            self._term_at("entropy", _entropy, positions),
-            self._term_at("diversity", _diversity, positions),
+        return tuple(
+            self._full[name][positions]
+            if self._full[name] is not None
+            else term(self._subsets[positions], self.subset_size[positions])
+            for name, term in (("entropy", _entropy), ("diversity", _diversity))
         )
 
-    def _term_at(self, name: str, term, positions: np.ndarray) -> np.ndarray:
-        full = self._full[name]
-        if full is not None:
-            return full[positions]
-        out = np.empty(len(positions))
-        for group_positions, subset in self._subsets:
-            rows = np.searchsorted(group_positions, positions).clip(max=len(group_positions) - 1)
-            here = group_positions[rows] == positions
-            if here.any():
-                out[here] = term(subset[rows[here]])
-        return out
 
+def check_prediction_matrix(P, real=None) -> np.ndarray:
+    """Validate and return P as an (m, |Y|) row-stochastic float array.
 
-def check_prediction_matrix(P) -> np.ndarray:
-    """Validate and return P as an (m, |Y|) row-stochastic float array."""
+    With ``real``, one flag per row, only the flagged rows must sum to 1;
+    the others are padding and must be all zero."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2:
         raise ShapeError(f"prediction matrix must be 2-d, got shape {P.shape}")
@@ -166,13 +170,20 @@ def check_prediction_matrix(P) -> np.ndarray:
         raise ShapeError("prediction matrix contains non-finite entries")
     if (P < 0).any() or (P > 1).any():
         raise ShapeError("prediction matrix entries must lie in [0, 1]")
-    if np.abs(row_sum(P) - 1.0).max() > ROW_SUM_TOL:
-        raise ShapeError(f"prediction matrix rows must sum to 1 within {ROW_SUM_TOL}")
+    sums = row_sum(P)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    if real is not None:
+        off = np.where(real, off, sums != 0)
+    if off.any():
+        raise ShapeError(
+            f"prediction matrix rows must sum to 1 within {ROW_SUM_TOL}, and pad rows to 0"
+        )
     return P
 
 
-def _dominant(P: np.ndarray) -> np.ndarray:
-    m, k = P.shape[1:]
+def _dominant(P: np.ndarray, counts) -> np.ndarray:
+    """The dominant class of each of the padded matrices ``P``, candidate
+    ``i`` having ``counts[i]`` rows (or every one ``counts`` rows)."""
     sums = P.sum(axis=1)
     dominant = sums.argmax(axis=1)
     # A sum of m entries in [0, 1], added in any order, is off by at most
@@ -180,47 +191,61 @@ def _dominant(P: np.ndarray) -> np.ndarray:
     # more than 4 * m * eps times the larger, the exact sums are in the
     # same order and round apart, so every row order picks the class that
     # the exactly rounded sums pick. Closer candidates are summed again
-    # with math.fsum, which rounds the exact sum: ties go to the smaller
-    # index whatever the row order.
+    # with math.fsum, which rounds the exact sum (the zero pad rows add
+    # nothing to it): ties go to the smaller index whatever the row order.
     top2 = np.sort(sums, axis=1)[:, -2:]
-    near = top2[:, 1] - top2[:, 0] <= 4 * m * np.finfo(float).eps * top2[:, 1]
+    near = top2[:, 1] - top2[:, 0] <= 4 * counts * FLOAT_EPS * top2[:, 1]
     for i in np.flatnonzero(near).tolist():
-        exact = [math.fsum(P[i, :, j]) for j in range(k)]
+        exact = [math.fsum(column) for column in P[i].T]
         dominant[i] = exact.index(max(exact))
     return dominant
 
 
-def _majority(P: np.ndarray, alpha: float, dominant: np.ndarray) -> np.ndarray:
-    m, k = P.shape[1:]
-    keep = max(1, math.ceil(alpha * m))
-    q = np.take_along_axis(P, dominant[:, None, None], axis=2)[:, :, 0]
-    # Descending q; rows with equal q are ordered by the whole row, column
-    # by column, so the subset and its order do not depend on the row order.
-    order = np.lexsort([*(P[:, :, j] for j in reversed(range(k))), -q], axis=1)[:, :keep]
-    return np.take_along_axis(P, order[:, :, None], axis=1)
+def _majority(
+    P: np.ndarray, counts: np.ndarray, alpha: float, dominant: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The majority subsets of the padded matrices ``P``, padded to the
+    largest, and their sizes."""
+    M, k = P.shape[1:]
+    keep = np.maximum(np.ceil(alpha * counts), 1).astype(np.intp)
+    # Descending q, the dominant-class probability; rows with equal q are
+    # ordered by the whole row, column by column, so the subset and its
+    # order do not depend on the row order.
+    key = -np.take_along_axis(P, dominant[:, None, None], axis=2)[:, :, 0]
+    if counts.min(initial=M) < M:
+        key[np.arange(M) >= counts[:, None]] = np.inf  # pad rows after every real row
+    width = keep.max(initial=0)
+    order = np.lexsort([*(P[:, :, j] for j in reversed(range(k))), key], axis=1)[:, :width]
+    if keep.min(initial=width) < width:
+        # A subset's slots past its size repeat its first row, so that their
+        # diversity differences are +0.0.
+        order = np.where(np.arange(width) < keep[:, None], order, order[:, :1])
+    return np.take_along_axis(P, order[:, :, None], axis=1), keep
 
 
-def _entropy(P: np.ndarray) -> np.ndarray:
-    pt = np.clip(P, EPSILON, 1.0)
-    return -(pt * np.log(pt)).sum(axis=(1, 2)) / P.shape[1]
+def _entropy(S: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    T = np.clip(S, EPSILON, 1.0)
+    T *= np.log(T)
+    out = np.empty(len(keep))
+    # A sum over the last two axes adds each candidate's (s, k) block
+    # pairwise, as one row of s * k numbers: padding would change that
+    # order, so each subset size s is summed on its own.
+    for s in np.flatnonzero(np.bincount(keep)).tolist():
+        at = np.flatnonzero(keep == s)
+        block = T[at, :s] if len(at) < len(keep) else T  # one size: T is its block
+        out[at] = -block.sum(axis=(1, 2)) / s
+    return out
 
 
-def _diversity(P: np.ndarray) -> np.ndarray:
-    pt = np.clip(P, EPSILON, 1.0)
+def _diversity(S: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    pt = np.clip(S, EPSILON, 1.0)
     logs = np.log(pt)
     D = pt - pt[:, :1]
     E = logs - logs[:, :1]
-    per_class = P.shape[1] * (D * E).sum(axis=1) - D.sum(axis=1) * E.sum(axis=1)
+    # The middle-axis sums add row after row, left to right, so the +0.0
+    # of the slots that repeat the first row change none of them.
+    per_class = keep[:, None] * (D * E).sum(axis=1) - D.sum(axis=1) * E.sum(axis=1)
     return row_sum(np.maximum(per_class, 0.0))
-
-
-def _per_group(term, subsets, count: int) -> np.ndarray:
-    """``term`` of every candidate, in position order, from ``(positions,
-    subset)`` pairs that cover ``range(count)``."""
-    out = np.empty(count)
-    for positions, subset in subsets:
-        out[positions] = term(subset)
-    return out
 
 
 def dominant_class(P) -> int:
@@ -230,7 +255,8 @@ def dominant_class(P) -> int:
     are taken exactly rounded (``math.fsum``), so the class does not
     depend on the row order.
     """
-    return int(_dominant(check_prediction_matrix(P)[None])[0])
+    P = check_prediction_matrix(P)
+    return int(_dominant(P[None], len(P))[0])
 
 
 def majority_subset(P, alpha: float) -> np.ndarray:
@@ -242,15 +268,16 @@ def majority_subset(P, alpha: float) -> np.ndarray:
     subset, and its row order, do not depend on the order of the rows
     of ``P``.
     """
-    P = check_prediction_matrix(P)[None]
+    P = check_prediction_matrix(P)
     if not (0 < alpha <= 1):
         raise ConfigError("alpha must lie in (0, 1]")
-    return _majority(P, alpha, _dominant(P))[0]
+    return _majority(P[None], np.array([len(P)]), alpha, _dominant(P[None], len(P)))[0][0]
 
 
 def entropy(P) -> float:
     """Mean per-patch prediction entropy in nats; lies in [0, ln |Y|]."""
-    return float(_entropy(check_prediction_matrix(P)[None])[0])
+    P = check_prediction_matrix(P)
+    return float(_entropy(P[None], np.array([len(P)]))[0])
 
 
 def diversity(P) -> float:
@@ -260,17 +287,18 @@ def diversity(P) -> float:
     non-negative because each pair term has the form
     ``(a - b) * (ln a - ln b)``.
     """
-    return float(_diversity(check_prediction_matrix(P)[None])[0])
+    P = check_prediction_matrix(P)
+    return float(_diversity(P[None], np.array([len(P)]))[0])
 
 
-def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores:
+def score_candidates(P, counts, cfg: CriteriaConfig) -> CandidateScores:
     """Score many candidates: majority subset, then weighted entropy + diversity.
 
-    ``groups`` holds ``(positions, P)`` pairs, as from
-    ``learner.stacked_predictions``: ``P`` is an ``(n, m, k)`` array and
-    ``P[j]`` the prediction matrix of the candidate at position
-    ``positions[j]``. The positions must cover ``range(count)`` exactly
-    once. Returns the scores in position order.
+    ``P`` is an ``(n, M, k)`` array of prediction matrices padded to M
+    rows, as ``learner.stacked_predictions`` gives it: candidate ``i``'s
+    matrix is ``P[i, :counts[i]]``, ``1 <= counts[i] <= M``, and its rows
+    past ``counts[i]`` are zero. ``P`` is checked once, here. Returns the
+    scores in candidate order.
 
     Entropy is computed here only when ``lambda1 > 0``, and diversity
     only when ``lambda2 > 0``; the other term is left to
@@ -278,25 +306,20 @@ def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores
     ``lambda1 * e + lambda2 * d``: entropy is > 0 and diversity >= +0.0,
     so a zero weight's product is a zero that adds as ``0.0``.
     """
-    covered = np.sort(np.concatenate([positions for positions, _ in groups] or [[]]))
-    if not np.array_equal(covered, np.arange(count)):
-        raise ShapeError(f"group positions must cover each of the {count} positions once")
-    dominant = np.empty(count, dtype=np.intp)
-    subset_sizes = np.empty(count, dtype=np.intp)
-    subsets = []
-    for positions, P in groups:
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 3 or P.shape[0] != len(positions):
-            raise ShapeError(f"{len(positions)} positions but predictions of shape {P.shape}")
-        n, m, k = P.shape
-        check_prediction_matrix(P.reshape(n * m, k))
-        group_dominant = _dominant(P)
-        subset = _majority(P, cfg.alpha, group_dominant)
-        dominant[positions] = group_dominant
-        subset_sizes[positions] = subset.shape[1]
-        subsets.append((positions, subset))
-    entropies = _per_group(_entropy, subsets, count) if cfg.lambda1 > 0 else None
-    diversities = _per_group(_diversity, subsets, count) if cfg.lambda2 > 0 else None
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 3 or np.shape(counts) != P.shape[:1]:
+        raise ShapeError(f"{np.shape(counts)} patch counts but predictions of shape {P.shape}")
+    n, M, k = P.shape
+    counts = np.asarray(counts, dtype=np.intp)
+    if not (1 <= counts.min(initial=1) and counts.max(initial=0) <= M):
+        raise ShapeError(f"patch counts must lie in [1, {M}]")
+    if n:
+        real = (np.arange(M) < counts[:, None]).ravel() if counts.min() < M else None
+        check_prediction_matrix(P.reshape(n * M, k), real)
+    dominant = _dominant(P, counts)
+    subsets, subset_sizes = _majority(P, counts, cfg.alpha, dominant)
+    entropies = _entropy(subsets, subset_sizes) if cfg.lambda1 > 0 else None
+    diversities = _diversity(subsets, subset_sizes) if cfg.lambda2 > 0 else None
     if diversities is None:
         score = cfg.lambda1 * entropies + 0.0
     elif entropies is None:
@@ -315,9 +338,9 @@ def score_candidates(groups, cfg: CriteriaConfig, count: int) -> CandidateScores
 
 def score_candidate(P, cfg: CriteriaConfig, candidate_id: str = "") -> CandidateScore:
     """Score one candidate: the one-matrix case of :func:`score_candidates`."""
-    only = np.zeros(1, dtype=np.intp)
-    s = score_candidates([(only, np.asarray(P, dtype=float)[None])], cfg, 1)
-    (e,), (d,) = s.terms(only)
+    P = np.asarray(P, dtype=float)
+    s = score_candidates(P[None], np.shape(P)[:1], cfg)
+    (e,), (d,) = s.terms([0])
     return CandidateScore(
         candidate_id=candidate_id,
         dominant=int(s.dominant[0]),
@@ -338,7 +361,7 @@ def classify_pattern(P) -> str:
     P = check_prediction_matrix(P)
     if P.shape[1] != 2:
         raise DiagnosticError("pattern diagnostic requires exactly 2 classes")
-    q = P[:, _dominant(P[None])[0]]
+    q = P[:, _dominant(P[None], len(P))[0]]
     m = q.shape[0]
     f_mid = float(((q >= 0.4) & (q <= 0.6)).sum()) / m
     f_hi = float((q > 0.9).sum()) / m

@@ -29,18 +29,23 @@ the same order, so the weights are those of the unbuffered loop to the
 bit.
 
 A candidate list is stacked once. :func:`stack_candidates` copies its
-patches into one array of augmented rows (bias column appended) and
-groups the candidates by patch count ``m``. A :meth:`CandidateStack.subset`
-takes candidates by position: it filters the groups' positions in one
-pass over their concatenation, slices the result per group and shares
-the rows, so a run stacks its pool once and takes each step's unlabeled
-and labeled sets from that stack. :func:`training_rows` gives the positions
-of the rows of the candidates at given positions, and
-:func:`stacked_predictions` predicts the rows of every group in one
-pass and gives each group's prediction matrices as one ``(g, m, k)``
-array, the form that ``criteria.score_candidates`` scores. A
-candidate's class probabilities are the mean of its matrix's rows, one
-mean over each group array's middle axis.
+patches into one array of augmented rows (bias column appended), each
+candidate's rows in one run, and keeps each candidate's first row and
+patch count. A :meth:`CandidateStack.subset` takes candidates by
+position and shares the rows, so a run stacks its pool once and takes
+each step's unlabeled and labeled sets from that stack.
+:func:`training_rows` gives the positions of the rows of the candidates
+at given positions, and :func:`stacked_predictions` predicts the rows
+of a stack in one pass, in stack order, and gives the prediction
+matrices as one ``(n, M, k)`` array, M the largest patch count, the
+form that ``criteria.score_candidates`` scores: a candidate's slots past
+its own count are +0.0, and when every count is M the array is the
+predicted rows reshaped, with no copy. A candidate's class
+probabilities are the mean of its matrix's rows: the padded array
+summed over its middle axis, divided by the counts. numpy sums that
+axis row after row, left to right, so the trailing +0.0 slots leave
+every sum, and so every mean, with the bits of the candidate's own
+``(m, k)`` matrix's.
 
 Rounding rule: a per-row reduction over the class axis (k columns) goes
 through :func:`row_max` and :func:`row_sum`, which work on whole columns
@@ -49,8 +54,8 @@ softmax takes the maxima and the sums of its columns the same way, and
 is the one statement of that order for predictions and fits alike.
 numpy runs a separate inner loop for each short row, which is slow when
 k is 2 or 3. Reductions over the patch axis stay numpy's own: a loop
-over patch columns keeps the bits but is slower on ragged groups of
-many patches.
+over patch columns keeps the bits but is slower on candidates of many
+patches.
 """
 
 from __future__ import annotations
@@ -361,22 +366,18 @@ def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CandidateStack:
-    """A candidate list's patches, stacked once as augmented rows and
-    grouped by patch count.
+    """A candidate list's patches, stacked once as augmented rows.
 
     ``rows`` is an ``(R, d + 1)`` array of patch features with the bias
     column appended. Candidate ``i`` (id ``ids[i]``) has ``counts[i]``
-    patches, in ``rows[first[i]:first[i] + counts[i]]``. ``groups``
-    holds one ``(positions, index)`` pair per patch count m: the
-    ascending positions of those candidates, and their ``(g, m)`` row
-    indices into ``rows``. A :meth:`subset` shares its parent's rows.
+    patches, in ``rows[first[i]:first[i] + counts[i]]``. A :meth:`subset`
+    shares its parent's rows.
     """
 
     ids: tuple[str, ...]
     rows: np.ndarray
     first: np.ndarray
     counts: np.ndarray
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -392,38 +393,24 @@ class CandidateStack:
         keep[np.fromiter(map(self._position.__getitem__, ids), np.intp, len(ids))] = True
         return keep
 
-    @cached_property
-    def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
-        """The groups' positions, concatenated in group order, and where
-        each group starts in that array."""
-        sizes = [len(positions) for positions, _ in self.groups]
-        starts = np.cumsum([0, *sizes[:-1]])
-        return np.concatenate([positions for positions, _ in self.groups]), starts
-
     def subset(self, keep: np.ndarray) -> CandidateStack:
-        """The candidates at the true positions of ``keep``, in stack order:
-        the groups filtered, not regrouped, over the same rows. The groups'
-        positions are filtered in one pass over their concatenation, then
-        sliced per group."""
-        groups = []
-        if self.groups:
-            order, starts = self._grouped
-            kept = keep[order]
-            sizes = np.add.reduceat(kept, starts, dtype=np.intp).tolist()
-            positions = (np.cumsum(keep) - 1)[order[kept]]
-            taken = 0
-            for (_, index), start, size in zip(self.groups, starts.tolist(), sizes):
-                if size:
-                    kept_index = index[kept[start : start + len(index)]]
-                    groups.append((positions[taken : taken + size], kept_index))
-                    taken += size
+        """The candidates at the true positions of ``keep``, in stack order,
+        over the same rows."""
         return CandidateStack(
             ids=tuple(compress(self.ids, keep)),
             rows=self.rows,
             first=self.first[keep],
             counts=self.counts[keep],
-            groups=tuple(groups),
         )
+
+
+def _row_positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions of runs of rows, run after run: run i is ``counts[i]``
+    rows from position ``first[i]`` on."""
+    # Row r is row (first + r - offset) of its run, where offset is where
+    # that run starts among the rows.
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return shift + np.arange(len(shift))
 
 
 def dim_mismatch(odd: Candidate, first: Candidate) -> ShapeError:
@@ -439,11 +426,6 @@ def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
     :func:`stacked_predictions` and :func:`training_rows` calls."""
     candidates = list(candidates)
     counts = np.array([len(c.features) for c in candidates], dtype=np.intp)
-    first = np.cumsum(counts) - counts
-    groups = []
-    for m in np.unique(counts):
-        positions = np.flatnonzero(counts == m)
-        groups.append((positions, first[positions, None] + np.arange(m)))
     d = candidates[0].features.shape[1] if candidates else 0
     rows = np.empty((int(counts.sum()), d + 1))
     rows[:, -1] = 1.0
@@ -457,55 +439,52 @@ def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
     return CandidateStack(
         ids=tuple(c.id for c in candidates),
         rows=rows,
-        first=first,
+        first=np.cumsum(counts) - counts,
         counts=counts,
-        groups=tuple(groups),
     )
 
 
-def stacked_predictions(
-    model: LearnerModel, stack: CandidateStack
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def stacked_predictions(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
     """Prediction matrices of a stack's candidates from one pass over its
-    patches: one ``(positions, P)`` pair per patch-count group, where
-    ``P[j]`` equals ``predict(model, candidates[positions[j]])``."""
-    if not stack.groups:
-        return []
+    patches, as one ``(n, M, k)`` array, where M is the largest patch
+    count: ``P[i, :counts[i]]`` equals ``predict(model, candidates[i])``,
+    and the slots past a candidate's count are +0.0. When every candidate
+    has M patches, the array is the predicted rows reshaped."""
+    counts = stack.counts
+    if not len(stack):
+        return np.zeros((0, 0, model.num_classes))
     if stack.rows.shape[1] != model.weights.shape[1]:
         d = stack.rows.shape[1] - 1
         raise ShapeError(f"expected (m, {model.feature_dim}) features, got (m, {d})")
-    # The rows of every group of two or more patches are gathered, group
-    # after group, and predicted in one pass; each such group's matrices
-    # are then a reshaped slice of the result.
-    multi = [index.ravel() for _, index in stack.groups if index.shape[1] > 1]
-    if multi:
-        P = _predict_rows(model.weights, stack.rows[np.concatenate(multi)])
-    out, start = [], 0
-    for positions, index in stack.groups:
-        g, m = index.shape
-        if m == 1:
-            # numpy multiplies a single row through a matrix-vector routine
-            # that rounds differently from the matrix product, so a
-            # one-patch candidate is predicted alone to match predict().
-            block = np.stack(
-                [_predict_rows(model.weights, stack.rows[r : r + 1]) for r in index[:, 0]]
-            )
-        else:
-            block = P[start : start + g * m].reshape(g, m, -1)
-            start += g * m
-        out.append((positions, block))
+    # numpy multiplies a single row through a matrix-vector routine that
+    # rounds differently from the matrix product, so a one-patch candidate
+    # is predicted alone to match predict(). The rows of the others are
+    # predicted in one pass, in stack order.
+    multi = counts > 1
+    alone = [
+        _predict_rows(model.weights, stack.rows[r : r + 1]) for r in stack.first[~multi].tolist()
+    ]
+    n, M = len(counts), int(counts.max())
+    if M == 1:
+        return np.stack(alone)
+    P = _predict_rows(model.weights, stack.rows[_row_positions(stack.first[multi], counts[multi])])
+    if counts.min() == M:
+        return P.reshape(n, M, -1)
+    out = np.zeros((n, M, P.shape[1]))
+    # Candidate i's slots start at row i * M of the array's (n * M, k) view.
+    out.reshape(n * M, -1)[_row_positions(np.flatnonzero(multi) * M, counts[multi])] = P
+    if alone:
+        out[~multi, 0] = np.concatenate(alone)
     return out
 
 
 def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
     """Candidate-level class probabilities, one row per candidate of the
     stack: the column means of its prediction matrix."""
-    out = np.empty((len(stack), model.num_classes))
-    for positions, P in stacked_predictions(model, stack):
-        # A mean over each (m, k) matrix, not np.add.reduceat: reduceat
-        # sums in another order.
-        out[positions] = P.mean(axis=1)
-    return out
+    # numpy sums the middle axis of an (n, M, k) array row after row, left
+    # to right, so the +0.0 slots past a candidate's count leave its sum the
+    # sum of its own rows, and the quotient its mean(axis=0) to the bit.
+    return stacked_predictions(model, stack).sum(axis=1) / stack.counts[:, None]
 
 
 def training_rows(
@@ -520,11 +499,8 @@ def training_rows(
         y = np.array([labels[i] for i in compress(stack.ids, keep)], dtype=int)
     except KeyError as err:
         raise InvariantError(f"candidate {err.args[0]!r} has no label for training") from None
-    first, counts = stack.first[keep], stack.counts[keep]
-    # Training row r is row (first + r - offset) of its candidate's run,
-    # where offset is where that candidate starts among the training rows.
-    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
-    return shift + np.arange(len(shift)), np.repeat(y, counts), stack.rows
+    counts = stack.counts[keep]
+    return _row_positions(stack.first[keep], counts), np.repeat(y, counts), stack.rows
 
 
 def collect_patches(

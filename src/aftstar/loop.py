@@ -1,9 +1,9 @@
 """The active, continuous fine-tuning loop over the candidate pool.
 
 Each step: score every unlabeled candidate with the previous step's
-model, from one prediction pass over the whole unlabeled set whose
-patch-count groups go straight to one batched scoring pass (both skipped
-for random selection), select a batch, ask the oracle for labels, build
+model, from one prediction pass over the whole unlabeled set whose one
+padded ``(n, M, k)`` array goes straight to one batched scoring pass
+(both skipped for random selection), select a batch, ask the oracle for labels, build
 the training set per the strategy policy from the batch and the
 misclassified set H that the previous step mined, add the batch's
 labels to the labeled set, fit per the strategy's model-start policy,
@@ -271,15 +271,14 @@ def run_step(
     labeled = stack.mask(state.labels)
 
     scores = None
-    groups: list = []
     if strat.criterion is None:
         unlabeled_ids = list(itertools.compress(stack.ids, ~labeled))
         batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
     else:
         unlabeled = stack.subset(~labeled)
         unlabeled_ids = list(unlabeled.ids)
-        groups = stacked_predictions(state.model, unlabeled)
-        scores = score_candidates(groups, strat.criterion, len(unlabeled_ids))
+        predictions = stacked_predictions(state.model, unlabeled)
+        scores = score_candidates(predictions, unlabeled.counts, strat.criterion)
         batch = select_batch(unlabeled_ids, scores.score, strat.sampler, state.rng)
 
     labels = oracle.query(batch)
@@ -315,14 +314,11 @@ def run_step(
     if audit is not None:
         entries = [{"id": cid, "label": labels[cid]} for cid in batch]
         if scores is not None:
-            # Each patch count has one group, whose positions are ascending.
-            by_count = {group.shape[1]: (pos, group) for pos, group in groups}
             picked = [bisect.bisect_left(unlabeled_ids, cid) for cid in batch]
             # A term the criterion does not weight is computed for the batch only.
             entropies, diversities = scores.terms(picked)
             for entry, i, e, d in zip(entries, picked, entropies.tolist(), diversities.tolist()):
-                pos, group = by_count[int(unlabeled.counts[i])]
-                P = group[np.searchsorted(pos, i)]
+                P = predictions[i, : unlabeled.counts[i]]
                 entry.update(
                     dominant=int(scores.dominant[i]),
                     entropy=e,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -480,6 +481,52 @@ def test_a_huge_candidate_id_is_cut_in_a_dim_mismatch_error(tmp_path, capsys):
     assert "(100000 characters) has 2" in err
     assert len(err) < 200
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [
+        ("Unable to allocate 7.45 GiB for an array with shape (1000, 100000000)",
+         "error: Unable to allocate 7.45 GiB"),
+        ("", "error: MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_running_out_of_memory_is_a_short_runtime_error(
+    tmp_path, capsys, monkeypatch, message, shown
+):
+    import aftstar.datagen as datagen_mod
+
+    def out_of_memory(cfg):
+        assert cfg.feature_dim == 100_000_000  # what would have been allocated
+        raise MemoryError(message)
+
+    monkeypatch.setattr(datagen_mod, "generate", out_of_memory)
+    payload = inline_run_config(tmp_path / "o")
+    payload["dataset"]["feature_dim"] = 100_000_000
+    assert main(["run", "--config", write_config(tmp_path / "run.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(shown) and len(err) < 200
+    assert not (tmp_path / "o").exists()
+
+
+def exit_at_once(*_):
+    os._exit(3)
+
+
+def test_a_compare_worker_that_dies_is_a_short_runtime_error(
+    dataset_dir, tmp_path, capsys, monkeypatch
+):
+    # Two CPUs at least, so that the jobs go to worker processes and only a
+    # worker exits.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_run_one", exit_at_once)
+    strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
+    cfg = write_config(tmp_path / "c.json", compare_config(dataset_dir, tmp_path / "o", strategies))
+    assert main(["compare", "--config", cfg, "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A process in the process pool was terminated abruptly")
+    assert len(err) < 200
 
 
 # --- fuzzed config boundary ------------------------------------------------------

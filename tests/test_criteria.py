@@ -68,9 +68,9 @@ def test_score_candidate_checks_the_matrix_once(monkeypatch):
     calls = []
     real_check = criteria_mod.check_prediction_matrix
 
-    def counting_check(P):
+    def counting_check(P, *rest):
         calls.append(1)
-        return real_check(P)
+        return real_check(P, *rest)
 
     monkeypatch.setattr(criteria_mod, "check_prediction_matrix", counting_check)
     P = make_pattern_c_candidate()
@@ -266,12 +266,20 @@ def ragged_blocks(rng, n=60):
 
 
 def grouped(blocks):
-    """``(positions, P)`` pairs for score_candidates: the blocks grouped by
-    shape, each group stacked into an ``(n, m, k)`` array."""
+    """``(positions, P, counts)`` triples for score_candidates, one per class
+    count k: the positions of the blocks with k columns, those blocks
+    zero-padded into one ``(n, M, k)`` array, and their row counts."""
     members = {}
-    for i, P in enumerate(blocks):
-        members.setdefault(np.shape(P), []).append(i)
-    return [(np.array(pos), np.array([blocks[i] for i in pos])) for pos in members.values()]
+    for i, B in enumerate(blocks):
+        members.setdefault(np.shape(B)[1], []).append(i)
+    out = []
+    for positions in members.values():
+        counts = np.array([len(blocks[i]) for i in positions])
+        P = np.zeros((len(positions), counts.max(), np.shape(blocks[positions[0]])[1]))
+        for j, i in enumerate(positions):
+            P[j, : counts[j]] = blocks[i]
+        out.append((np.array(positions), P, counts))
+    return out
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
@@ -279,58 +287,64 @@ def test_score_candidates_match_direct_oracles_in_input_order(alpha):
     blocks = ragged_blocks(np.random.default_rng(11))
     ids = [f"c{i:03d}" for i in range(len(blocks))]
     cfg = CriteriaConfig(lambda1=0.7, lambda2=0.3, alpha=alpha)
-    scores = score_candidates(grouped(blocks), cfg, len(blocks))
-    entropies, diversities = scores.terms(np.arange(len(blocks)))
-    columns = (scores.dominant, entropies, diversities, scores.score, scores.subset_size)
-    assert all(column.shape == (len(blocks),) for column in columns)
-    for i, (cid, P) in enumerate(zip(ids, blocks)):
-        s = CandidateScore(cid, *(column[i].item() for column in columns))
-        subset = majority_subset(P, alpha)
-        assert s.dominant == dominant_class(P)
-        assert s.subset_size == subset.shape[0] == math.ceil(alpha * P.shape[0])
-        assert abs(s.entropy - entropy_direct(subset.tolist())) < 1e-9
-        assert abs(s.diversity - diversity_direct(subset.tolist())) < 1e-9
-        assert s.score == cfg.lambda1 * s.entropy + cfg.lambda2 * s.diversity
-        assert s == score_candidate(P, cfg, cid)
+    for positions, P_padded, counts in grouped(blocks):
+        scores = score_candidates(P_padded, counts, cfg)
+        entropies, diversities = scores.terms(np.arange(len(positions)))
+        columns = (scores.dominant, entropies, diversities, scores.score, scores.subset_size)
+        assert all(column.shape == (len(positions),) for column in columns)
+        for j, i in enumerate(positions.tolist()):
+            cid, P = ids[i], blocks[i]
+            s = CandidateScore(cid, *(column[j].item() for column in columns))
+            subset = majority_subset(P, alpha)
+            assert s.dominant == dominant_class(P)
+            assert s.subset_size == subset.shape[0] == math.ceil(alpha * P.shape[0])
+            assert abs(s.entropy - entropy_direct(subset.tolist())) < 1e-9
+            assert abs(s.diversity - diversity_direct(subset.tolist())) < 1e-9
+            assert s.score == cfg.lambda1 * s.entropy + cfg.lambda2 * s.diversity
+            assert s == score_candidate(P, cfg, cid)
 
 
 def test_score_candidates_of_nothing_is_empty():
-    scores = score_candidates(grouped([]), CriteriaConfig(), 0)
+    scores = score_candidates(np.zeros((0, 0, 2)), np.zeros(0, dtype=int), CriteriaConfig())
     assert scores.dominant.shape == scores.score.shape == (0,)
 
 
 @pytest.mark.parametrize(
-    "positions",
-    [[[0, 1], [3]], [[0, 1], [1, 2]], [[0, 1, 2], [3, 4]], [[0, 1], [2, 2]], [[-1, 0], [1, 2]]],
-    ids=["missing", "repeated", "out_of_range", "repeated_in_a_group", "negative"],
+    "counts",
+    [[2], [2, 2, 2], [[2, 2]], [2, 0], [-1, 2], [2, 3]],
+    ids=["fewer", "more", "two_dims", "zero", "negative", "above_the_width"],
 )
-def test_score_candidates_rejects_groups_missing_or_repeating_a_position(positions):
-    groups = [(np.array(pos), np.array([binary_rows([0.5, 0.7])] * len(pos))) for pos in positions]
+def test_score_candidates_rejects_counts_that_do_not_fit_the_predictions(counts):
+    P = np.array([binary_rows([0.5, 0.7])] * 2)
     with pytest.raises(ShapeError):
-        score_candidates(groups, CriteriaConfig(), 4)
+        score_candidates(P, counts, CriteriaConfig())
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_score_candidates_rejects_a_group_of_another_size_than_its_positions(n):
-    groups = [(np.array([0, 1]), np.array([binary_rows([0.5, 0.7])] * n))]
+@pytest.mark.parametrize("pad", [[0.5, 0.5], [1e-300, 0.0]])
+def test_score_candidates_rejects_a_pad_row_that_is_not_zero(pad):
+    P = np.array([binary_rows([0.5, 0.7, 0.2]), binary_rows([0.4, 0.1, 0.0])])
+    P[1, 2] = 0.0
+    score_candidates(P, [3, 2], CriteriaConfig())
+    P[1, 2] = pad
     with pytest.raises(ShapeError):
-        score_candidates(groups, CriteriaConfig(), 2)
+        score_candidates(P, [3, 2], CriteriaConfig())
 
 
-def test_score_candidates_checks_each_shape_group_once(monkeypatch):
+def test_score_candidates_checks_once(monkeypatch):
     import aftstar.criteria as criteria_mod
 
     calls = []
     real_check = criteria_mod.check_prediction_matrix
 
-    def counting_check(P):
+    def counting_check(P, *rest):
         calls.append(P.shape)
-        return real_check(P)
+        return real_check(P, *rest)
 
     monkeypatch.setattr(criteria_mod, "check_prediction_matrix", counting_check)
     blocks = [binary_rows([0.5] * m) for m in (3, 1, 3, 5, 1, 3)]
-    score_candidates(grouped(blocks), CriteriaConfig(), 6)
-    assert sorted(calls) == [(2, 2), (5, 2), (9, 2)]
+    ((_, P, counts),) = grouped(blocks)
+    score_candidates(P, counts, CriteriaConfig())
+    assert calls == [(30, 2)]
 
 
 def test_diversity_of_identical_rows_is_exactly_zero():
@@ -339,7 +353,8 @@ def test_diversity_of_identical_rows_is_exactly_zero():
         row = rng.random(k) + 1e-6
         row /= row.sum()
         blocks = [np.tile(row, (m, 1)) for m in range(1, 41)]
-        scores = score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), 40)
+        ((_, P, counts),) = grouped(blocks)
+        scores = score_candidates(P, counts, CriteriaConfig(lambda2=1.0))
         assert (scores.terms(np.arange(40))[1] == 0.0).all()
         assert all(diversity(P) == 0.0 for P in blocks)
 
@@ -353,9 +368,10 @@ def test_diversity_of_near_identical_rows_is_non_negative():
         row = rng.random(k) + 1e-6
         raw = row + 1e-13 * rng.random((m, k))
         blocks.append(raw / raw.sum(axis=1, keepdims=True))
-    scores = score_candidates(grouped(blocks), CriteriaConfig(lambda2=1.0), len(blocks))
-    _, diversities = scores.terms(np.arange(len(blocks)))
-    assert ((0.0 <= diversities) & (diversities < 1e-9)).all()
+    for positions, P, counts in grouped(blocks):
+        scores = score_candidates(P, counts, CriteriaConfig(lambda2=1.0))
+        _, diversities = scores.terms(np.arange(len(positions)))
+        assert ((0.0 <= diversities) & (diversities < 1e-9)).all()
 
 
 @pytest.mark.parametrize("position", [0, 17, 59])
@@ -365,22 +381,25 @@ def test_score_candidates_rejects_a_bad_row_in_any_block(position):
     bad[-1] = 0.0
     bad[-1, 0] = 0.9  # a row summing to 0.9
     blocks[position] = bad
+    ((P, counts),) = [(P, c) for pos, P, c in grouped(blocks) if position in pos]
     with pytest.raises(ShapeError):
-        score_candidates(grouped(blocks), CriteriaConfig(), len(blocks))
+        score_candidates(P, counts, CriteriaConfig())
 
 
 # --- which terms are computed -----------------------------------------------
 
 def eager_terms(blocks, alpha):
-    """Entropy and diversity of every block, each computed over its whole
-    shape group, as score_candidates computed both terms for any weights."""
+    """Entropy and diversity of every block, each computed alone, as the
+    one-matrix functions compute them: no padding, and both terms for any
+    weights."""
     from aftstar.criteria import _diversity, _dominant, _entropy, _majority
 
     entropies, diversities = np.empty(len(blocks)), np.empty(len(blocks))
-    for positions, P in grouped(blocks):
-        subset = _majority(P, alpha, _dominant(P))
-        entropies[positions] = _entropy(subset)
-        diversities[positions] = _diversity(subset)
+    for i, P in enumerate(blocks):
+        P = P[None]
+        subset, keep = _majority(P, np.array([P.shape[1]]), alpha, _dominant(P, P.shape[1]))
+        entropies[i] = _entropy(subset, keep)[0]
+        diversities[i] = _diversity(subset, keep)[0]
     return entropies, diversities
 
 
@@ -409,8 +428,10 @@ def test_score_keeps_the_bits_of_the_eager_weighted_sum(lambda1, lambda2, alpha)
     blocks = scoring_blocks(21)
     entropies, diversities = eager_terms(blocks, alpha)
     cfg = CriteriaConfig(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
-    scores = score_candidates(grouped(blocks), cfg, len(blocks))
-    assert scores.score.tobytes() == (lambda1 * entropies + lambda2 * diversities).tobytes()
+    for positions, P, counts in grouped(blocks):
+        scores = score_candidates(P, counts, cfg)
+        expected = lambda1 * entropies[positions] + lambda2 * diversities[positions]
+        assert scores.score.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("lambda1,lambda2,alpha", WEIGHTINGS)
@@ -419,20 +440,23 @@ def test_a_term_read_later_has_the_bits_of_the_eager_one(lambda1, lambda2, alpha
     entropies, diversities = eager_terms(blocks, alpha)
     cfg = CriteriaConfig(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
     picked = np.random.default_rng(3).choice(len(blocks), size=25, replace=False)
-    scores = score_candidates(grouped(blocks), cfg, len(blocks))
-    e, d = scores.terms(picked)
-    assert e.tobytes() == entropies[picked].tobytes()
-    assert d.tobytes() == diversities[picked].tobytes()
-    e, d = scores.terms(np.arange(len(blocks)))
-    assert e.tobytes() == entropies.tobytes()
-    assert d.tobytes() == diversities.tobytes()
+    for positions, P, counts in grouped(blocks):
+        scores = score_candidates(P, counts, cfg)
+        local = np.flatnonzero(np.isin(positions, picked))
+        e, d = scores.terms(local)
+        assert e.tobytes() == entropies[positions[local]].tobytes()
+        assert d.tobytes() == diversities[positions[local]].tobytes()
+        e, d = scores.terms(np.arange(len(positions)))
+        assert e.tobytes() == entropies[positions].tobytes()
+        assert d.tobytes() == diversities[positions].tobytes()
 
 
 @pytest.mark.parametrize("lambda1,lambda2", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 @pytest.mark.parametrize("position", [-1, 4])
 def test_terms_reject_a_position_outside_the_scored_candidates(lambda1, lambda2, position):
     blocks = [binary_rows([0.3, 0.6])] * 4
-    scores = score_candidates(grouped(blocks), CriteriaConfig(lambda1=lambda1, lambda2=lambda2), 4)
+    ((_, P, counts),) = grouped(blocks)
+    scores = score_candidates(P, counts, CriteriaConfig(lambda1=lambda1, lambda2=lambda2))
     with pytest.raises(ShapeError):
         scores.terms([0, position])
 
@@ -444,18 +468,51 @@ def test_score_candidates_computes_only_the_weighted_terms(monkeypatch):
     for name in ("_entropy", "_diversity"):
         real = getattr(criteria_mod, name)
         monkeypatch.setattr(
-            criteria_mod, name, lambda P, name=name, real=real: calls.append(name) or real(P)
+            criteria_mod, name,
+            lambda P, keep, name=name, real=real: calls.append(name) or real(P, keep),
         )
-    blocks = scoring_blocks(23)
-    groups = grouped(blocks)
-    score_candidates(groups, CriteriaConfig(lambda1=1.0, lambda2=0.0), len(blocks))
+    groups = grouped(scoring_blocks(23))
+    for _, P, counts in groups:
+        score_candidates(P, counts, CriteriaConfig(lambda1=1.0, lambda2=0.0))
     assert set(calls) == {"_entropy"}
     calls.clear()
-    scores = score_candidates(groups, CriteriaConfig(lambda1=0.0, lambda2=1.0), len(blocks))
+    for _, P, counts in groups:
+        scores = score_candidates(P, counts, CriteriaConfig(lambda1=0.0, lambda2=1.0))
     assert set(calls) == {"_diversity"}
     calls.clear()
     scores.terms([0, 5])
     assert 1 <= calls.count("_entropy") <= 2 and set(calls) == {"_entropy"}
+
+
+# --- the numpy reductions the padded layout rests on ------------------------
+
+def spread_values(rng, shape):
+    """Non-negative values over 9 orders of magnitude, whose sums round
+    differently in different orders."""
+    return rng.random(shape) * 10.0 ** rng.integers(-8, 1, size=shape)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_numpy_sums_the_middle_axis_left_to_right_and_zero_padding_keeps_its_bits(k):
+    rng = np.random.default_rng(k)
+    for m in range(1, 42):
+        A = spread_values(rng, (5, m, k))
+        expected = A[:, 0].copy()
+        for j in range(1, m):
+            expected = expected + A[:, j]
+        assert A.sum(axis=1).tobytes() == expected.tobytes(), m
+        for pad in (1, 7, 40):
+            padded = np.concatenate([A, np.zeros((5, pad, k))], axis=1)
+            assert padded.sum(axis=1).tobytes() == expected.tobytes(), (m, pad)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_numpy_sums_the_last_two_axes_as_each_flattened_row(k):
+    rng = np.random.default_rng(10 + k)
+    for s in range(1, 42):
+        T = spread_values(rng, (5, s, k))
+        expected = np.array([np.add.reduce(row.ravel()) for row in T])
+        assert T.sum(axis=(1, 2)).tobytes() == expected.tobytes(), s
 
 
 # --- config validation ------------------------------------------------------

@@ -354,7 +354,7 @@ def ragged_candidates(seed, d=5):
     ]
 
 
-@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
 def test_stacked_predictions_equal_per_candidate_predict(num_classes):
     rng = np.random.default_rng(num_classes)
     model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
@@ -374,14 +374,13 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
         assert np.array_equal(stack.mask([c.id for c in chosen]), keep), name
         sub = stack.subset(keep)
         assert sub.ids == tuple(c.id for c in chosen), name
-        groups = stacked_predictions(model, sub)
-        positions = [i for pos, _ in groups for i in pos.tolist()]
-        assert sorted(positions) == list(range(len(chosen))), name
-        for pos, P in groups:
-            assert P.shape == (len(pos), len(chosen[pos[0]].features), num_classes)
-            assert (np.diff(pos) > 0).all(), name  # the audit searches them
-            for i, block in zip(pos, P):
-                assert np.array_equal(block, predict(model, chosen[i])), name
+        P = stacked_predictions(model, sub)
+        width = max((len(c.features) for c in chosen), default=0)
+        assert P.shape == (len(chosen), width, num_classes), name
+        for block, c in zip(P, chosen):
+            m = len(c.features)
+            assert block[:m].tobytes() == predict(model, c).tobytes(), name
+            assert block[m:].tobytes() == np.zeros((width - m, num_classes)).tobytes(), name
         index, y, stack_rows = training_rows(stack, keep, labels)
         sub_index, y_of_subset, sub_rows = training_rows(sub, np.ones(len(sub), dtype=bool), labels)
         assert stack_rows is stack.rows and sub_rows is stack.rows, name  # no row is copied
@@ -399,7 +398,20 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
 
 def test_stacked_predictions_of_no_candidates_are_empty():
     model = LearnerModel(weights=np.zeros((2, 5)))
-    assert stacked_predictions(model, stack_candidates([])) == []
+    assert stacked_predictions(model, stack_candidates([])).shape == (0, 0, 2)
+
+
+def test_stacked_predictions_of_equal_patch_counts_reshape_the_predicted_rows():
+    rng = np.random.default_rng(4)
+    model = LearnerModel(weights=rng.normal(size=(2, 6)))
+    candidates = [
+        Candidate(id=f"c{i}", features=rng.normal(size=(12, 5))) for i in range(30)
+    ]
+    sub = stack_candidates(candidates).subset(np.arange(30) % 3 > 0)
+    P = stacked_predictions(model, sub)
+    assert P.shape == (20, 12, 2) and P.base is not None  # a view, not a padded copy
+    for block, i in zip(P, np.flatnonzero(np.arange(30) % 3 > 0)):
+        assert block.tobytes() == predict(model, candidates[i]).tobytes()
 
 
 def test_candidates_of_mixed_feature_dims_are_a_shape_error():
@@ -428,15 +440,20 @@ def test_candidates_of_mixed_feature_dims_are_a_shape_error():
 
 # --- candidate probabilities ------------------------------------------------
 
-@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
 def test_stacked_probabilities_are_column_means(num_classes):
     rng = np.random.default_rng(10 + num_classes)
     model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
     candidates = ragged_candidates(num_classes)
-    probs = stacked_probabilities(model, stack_candidates(candidates))
+    stack = stack_candidates(candidates)
+    probs = stacked_probabilities(model, stack)
     assert probs.shape == (len(candidates), num_classes)
     for row, c in zip(probs, candidates):
-        assert np.array_equal(row, predict(model, c).mean(axis=0))
+        assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
+    keep = np.arange(len(candidates)) % 3 != 2  # keeps both one-patch candidates
+    chosen = [c for c, k in zip(candidates, keep) if k]
+    for row, c in zip(stacked_probabilities(model, stack.subset(keep)), chosen):
+        assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
     zero = LearnerModel(weights=np.zeros((num_classes, 6)))
     uniform = stacked_probabilities(zero, stack_candidates(candidates))
     assert np.abs(uniform - 1.0 / num_classes).max() < 1e-15

@@ -476,9 +476,9 @@ def test_an_entropy_step_computes_diversity_for_the_audited_batch_only(tmp_path,
     rows = []
     real_diversity = criteria_mod._diversity
 
-    def spy_diversity(P):
+    def spy_diversity(P, keep):
         rows.append(P.shape[0])
-        return real_diversity(P)
+        return real_diversity(P, keep)
 
     monkeypatch.setattr(criteria_mod, "_diversity", spy_diversity)
     strategy = make_strategy("AFT_star", criterion="entropy^a_w", batch_size=10)

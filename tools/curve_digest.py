@@ -5,7 +5,8 @@ curve of a nine-class run, then one of a two-class selection audit, then
 one of a learning curve with a noisy oracle, then one of two runs on a
 pool with one-patch candidates, then one of two runs that label their
 whole pool, then one of a run that weights both criterion terms, then one per learning
-curve of two runs with other SGD settings.
+curve of two runs with other SGD settings, then one of an unweighted
+entropy run on the ragged set.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -75,6 +76,14 @@ walk minibatches of 7 rows, last ones of other short lengths included,
 and scale by other factors than the defaults. Each line is
 ``sgd minibatch=7 epochs=2 momentum=0.5 <strategy label> seed=1
 <sha256>``, digested like the grid.
+
+The ragged entropy run: AFT*-entropy (alpha 1, so a candidate's
+majority subset is all its patches) on the ragged three-class set of
+``perfbench/inputs.py`` (seed 7), read back by ``datagen.load_dataset``,
+seed 1, budget 100, batch 20. Its candidates have 8 to 40 patches, so
+its entropy is summed for about 33 subset sizes. The line is ``ragged
+<strategy label> seed=1 <sha256>`` over the grid-style digest of its
+records followed by the bytes of its selection audit.
 
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
@@ -237,6 +246,17 @@ def main() -> None:
                      make_strategy("RFT", batch_size=BATCH)):
         records = run_experiment(train, test, strategy, OTHER_SGD, StopRule(query_budget=BUDGET), 1)
         print(f"sgd {settings} {strategy.label} seed=1 {digest(records)}", flush=True)
+    strategy = make_strategy("AFT_star", "entropy", BATCH)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(RAGGED, 7, Path(tmp))
+        train, test, _ = datagen.load_dataset(Path(tmp))
+        audit = Path(tmp, "audit.jsonl")
+        records = run_experiment(
+            train, test, strategy, TrainConfig(), StopRule(query_budget=100), 1,
+            audit_path=audit,
+        )
+        h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
+    print(f"ragged {strategy.label} seed=1 {h}", flush=True)
 
 
 if __name__ == "__main__":
