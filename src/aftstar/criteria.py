@@ -229,10 +229,11 @@ def _entropy(S: np.ndarray, keep: np.ndarray) -> np.ndarray:
     out = np.empty(len(keep))
     # A sum over the last two axes adds each candidate's (s, k) block
     # pairwise, as one row of s * k numbers: padding would change that
-    # order, so each subset size s is summed on its own.
+    # order, so each subset size s is summed on its own, over its first s
+    # slots only (S may be wider than every subset it holds).
     for s in np.flatnonzero(np.bincount(keep)).tolist():
         at = np.flatnonzero(keep == s)
-        block = T[at, :s] if len(at) < len(keep) else T  # one size: T is its block
+        block = T[at, :s] if len(at) < len(keep) else T[:, :s]  # one size: a view
         out[at] = -block.sum(axis=(1, 2)) / s
     return out
 

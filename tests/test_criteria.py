@@ -451,6 +451,24 @@ def test_a_term_read_later_has_the_bits_of_the_eager_one(lambda1, lambda2, alpha
         assert d.tobytes() == diversities[positions].tobytes()
 
 
+@pytest.mark.parametrize("lambda1,lambda2,alpha", WEIGHTINGS)
+def test_terms_of_candidates_of_one_subset_size_have_the_eager_bits(lambda1, lambda2, alpha):
+    # Every candidate asked for has the same subset size, mostly below the
+    # width of the padded subsets: a batch of one, or of one size.
+    blocks = scoring_blocks(23)
+    entropies, diversities = eager_terms(blocks, alpha)
+    cfg = CriteriaConfig(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
+    for positions, P, counts in grouped(blocks):
+        scores = score_candidates(P, counts, cfg)
+        sizes = scores.subset_size
+        for local in [[j] for j in range(len(positions))] + [
+            np.flatnonzero(sizes == s) for s in np.unique(sizes).tolist()
+        ]:
+            e, d = scores.terms(local)
+            assert e.tobytes() == entropies[positions[local]].tobytes()
+            assert d.tobytes() == diversities[positions[local]].tobytes()
+
+
 @pytest.mark.parametrize("lambda1,lambda2", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 @pytest.mark.parametrize("position", [-1, 4])
 def test_terms_reject_a_position_outside_the_scored_candidates(lambda1, lambda2, position):

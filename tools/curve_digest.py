@@ -6,7 +6,8 @@ one of a learning curve with a noisy oracle, then one of two runs on a
 pool with one-patch candidates, then one of two runs that label their
 whole pool, then one of a run that weights both criterion terms, then one per learning
 curve of two runs with other SGD settings, then one of an unweighted
-entropy run on the ragged set.
+entropy run and one of a one-candidate-batch diversity run on the ragged
+set.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -83,7 +84,11 @@ majority subset is all its patches) on the ragged three-class set of
 seed 1, budget 100, batch 20. Its candidates have 8 to 40 patches, so
 its entropy is summed for about 33 subset sizes. The line is ``ragged
 <strategy label> seed=1 <sha256>`` over the grid-style digest of its
-records followed by the bytes of its selection audit.
+records followed by the bytes of its selection audit. One more line,
+``ragged batch=1 <strategy label> seed=1 <sha256>``, digests the same way
+AFT*-diversity (alpha 1, entropy unweighted) on that set, seed 1, budget
+20, batch 1: its audit computes each selected candidate's entropy alone,
+from majority subsets padded to the widest of the pool.
 
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
@@ -246,17 +251,19 @@ def main() -> None:
                      make_strategy("RFT", batch_size=BATCH)):
         records = run_experiment(train, test, strategy, OTHER_SGD, StopRule(query_budget=BUDGET), 1)
         print(f"sgd {settings} {strategy.label} seed=1 {digest(records)}", flush=True)
-    strategy = make_strategy("AFT_star", "entropy", BATCH)
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(RAGGED, 7, Path(tmp))
         train, test, _ = datagen.load_dataset(Path(tmp))
-        audit = Path(tmp, "audit.jsonl")
-        records = run_experiment(
-            train, test, strategy, TrainConfig(), StopRule(query_budget=100), 1,
-            audit_path=audit,
-        )
-        h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
-    print(f"ragged {strategy.label} seed=1 {h}", flush=True)
+        for prefix, criterion, batch, budget in (("ragged", "entropy", BATCH, 100),
+                                                 ("ragged batch=1", "diversity", 1, 20)):
+            strategy = make_strategy("AFT_star", criterion, batch)
+            audit = Path(tmp, f"audit-{criterion}.jsonl")
+            records = run_experiment(
+                train, test, strategy, TrainConfig(), StopRule(query_budget=budget), 1,
+                audit_path=audit,
+            )
+            h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
+            print(f"{prefix} {strategy.label} seed=1 {h}", flush=True)
 
 
 if __name__ == "__main__":
