@@ -29,7 +29,7 @@ from .loop import (
 )
 from .metrics import ExperimentRecord, LearningCurve, alc, auc
 from .oracle import Oracle, OracleConfig
-from .pool import Candidate
+from .pool import Candidate, CandidateStack
 from .sampler import SamplerConfig, sampling_probabilities, select_batch, select_from_scores
 
 __version__ = "0.1.0"
@@ -39,6 +39,7 @@ __all__ = [
     "CandidateScores",
     "CriteriaConfig",
     "Candidate",
+    "CandidateStack",
     "DatagenConfig",
     "ExperimentRecord",
     "LearnerModel",

@@ -43,6 +43,7 @@ from .learner import TrainConfig
 from .loop import StopRule, make_strategy
 from .metrics import FLOAT_FMT
 from .oracle import OracleConfig
+from .pool import stack_candidates
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "AFTSTAR_OUTPUT_DIR"
@@ -143,10 +144,12 @@ def cmd_generate(args) -> int:
 
 
 def _resolve_dataset(spec, where: str):
-    """Return (train, test) from a directory path or an inline datagen
-    config. ``run_experiment`` takes the class count from their labels,
-    so a directory's ``meta.json`` is not read."""
+    """Return the (train, test) stacks from a directory path or an inline
+    datagen config. ``run_experiment`` takes the class count from their
+    labels, so a directory's ``meta.json`` is not read."""
     if isinstance(spec, str):
+        if not spec:
+            raise ConfigError(f"{where}: must be a directory path or an object, got an empty path")
         try:
             train = datagen.load_csv(Path(spec, "train.csv"))
             test = datagen.load_csv(Path(spec, "test.csv"))
@@ -154,7 +157,7 @@ def _resolve_dataset(spec, where: str):
             raise ConfigError(f"{where}: cannot load dataset {spec}: {exc}")
         return train, test
     train, test, _ = datagen.generate(_parse_fields(DatagenConfig, spec, where))
-    return train, test
+    return stack_candidates(train), stack_candidates(test)
 
 
 def _run_one(

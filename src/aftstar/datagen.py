@@ -25,8 +25,10 @@ reads chunks of whole lines (about 64 KiB), splits each into lines once
 (to check them) and into tokens once, and converts the features with
 ``float`` into a preallocated array and each candidate's label with
 ``int``, so the values equal the per-row parser's to the bit. Each
-chunk's array is checked once and made read-only, and its candidates
-keep views of it, built without a second copy or check. Any other file
+chunk's array is checked once, and the chunks are copied once into the
+split's :class:`~aftstar.pool.CandidateStack`, built by the same
+:func:`~aftstar.pool.stack_rows` as the per-row parser's, with no
+per-candidate object. Any other file
 (a quote, a carriage return, a blank line, a line as long as
 ``csv.field_size_limit()``, a candidate's rows in two runs, or a row the
 per-row parser rejects) is read again by the per-row ``csv.reader``
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, check_integer, shown
 from .metrics import FLOAT_FMT, replacing
-from .pool import Candidate
+from .pool import Candidate, CandidateStack, stack_rows
 
 CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
 
@@ -74,7 +76,7 @@ class DatagenConfig:
         object.__setattr__(self, "class_weights", tuple(self.class_weights))
         check_integer("num_classes", self.num_classes, 2)
         check_integer("train_candidates", self.train_candidates, 1)
-        check_integer("test_candidates", self.test_candidates, 0)
+        check_integer("test_candidates", self.test_candidates, 1)
         check_integer("patches_per_candidate", self.patches_per_candidate, 1)
         check_integer("feature_dim", self.feature_dim, 1)
         check_integer("seed", self.seed, 0)
@@ -181,16 +183,17 @@ def write_csv(candidates: Iterable[Candidate], path: str | Path) -> None:
                 writer.writerow([c.id, c.true_label] + [FLOAT_FMT % v for v in row])
 
 
-def load_csv(path: str | Path) -> list[Candidate]:
-    """Load candidates from the pool CSV format.
+def load_csv(path: str | Path) -> CandidateStack:
+    """Load a split from the pool CSV format as one stack.
 
-    Patches are ordered by file appearance; the label column must repeat
+    Candidates are ordered by their first row in the file, and each
+    one's patches by file appearance; the label column must repeat
     identically on every row of a candidate. A file in the shape
     ``write_csv`` writes is parsed in bulk; anything else goes to the
     per-row reference parser, which also reports every format error.
     """
-    candidates = _load_plain_csv(path)
-    return _load_csv_rows(path) if candidates is None else candidates
+    stack = _load_plain_csv(path)
+    return _load_csv_rows(path) if stack is None else stack
 
 
 def _feature_count(header: list[str], path: str | Path) -> int:
@@ -206,7 +209,7 @@ def _feature_count(header: list[str], path: str | Path) -> int:
     return len(feature_cols)
 
 
-def _load_csv_rows(path: str | Path) -> list[Candidate]:
+def _load_csv_rows(path: str | Path) -> CandidateStack:
     """The reference parser, one ``csv.reader`` row at a time, and the one
     that reports a file's format errors."""
     try:
@@ -226,7 +229,7 @@ def _load_csv_rows(path: str | Path) -> list[Candidate]:
         raise
 
 
-def _parse_rows(reader, path: str | Path) -> list[Candidate]:
+def _parse_rows(reader, path: str | Path) -> CandidateStack:
     try:
         header = next(reader)
     except StopIteration:
@@ -262,17 +265,16 @@ def _parse_rows(reader, path: str | Path) -> list[Candidate]:
             label_by_id[cid] = label
             values_by_id[cid] = array("d")
         values_by_id[cid].extend(feats)
-    return [
-        Candidate(
-            id=cid,
-            features=np.frombuffer(values, dtype=float).reshape(-1, d),
-            true_label=label_by_id[cid],
-        )
-        for cid, values in values_by_id.items()
-    ]
+    return stack_rows(
+        list(values_by_id),
+        list(label_by_id.values()),  # the same insertion order
+        [len(values) // d for values in values_by_id.values()],
+        [np.frombuffer(rows, dtype=float).reshape(-1, d) for rows in values_by_id.values()],
+        d,
+    )
 
 
-def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
+def _load_plain_csv(path: str | Path) -> CandidateStack | None:
     """Parse in bulk, a chunk of whole lines at a time, a file in which
     each candidate's rows form one contiguous run with one label text.
 
@@ -288,19 +290,14 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
     (the chunk less the header) into tokens once; the line-length scan
     runs only on a chunk as long as the limit, since no line is longer
     than its chunk. ``float`` fills an array of the tokens' count made
-    up front. The chunk's rows are checked once (width, finiteness) and
-    made read-only, and each candidate is built by
-    ``Candidate._checked`` over a view of them, without the copy and
-    the second check of ``Candidate(...)``; a candidate whose rows span
-    chunks gets one read-only concatenation of its views.
-
-    No buffer grows with the file: each chunk's rows stay in their own
-    small array, which keeps the peak memory of repeated loads near the
-    per-row parser's.
+    up front. The chunk's rows are checked once (width, finiteness), and
+    each candidate is one id, one label and a count of rows, which go
+    on into the next chunk when its run does. The chunks' arrays are
+    copied once, at the end, into the stack's rows.
     """
     limit = csv.field_size_limit()
+    ids, labels, counts, chunks = [], [], [], []  # chunks: each chunk's rows
     seen: set[str] = set()
-    found: list[tuple[str, int, list[np.ndarray]]] = []  # (id, label, blocks of rows)
     last = None  # the (id, label text) of the last run, which may go on in the next chunk
     d = None
     try:
@@ -327,34 +324,26 @@ def _load_plain_csv(path: str | Path) -> list[Candidate] | None:
                 rows = np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, d)
                 if not np.isfinite(rows).all():
                     return None
-                rows.flags.writeable = False  # and so every candidate's view of it
-                start = 0
+                chunks.append(rows)
                 for key, run in groupby(keys):
-                    if key != last:
-                        if key[0] in seen:
-                            return None
-                        seen.add(key[0])
-                        label = int(key[1])
-                        if label < 0:
-                            return None
-                        blocks = []
-                        found.append((key[0], label, blocks))
-                        last = key
-                    end = start + len(list(run))
-                    blocks.append(rows[start:end])
-                    start = end
+                    if key == last:
+                        counts[-1] += len(list(run))
+                        continue
+                    if key[0] in seen:
+                        return None
+                    seen.add(key[0])
+                    label = int(key[1])
+                    if label < 0:
+                        return None
+                    ids.append(key[0])
+                    labels.append(label)
+                    counts.append(len(list(run)))
+                    last = key
     except ValueError:  # also what float, int and the UTF-8 decoder raise
         return None
     if d is None:
         return None
-    candidates = []
-    for cid, label, blocks in found:
-        features = blocks[0]
-        if len(blocks) > 1:
-            features = np.concatenate(blocks)
-            features.flags.writeable = False
-        candidates.append(Candidate._checked(cid, features, label))
-    return candidates
+    return stack_rows(ids, labels, counts, chunks, d)
 
 
 def write_dataset(cfg: DatagenConfig, out_dir: str | Path) -> dict:
@@ -369,7 +358,7 @@ def write_dataset(cfg: DatagenConfig, out_dir: str | Path) -> dict:
     return meta
 
 
-def load_dataset(data_dir: str | Path) -> tuple[list[Candidate], list[Candidate], dict | None]:
+def load_dataset(data_dir: str | Path) -> tuple[CandidateStack, CandidateStack, dict | None]:
     """Load train.csv/test.csv (and meta.json when present) from a directory."""
     data_dir = Path(data_dir)
     train = load_csv(data_dir / "train.csv")
@@ -384,11 +373,11 @@ def load_dataset(data_dir: str | Path) -> tuple[list[Candidate], list[Candidate]
     return train, test, meta
 
 
-def infer_num_classes(candidates: Iterable[Candidate]) -> int:
-    """Class count implied by ground-truth labels (dataset-side helper)."""
-    labels = {c.true_label for c in candidates}
-    if not labels:
+def infer_num_classes(true_labels: np.ndarray) -> int:
+    """Class count implied by an array of ground-truth labels (dataset-side
+    helper)."""
+    if not len(true_labels):
         raise DatasetFormatError("cannot infer class count from an empty candidate set")
-    if min(labels) < 0:
-        raise DatasetFormatError(f"class label {min(labels)} is negative")
-    return max(int(max(labels)) + 1, 2)
+    if true_labels.min() < 0:
+        raise DatasetFormatError(f"class label {true_labels.min()} is negative")
+    return max(int(true_labels.max()) + 1, 2)

@@ -28,12 +28,10 @@ one multiply of the two stacked in one array. Every operation runs in
 the same order, so the weights are those of the unbuffered loop to the
 bit.
 
-A candidate list is stacked once. :func:`stack_candidates` copies its
-patches into one array of augmented rows (bias column appended), each
-candidate's rows in one run, and keeps each candidate's first row and
-patch count. A :meth:`CandidateStack.subset` takes candidates by
-position and shares the rows, so a run stacks its pool once and takes
-each step's unlabeled and labeled sets from that stack.
+The learner works on a split as one :class:`aftstar.pool.CandidateStack`
+(augmented rows, each candidate's first row and patch count), whose
+:meth:`~aftstar.pool.CandidateStack.subset` shares its rows, so a run
+takes each step's unlabeled and labeled sets from its pool's stack.
 :func:`training_rows` gives the positions of the rows of the candidates
 at given positions, and :func:`stacked_predictions` predicts the rows
 of a stack in one pass, in stack order, and gives the prediction
@@ -61,14 +59,13 @@ patches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ShapeError, check_integer, shown
-from .pool import Candidate
+from .errors import ConfigError, InvariantError, ShapeError, check_integer
+from .pool import Candidate, CandidateStack, stack_candidates
 
 
 @dataclass(frozen=True)
@@ -364,46 +361,6 @@ def predict(model: LearnerModel, candidate: Candidate) -> np.ndarray:
     return predict_features(model, candidate.features)
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateStack:
-    """A candidate list's patches, stacked once as augmented rows.
-
-    ``rows`` is an ``(R, d + 1)`` array of patch features with the bias
-    column appended. Candidate ``i`` (id ``ids[i]``) has ``counts[i]``
-    patches, in ``rows[first[i]:first[i] + counts[i]]``. A :meth:`subset`
-    shares its parent's rows.
-    """
-
-    ids: tuple[str, ...]
-    rows: np.ndarray
-    first: np.ndarray
-    counts: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return dict(zip(self.ids, range(len(self.ids))))
-
-    def mask(self, ids: Collection[str]) -> np.ndarray:
-        """Which of the stack's candidates have an id in ``ids``, all of
-        which must be the stack's."""
-        keep = np.zeros(len(self.ids), dtype=bool)
-        keep[np.fromiter(map(self._position.__getitem__, ids), np.intp, len(ids))] = True
-        return keep
-
-    def subset(self, keep: np.ndarray) -> CandidateStack:
-        """The candidates at the true positions of ``keep``, in stack order,
-        over the same rows."""
-        return CandidateStack(
-            ids=tuple(compress(self.ids, keep)),
-            rows=self.rows,
-            first=self.first[keep],
-            counts=self.counts[keep],
-        )
-
-
 def _row_positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The positions of runs of rows, run after run: run i is ``counts[i]``
     rows from position ``first[i]`` on."""
@@ -411,37 +368,6 @@ def _row_positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # that run starts among the rows.
     shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
     return shift + np.arange(len(shift))
-
-
-def dim_mismatch(odd: Candidate, first: Candidate) -> ShapeError:
-    """The error for candidates of one run whose feature dims differ."""
-    return ShapeError(
-        f"candidate {shown(odd.id)} has {odd.feature_dim} features, "
-        f"candidate {shown(first.id)} has {first.feature_dim}"
-    )
-
-
-def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
-    """Stack the candidates' patches once, for repeated
-    :func:`stacked_predictions` and :func:`training_rows` calls."""
-    candidates = list(candidates)
-    counts = np.array([len(c.features) for c in candidates], dtype=np.intp)
-    d = candidates[0].features.shape[1] if candidates else 0
-    rows = np.empty((int(counts.sum()), d + 1))
-    rows[:, -1] = 1.0
-    if candidates:
-        try:
-            np.concatenate([c.features for c in candidates], out=rows[:, :-1])
-        except ValueError:
-            odd = next(c for c in candidates if c.feature_dim != d)
-            raise dim_mismatch(odd, candidates[0]) from None
-    rows.flags.writeable = False  # subsets share it
-    return CandidateStack(
-        ids=tuple(c.id for c in candidates),
-        rows=rows,
-        first=np.cumsum(counts) - counts,
-        counts=counts,
-    )
 
 
 def stacked_predictions(model: LearnerModel, stack: CandidateStack) -> np.ndarray:

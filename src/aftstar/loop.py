@@ -12,15 +12,16 @@ labeled set, and append a learning-curve record.
 
 The labeled set L is one id -> label map, ``ExperimentState.labels``:
 L is its key set, in labeling order, and each step adds the oracle's
-answers for its batch. A run stacks its pool's patches once, as
-augmented rows in sorted-id order (``learner.stack_candidates``). The
+answers for its batch. A run takes each split as a
+``pool.CandidateStack`` (a candidate list is stacked once), and its pool
+as the train stack in sorted-id order, over the same rows. The
 unlabeled set U is the stack's candidates outside L. Each step takes U,
 which it scores, and L, which it mines H from, as subsets of that
 stack, by position; a random-selection step, which scores nothing,
 takes only U's ids. The training set is the positions of its rows in
 the stack, and each epoch of the fit's buffered SGD gathers those rows
-straight from the stack, so no row is copied before the fit. The test
-split is stacked once too.
+straight from the stack, so no row is copied before the fit. The
+oracle gets the pool's true labels as one id -> label map.
 
 The five named strategies differ in three choices:
 
@@ -55,20 +56,17 @@ from .criteria import CriteriaConfig, classify_pattern, score_candidates
 from .datagen import infer_num_classes
 from .errors import ConfigError, InvariantError, PartitionError, check_integer, shown
 from .learner import (
-    CandidateStack,
     LearnerModel,
     TrainConfig,
-    dim_mismatch,
     fit,
     pretrain_m0,
-    stack_candidates,
     stacked_predictions,
     stacked_probabilities,
     training_rows,
 )
 from .metrics import ExperimentRecord, auc, macro_auc, replacing
-from .oracle import Oracle, OracleConfig, true_labels
-from .pool import Candidate
+from .oracle import Oracle, OracleConfig
+from .pool import Candidate, CandidateStack, dim_mismatch, stack_candidates
 from .sampler import SamplerConfig, uniform_batch
 # Bound as ``select_batch``, the name perfbench/tracer.py times as sampler.select.
 from .sampler import select_from_scores as select_batch
@@ -342,19 +340,17 @@ def run_step(
 
 
 def make_evaluator(
-    test_candidates: Sequence[Candidate], num_classes: int, positive_class: int
+    test: CandidateStack, num_classes: int, positive_class: int
 ) -> Callable[[LearnerModel], float]:
     """Candidate-level test AUC: average patch predictions per candidate,
     then rank. Binary runs rank the positive-class probability;
     multiclass runs use macro one-vs-rest."""
-    labels = true_labels(test_candidates)
-    stack = stack_candidates(test_candidates)
 
     def evaluate(model: LearnerModel) -> float:
-        probs = stacked_probabilities(model, stack)
+        probs = stacked_probabilities(model, test)
         if num_classes == 2:
-            return auc(probs[:, positive_class], (labels == positive_class).astype(int))
-        return macro_auc(probs, labels)
+            return auc(probs[:, positive_class], (test.true_labels == positive_class).astype(int))
+        return macro_auc(probs, test.true_labels)
 
     return evaluate
 
@@ -369,28 +365,25 @@ def _missing_classes(present: AbstractSet[int], num_classes: int) -> str:
     return names if missing <= 3 else f"{names} and {missing - 3} more"
 
 
-def check_splits(
-    train_candidates: Sequence[Candidate],
-    test_candidates: Sequence[Candidate],
-    positive_class: int = 0,
-) -> int:
-    """Check a run's two splits and return its class count, which comes
-    from the labels of both (:func:`~aftstar.datagen.infer_num_classes`).
-    ``run_experiment`` calls it first; the CLI calls it before it makes
+def check_splits(train: CandidateStack, test: CandidateStack, positive_class: int = 0) -> int:
+    """Check a run's two split stacks and return its class count, which
+    comes from the labels of both
+    (:func:`~aftstar.datagen.infer_num_classes`). ``run_experiment``
+    calls it once it has both stacks; the CLI calls it before it makes
     an output directory."""
-    if not train_candidates or not test_candidates:
+    if not len(train) or not len(test):
         raise ConfigError("train and test candidate sets must be non-empty")
-    if test_candidates[0].feature_dim != train_candidates[0].feature_dim:
-        raise dim_mismatch(test_candidates[0], train_candidates[0])
+    if test.feature_dim != train.feature_dim:
+        raise dim_mismatch(test.ids[0], test.feature_dim, train.ids[0], train.feature_dim)
     ids: set[str] = set()
-    for c in train_candidates:
-        if c.id in ids:
-            raise PartitionError(f"duplicate candidate id {shown(c.id)}")
-        ids.add(c.id)
-    num_classes = infer_num_classes([*train_candidates, *test_candidates])
+    for cid in train.ids:
+        if cid in ids:
+            raise PartitionError(f"duplicate candidate id {shown(cid)}")
+        ids.add(cid)
+    num_classes = infer_num_classes(np.concatenate([train.true_labels, test.true_labels]))
     if not (0 <= positive_class < num_classes):
         raise ConfigError("positive_class outside the label range")
-    present = {c.true_label for c in test_candidates}  # all in range(num_classes)
+    present = set(test.true_labels.tolist())  # all in range(num_classes)
     if len(present) < num_classes:
         raise ConfigError(
             f"the test split has no candidate of class {_missing_classes(present, num_classes)}: "
@@ -400,8 +393,8 @@ def check_splits(
 
 
 def run_experiment(
-    train_candidates: Sequence[Candidate],
-    test_candidates: Sequence[Candidate],
+    train: CandidateStack | Sequence[Candidate],
+    test: CandidateStack | Sequence[Candidate],
     strat: StrategyConfig,
     train_cfg: TrainConfig,
     stop: StopRule,
@@ -412,22 +405,27 @@ def run_experiment(
     audit_path: str | Path | None = None,
 ) -> list[ExperimentRecord]:
     """Run one full experiment; returns the baseline row plus one record
-    per step. Deterministic given (dataset, strategy, config, seed). The
+    per step. Deterministic given (dataset, strategy, config, seed). Each
+    split is a stack or a candidate list, which is stacked once. The
     class count comes from the labels of both splits (:func:`check_splits`).
     The run stops when the query budget is spent, when the pool is all
     labeled, or when a step's test AUC reaches ``auc_target``: the
     baseline's AUC is not compared with it, so every run with a budget
     above 0 makes its first query."""
-    num_classes = check_splits(train_candidates, test_candidates, positive_class)
-    candidates = {c.id: c for c in train_candidates}
+    if not isinstance(train, CandidateStack):
+        train = stack_candidates(train)
+    if not isinstance(test, CandidateStack):
+        test = stack_candidates(test)
+    num_classes = check_splits(train, test, positive_class)
     oracle_cfg = OracleConfig(label_noise_rate=oracle_noise)
 
     rng = np.random.default_rng(seed)
-    d = train_candidates[0].feature_dim
+    d = train.feature_dim
     model_zero = pretrain_m0(None, train_cfg, rng, feature_dim=d, num_classes=num_classes)
-    oracle = Oracle(candidates=candidates, config=oracle_cfg, rng=rng, num_classes=num_classes)
-    stack = stack_candidates(candidates[cid] for cid in sorted(candidates))
-    evaluator = make_evaluator(test_candidates, num_classes, positive_class)
+    truth = dict(zip(train.ids, train.true_labels.tolist()))
+    oracle = Oracle(true_labels=truth, config=oracle_cfg, rng=rng, num_classes=num_classes)
+    stack = train.sorted_by_id()
+    evaluator = make_evaluator(test, num_classes, positive_class)
     baseline = ExperimentRecord(
         step=0,
         queries_cum=0,

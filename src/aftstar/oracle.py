@@ -3,18 +3,18 @@
 The oracle answers label queries for unlabeled candidates, counts the
 annotation cost, optionally flips labels with a configurable noise rate,
 and keeps an ordered access log so tests can audit exactly which ground
-truth the selection loop ever saw.
+truth the selection loop ever saw. It holds the ground truth as one
+id -> true-label map, which a run builds from its pool's stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DoubleAnnotationError, PartitionError
-from .pool import Candidate
 
 
 @dataclass(frozen=True)
@@ -28,19 +28,23 @@ class OracleConfig:
 
 @dataclass
 class Oracle:
-    """Answers annotation queries against candidate ground truth."""
+    """Answers annotation queries against an id -> true-label map."""
 
-    candidates: dict[str, Candidate]
+    true_labels: Mapping[str, int]
     config: OracleConfig = field(default_factory=OracleConfig)
     rng: np.random.Generator | None = None
     num_classes: int = 2
-    queries: int = 0
-    access_log: list[str] = field(default_factory=list)
-    _answered: set[str] = field(default_factory=set)
+    access_log: list[str] = field(init=False, default_factory=list)
+    _answered: set[str] = field(init=False, default_factory=set)
 
     def __post_init__(self) -> None:
         if self.config.label_noise_rate > 0 and self.rng is None:
             raise ConfigError("a nonzero label_noise_rate needs an rng")
+
+    @property
+    def queries(self) -> int:
+        """The annotation cost so far: one query per answered candidate."""
+        return len(self.access_log)
 
     def query(self, ids: Sequence[str]) -> dict[str, int]:
         """Labels for a batch of previously unqueried candidates.
@@ -51,7 +55,7 @@ class Oracle:
         out: dict[str, int] = {}
         seen: set[str] = set()
         for cid in ids:
-            if cid not in self.candidates:
+            if cid not in self.true_labels:
                 raise PartitionError(f"unknown candidate id {cid!r}")
             if cid in self._answered:
                 raise DoubleAnnotationError(f"candidate {cid!r} was already annotated")
@@ -60,21 +64,12 @@ class Oracle:
             seen.add(cid)
         rate = self.config.label_noise_rate
         for cid in ids:
-            label = self.candidates[cid].true_label
+            label = self.true_labels[cid]
             if rate > 0 and self.rng.random() < rate:
                 others = [k for k in range(self.num_classes) if k != label]
                 label = int(others[self.rng.integers(len(others))])
             out[cid] = int(label)
             self._answered.add(cid)
             self.access_log.append(cid)
-        self.queries += len(ids)
         return out
 
-
-def true_labels(candidates: Iterable[Candidate]) -> np.ndarray:
-    """Ground-truth labels for evaluation on held-out candidates.
-
-    Evaluation-side accessor: never call this on pool candidates that
-    selection may still query.
-    """
-    return np.asarray([c.true_label for c in candidates], dtype=int)

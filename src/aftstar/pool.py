@@ -5,28 +5,27 @@ patch feature vectors that all inherit the candidate's label once
 annotated. A candidate never holds its annotation: a run keeps the
 labeled set ``L`` as one id -> label map
 (:class:`aftstar.loop.ExperimentState` ``labels``), so any number of runs
-can share one candidate list.
+can share one split.
 
 Dataset CSV format (written/read by :mod:`aftstar.datagen`):
 UTF-8, header ``candidate_id,label,f0,...,f{d-1}``, one row per patch.
 Rows of one candidate need not be contiguous; the label column repeats the
 candidate's class index identically on every row of that candidate.
 
-``true_label`` is oracle-side ground truth: it is read only by
-:mod:`aftstar.oracle` (annotation queries, evaluation labels), never by
-the selection path.
-
-``Candidate(...)`` copies and checks its features. The bulk CSV parser
-(:func:`aftstar.datagen.load_csv`) checks each chunk of rows once and
-builds its candidates with ``Candidate._checked``, so a bulk-loaded
-candidate's features are a read-only view of its chunk's array, shared
-with the other candidates of that chunk, or one read-only concatenation
-when its rows span chunks.
+A run takes each split as one :class:`CandidateStack`, which the CSV
+loader builds through :func:`stack_rows` with no per-candidate object,
+and :func:`stack_candidates` from the :class:`Candidate` list that
+``datagen.generate`` returns. ``true_label``/``true_labels`` is
+oracle-side ground truth: only the oracle's queries and the evaluator's
+test labels read it, never the selection path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -54,17 +53,106 @@ class Candidate:
         features.flags.writeable = False
         object.__setattr__(self, "features", features)
 
-    @classmethod
-    def _checked(cls, id: str, features: np.ndarray, true_label: int) -> "Candidate":
-        """A candidate over rows that are already checked: a read-only,
-        C-contiguous ``(m >= 1, d)`` float64 array of finite values, which
-        it keeps without a copy."""
-        candidate = object.__new__(cls)
-        object.__setattr__(candidate, "id", id)
-        object.__setattr__(candidate, "features", features)
-        object.__setattr__(candidate, "true_label", true_label)
-        return candidate
-
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateStack:
+    """Candidates whose patches are stacked once as augmented rows.
+
+    ``rows`` is a read-only ``(R, d + 1)`` array of patch features with
+    the bias column appended. Candidate ``i`` (id ``ids[i]``, true label
+    ``true_labels[i]``) has ``counts[i]`` patches, in
+    ``rows[first[i]:first[i] + counts[i]]``. A :meth:`subset` and
+    :meth:`sorted_by_id` share their parent's rows.
+    """
+
+    ids: tuple[str, ...]
+    rows: np.ndarray
+    first: np.ndarray
+    counts: np.ndarray
+    true_labels: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.rows.flags.writeable = False  # which pickle protocols below 5 drop
+
+    @property
+    def feature_dim(self) -> int:
+        return self.rows.shape[1] - 1
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def mask(self, ids: Collection[str]) -> np.ndarray:
+        """Which of the stack's candidates have an id in ``ids``, all of
+        which must be the stack's."""
+        keep = np.zeros(len(self.ids), dtype=bool)
+        keep[np.fromiter(map(self._position.__getitem__, ids), np.intp, len(ids))] = True
+        return keep
+
+    def subset(self, keep: np.ndarray) -> CandidateStack:
+        """The candidates at the true positions of ``keep``, in stack order,
+        over the same rows."""
+        return self._take(tuple(compress(self.ids, keep)), keep)
+
+    def sorted_by_id(self) -> CandidateStack:
+        """The same candidates in sorted-id order, over the same rows."""
+        order = sorted(range(len(self)), key=self.ids.__getitem__)
+        return self._take(tuple(map(self.ids.__getitem__, order)), order)
+
+    def _take(self, ids: tuple[str, ...], index) -> CandidateStack:
+        """The candidates ``ids``, at ``index`` (a mask or positions)."""
+        return CandidateStack(
+            ids, self.rows, self.first[index], self.counts[index], self.true_labels[index]
+        )
+
+
+def stack_rows(
+    ids: Sequence[str], true_labels: Sequence[int], counts: Sequence[int], blocks: list, d: int
+) -> CandidateStack:
+    """The stack of candidates ``ids`` of ``counts`` patches each, whose
+    rows are ``blocks`` (checked ``(r, d)`` arrays) concatenated, copied
+    once: each candidate's rows in one run, the candidates in order."""
+    counts = np.array(counts, dtype=np.intp)
+    rows = np.empty((int(counts.sum()), d + 1))
+    rows[:, -1] = 1.0
+    if blocks:
+        np.concatenate(blocks, out=rows[:, :-1])
+    rows.flags.writeable = False  # subsets share it
+    try:
+        labels = np.array(true_labels, dtype=np.int64)
+    except OverflowError:  # kept, so that check_splits reports the classes it implies
+        labels = np.array(true_labels, dtype=object)
+    return CandidateStack(tuple(ids), rows, np.cumsum(counts) - counts, counts, labels)
+
+
+def dim_mismatch(odd_id: str, odd_dim: int, first_id: str, first_dim: int) -> ShapeError:
+    """The error for candidates of one run whose feature dims differ."""
+    return ShapeError(
+        f"candidate {shown(odd_id)} has {odd_dim} features, "
+        f"candidate {shown(first_id)} has {first_dim}"
+    )
+
+
+def stack_candidates(candidates: Iterable[Candidate]) -> CandidateStack:
+    """Stack a candidate list once, in its order, for repeated predictions
+    and training-row lookups."""
+    candidates = list(candidates)
+    d = candidates[0].feature_dim if candidates else 0
+    for c in candidates:
+        if c.feature_dim != d:
+            raise dim_mismatch(c.id, c.feature_dim, candidates[0].id, d)
+    return stack_rows(
+        [c.id for c in candidates],
+        [c.true_label for c in candidates],
+        [len(c.features) for c in candidates],
+        [c.features for c in candidates],
+        d,
+    )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from aftstar import cli, loop
 from aftstar.cli import main
-from aftstar.datagen import DatagenConfig
+from aftstar.datagen import DatagenConfig, generate
 from aftstar.errors import InvariantError
 from aftstar.learner import TrainConfig
 
@@ -327,6 +327,24 @@ def test_missing_dataset_is_config_error(tmp_path):
     assert main(["run", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_empty_dataset_path_is_config_error(dataset_dir, tmp_path, capsys, monkeypatch, command):
+    """An empty path does not read the working directory's files."""
+    monkeypatch.chdir(dataset_dir)  # holds a train.csv and a test.csv
+    payload = one_strategy_config(command, "", tmp_path / "o", {"name": "RFT", "batch_size": 5})
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == 1
+    assert "config error: dataset: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_generate_without_test_candidates_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "gen.json", generate_config(tmp_path / "d", test_candidates=0))
+    assert main(["generate", "--config", cfg]) == 1
+    assert "config error: datagen: test_candidates must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def inline_dataset(**fields):
     return {**generate_config("")["datagen"], **fields}
 
@@ -449,20 +467,29 @@ def test_test_split_missing_a_class_is_config_error(tmp_path, capsys):
     assert "config error: the test split has no candidate of class 2" in capsys.readouterr().err
 
 
+def dataset_dir_candidates(data_dir):
+    """The candidates of the ``dataset_dir`` fixture's files, to edit and
+    write back."""
+    train, test, _ = generate(DatagenConfig(**generate_config(data_dir)["datagen"]))
+    return {"train": train, "test": test}
+
+
 def test_a_stray_huge_train_label_is_a_short_config_error(dataset_dir, tmp_path, capsys):
-    from aftstar.datagen import load_csv, write_csv
+    from aftstar.datagen import write_csv
 
     path = dataset_dir / "train.csv"
-    candidates = load_csv(path)
-    candidates[0] = dataclasses.replace(candidates[0], true_label=10**12)
-    write_csv(candidates, path)
-    payload = run_config(dataset_dir, tmp_path / "o", {"name": "RFT", "batch_size": 5})
-    cfg = write_config(tmp_path / "run.json", payload)
-    assert main(["run", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert "config error: the test split has no candidate of class 2, 3, 4 and 999999999996 more" in err
-    assert len(err) < 200
-    assert not (tmp_path / "o").exists()
+    candidates = dataset_dir_candidates(dataset_dir)["train"]
+    # 10**30 does not fit a 64-bit integer
+    for label, more in ((10**12, "999999999996"), (10**30, "9" * 29 + "6")):
+        candidates[0] = dataclasses.replace(candidates[0], true_label=label)
+        write_csv(candidates, path)
+        payload = run_config(dataset_dir, tmp_path / "o", {"name": "RFT", "batch_size": 5})
+        cfg = write_config(tmp_path / "run.json", payload)
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: the test split has no candidate of class 2, 3, 4 and {more} more" in err
+        assert len(err) < 200
+        assert not (tmp_path / "o").exists()
 
 
 def test_a_huge_candidate_id_is_cut_in_a_dim_mismatch_error(tmp_path, capsys):
@@ -789,10 +816,10 @@ def test_repeated_strategy_label_in_compare_is_config_error(dataset_dir, tmp_pat
 def test_negative_label_in_either_split_exits_2_naming_its_line(
     dataset_dir, tmp_path, capsys, split
 ):
-    from aftstar.datagen import load_csv, write_csv
+    from aftstar.datagen import write_csv
 
     path = dataset_dir / f"{split}.csv"
-    candidates = load_csv(path)
+    candidates = dataset_dir_candidates(dataset_dir)[split]
     first = candidates[1]
     candidates[1] = dataclasses.replace(first, true_label=-1)
     write_csv(candidates, path)

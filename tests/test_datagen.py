@@ -75,6 +75,7 @@ def test_config_rejects_bad_weights():
         ("class_center_separation", float("nan")),
         ("candidate_center_spread", float("nan")),
         ("patch_spread", float("nan")),
+        ("test_candidates", 0),
     ],
 )
 def test_config_rejects_non_integer_counts_and_nan(field, value):
@@ -133,15 +134,25 @@ def test_different_seeds_differ(tmp_path):
 
 # --- CSV round trip ---------------------------------------------------------
 
+def split_candidates(stack):
+    """Each candidate of a loaded split as ``(id, label, features)``."""
+    return [
+        (cid, label, stack.rows[first : first + m, :-1])
+        for cid, label, first, m in zip(
+            stack.ids, stack.true_labels.tolist(), stack.first.tolist(), stack.counts.tolist()
+        )
+    ]
+
+
 def test_round_trip_preserves_features(tmp_path):
     train, _, _ = generate(small_config(train_candidates=10, test_candidates=1))
     path = tmp_path / "data.csv"
     write_csv(train, path)
-    loaded = load_csv(path)
-    assert [c.id for c in loaded] == [c.id for c in train]
-    for orig, back in zip(train, loaded):
-        assert back.true_label == orig.true_label
-        assert np.abs(back.features - orig.features).max() < 1e-9
+    loaded = split_candidates(load_csv(path))
+    assert [cid for cid, _, _ in loaded] == [c.id for c in train]
+    for orig, (_, label, features) in zip(train, loaded):
+        assert label == orig.true_label
+        assert features.tobytes() == orig.features.tobytes()
 
 
 def test_inconsistent_labels_rejected(tmp_path):
@@ -208,7 +219,8 @@ def test_format_errors_cut_an_over_long_field(tmp_path, row, message):
 def test_header_only_gives_empty_set(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("candidate_id,label,f0,f1\n")
-    assert load_csv(path) == []
+    stack = load_csv(path)
+    assert len(stack) == 0 and stack.rows.shape == (0, 3) and stack.true_labels.shape == (0,)
 
 
 def test_non_numeric_feature_rejected(tmp_path):
@@ -240,10 +252,9 @@ def test_non_contiguous_rows_grouped(tmp_path):
         "b,1,2.0\n"
         "a,0,3.0\n"
     )
-    loaded = load_csv(path)
-    by_id = {c.id: c for c in loaded}
-    assert by_id["a"].features[:, 0].tolist() == [1.0, 3.0]
-    assert len(by_id["b"].features) == 1
+    by_id = {cid: features for cid, _, features in split_candidates(load_csv(path))}
+    assert by_id["a"][:, 0].tolist() == [1.0, 3.0]
+    assert len(by_id["b"]) == 1
 
 
 def test_load_dataset_and_infer_classes(tmp_path):
@@ -251,7 +262,7 @@ def test_load_dataset_and_infer_classes(tmp_path):
     train, test, meta = load_dataset(tmp_path)
     assert len(train) == 20 and len(test) == 5
     assert meta["config"]["num_classes"] == 2
-    assert infer_num_classes(train) == 2
+    assert infer_num_classes(train.true_labels) == 2
 
 
 def test_negative_label_fails_a_run_before_its_first_step(monkeypatch):
@@ -314,9 +325,25 @@ def test_unreadable_dataset_file_exits_2_through_the_cli(tmp_path, capsys, train
 
 def loaded_or_error(load, path):
     try:
-        return [(c.id, c.true_label, c.features) for c in load(path)]
+        return load(path)
     except DatasetFormatError as exc:
         return str(exc)
+
+
+def assert_same_stack(a, b):
+    """Two loaded splits hold the same candidates, field by field."""
+    assert a.ids == b.ids
+    for field in ("true_labels", "first", "counts"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+    for stack in (a, b):
+        rows = stack.rows
+        assert rows.dtype == np.float64 and rows.ndim == 2
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert (rows[:, -1] == 1.0).all()  # the bias column
+        assert stack.first.tolist() == (np.cumsum(stack.counts) - stack.counts).tolist()
+    # tobytes tells -0.0 from 0.0
+    assert a.rows.shape == b.rows.shape and a.rows.tobytes() == b.rows.tobytes()
 
 
 def assert_same_load(path):
@@ -325,12 +352,7 @@ def assert_same_load(path):
     if isinstance(reference, str) or isinstance(fast, str):
         assert fast == reference
         return
-    assert [(cid, label) for cid, label, _ in fast] == [(cid, label) for cid, label, _ in reference]
-    for (_, _, a), (_, _, b) in zip(fast, reference):
-        for features in (a, b):
-            assert features.dtype == np.float64 and features.ndim == 2
-            assert features.flags.c_contiguous and not features.flags.writeable
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+    assert_same_stack(fast, reference)
 
 
 QUIRKS = [
@@ -470,8 +492,7 @@ def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, shape):
             patch.setattr(datagen, "_load_csv_rows", spy)
             loaded = load_csv(path)
         assert spy.call_count == (0 if bulk else 1)
-        assert [(c.id, c.true_label) for c in loaded] == [(c.id, c.true_label) for c in expected]
-        assert all(np.array_equal(a.features, b.features) for a, b in zip(loaded, expected))
+        assert_same_stack(loaded, expected)
 
 
 # --- link to selection criteria ----------------------------------------------

@@ -14,12 +14,11 @@ from aftstar.learner import (
     pretrain_m0,
     row_max,
     row_sum,
-    stack_candidates,
     stacked_predictions,
     stacked_probabilities,
     training_rows,
 )
-from aftstar.pool import Candidate
+from aftstar.pool import Candidate, stack_candidates
 
 
 def blob_data(rng, n_per_class=40, d=4, separation=4.0):

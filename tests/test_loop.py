@@ -1,13 +1,17 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aftstar.loop as loop_mod
+from aftstar import datagen
 from aftstar.criteria import CriteriaConfig
-from aftstar.datagen import DatagenConfig, generate
+from aftstar.datagen import DatagenConfig, generate, load_dataset, write_csv, write_dataset
 from aftstar.errors import ConfigError, InvariantError, PartitionError
-from aftstar.learner import LearnerModel, TrainConfig, stack_candidates
+from aftstar.learner import LearnerModel, TrainConfig
 from aftstar.loop import (
     STRATEGY_TABLE,
     StopRule,
@@ -18,7 +22,7 @@ from aftstar.loop import (
     run_experiment,
 )
 from aftstar.metrics import write_curve_csv
-from aftstar.pool import Candidate
+from aftstar.pool import Candidate, CandidateStack, stack_candidates
 from aftstar.sampler import SamplerConfig
 
 
@@ -521,7 +525,7 @@ def test_a_repeated_over_long_train_id_is_cut_in_its_error():
     long = Candidate(id="z" * 5000, features=train[0].features, true_label=train[0].true_label)
     message = r"duplicate candidate id 'zzz.*\(5000 characters\)$"
     with pytest.raises(PartitionError, match=message) as err:
-        check_splits([long, *train, long], test)
+        check_splits(stack_candidates([long, *train, long]), stack_candidates(test))
     assert len(str(err.value)) < 200
 
 
@@ -558,6 +562,75 @@ def test_each_step_labels_a_clipped_batch_of_new_ids(batch, budget, name, seed):
             batch, limit - before.labeled_count
         )
     assert records[-1].labeled_count == limit
+
+
+# --- splits as loaded stacks -------------------------------------------------------
+
+TINY = DatagenConfig(
+    train_candidates=40, test_candidates=16, patches_per_candidate=4, feature_dim=4, seed=1
+)
+
+
+def run_with_audit(train, test, audit_path, strategy=None):
+    strategy = strategy or make_strategy("AFT_star", "entropy^a_w", batch_size=5)
+    records = run_experiment(
+        train, test, strategy, FAST_TRAIN, StopRule(query_budget=20), 3, audit_path=audit_path
+    )
+    return [repr(dataclasses.astuple(r)) for r in records], audit_path.read_bytes()
+
+
+def test_a_loaded_split_runs_as_the_generated_candidate_lists(tmp_path):
+    write_dataset(TINY, tmp_path / "data")
+    loaded = load_dataset(tmp_path / "data")[:2]
+    listed = generate(TINY)[:2]
+    rft = make_strategy("RFT", batch_size=5)
+    for strategy in (make_strategy("AFT_star", "diversity^a_w", 5), rft):
+        assert run_with_audit(*loaded, tmp_path / "a.jsonl", strategy) == run_with_audit(
+            *listed, tmp_path / "b.jsonl", strategy
+        )
+
+
+def test_the_run_pool_is_the_loaded_stack_in_id_order_over_its_rows(tmp_path, monkeypatch):
+    train, test, _ = generate(TINY)
+    write_csv(train[::-1], tmp_path / "train.csv")  # ids in descending order
+    write_csv(test, tmp_path / "test.csv")
+    train, test, _ = load_dataset(tmp_path)
+    pools = []
+    real_step = loop_mod.run_step
+
+    def spy(state, *args, **kwargs):
+        pools.append(state.stack)
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(loop_mod, "run_step", spy)
+    run_experiment(train, test, make_strategy("RFT", batch_size=5), FAST_TRAIN,
+                   StopRule(query_budget=10), 3)
+    pool = pools[0]
+    assert np.shares_memory(pool.rows, train.rows)
+    assert pool.ids == tuple(sorted(train.ids)) == train.ids[::-1]
+    for field in ("first", "counts", "true_labels"):
+        assert getattr(pool, field).tolist() == getattr(train, field)[::-1].tolist()
+
+
+@pytest.mark.parametrize("shape", ["plain", "crlf"])
+def test_loading_and_running_a_split_builds_no_candidate(tmp_path, monkeypatch, shape):
+    write_dataset(TINY, tmp_path)
+    if shape == "crlf":  # read by the per-row parser
+        for name in ("train.csv", "test.csv"):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    per_row = mock.Mock(wraps=datagen._load_csv_rows)
+    monkeypatch.setattr(datagen, "_load_csv_rows", per_row)
+
+    def no_candidate(self):
+        raise AssertionError("a Candidate was built")
+
+    monkeypatch.setattr(Candidate, "__post_init__", no_candidate)
+    train, test, _ = load_dataset(tmp_path)
+    assert isinstance(train, CandidateStack) and isinstance(test, CandidateStack)
+    assert per_row.call_count == (2 if shape == "crlf" else 0)
+    records, audit = run_with_audit(train, test, tmp_path / "audit.jsonl")
+    assert len(records) == 5 and audit
 
 
 # --- the misclassified set H on a larger pool ---------------------------------

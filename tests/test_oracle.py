@@ -2,21 +2,17 @@ import numpy as np
 import pytest
 
 from aftstar.errors import ConfigError, DoubleAnnotationError, PartitionError
-from aftstar.oracle import Oracle, OracleConfig, true_labels
-from aftstar.pool import Candidate
+from aftstar.oracle import Oracle, OracleConfig
 
 
 def make_candidates(labels):
-    out = {}
-    for i, label in enumerate(labels):
-        cid = f"c{i:04d}"
-        out[cid] = Candidate(id=cid, features=np.zeros((1, 2)), true_label=label)
-    return out
+    """An id -> true-label map."""
+    return {f"c{i:04d}": label for i, label in enumerate(labels)}
 
 
 def test_noise_free_returns_ground_truth():
     cands = make_candidates([0, 1, 1])
-    oracle = Oracle(candidates=cands, num_classes=2)
+    oracle = Oracle(true_labels=cands, num_classes=2)
     answers = oracle.query(["c0000", "c0002"])
     assert answers == {"c0000": 0, "c0002": 1}
     assert oracle.queries == 2
@@ -25,7 +21,7 @@ def test_noise_free_returns_ground_truth():
 
 def test_double_query_rejected():
     cands = make_candidates([0, 1])
-    oracle = Oracle(candidates=cands, num_classes=2)
+    oracle = Oracle(true_labels=cands, num_classes=2)
     oracle.query(["c0000"])
     with pytest.raises(DoubleAnnotationError):
         oracle.query(["c0000"])
@@ -35,7 +31,7 @@ def test_double_query_rejected():
 def test_repeated_id_in_one_batch_rejected_before_any_answer():
     rng = np.random.default_rng(5)
     oracle = Oracle(
-        candidates=make_candidates([0, 1]),
+        true_labels=make_candidates([0, 1]),
         config=OracleConfig(label_noise_rate=0.3),
         rng=rng,
         num_classes=2,
@@ -51,7 +47,7 @@ def test_repeated_id_in_one_batch_rejected_before_any_answer():
 
 
 def test_unknown_id_rejected():
-    oracle = Oracle(candidates=make_candidates([0]), num_classes=2)
+    oracle = Oracle(true_labels=make_candidates([0]), num_classes=2)
     with pytest.raises(PartitionError):
         oracle.query(["nope"])
 
@@ -60,7 +56,7 @@ def test_noise_rate_flips_binary_labels():
     n = 10_000
     cands = make_candidates([0] * n)
     oracle = Oracle(
-        candidates=cands,
+        true_labels=cands,
         config=OracleConfig(label_noise_rate=0.5),
         rng=np.random.default_rng(99),
         num_classes=2,
@@ -74,7 +70,7 @@ def test_noise_never_returns_true_label_on_flip():
     n = 2_000
     cands = make_candidates([2] * n)
     oracle = Oracle(
-        candidates=cands,
+        true_labels=cands,
         config=OracleConfig(label_noise_rate=1.0 - 1e-9),
         rng=np.random.default_rng(5),
         num_classes=4,
@@ -93,10 +89,21 @@ def test_oracle_config_validation():
 def test_noise_without_rng_is_config_error():
     cands = make_candidates([0] * 10)
     with pytest.raises(ConfigError):
-        Oracle(candidates=cands, config=OracleConfig(label_noise_rate=0.9), num_classes=2)
-    assert Oracle(candidates=cands, num_classes=2).query(sorted(cands)) == dict.fromkeys(cands, 0)
+        Oracle(true_labels=cands, config=OracleConfig(label_noise_rate=0.9), num_classes=2)
+    assert Oracle(true_labels=cands, num_classes=2).query(sorted(cands)) == dict.fromkeys(cands, 0)
 
 
-def test_true_labels_accessor():
-    cands = make_candidates([0, 1, 0])
-    assert true_labels(cands.values()).tolist() == [0, 1, 0]
+@pytest.mark.parametrize("state", [{"queries": 3}, {"access_log": ["c0000"]}, {"_answered": set()}])
+def test_query_state_is_not_a_constructor_parameter(state):
+    with pytest.raises(TypeError):
+        Oracle(true_labels=make_candidates([0]), **state)
+
+
+def test_queries_counts_the_access_log():
+    oracle = Oracle(true_labels=make_candidates([0, 1, 1]))
+    assert oracle.queries == 0
+    oracle.query(["c0002"])
+    oracle.query(["c0000", "c0001"])
+    assert oracle.queries == len(oracle.access_log) == 3
+    with pytest.raises(AttributeError):
+        oracle.queries = 0

@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from aftstar.errors import ShapeError
-from aftstar.pool import Candidate
+from aftstar.pool import Candidate, stack_candidates
 
 
 def make_candidate(cid, label=0, m=2, d=3):
@@ -43,3 +45,14 @@ def test_candidate_copies_its_input():
     assert rows.flags.writeable
     assert c.features[0, 0] == 0.0
     assert not np.shares_memory(c.features, rows)
+
+
+@pytest.mark.parametrize("protocol", [4, 5])
+def test_a_pickled_stack_keeps_its_rows_read_only(protocol):
+    """``aftstar compare`` pickles each split's stack into its worker processes."""
+    stack = stack_candidates([make_candidate("a", label=1), make_candidate("b", m=3)])
+    copy = pickle.loads(pickle.dumps(stack, protocol=protocol))
+    assert not copy.rows.flags.writeable
+    assert copy.rows.tobytes() == stack.rows.tobytes() and copy.ids == stack.ids
+    for field in ("first", "counts", "true_labels"):
+        assert getattr(copy, field).tolist() == getattr(stack, field).tolist()

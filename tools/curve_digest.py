@@ -23,7 +23,7 @@ summaries, selection audits and the two comparison files are covered.
 The dataset round trip: ``datagen.write_dataset(standard_benchmark(1))``
 read back by ``datagen.load_dataset``. Each line is ``dataset <split>
 <sha256>``, where the digest covers every candidate's id, label, feature
-shape and feature bytes, in order. One more line, ``dataset meta.json
+shape and feature bytes, in order, read from the split's stack. One more line, ``dataset meta.json
 <sha256>``, covers the bytes of the ``meta.json`` it writes: the config
 and the ambiguity flags.
 
@@ -152,11 +152,15 @@ def digest(records) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def candidates_digest(candidates) -> str:
+def candidates_digest(stack) -> str:
+    """Each candidate's id, label, ``(m, d)`` feature shape and feature
+    bytes, in order, from a loaded split's stack."""
     h = hashlib.sha256()
-    for c in candidates:
-        h.update(f"{c.id} {c.true_label} {c.features.shape}\n".encode("utf-8"))
-        h.update(c.features.tobytes())
+    for cid, label, first, m in zip(stack.ids, stack.true_labels.tolist(),
+                                    stack.first.tolist(), stack.counts.tolist()):
+        features = stack.rows[first : first + m, :-1]
+        h.update(f"{cid} {label} {features.shape}\n".encode("utf-8"))
+        h.update(features.tobytes())
     return h.hexdigest()
 
 
