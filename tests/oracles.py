@@ -6,6 +6,8 @@ deliberately sharing no code with the package implementations.
 
 import math
 
+import numpy as np
+
 
 def entropy_direct(P, eps=1e-12):
     m = len(P)
@@ -47,3 +49,32 @@ def random_prediction_matrix(rng, max_m=8, max_classes=4):
     k = int(rng.integers(2, max_classes + 1))
     raw = rng.random((m, k)) + 1e-6
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+# The scorer's dominant class and majority subset by full sorts: a sort of
+# every candidate's class sums and a lexsort of every candidate's rows on
+# k + 1 keys. The package's ``criteria._dominant`` and ``criteria._majority``
+# must give their results to the bit.
+
+def dominant_by_sort(P, counts):
+    sums = P.sum(axis=1)
+    dominant = sums.argmax(axis=1)
+    top2 = np.sort(sums, axis=1)[:, -2:]
+    near = top2[:, 1] - top2[:, 0] <= 4 * counts * np.finfo(float).eps * top2[:, 1]
+    for i in np.flatnonzero(near).tolist():
+        exact = [math.fsum(column) for column in P[i].T]
+        dominant[i] = exact.index(max(exact))
+    return dominant
+
+
+def majority_by_lexsort(P, counts, alpha, dominant):
+    M, k = P.shape[1:]
+    keep = np.maximum(np.ceil(alpha * counts), 1).astype(np.intp)
+    key = -np.take_along_axis(P, dominant[:, None, None], axis=2)[:, :, 0]
+    if counts.min(initial=M) < M:
+        key[np.arange(M) >= counts[:, None]] = np.inf
+    width = keep.max(initial=0)
+    order = np.lexsort([*(P[:, :, j] for j in reversed(range(k))), key], axis=1)[:, :width]
+    if keep.min(initial=width) < width:
+        order = np.where(np.arange(width) < keep[:, None], order, order[:, :1])
+    return np.take_along_axis(P, order[:, :, None], axis=1), keep

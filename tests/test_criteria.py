@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from aftstar.criteria import (
     CandidateScore,
+    _dominant,
+    _majority,
     CriteriaConfig,
     check_prediction_matrix,
     classify_pattern,
@@ -20,7 +22,13 @@ from aftstar.criteria import (
 from aftstar.errors import ConfigError, DiagnosticError, ShapeError
 from aftstar.loop import CRITERION_PRESETS
 
-from oracles import diversity_direct, entropy_direct, random_prediction_matrix
+from oracles import (
+    diversity_direct,
+    dominant_by_sort,
+    entropy_direct,
+    majority_by_lexsort,
+    random_prediction_matrix,
+)
 
 
 def binary_rows(qs):
@@ -663,6 +671,80 @@ def test_tied_rows_give_the_same_bits_in_any_order(P, seed, alpha):
     cfg = CriteriaConfig(lambda1=0.5, lambda2=0.5, alpha=alpha)
     assert score_candidate(Q, cfg) == score_candidate(P, cfg)
 
+
+
+def special_rows(k):
+    """Rows that tie: saturated q = 1.0 rows, exact halves and a uniform
+    row, each also with its zeros as -0.0, so keys of both signed zeros."""
+    halves = np.zeros((k, k))
+    halves[np.arange(k), np.arange(k)] = halves[np.arange(k), (np.arange(k) + 1) % k] = 0.5
+    rows = np.concatenate([np.eye(k), halves, np.full((1, k), 1.0 / k)])
+    return np.concatenate([rows, np.where(rows == 0.0, -0.0, rows)])
+
+
+@st.composite
+def padded_predictions(draw):
+    """An ``(n, M, k)`` stack of candidates drawn from a few distinct rows,
+    so rows repeat within and across candidates, padded with +0.0 rows."""
+    k = draw(st.sampled_from([2, 3, 9]))
+    specials = special_rows(k)
+    picks = draw(st.lists(st.integers(0, len(specials) - 1), max_size=3))
+    raw = np.array(draw(st.lists(
+        st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=k, max_size=k),
+        min_size=1, max_size=3,
+    )))
+    palette = np.concatenate([specials[picks], raw / raw.sum(axis=1, keepdims=True)])
+    rows = draw(st.lists(
+        st.lists(st.integers(0, len(palette) - 1), min_size=1, max_size=10), max_size=6
+    ))
+    M = max((len(r) for r in rows), default=0)
+    P = np.zeros((len(rows), M, k))
+    for i, r in enumerate(rows):
+        P[i, : len(r)] = palette[r]
+    return P, np.array([len(r) for r in rows], dtype=np.intp)
+
+
+def check_against_the_sorts(P, counts, alpha):
+    dominant = _dominant(P, counts)
+    assert dominant.tolist() == dominant_by_sort(P, counts).tolist()
+    subsets, keep = _majority(P, counts, alpha, dominant)
+    expected, expected_keep = majority_by_lexsort(P, counts, alpha, dominant)
+    assert keep.tolist() == expected_keep.tolist()
+    assert subsets.shape == expected.shape and subsets.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=padded_predictions(), alpha=st.sampled_from([0.01, 0.25, 0.3, 0.5, 0.75, 1.0]))
+def test_dominant_and_majority_equal_the_full_sorts(case, alpha):
+    check_against_the_sorts(*case, alpha)
+
+
+@pytest.mark.parametrize(
+    "rows, alpha",
+    [
+        # q ties at the keep boundary: the 2nd and 3rd sorted rows, keep 2
+        ([[0.9, 0.1, 0.0], [0.6, 0.3, 0.1], [0.6, 0.1, 0.3], [0.2, 0.4, 0.4]], 0.5),
+        # the same q, other rows: 3 classes tied on the dominant class
+        ([[0.5, 0.3, 0.2], [0.5, 0.2, 0.3], [0.1, 0.1, 0.8], [0.5, 0.25, 0.25]], 0.5),
+        # keys -0.0 and +0.0: the dominant class is 0, q = 0 on two rows
+        ([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [-0.0, 0.6, 0.4], [0.0, 0.4, 0.6]], 1.0),
+        # a tie just past the keep boundary: the 3rd and 4th rows, keep 2
+        ([[0.9, 0.1], [0.8, 0.2], [0.6, 0.4], [0.6, 0.4]], 0.5),
+        # exact halves, all tied
+        ([[0.5, 0.5]] * 3, 0.25),
+    ],
+    ids=["tie_at_keep", "three_classes", "signed_zero_keys", "tie_past_keep", "halves"],
+)
+def test_majority_of_planted_ties_equals_the_lexsort(rows, alpha):
+    P = np.array(rows)
+    for counts in ([len(P)], [len(P), 1]):
+        stack = np.zeros((len(counts), len(P), P.shape[1]))
+        stack[0], stack[-1, :1] = P, P[:1]
+        check_against_the_sorts(stack, np.array(counts), alpha)
+
+
+def test_dominant_and_majority_of_no_candidates():
+    check_against_the_sorts(np.zeros((0, 0, 3)), np.zeros(0, dtype=np.intp), 0.25)
 
 
 @settings(max_examples=80, deadline=None)

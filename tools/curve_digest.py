@@ -7,7 +7,7 @@ pool with one-patch candidates, then one of two runs that label their
 whole pool, then one of a run that weights both criterion terms, then one per learning
 curve of two runs with other SGD settings, then one of an unweighted
 entropy run and one of a one-candidate-batch diversity run on the ragged
-set.
+set, then one of a run on a pool with tied patch rows.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -90,6 +90,17 @@ AFT*-diversity (alpha 1, entropy unweighted) on that set, seed 1, budget
 20, batch 1: its audit computes each selected candidate's entropy alone,
 from majority subsets padded to the widest of the pool.
 
+The tied rows: ``standard_benchmark(1)`` with every other train
+candidate's patch rows each repeated once, in place, so those candidates
+hold equal dominant-class probabilities among their most confident rows
+and their majority subsets are ordered by the whole row. AFT*-entropy^a
+(a non-randomized preset), seed 1, budget 300, batch 20. The line is
+``tied-rows <strategy label> seed=1 <sha256>`` over the grid-style
+digest of its records followed by the bytes of its selection audit.
+
+The script pins BLAS to one thread, as ``perfbench/run.py`` does, before
+numpy is imported: a threaded BLAS may sum in another order.
+
 Two checkouts give the same learning curves and artifacts exactly when
 this script prints the same lines in both::
 
@@ -106,10 +117,13 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
+os.environ.update({k: "1" for k in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")})
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -119,6 +133,7 @@ from aftstar import datagen  # noqa: E402
 from aftstar.datagen import DatagenConfig, generate, standard_benchmark  # noqa: E402
 from aftstar.learner import TrainConfig  # noqa: E402
 from aftstar.loop import CRITERION_PRESETS, StopRule, make_strategy, run_experiment  # noqa: E402
+from aftstar.pool import Candidate  # noqa: E402
 from inputs import RAGGED, Blobs, write_dataset  # noqa: E402
 
 SEEDS = range(1, 6)
@@ -268,6 +283,18 @@ def main() -> None:
             )
             h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
             print(f"{prefix} {strategy.label} seed=1 {h}", flush=True)
+    train, test, _ = generate(standard_benchmark(seed=1))
+    train = [Candidate(c.id, c.features.repeat(2, axis=0), c.true_label) if i % 2 else c
+             for i, c in enumerate(train)]
+    strategy = make_strategy("AFT_star", "entropy^a", BATCH)
+    with tempfile.TemporaryDirectory() as tmp:
+        audit = Path(tmp, "audit.jsonl")
+        records = run_experiment(
+            train, test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1,
+            audit_path=audit,
+        )
+        h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
+    print(f"tied-rows {strategy.label} seed=1 {h}", flush=True)
 
 
 if __name__ == "__main__":
