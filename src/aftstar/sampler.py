@@ -6,8 +6,8 @@ Three modes:
 * ``randomized``: widen the pool to the top ``omega * b`` candidates and
   sample b of them without replacement, with probabilities obtained by
   min-max normalizing the window scores and dividing by their sum — the
-  window's last-ranked candidate gets probability zero on the first
-  draw, and remaining probabilities are renormalized after each draw;
+  window's last-ranked candidate gets probability zero — by the law of
+  successive draws that renormalize the remaining probabilities;
 * ``uniform_random``: b candidates uniformly at random, ignoring scores
   (the selector used by the RFT baseline).
 
@@ -20,17 +20,15 @@ function.
 
 :func:`select_from_scores` checks its scores once, at the top: a 1-d
 array of one finite value per id, or :class:`~aftstar.errors.ShapeError`.
-The randomized draw then checks nothing more. Each draw takes the
-remaining probabilities ``p``, divided by their sum, and does what
-``Generator.choice(n, p=p / total)`` does inside for one value, without
-its validation of the whole window:
-``cdf = (p / total).cumsum()``, ``cdf /= cdf[-1]``, and the index is
-``cdf.searchsorted(rng.random(), side="right")``. So the picks, and the
-generator's state after them, follow numpy's ``choice`` algorithm; if a
-numpy release changes that algorithm, the differential test
-``tests/test_sampler.py::test_draw_equals_generator_choice`` fails.
-Once every remaining probability is zero, a draw is
-``rng.choice`` over the window members not yet chosen.
+The randomized draw then checks nothing more. It takes ``u =
+rng.random(window)``, exactly ``window`` doubles whatever the batch
+size, and picks the members in ascending order of ``-log1p(-u_i) /
+p_i``, exponential variables of rate ``p_i`` (Efraimidis and Spirakis,
+"Weighted random sampling with a reservoir", IPL 2006). The first ``b``
+have the law of ``b`` successive draws, each with the remaining
+probabilities renormalized. Members of probability zero come after
+every positive one, in ascending order of their ``u``: once the positive
+members are drawn, the rest of the batch is uniform over the others.
 """
 
 from __future__ import annotations
@@ -102,29 +100,20 @@ def uniform_batch(ids: Iterable[str], batch_size: int, rng: np.random.Generator)
 
 
 def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
-    """Draw ``count`` distinct indices, renormalizing after each draw.
+    """Draw ``count`` distinct indices by exponential keys (see the module
+    docstring), from ``rng.random(len(probs))``.
 
     ``probs`` must be finite and non-negative; nothing checks them here.
-    A draw is ``rng.choice(len(p), p=p / total)`` computed as numpy
-    computes it (see the module docstring). Once every remaining
-    probability is zero, the rest of the draws are uniform over the
-    not-yet-chosen window members.
     """
-    p = np.array(probs, dtype=float)
-    chosen: list[int] = []
-    available = np.ones(p.shape[0], dtype=bool)
-    for _ in range(count):
-        total = p.sum()
-        if total > 0:
-            cdf = (p / total).cumsum()
-            cdf /= cdf[-1]
-            j = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
-            j = int(rng.choice(np.flatnonzero(available)))
-        chosen.append(j)
-        available[j] = False
-        p[j] = 0.0
-    return chosen
+    u = rng.random(len(probs))
+    positive = probs > 0
+    # -log(1 - u) / p is an exponential variable of rate p: the smallest one
+    # is index i with probability p_i / sum(p), and so on for the rest. A p
+    # too small for the quotient gives +inf, last among the positive ones.
+    # Zero-weight members come after every positive one, in the order of u.
+    with np.errstate(over="ignore"):
+        clock = np.divide(-np.log1p(-u), probs, out=u.copy(), where=positive)
+    return np.lexsort((clock, ~positive))[:count].tolist()
 
 
 def select_from_scores(

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,62 +87,72 @@ def test_probabilities_check_only_the_window_head():
 
 # --- the draw ---------------------------------------------------------------
 
-def choice_draw(probs, count, rng):
-    """The draw by ``Generator.choice``, one validated call per draw: the
-    reference that :func:`_draw_without_replacement` must equal."""
-    p = np.array(probs, dtype=float)
-    chosen = []
-    available = np.ones(p.shape[0], dtype=bool)
-    for _ in range(count):
-        total = p.sum()
-        if total > 0:
-            j = int(rng.choice(p.shape[0], p=p / total))
-        else:
-            j = int(rng.choice(np.flatnonzero(available)))
-        chosen.append(j)
-        available[j] = False
-        p[j] = 0.0
-    return chosen
+def ordered_pick_probability(probs, picks):
+    """The probability that successive draws, each renormalizing the
+    remaining probabilities and uniform over the rest once they are all
+    zero, pick exactly ``picks`` in this order."""
+    remaining = list(range(len(probs)))
+    total = 1.0
+    for j in picks:
+        weights = [probs[i] for i in remaining]
+        mass = sum(weights)
+        total *= probs[j] / mass if mass > 0 else 1.0 / len(remaining)
+        remaining.remove(j)
+    return total
 
 
-def window_probabilities(kind, n, rng):
-    if kind == "all_zero":
-        return np.zeros(n)
-    if kind == "scores":
-        return sampling_probabilities(np.sort(rng.random(n))[::-1], n)
-    p = rng.random(n) ** (30 if kind == "skewed" else 1)
-    if kind == "zeros":
-        p[rng.random(n) < rng.random()] = 0.0
-    return p / p.sum() if p.sum() > 0 else p
+@pytest.mark.parametrize(
+    "probs, count",
+    [([0.5, 1 / 3, 1 / 6, 0.0], 2), ([0.7, 0.2, 0.1], 3), ([0.6, 0.4, 0.0, 0.0], 3),
+     ([0.0, 0.0, 0.0], 3), ([0.25, 0.25, 0.25, 0.25], 2)],
+    ids=["scores_window", "whole_window", "zeros_after", "all_zero", "flat"],
+)
+def test_draw_follows_the_law_of_successive_renormalized_draws(probs, count):
+    probs = np.array(probs)
+    rng = np.random.default_rng(2006)
+    trials = 40_000
+    seen = {}
+    for _ in range(trials):
+        picks = tuple(_draw_without_replacement(probs, count, rng))
+        seen[picks] = seen.get(picks, 0) + 1
+    for picks in itertools.permutations(range(len(probs)), count):
+        p = ordered_pick_probability(probs, picks)
+        freq = seen.pop(picks, 0) / trials
+        # five standard errors of a frequency of p over the trials
+        assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / trials) + 1e-12, (picks, freq, p)
+    assert not seen
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.one_of(st.integers(min_value=2, max_value=20), st.integers(min_value=2, max_value=1200)),
-    kind=st.sampled_from(["uniform", "skewed", "zeros", "all_zero", "scores"]),
+    n=st.integers(min_value=1, max_value=1200),
+    zeros=st.floats(min_value=0.0, max_value=1.0),
     draws=st.integers(min_value=1, max_value=250),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_draw_equals_generator_choice(n, kind, draws, seed):
-    # Ties the batches to numpy's choice algorithm: fails if a numpy
-    # release changes how choice(n, p=...) turns one random() into an index.
-    probs = window_probabilities(kind, n, np.random.default_rng(seed))
+def test_draw_puts_zero_weights_last_and_takes_one_double_per_member(n, zeros, draws, seed):
+    source = np.random.default_rng(seed)
+    probs = source.random(n) ** source.integers(1, 31)
+    probs[source.random(n) < zeros] = 0.0
     count = min(draws, n)
     rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    assert _draw_without_replacement(probs, count, rng) == choice_draw(
-        probs, count, reference_rng
-    )
+    picks = _draw_without_replacement(probs, count, rng)
+    assert len(set(picks)) == count and all(0 <= j < n for j in picks)
+    positive = int((probs > 0).sum())
+    assert all(probs[j] > 0 for j in picks[:positive])
+    assert all(probs[j] == 0 for j in picks[positive:])
+    reference_rng.random(n)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_draw_of_a_whole_window_ends_uniform():
-    # Two non-zero entries, then the rest of the window by the uniform fallback.
+    # Two non-zero entries, then the rest of the window in the order of u.
     probs = np.array([0.75, 0.25, 0.0, 0.0, 0.0])
-    rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+    rng = np.random.default_rng(3)
     picks = _draw_without_replacement(probs, 5, rng)
     assert sorted(picks[:2]) == [0, 1] and sorted(picks) == [0, 1, 2, 3, 4]
-    assert picks == choice_draw(probs, 5, reference_rng)
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    u = np.random.default_rng(3).random(5)
+    assert picks[2:] == sorted([2, 3, 4], key=lambda j: u[j])
 
 
 # --- select_batch -----------------------------------------------------------
