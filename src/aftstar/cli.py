@@ -38,7 +38,7 @@ import numpy as np
 
 from . import datagen, loop, metrics
 from .datagen import DatagenConfig
-from .errors import AftError, ConfigError, check_integer
+from .errors import AftError, ConfigError, check_integer, shown
 from .learner import TrainConfig
 from .loop import StopRule, make_strategy
 from .metrics import FLOAT_FMT
@@ -86,19 +86,19 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"{path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     version = cfg.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: must be {SCHEMA_VERSION} in {path}, got {version!r}")
+        raise ConfigError(f"schema_version: must be {SCHEMA_VERSION} in {path}, got {shown(version)}")
     return cfg
 
 
 def _resolve_output_dir(cfg: dict, args) -> Path:
     if not isinstance(cfg.get("output_dir", ""), str):
-        raise ConfigError(f"output_dir: must be a path string, got {cfg['output_dir']!r}")
+        raise ConfigError(f"output_dir: must be a path string, got {shown(cfg['output_dir'])}")
     out = args.output or cfg.get("output_dir") or os.environ.get(OUTPUT_ENV_VAR)
     if not out:
         raise ConfigError(
@@ -124,7 +124,7 @@ def _reject_repeats(values: list, where: str) -> None:
     would write one set of files over another."""
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise ConfigError(f"{where}[{i}]: {value!r} repeats {where}[{values.index(value)}]")
+            raise ConfigError(f"{where}[{i}]: {shown(value)} repeats {where}[{values.index(value)}]")
 
 
 def _slug(label: str) -> str:

@@ -22,13 +22,10 @@ are not re-normalized after clamping.
 one ``(n, M, k)`` array of their prediction matrices padded with zero
 rows to the largest patch count M, as ``learner.stacked_predictions``
 gives it, and their patch counts. It checks the array once and takes
-the dominant class (the top two class sums column by column, no sort),
-the majority subset (one ``argsort`` of every candidate's
-dominant-class keys, pad rows keyed last, and a ``lexsort`` of the whole
-rows of only the candidates with tied keys at their head) and the terms
-as array operations over all candidates, with no loop over patch counts
-but one: entropy.
-The padding keeps every bit. numpy sums the middle axis of an
+the dominant class, the majority subset (one ``argsort`` of the keys,
+pad rows last, and a ``lexsort`` of the rows of tied candidates only)
+and the terms over all candidates at once, with no loop over patch
+counts but entropy's. The padding keeps every bit. numpy sums the middle axis of an
 ``(n, M, k)`` array row after row, left to right, so the zero pad rows
 leave the class sums, and so the dominant class, as they are. The kept
 subsets are padded with copies of their first row, whose differences
@@ -188,15 +185,14 @@ def _dominant(P: np.ndarray, counts) -> np.ndarray:
     """The dominant class of each of the padded matrices ``P``, candidate
     ``i`` having ``counts[i]`` rows (or every one ``counts`` rows)."""
     sums = P.sum(axis=1)
-    # The first-index argmax and the top two sums, column by column: the
-    # top two are entries of ``sums``, so they are the values a sort gives.
-    top, second = sums[:, 0].copy(), np.full(len(sums), -np.inf)
+    # The first-index argmax and the top two sums (entries of ``sums``, so
+    # the values a sort gives), column by column.
+    top, second = sums[:, 0], np.full(len(sums), -np.inf)
     dominant = np.zeros(len(sums), dtype=np.intp)
     for j in range(1, sums.shape[1]):
-        column = sums[:, j]
-        above = column > top
-        second = np.where(above, top, np.maximum(second, column))
-        top = np.where(above, column, top)
+        above = sums[:, j] > top
+        second = np.where(above, top, np.maximum(second, sums[:, j]))
+        top = np.where(above, sums[:, j], top)
         dominant[above] = j
     # A sum of m entries in [0, 1], added in any order, is off by at most
     # about (m - 1) * eps / 2 times the sum. Where the top two sums differ by
@@ -219,9 +215,8 @@ def _majority(
     largest, and their sizes."""
     n, M, k = P.shape
     keep = np.maximum(np.ceil(alpha * counts), 1).astype(np.intp)
-    # Descending q, the dominant-class probability; rows with equal q are
-    # ordered by the whole row, column by column, so the subset and its
-    # order do not depend on the row order.
+    # Descending q, the dominant-class probability; rows with equal q in
+    # whole-row order, so the subset and its order ignore the row order.
     key = np.empty((n, M))
     for j in range(k):
         np.negative(P[:, :, j], out=key, where=(dominant == j)[:, None])
@@ -230,18 +225,14 @@ def _majority(
     width = keep.max(initial=0)
     order = key.argsort(axis=1)
     base = M * np.arange(n)[:, None]  # flat row of each candidate's first row
-    # Without two equal keys among a candidate's first min(keep + 1, count)
-    # sorted rows, any sort gives its first keep rows in the whole-row
-    # order. Only the candidates with such a tie (-0.0 == +0.0 among them)
-    # are sorted by the whole row.
+    # Without two equal keys (-0.0 == +0.0 too) among a candidate's first
+    # min(keep + 1, count) sorted rows, any sort gives its first keep rows
+    # in the whole-row order; only the others are sorted by the whole row.
     head = key.ravel()[order[:, : min(width + 1, M)] + base]
-    tied = (head[:, 1:] == head[:, :-1]) & (
-        np.arange(head.shape[1] - 1) < np.minimum(keep, counts - 1)[:, None]
-    )
-    tied = np.flatnonzero(tied.any(axis=1))
-    if len(tied):
-        Q = P[tied]
-        order[tied] = np.lexsort([*(Q[:, :, j] for j in reversed(range(k))), key[tied]], axis=1)
+    inside = np.arange(head.shape[1] - 1) < np.minimum(keep, counts - 1)[:, None]
+    tied = ((head[:, 1:] == head[:, :-1]) & inside).any(axis=1)
+    Q = P[tied]
+    order[tied] = np.lexsort([*(Q[:, :, j] for j in reversed(range(k))), key[tied]], axis=1)
     order = order[:, :width]
     if keep.min(initial=width) < width:
         # A subset's slots past its size repeat its first row, so that their

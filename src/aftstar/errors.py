@@ -52,14 +52,14 @@ class InvariantError(AftError):
 def check_integer(name: str, value, minimum: int) -> None:
     """Raise ConfigError unless ``value`` is an integer, not a bool, >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
 
 
-def shown(value: str | int) -> str:
-    """A field as an error message repeats it: a string quoted, a number as
-    its digits, cut to ``SHOWN_CHARS`` characters plus its length."""
+def shown(value) -> str:
+    """A field as an error message repeats it: a string quoted, any other
+    value as its ``str``, cut to ``SHOWN_CHARS`` characters plus its length."""
     text = str(value)
     cut = text[:SHOWN_CHARS]
     quoted = repr(cut) if isinstance(value, str) else cut

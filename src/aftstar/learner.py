@@ -64,7 +64,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ShapeError, check_integer
+from .errors import ConfigError, InvariantError, ShapeError, check_integer, shown
 from .pool import Candidate, CandidateStack, stack_candidates
 
 
@@ -424,7 +424,7 @@ def training_rows(
     try:
         y = np.array([labels[i] for i in compress(stack.ids, keep)], dtype=int)
     except KeyError as err:
-        raise InvariantError(f"candidate {err.args[0]!r} has no label for training") from None
+        raise InvariantError(f"candidate {shown(err.args[0])} has no label for training") from None
     counts = stack.counts[keep]
     return _row_positions(stack.first[keep], counts), np.repeat(y, counts), stack.rows
 

@@ -125,11 +125,11 @@ class StrategyConfig:
 
     def __post_init__(self) -> None:
         if self.name not in STRATEGY_TABLE:
-            raise ConfigError(f"unknown strategy name {self.name!r}")
+            raise ConfigError(f"unknown strategy name {shown(self.name)}")
         if self.training_set_policy not in (Q_ONLY, H_UNION_Q, L_UNION_Q):
-            raise ConfigError(f"unknown training-set policy {self.training_set_policy!r}")
+            raise ConfigError(f"unknown training-set policy {shown(self.training_set_policy)}")
         if self.model_start not in (CONTINUE_PREVIOUS, RESTART_FROM_M0):
-            raise ConfigError(f"unknown model start {self.model_start!r}")
+            raise ConfigError(f"unknown model start {shown(self.model_start)}")
         if self.criterion is None and self.sampler.mode != "uniform_random":
             raise ConfigError("random selection requires the uniform_random sampler mode")
         if self.criterion is not None and self.sampler.mode == "uniform_random":
@@ -154,7 +154,7 @@ def make_strategy(
 ) -> StrategyConfig:
     """Instantiate a named strategy with a criterion preset and overrides."""
     if name not in STRATEGY_TABLE:
-        raise ConfigError(f"unknown strategy name {name!r}")
+        raise ConfigError(f"unknown strategy name {shown(name)}")
     selection, policy, start = STRATEGY_TABLE[name]
     if selection == UNIFORM:
         return StrategyConfig(
@@ -165,10 +165,10 @@ def make_strategy(
             model_start=start,
         )
     if not isinstance(criterion, str):
-        raise ConfigError(f"criterion must be a string, got {criterion!r}")
+        raise ConfigError(f"criterion must be a string, got {shown(criterion)}")
     label = criterion.replace("α", "a").replace("ω", "w")
     if label not in CRITERION_PRESETS:
-        raise ConfigError(f"unknown criterion {criterion!r}")
+        raise ConfigError(f"unknown criterion {shown(criterion)}")
     l1, l2, majority, randomized = CRITERION_PRESETS[label]
     crit = CriteriaConfig(
         lambda1=l1 if lambda1 is None else lambda1,
@@ -234,7 +234,7 @@ def misclassified_set(
     class index)."""
     for cid in labeled.ids:
         if cid not in labels:
-            raise InvariantError(f"candidate {cid!r} in L is not annotated")
+            raise InvariantError(f"candidate {shown(cid)} in L is not annotated")
     predicted = stacked_probabilities(model, labeled).argmax(axis=1).tolist()
     return {cid for cid, k in zip(labeled.ids, predicted) if k != labels[cid]}
 
@@ -253,7 +253,7 @@ def build_training_set(
         return misclassified | batch
     if policy == L_UNION_Q:
         return labeled | batch
-    raise ConfigError(f"unknown training-set policy {policy!r}")
+    raise ConfigError(f"unknown training-set policy {shown(policy)}")
 
 
 def run_step(

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DoubleAnnotationError, PartitionError
+from .errors import ConfigError, DoubleAnnotationError, PartitionError, shown
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,11 @@ class Oracle:
         seen: set[str] = set()
         for cid in ids:
             if cid not in self.true_labels:
-                raise PartitionError(f"unknown candidate id {cid!r}")
+                raise PartitionError(f"unknown candidate id {shown(cid)}")
             if cid in self._answered:
-                raise DoubleAnnotationError(f"candidate {cid!r} was already annotated")
+                raise DoubleAnnotationError(f"candidate {shown(cid)} was already annotated")
             if cid in seen:
-                raise DoubleAnnotationError(f"candidate {cid!r} is repeated in the batch")
+                raise DoubleAnnotationError(f"candidate {shown(cid)} is repeated in the batch")
             seen.add(cid)
         rate = self.config.label_noise_rate
         for cid in ids:

@@ -5,9 +5,8 @@ Three modes:
 * ``top_b``: the b highest-scoring candidates (ties broken by id);
 * ``randomized``: widen the pool to the top ``omega * b`` candidates and
   sample b of them without replacement, with probabilities obtained by
-  min-max normalizing the window scores and dividing by their sum — the
-  window's last-ranked candidate gets probability zero — by the law of
-  successive draws that renormalize the remaining probabilities;
+  min-max normalizing the window scores and dividing by their sum (the
+  window's last-ranked candidate gets probability zero);
 * ``uniform_random``: b candidates uniformly at random, ignoring scores
   (the selector used by the RFT baseline).
 
@@ -22,13 +21,12 @@ function.
 array of one finite value per id, or :class:`~aftstar.errors.ShapeError`.
 The randomized draw then checks nothing more. It takes ``u =
 rng.random(window)``, exactly ``window`` doubles whatever the batch
-size, and picks the members in ascending order of ``-log1p(-u_i) /
-p_i``, exponential variables of rate ``p_i`` (Efraimidis and Spirakis,
-"Weighted random sampling with a reservoir", IPL 2006). The first ``b``
-have the law of ``b`` successive draws, each with the remaining
-probabilities renormalized. Members of probability zero come after
-every positive one, in ascending order of their ``u``: once the positive
-members are drawn, the rest of the batch is uniform over the others.
+size, and picks in ascending order of ``-log1p(-u_i) / p_i``,
+exponential variables of rate ``p_i`` (Efraimidis and Spirakis,
+"Weighted random sampling with a reservoir", IPL 2006): the first b
+have the law of b successive draws that renormalize the remaining
+probabilities. Members of probability zero come after every positive
+one, in ascending order of ``u``, so uniform among themselves.
 """
 
 from __future__ import annotations
@@ -100,17 +98,11 @@ def uniform_batch(ids: Iterable[str], batch_size: int, rng: np.random.Generator)
 
 
 def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
-    """Draw ``count`` distinct indices by exponential keys (see the module
-    docstring), from ``rng.random(len(probs))``.
-
-    ``probs`` must be finite and non-negative; nothing checks them here.
-    """
+    """Draw ``count`` distinct indices by exponential keys, as the module
+    docstring states. Nothing checks ``probs``: finite and non-negative."""
     u = rng.random(len(probs))
     positive = probs > 0
-    # -log(1 - u) / p is an exponential variable of rate p: the smallest one
-    # is index i with probability p_i / sum(p), and so on for the rest. A p
-    # too small for the quotient gives +inf, last among the positive ones.
-    # Zero-weight members come after every positive one, in the order of u.
+    # A p too small for the quotient gives +inf, last of the positive ones.
     with np.errstate(over="ignore"):
         clock = np.divide(-np.log1p(-u), probs, out=u.copy(), where=positive)
     return np.lexsort((clock, ~positive))[:count].tolist()

@@ -556,6 +556,50 @@ def test_a_compare_worker_that_dies_is_a_short_runtime_error(
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("command", ["generate", "run", "compare"])
+def test_an_integer_of_too_many_digits_is_invalid_json(tmp_path, capsys, command):
+    # json.loads refuses an integer of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError.
+    path = tmp_path / "c.json"
+    path.write_text('{"schema_version": 1, "seeds": [' + "9" * 5000 + "]}")
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: invalid JSON: ")
+    assert len(err) < 400
+
+
+LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p, s: s.update(name=LONG), "unknown strategy name 'xxx"),
+        (lambda p, s: s.update(criterion=LONG), "unknown criterion 'xxx"),
+        (lambda p, s: s.update(criterion=[1] * 3000), "criterion must be a string, got [1, 1"),
+        (lambda p, s: s.update(batch_size=LONG), "batch_size must be an integer, got 'xxx"),
+        (lambda p, s: p.update(schema_version=LONG), "schema_version: must be 1 in "),
+        (lambda p, s: p.update(seeds=[10**3999, 10**3999]), "seeds[1]: 1000"),
+        (lambda p, s: p.update(output_dir=10**3999), "output_dir: must be a path string, got 1000"),
+    ],
+    ids=["name", "criterion", "criterion-list", "batch_size", "schema_version", "seeds",
+         "output_dir"],
+)
+def test_over_long_config_values_are_cut_in_config_errors(
+    dataset_dir, tmp_path, capsys, command, edit, message
+):
+    strategy = {"name": "AFT_star", "criterion": "entropy^a_w", "batch_size": 5}
+    payload = one_strategy_config(command, dataset_dir, tmp_path / "o", strategy)
+    edit(payload, strategy)
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "characters)" in err and len(err) < 300
+    assert not (tmp_path / "o").exists()
+
+
 # --- fuzzed config boundary ------------------------------------------------------
 
 def fuzz_base_config():

@@ -481,6 +481,13 @@ def test_collect_patches_requires_labels():
         collect_patches([c], {})
 
 
+def test_an_over_long_unlabeled_id_is_cut_in_its_error():
+    c = make_candidate("a" * 5000)
+    with pytest.raises(InvariantError, match=r"\(5000 characters\) has no label") as err:
+        collect_patches([c], {})
+    assert len(str(err.value)) < 200
+
+
 # --- config -----------------------------------------------------------------
 
 def test_train_config_validation():

@@ -145,6 +145,14 @@ def test_misclassified_requires_annotation():
         misclassified_set(model, stack_candidates([one_patch_candidate("a", 0)]), {})
 
 
+def test_an_over_long_unannotated_id_is_cut_in_its_error():
+    model = LearnerModel(weights=np.zeros((2, 4)))
+    stack = stack_candidates([one_patch_candidate("a" * 5000, 0)])
+    with pytest.raises(InvariantError, match=r"\(5000 characters\) in L") as err:
+        misclassified_set(model, stack, {})
+    assert len(str(err.value)) < 200
+
+
 # --- training set policies -------------------------------------------------------
 
 def test_build_training_set_policies():

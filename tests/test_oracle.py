@@ -52,6 +52,19 @@ def test_unknown_id_rejected():
         oracle.query(["nope"])
 
 
+def test_over_long_ids_are_cut_in_query_errors():
+    long = "q" * 5000
+    oracle = Oracle(true_labels={long: 0}, num_classes=2)
+    for batch, error in (([long + "x"], PartitionError), ([long, long], DoubleAnnotationError)):
+        with pytest.raises(error, match=r"'qqq.*\((5000|5001) characters\)") as err:
+            oracle.query(batch)
+        assert len(str(err.value)) < 200
+    oracle.query([long])
+    with pytest.raises(DoubleAnnotationError, match="characters") as err:
+        oracle.query([long])
+    assert len(str(err.value)) < 200
+
+
 def test_noise_rate_flips_binary_labels():
     n = 10_000
     cands = make_candidates([0] * n)
