@@ -92,7 +92,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}: config must be a JSON object")
     version = cfg.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: must be {SCHEMA_VERSION} in {path}, got {shown(version)}")
+        raise ConfigError(
+            f"schema_version: must be {SCHEMA_VERSION} in {path}, got {shown(version)}"
+        )
     return cfg
 
 
@@ -122,9 +124,9 @@ def _parse_fields(fn, obj: dict, where: str, required=frozenset()):
 def _reject_repeats(values: list, where: str) -> None:
     """Each seed and strategy label names its own artifacts, so a repeat
     would write one set of files over another."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{where}[{i}]: {shown(value)} repeats {where}[{values.index(value)}]")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{where}[{i}]: {shown(v)} repeats {where}[{values.index(v)}]")
 
 
 def _slug(label: str) -> str:
