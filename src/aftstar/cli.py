@@ -64,7 +64,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"{where}: expected an object")
     unknown = set(obj) - allowed
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys [{', '.join(map(shown, sorted(unknown)))}]")
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")

@@ -576,6 +576,7 @@ LONG = "x" * 3000
     "edit, message",
     [
         (lambda p, s: s.update(name=LONG), "unknown strategy name 'xxx"),
+        (lambda p, s: s.update({LONG: 1}), "unknown keys ['xxx"),
         (lambda p, s: s.update(criterion=LONG), "unknown criterion 'xxx"),
         (lambda p, s: s.update(criterion=[1] * 3000), "criterion must be a string, got [1, 1"),
         (lambda p, s: s.update(batch_size=LONG), "batch_size must be an integer, got 'xxx"),
@@ -583,7 +584,7 @@ LONG = "x" * 3000
         (lambda p, s: p.update(seeds=[10**3999, 10**3999]), "seeds[1]: 1000"),
         (lambda p, s: p.update(output_dir=10**3999), "output_dir: must be a path string, got 1000"),
     ],
-    ids=["name", "criterion", "criterion-list", "batch_size", "schema_version", "seeds",
+    ids=["name", "unknown-key", "criterion", "criterion-list", "batch_size", "schema_version", "seeds",
          "output_dir"],
 )
 def test_over_long_config_values_are_cut_in_config_errors(
