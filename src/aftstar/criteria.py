@@ -21,30 +21,29 @@ are not re-normalized after clamping.
 :func:`score_candidates` scores a whole list of candidates at once, from
 one ``(n, M, k)`` array of their prediction matrices padded with zero
 rows to the largest patch count M, as ``learner.stacked_predictions``
-gives it, and their patch counts. It checks the array once and takes the
-dominant class, the majority subset (one ``argsort`` of the keys, pad
-rows last, and a ``lexsort`` of the rows of tied candidates only) and
-the terms over all candidates at once, with no loop over patch counts
-but entropy's. The padding keeps every bit. numpy sums the middle axis
-of an ``(n, M, k)`` array row after row, left to right, so the zero pad
-rows leave the class sums, and so the dominant class, as they are. The
-kept subsets are padded with copies of their first row, whose
-differences against the first row are +0.0 and so add nothing to
-diversity's middle-axis sums. Entropy sums the last two axes, which
-numpy adds pairwise, as one row of ``s * k`` numbers: padding would
-change that order, so it is summed once per distinct subset size s. It
-computes a term only when its weight is above 0: entropy when
-``lambda1 > 0``, diversity when ``lambda2 > 0``, so the four ``entropy``
-presets never compute diversity to rank. It returns one
-:class:`CandidateScores` of arrays, one entry per candidate, and builds
-no per-candidate object. Its :meth:`CandidateScores.terms` reads both
-terms of the candidates at given positions: a term that was skipped is
-computed for those candidates only, from the kept majority subsets, with
-the bits of the eager computation. The single-matrix functions check
-their one matrix and are the ``n = 1`` case of the same private helpers,
-which check nothing; :func:`score_candidate` returns its one result,
-terms read through :meth:`CandidateScores.terms`, as a
-:class:`CandidateScore`.
+gives it, and their patch counts. It checks the array once and takes
+the dominant class, the majority subset (one ``argsort`` of the keys, a
+``lexsort`` of tied candidates' rows only) and the terms as array operations
+over all candidates, with no loop over patch counts but one: entropy.
+The padding keeps every bit. numpy sums the middle axis of an
+``(n, M, k)`` array row after row, left to right, so the zero pad rows
+leave the class sums, and so the dominant class, as they are. The kept
+subsets are padded with copies of their first row, whose differences
+against the first row are +0.0 and so add nothing to diversity's
+middle-axis sums. Entropy sums the last two axes, which numpy adds
+pairwise, as one row of ``s * k`` numbers: padding would change that
+order, so it is summed once per distinct subset size s. It computes
+a term only when its weight is above 0: entropy when ``lambda1 > 0``,
+diversity when ``lambda2 > 0``, so the four ``entropy`` presets never
+compute diversity to rank. It returns one :class:`CandidateScores` of
+arrays, one entry per candidate, and builds no per-candidate object. Its
+:meth:`CandidateScores.terms` reads both terms of the candidates at
+given positions: a term that was skipped is computed for those
+candidates only, from the kept majority subsets, with the bits of the
+eager computation. The single-matrix functions check their one matrix
+and are the ``n = 1`` case of the same private helpers, which check
+nothing; :func:`score_candidate` returns its one result, terms read
+through :meth:`CandidateScores.terms`, as a :class:`CandidateScore`.
 
 The dominant class and the majority subset do not depend on the order
 of a matrix's rows: near-ties in the column sums are summed again

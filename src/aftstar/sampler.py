@@ -99,7 +99,7 @@ def uniform_batch(ids: Iterable[str], batch_size: int, rng: np.random.Generator)
 
 def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
     """Draw ``count`` distinct indices by exponential keys, as the module
-    docstring states. Nothing checks ``probs``: finite and non-negative."""
+    docstring states; ``probs`` must be finite and >= 0 (unchecked)."""
     u = rng.random(len(probs))
     positive = probs > 0
     # A p too small for the quotient gives +inf, last of the positive ones.
