@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written as literal direct summation with scalar math,
-deliberately sharing no code with the package implementations.
+The formula oracles are written as literal direct summation with scalar
+math, deliberately sharing no code with the package implementations. The
+scorer references at the end are array code: the full sorts that the
+package's dominant class and majority subset must equal to the bit.
 """
 
 import math
