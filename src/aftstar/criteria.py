@@ -25,12 +25,14 @@ gives it, and their patch counts. It checks the array once and takes
 the dominant class, the majority subset (one ``argsort`` of the keys, a
 ``lexsort`` of tied candidates' rows only) and the terms as array operations
 over all candidates, with no loop over patch counts but one: entropy.
-The padding keeps every bit. numpy sums the middle axis of an
-``(n, M, k)`` array row after row, left to right, so the zero pad rows
-leave the class sums, and so the dominant class, as they are. The kept
-subsets are padded with copies of their first row, whose differences
-against the first row are +0.0 and so add nothing to diversity's
-middle-axis sums. Entropy sums the last two axes, which numpy adds
+The padding keeps every bit. The middle axis of an ``(n, M, k)`` array
+is summed by ``learner.patch_sum``, row after row, left to right from
++0.0, as numpy's own ``sum(axis=1)`` does but, from 64 candidates on,
+without its per-row inner loops, so the zero pad rows leave the class
+sums, and so the dominant class, as they are. The kept subsets are
+padded with copies of their first row, whose differences against the
+first row are +0.0 and so add nothing to diversity's middle-axis sums.
+The subsets are gathered with ``np.take``. Entropy sums the last two axes, which numpy adds
 pairwise, as one row of ``s * k`` numbers: padding would change that
 order, so it is summed once per distinct subset size s. It computes
 a term only when its weight is above 0: entropy when ``lambda1 > 0``,
@@ -77,7 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DiagnosticError, ShapeError
-from .learner import row_sum
+from .learner import patch_sum, row_sum
 
 ROW_SUM_TOL = 1e-9
 EPSILON = 1e-12
@@ -184,7 +186,7 @@ def check_prediction_matrix(P, real=None) -> np.ndarray:
 def _dominant(P: np.ndarray, counts) -> np.ndarray:
     """The dominant class of each of the padded matrices ``P``, candidate
     ``i`` having ``counts[i]`` rows (or every one ``counts`` rows)."""
-    sums = P.sum(axis=1)
+    sums = patch_sum(P)
     # The first-index argmax and the top two sums (entries of ``sums``, so
     # the values a sort gives), column by column.
     top, second = sums[:, 0], np.full(len(sums), -np.inf)
@@ -235,7 +237,7 @@ def _majority(
     # A subset's slots past its size repeat its first row, so that their
     # diversity differences are +0.0.
     order = np.where(np.arange(width) < keep[:, None], order[:, :width], order[:, :1])
-    return P.reshape(n * M, k)[order + base], keep
+    return np.take(P.reshape(n * M, k), order + base, axis=0), keep
 
 
 def _entropy(S: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -258,9 +260,9 @@ def _diversity(S: np.ndarray, keep: np.ndarray) -> np.ndarray:
     logs = np.log(pt)
     D = pt - pt[:, :1]
     E = logs - logs[:, :1]
-    # The middle-axis sums add row after row, left to right, so the +0.0
+    # The patch-axis sums add row after row, left to right, so the +0.0
     # of the slots that repeat the first row change none of them.
-    per_class = keep[:, None] * (D * E).sum(axis=1) - D.sum(axis=1) * E.sum(axis=1)
+    per_class = keep[:, None] * patch_sum(D * E) - patch_sum(D) * patch_sum(E)
     return row_sum(np.maximum(per_class, 0.0))
 
 

@@ -4,6 +4,8 @@ The formula oracles are written as literal direct summation with scalar
 math, deliberately sharing no code with the package implementations. The
 scorer references at the end are array code: the full sorts that the
 package's dominant class and majority subset must equal to the bit.
+Two helpers make test data: random prediction matrices, and spread
+values, whose sums round differently in different orders.
 """
 
 import math
@@ -51,6 +53,12 @@ def random_prediction_matrix(rng, max_m=8, max_classes=4):
     k = int(rng.integers(2, max_classes + 1))
     raw = rng.random((m, k)) + 1e-6
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def spread_values(rng, shape):
+    """Non-negative values over 9 orders of magnitude, whose sums round
+    differently in different orders."""
+    return rng.random(shape) * 10.0 ** rng.integers(-8, 1, size=shape)
 
 
 # The scorer's dominant class and majority subset by full sorts: a sort of

@@ -28,6 +28,7 @@ from oracles import (
     entropy_direct,
     majority_by_lexsort,
     random_prediction_matrix,
+    spread_values,
 )
 
 
@@ -512,12 +513,6 @@ def test_score_candidates_computes_only_the_weighted_terms(monkeypatch):
 
 # --- the numpy reductions the padded layout rests on ------------------------
 
-def spread_values(rng, shape):
-    """Non-negative values over 9 orders of magnitude, whose sums round
-    differently in different orders."""
-    return rng.random(shape) * 10.0 ** rng.integers(-8, 1, size=shape)
-
-
 @pytest.mark.parametrize("k", [2, 3, 9])
 def test_numpy_sums_the_middle_axis_left_to_right_and_zero_padding_keeps_its_bits(k):
     rng = np.random.default_rng(k)
@@ -530,6 +525,14 @@ def test_numpy_sums_the_middle_axis_left_to_right_and_zero_padding_keeps_its_bit
         for pad in (1, 7, 40):
             padded = np.concatenate([A, np.zeros((5, pad, k))], axis=1)
             assert padded.sum(axis=1).tobytes() == expected.tobytes(), (m, pad)
+    # The reference above starts from a copy of row 0, which is only right
+    # because spread values are never -0.0: numpy starts the sum from +0.0,
+    # so a column of -0.0 sums to +0.0, and so does one of mixed signed zeros.
+    for m in (1, 2, 9, 41):
+        negative = np.full((5, m, k), -0.0)
+        assert negative.sum(axis=1).tobytes() == np.zeros((5, k)).tobytes(), m
+        mixed = rng.choice([0.0, -0.0], size=(5, m, k))
+        assert mixed.sum(axis=1).tobytes() == np.zeros((5, k)).tobytes(), m
 
 
 @pytest.mark.parametrize("k", [2, 3, 9])

@@ -9,6 +9,7 @@ from aftstar.learner import (
     collect_patches,
     fit,
     loss_and_gradient,
+    patch_sum,
     predict,
     predict_features,
     pretrain_m0,
@@ -19,6 +20,8 @@ from aftstar.learner import (
     training_rows,
 )
 from aftstar.pool import Candidate, stack_candidates
+
+from oracles import spread_values
 
 
 def blob_data(rng, n_per_class=40, d=4, separation=4.0):
@@ -322,6 +325,35 @@ def test_row_reductions_equal_numpy_to_the_bit(k, n):
     for A in (Z, np.asfortranarray(Z), Z[::-1], Z[:, ::-1]):
         assert row_sum(A).tobytes() == A.sum(axis=1).tobytes()
         assert row_max(A).tobytes() == A.max(axis=1).tobytes()
+
+
+def layouts(A):
+    """A 3-d array in the memory layouts numpy may iterate differently."""
+    return (A, np.asfortranarray(A), A[::-1], A[:, ::-1], A[:, :, ::-1])
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+@pytest.mark.parametrize("n", [5, 64, 70])  # numpy's own sum below 64 candidates, the adds from 64
+def test_patch_sum_equals_numpy_middle_axis_sum_to_the_bit(k, n):
+    rng = np.random.default_rng(200 + k + n)
+    for m in range(0, 42):
+        A = spread_values(rng, (n, m, k))
+        for B in layouts(A):
+            assert patch_sum(B).tobytes() == B.sum(axis=1).tobytes(), m
+        for pad in (1, 7, 40):  # trailing +0.0 rows, as the padded stacks hold
+            padded = np.concatenate([A, np.zeros((n, pad, k))], axis=1)
+            assert patch_sum(padded).tobytes() == padded.sum(axis=1).tobytes(), (m, pad)
+            assert patch_sum(padded).tobytes() == A.sum(axis=1).tobytes(), (m, pad)
+    # numpy starts from +0.0: a column of -0.0 in every row sums to +0.0,
+    # among others that do not, and so does a mix of signed zeros.
+    for m in (1, 2, 9, 41):
+        A = spread_values(rng, (n, m, k))
+        A[:, :, 1] = -0.0
+        mixed = rng.choice([0.0, -0.0], size=(n, m, k))
+        for B in (*layouts(A), *layouts(mixed)):
+            assert patch_sum(B).tobytes() == B.sum(axis=1).tobytes(), m
+        assert not np.signbit(patch_sum(A)[:, 1]).any()
+        assert not np.signbit(patch_sum(mixed)).any()
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 9])
