@@ -38,7 +38,7 @@ import numpy as np
 
 from . import datagen, loop, metrics
 from .datagen import DatagenConfig
-from .errors import AftError, ConfigError, check_integer, shown
+from .errors import AftError, ConfigError, check_integer, cut, shown
 from .learner import TrainConfig
 from .loop import StopRule, make_strategy
 from .metrics import FLOAT_FMT
@@ -76,7 +76,8 @@ def _reject_booleans(obj: dict, where: str) -> None:
     for key, value in obj.items():
         values = value if isinstance(value, (list, tuple)) else [value]
         if any(isinstance(v, bool) for v in values):
-            raise ConfigError(f"{where}: {key} must not be a boolean, got {json.dumps(value)}")
+            got = cut(json.dumps(value))
+            raise ConfigError(f"{where}: {key} must not be a boolean, got {got}")
 
 
 def _load_config(path: str) -> dict:

@@ -57,10 +57,15 @@ def check_integer(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be >= {minimum}")
 
 
+def cut(text: str, quote: bool = False) -> str:
+    """``text`` as an error message repeats it: cut to ``SHOWN_CHARS``
+    characters plus its length, the kept part quoted when ``quote``."""
+    head = text[:SHOWN_CHARS]
+    kept = repr(head) if quote else head
+    return kept if head == text else f"{kept}... ({len(text)} characters)"
+
+
 def shown(value) -> str:
     """A field as an error message repeats it: a string quoted, any other
-    value as its ``str``, cut to ``SHOWN_CHARS`` characters plus its length."""
-    text = str(value)
-    cut = text[:SHOWN_CHARS]
-    quoted = repr(cut) if isinstance(value, str) else cut
-    return quoted if cut == text else f"{quoted}... ({len(text)} characters)"
+    value as its ``str``, through :func:`cut`."""
+    return cut(str(value), isinstance(value, str))

@@ -601,6 +601,21 @@ def test_over_long_config_values_are_cut_in_config_errors(
     assert not (tmp_path / "o").exists()
 
 
+def test_a_boolean_in_a_long_list_value_is_cut_in_its_config_error(tmp_path, capsys):
+    payload = inline_run_config(tmp_path / "o")
+    payload["learner"]["epochs"] = [True] * 3000
+    assert main(["run", "--config", write_config(tmp_path / "c.json", payload)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: learner: epochs must not be a boolean, got [true, true")
+    assert err.rstrip("\n").endswith("... (18000 characters)") and len(err) <= 130
+    # A short value is repeated whole.
+    payload["learner"]["epochs"] = [1, False]
+    assert main(["run", "--config", write_config(tmp_path / "c.json", payload)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: learner: epochs must not be a boolean, got [1, false]\n"
+    assert not (tmp_path / "o").exists()
+
+
 # --- fuzzed config boundary ------------------------------------------------------
 
 def fuzz_base_config():
