@@ -57,9 +57,9 @@ each short row in both reductions, which is slow when k is 2 or 3. On
 one Xeon core with numpy 2.4.6, numpy's middle-axis sum took 1.25 ms on
 ``(5800, 12, 2)`` and :func:`patch_sum` 0.12 ms; on a ragged
 ``(500, 40, 3)``, 0.33 and 0.11 ms; below 64 candidates numpy's own
-sum was the faster, and :func:`patch_sum` is that sum there. Rows are gathered with ``np.take``
-for the same reason: 69,600 of 72,000 ``(R, 11)`` rows took 0.66 ms,
-where fancy indexing took 2.29 ms.
+sum was the faster, and :func:`patch_sum` is that sum there. Rows are
+gathered with ``np.take`` for the same reason: 69,600 of 72,000
+``(R, 11)`` rows took 0.66 ms, where fancy indexing took 2.29 ms.
 """
 
 from __future__ import annotations
