@@ -27,17 +27,17 @@ the dominant class, the majority subset (one ``argsort`` of the keys, a
 over all candidates, with no loop over patch counts but one: entropy.
 The padding keeps every bit. The middle axis of an ``(n, M, k)`` array
 is summed by ``learner.patch_sum``, row after row, left to right from
-+0.0, as numpy's own ``sum(axis=1)`` does but, from 64 candidates on,
-without its per-row inner loops, so the zero pad rows leave the class
-sums, and so the dominant class, as they are. The kept subsets are
-padded with copies of their first row, whose differences against the
-first row are +0.0 and so add nothing to diversity's middle-axis sums.
-The subsets are gathered with ``np.take``. Entropy sums the last two axes, which numpy adds
-pairwise, as one row of ``s * k`` numbers: padding would change that
-order, so it is summed once per distinct subset size s. It computes
-a term only when its weight is above 0: entropy when ``lambda1 > 0``,
-diversity when ``lambda2 > 0``, so the four ``entropy`` presets never
-compute diversity to rank. It returns one :class:`CandidateScores` of
++0.0, in numpy's own order for ``sum(axis=1)`` but without its per-row
+inner loops, so the zero pad rows leave the class sums, and so the
+dominant class, as they are. The kept subsets, gathered with
+``np.take``, are padded with copies of their first row, whose
+differences against the first row are +0.0 and so add nothing to
+diversity's middle-axis sums. Entropy sums the last two axes, which
+numpy adds pairwise, as one row of ``s * k`` numbers: padding would
+change that order, so it is summed once per distinct subset size s. It
+computes a term only when its weight is above 0: entropy when
+``lambda1 > 0``, diversity when ``lambda2 > 0``, so the four
+``entropy`` presets never compute diversity to rank. It returns one :class:`CandidateScores` of
 arrays, one entry per candidate, and builds no per-candidate object. Its
 :meth:`CandidateScores.terms` reads both terms of the candidates at
 given positions: a term that was skipped is computed for those
@@ -379,7 +379,13 @@ def classify_pattern(P) -> str:
     P = check_prediction_matrix(P)
     if P.shape[1] != 2:
         raise DiagnosticError("pattern diagnostic requires exactly 2 classes")
-    q = P[:, _dominant(P[None], len(P))[0]]
+    return dominant_pattern(P[:, _dominant(P[None], len(P))[0]])
+
+
+def dominant_pattern(q: np.ndarray) -> str:
+    """:func:`classify_pattern`'s label from ``q``, the dominant-class
+    column of a checked two-class matrix, for a caller that holds its
+    dominant class already (a step's audit takes it from the scores)."""
     m = q.shape[0]
     f_mid = float(((q >= 0.4) & (q <= 0.6)).sum()) / m
     f_hi = float((q > 0.9).sum()) / m

@@ -51,13 +51,17 @@ and give numpy's ``max(axis=1)``/``sum(axis=1)`` to the bit; the
 softmax takes the maxima and the sums of its columns the same way, and
 is the one statement of that order for predictions and fits alike. A
 sum over the patch axis of an ``(n, M, k)`` array goes through
-:func:`patch_sum`, which adds the patch slots in numpy's order and
-gives ``sum(axis=1)`` to the bit. numpy runs a separate inner loop for
-each short row in both reductions, which is slow when k is 2 or 3. On
-one Xeon core with numpy 2.4.6, numpy's middle-axis sum took 1.25 ms on
-``(5800, 12, 2)`` and :func:`patch_sum` 0.12 ms; on a ragged
-``(500, 40, 3)``, 0.33 and 0.11 ms; below 64 candidates numpy's own
-sum was the faster, and :func:`patch_sum` is that sum there. Rows are
+:func:`patch_sum`, which adds the patch slots in numpy's order, class
+column by class column, and gives a C-ordered array's ``sum(axis=1)``
+to the bit. numpy
+runs a separate inner loop for each short row in both reductions, which
+is slow when k is 2 or 3. On one Xeon core with numpy 2.4.6, numpy's
+middle-axis sum took 1.2 ms on ``(5800, 12, 2)`` and :func:`patch_sum`
+0.12 ms; on a ragged ``(500, 40, 3)``, 0.30 and 0.10 ms; on
+``(500, 40, 9)`` both 0.44 ms. On few candidates numpy's sum is the
+faster (1.2 against 24 us on one ``(12, 2)`` matrix, 8 against 32 us
+on ``(20, 20, 3)``), a cost paid by the one-matrix functions of
+``criteria`` and a step's audit terms, not by scoring. Rows are
 gathered with ``np.take`` for the same reason: 69,600 of 72,000
 ``(R, 11)`` rows took 0.66 ms, where fancy indexing took 2.29 ms.
 """
@@ -124,7 +128,6 @@ def _augment(X: np.ndarray) -> np.ndarray:
 
 
 _COLUMNWISE_LIMIT = 8  # from this many columns on, numpy's order differs
-_PATCH_SUM_ROWS = 64  # from this many candidates on, patch_sum's adds beat numpy's
 
 
 def row_max(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -162,26 +165,21 @@ def row_sum(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def patch_sum(P: np.ndarray) -> np.ndarray:
-    """``P.sum(axis=1)`` of an ``(n, M, k)`` array, to the bit, as a new
-    ``(n, k)`` array.
+    """The sum over the middle axis of an ``(n, M, k)`` array, as a new
+    ``(n, k)`` array: each class column's M patch slots added left to
+    right into zeros, one add of an n-vector per slot.
 
-    numpy adds the middle axis left to right, starting from +0.0 (so a
-    column of -0.0 sums to +0.0), in a separate inner loop for each row.
-    Below 64 candidates those loops cost less than the adds below, so
-    the sum is numpy's own. From 64 on this adds the same numbers in the
-    same order, into zeros: below 8 classes each class column on its own,
-    one add of an n-vector per patch slot; from 8 classes on whole
-    ``(n, k)`` slices.
+    The zeros are numpy's +0.0 start, so a column of -0.0 sums to +0.0.
+    In any layout whose middle axis is not the contiguous one, as in a
+    C-ordered array, numpy's ``P.sum(axis=1)`` adds in this order, so the
+    result is that sum to the bit. Where the middle axis is the
+    contiguous one numpy sums it with several accumulators; this sum
+    still adds left to right, the bits of the array's C-ordered copy.
     """
     n, M, k = P.shape
-    if n < _PATCH_SUM_ROWS:
-        return P.sum(axis=1)
     out = np.zeros((n, k))
-    if k >= _COLUMNWISE_LIMIT:
-        parts = [(out, P)]
-    else:
-        parts = [(out[:, j], P[:, :, j]) for j in range(k)]
-    for total, part in parts:
+    for j in range(k):
+        total, part = out[:, j], P[:, :, j]
         for r in range(M):
             total += part[:, r]
     return out

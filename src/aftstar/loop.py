@@ -52,7 +52,7 @@ from typing import AbstractSet, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .criteria import CriteriaConfig, classify_pattern, score_candidates
+from .criteria import CriteriaConfig, dominant_pattern, score_candidates
 from .datagen import infer_num_classes
 from .errors import ConfigError, InvariantError, PartitionError, check_integer, shown
 from .learner import (
@@ -316,13 +316,14 @@ def run_step(
             # A term the criterion does not weight is computed for the batch only.
             entropies, diversities = scores.terms(picked)
             for entry, i, e, d in zip(entries, picked, entropies.tolist(), diversities.tolist()):
-                P = predictions[i, : unlabeled.counts[i]]
+                dominant = int(scores.dominant[i])
+                q = predictions[i, : unlabeled.counts[i], dominant]
                 entry.update(
-                    dominant=int(scores.dominant[i]),
+                    dominant=dominant,
                     entropy=e,
                     diversity=d,
                     score=float(scores.score[i]),
-                    pattern=classify_pattern(P) if P.shape[1] == 2 else None,
+                    pattern=dominant_pattern(q) if predictions.shape[2] == 2 else None,
                 )
         audit.write(
             json.dumps(

@@ -328,18 +328,30 @@ def test_row_reductions_equal_numpy_to_the_bit(k, n):
 
 
 def layouts(A):
-    """A 3-d array in the memory layouts numpy may iterate differently."""
-    return (A, np.asfortranarray(A), A[::-1], A[:, ::-1], A[:, :, ::-1])
+    """A 3-d array in the memory layouts numpy may iterate differently,
+    the last a copy whose middle axis is the contiguous one."""
+    patch_contiguous = np.ascontiguousarray(A.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return (A, np.asfortranarray(A), A[::-1], A[:, ::-1], A[:, :, ::-1], patch_contiguous)
+
+
+def assert_patch_sum_bits(B, note):
+    """patch_sum(B) adds left to right from +0.0: numpy's sum of B's
+    C-ordered copy, and numpy's sum of B itself unless B's middle axis is
+    the contiguous one, which numpy sums with several accumulators."""
+    got = patch_sum(B).tobytes()
+    assert got == np.ascontiguousarray(B).sum(axis=1).tobytes(), note
+    if abs(B.strides[1]) != B.itemsize:
+        assert got == B.sum(axis=1).tobytes(), note
 
 
 @pytest.mark.parametrize("k", [2, 3, 9])
-@pytest.mark.parametrize("n", [5, 64, 70])  # numpy's own sum below 64 candidates, the adds from 64
+@pytest.mark.parametrize("n", [1, 5, 70])
 def test_patch_sum_equals_numpy_middle_axis_sum_to_the_bit(k, n):
     rng = np.random.default_rng(200 + k + n)
     for m in range(0, 42):
         A = spread_values(rng, (n, m, k))
         for B in layouts(A):
-            assert patch_sum(B).tobytes() == B.sum(axis=1).tobytes(), m
+            assert_patch_sum_bits(B, m)
         for pad in (1, 7, 40):  # trailing +0.0 rows, as the padded stacks hold
             padded = np.concatenate([A, np.zeros((n, pad, k))], axis=1)
             assert patch_sum(padded).tobytes() == padded.sum(axis=1).tobytes(), (m, pad)
@@ -351,9 +363,9 @@ def test_patch_sum_equals_numpy_middle_axis_sum_to_the_bit(k, n):
         A[:, :, 1] = -0.0
         mixed = rng.choice([0.0, -0.0], size=(n, m, k))
         for B in (*layouts(A), *layouts(mixed)):
-            assert patch_sum(B).tobytes() == B.sum(axis=1).tobytes(), m
+            assert_patch_sum_bits(B, m)
+            assert not np.signbit(patch_sum(B)).any()
         assert not np.signbit(patch_sum(A)[:, 1]).any()
-        assert not np.signbit(patch_sum(mixed)).any()
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 9])

@@ -11,7 +11,7 @@ from aftstar import datagen
 from aftstar.criteria import CriteriaConfig
 from aftstar.datagen import DatagenConfig, generate, load_dataset, write_csv, write_dataset
 from aftstar.errors import ConfigError, InvariantError, PartitionError
-from aftstar.learner import LearnerModel, TrainConfig
+from aftstar.learner import LearnerModel, TrainConfig, stacked_predictions
 from aftstar.loop import (
     STRATEGY_TABLE,
     StopRule,
@@ -462,6 +462,39 @@ def test_audit_log_written(tmp_path):
             assert {"id", "label", "dominant", "entropy", "diversity", "score", "pattern"} <= set(entry)
         assert "misclassified_pre_fit" in line
         assert "misclassified_post_fit" in line
+
+
+def test_audit_patterns_are_classify_pattern_of_the_selected_matrices(tmp_path, monkeypatch):
+    import json
+
+    from aftstar.criteria import classify_pattern
+
+    scored = []
+
+    def spy_predictions(model, stack):
+        P = stacked_predictions(model, stack)
+        scored.append((stack, P))
+        return P
+
+    monkeypatch.setattr(loop_mod, "stacked_predictions", spy_predictions)
+    train, test = tiny_dataset(seed=2)
+    path = tmp_path / "audit.jsonl"
+    run_experiment(
+        train, test, make_strategy("AFT_star", criterion="entropy^a_w", batch_size=10),
+        TrainConfig(epochs=10, minibatch_size=16), StopRule(query_budget=30), 3, audit_path=path,
+    )
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == len(scored) == 3
+    patterns = set()
+    for line, (stack, P) in zip(lines, scored):
+        assert P.shape[2] == 2
+        ids = list(stack.ids)
+        for entry in line["selected"]:
+            i = ids.index(entry["id"])
+            assert entry["pattern"] == classify_pattern(P[i, : stack.counts[i]])
+            patterns.add(entry["pattern"])
+    # Labels that tell the dominant column from the other one.
+    assert patterns & {"D", "E", "F", "G"}
 
 
 def test_an_aft_star_step_builds_no_score_object(tmp_path, monkeypatch):
