@@ -36,16 +36,17 @@ diversity's middle-axis sums. Entropy sums the last two axes, which
 numpy adds pairwise, as one row of ``s * k`` numbers: padding would
 change that order, so it is summed once per distinct subset size s. It
 computes a term only when its weight is above 0: entropy when
-``lambda1 > 0``, diversity when ``lambda2 > 0``, so the four
-``entropy`` presets never compute diversity to rank. It returns one :class:`CandidateScores` of
-arrays, one entry per candidate, and builds no per-candidate object. Its
-:meth:`CandidateScores.terms` reads both terms of the candidates at
-given positions: a term that was skipped is computed for those
-candidates only, from the kept majority subsets, with the bits of the
-eager computation. The single-matrix functions check their one matrix
-and are the ``n = 1`` case of the same private helpers, which check
-nothing; :func:`score_candidate` returns its one result, terms read
-through :meth:`CandidateScores.terms`, as a :class:`CandidateScore`.
+``lambda1 > 0``, diversity when ``lambda2 > 0``, so the four ``entropy``
+presets never compute diversity to rank. It returns one
+:class:`CandidateScores` of arrays, one entry per candidate, and builds
+no per-candidate object. Its :meth:`CandidateScores.terms` reads both
+terms of the candidates at given positions: a term that was skipped is
+computed for those candidates only, from the kept majority subsets, with
+the bits of the eager computation. The single-matrix functions check
+their one matrix and are the ``n = 1`` case of the same private helpers,
+which check nothing; :func:`score_candidate` returns its one result,
+terms read through :meth:`CandidateScores.terms`, as a
+:class:`CandidateScore`.
 
 The dominant class and the majority subset do not depend on the order
 of a matrix's rows: near-ties in the column sums are summed again

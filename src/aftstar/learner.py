@@ -53,17 +53,17 @@ is the one statement of that order for predictions and fits alike. A
 sum over the patch axis of an ``(n, M, k)`` array goes through
 :func:`patch_sum`, which adds the patch slots in numpy's order, class
 column by class column, and gives a C-ordered array's ``sum(axis=1)``
-to the bit. numpy
-runs a separate inner loop for each short row in both reductions, which
-is slow when k is 2 or 3. On one Xeon core with numpy 2.4.6, numpy's
-middle-axis sum took 1.2 ms on ``(5800, 12, 2)`` and :func:`patch_sum`
-0.12 ms; on a ragged ``(500, 40, 3)``, 0.30 and 0.10 ms; on
-``(500, 40, 9)`` both 0.44 ms. On few candidates numpy's sum is the
-faster (1.2 against 24 us on one ``(12, 2)`` matrix, 8 against 32 us
-on ``(20, 20, 3)``), a cost paid by the one-matrix functions of
-``criteria`` and a step's audit terms, not by scoring. Rows are
-gathered with ``np.take`` for the same reason: 69,600 of 72,000
-``(R, 11)`` rows took 0.66 ms, where fancy indexing took 2.29 ms.
+to the bit. numpy runs a separate inner loop for each short row in both
+reductions, which is slow when k is 2 or 3. On one Xeon core with
+numpy 2.4.6, numpy's middle-axis sum took 1.2 ms on ``(5800, 12, 2)``
+and :func:`patch_sum` 0.12 ms; on a ragged ``(500, 40, 3)``, 0.30 and
+0.10 ms; on ``(500, 40, 9)`` both 0.44 ms. On few candidates numpy's
+sum is the faster (1.2 against 24 us on one ``(12, 2)`` matrix, 8
+against 32 us on ``(20, 20, 3)``), a cost paid by the one-matrix
+functions of ``criteria`` and a step's audit terms, not by scoring.
+Rows are gathered with ``np.take`` for the same reason: 69,600 of
+72,000 ``(R, 11)`` rows took 0.66 ms, where fancy indexing took
+2.29 ms.
 """
 
 from __future__ import annotations
