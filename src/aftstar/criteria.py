@@ -321,9 +321,11 @@ def score_candidates(P, counts, cfg: CriteriaConfig) -> CandidateScores:
 
     Entropy is computed here only when ``lambda1 > 0``, and diversity
     only when ``lambda2 > 0``; the other term is left to
-    :meth:`CandidateScores.terms`. The score keeps the bits of
-    ``lambda1 * e + lambda2 * d``: entropy is > 0 and diversity >= +0.0,
-    so a zero weight's product is a zero that adds as ``0.0``.
+    :meth:`CandidateScores.terms`. The score is ``lambda1 * e + lambda2 *
+    d`` with a skipped term as ``0.0``, which keeps the bits of the full
+    sum: entropy is > 0 and diversity >= +0.0, so a zero weight's
+    product, ``0.0`` or ``-0.0`` times a term or ``0.0``, is a zero that
+    adds nothing to the other, weighted product.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or np.shape(counts) != P.shape[:1]:
@@ -339,12 +341,9 @@ def score_candidates(P, counts, cfg: CriteriaConfig) -> CandidateScores:
     subsets, subset_sizes = _majority(P, counts, cfg.alpha, dominant)
     entropies = _entropy(subsets, subset_sizes) if cfg.lambda1 > 0 else None
     diversities = _diversity(subsets, subset_sizes) if cfg.lambda2 > 0 else None
-    if diversities is None:
-        score = cfg.lambda1 * entropies + 0.0
-    elif entropies is None:
-        score = 0.0 + cfg.lambda2 * diversities
-    else:
-        score = cfg.lambda1 * entropies + cfg.lambda2 * diversities
+    e = 0.0 if entropies is None else entropies
+    d = 0.0 if diversities is None else diversities
+    score = cfg.lambda1 * e + cfg.lambda2 * d
     return CandidateScores(
         dominant=dominant,
         subset_size=subset_sizes,

@@ -45,31 +45,30 @@ That sum adds the rows left to right, so the trailing +0.0 slots leave
 every sum, and so every mean, with the bits of the candidate's own
 ``(m, k)`` matrix's.
 
-Rounding rule: a per-row reduction over the class axis (k columns) goes
-through :func:`row_max` and :func:`row_sum`, which work on whole columns
-and give numpy's ``max(axis=1)``/``sum(axis=1)`` to the bit; the
-softmax takes the maxima and the sums of its columns the same way, and
-is the one statement of that order for predictions and fits alike. A
-sum over the patch axis of an ``(n, M, k)`` array goes through
-:func:`patch_sum`, which adds the patch slots in numpy's order, class
-column by class column, and gives a C-ordered array's ``sum(axis=1)``
-to the bit. numpy runs a separate inner loop for each short row in both
-reductions, which is slow when k is 2 or 3. On one Xeon core with
-numpy 2.4.6, numpy's middle-axis sum took 1.2 ms on ``(5800, 12, 2)``
-and :func:`patch_sum` 0.12 ms; on a ragged ``(500, 40, 3)``, 0.30 and
-0.10 ms; on ``(500, 40, 9)`` both 0.44 ms. On few candidates numpy's
-sum is the faster (1.2 against 24 us on one ``(12, 2)`` matrix, 8
-against 32 us on ``(20, 20, 3)``), a cost paid by the one-matrix
-functions of ``criteria`` and a step's audit terms, not by scoring.
-Rows are gathered with ``np.take`` for the same reason: 69,600 of
-72,000 ``(R, 11)`` rows took 0.66 ms, where fancy indexing took
-2.29 ms.
+Rounding rule: a per-row sum over the class axis (k columns) goes
+through :func:`row_sum`, which works on whole columns and gives numpy's
+``sum(axis=1)`` to the bit. Below 8 classes the softmax takes the
+maxima and the sums of its columns the same way, left to right, and
+from 8 on numpy's own row reductions; it is the one statement of that
+order for predictions and fits alike. A sum over the patch axis of an
+``(n, M, k)`` array goes through :func:`patch_sum`, which adds the
+patch slots in numpy's order, class column by class column, and gives
+a C-ordered array's ``sum(axis=1)`` to the bit. numpy runs a separate
+inner loop for each short row in both reductions, which is slow when k
+is 2 or 3. On one Xeon core with numpy 2.4.6, numpy's middle-axis sum
+took 1.2 ms on ``(5800, 12, 2)`` and :func:`patch_sum` 0.12 ms; on a
+ragged ``(500, 40, 3)``, 0.30 and 0.10 ms; on ``(500, 40, 9)`` both
+0.44 ms. On few candidates numpy's sum is the faster (1.2 against
+24 us on one ``(12, 2)`` matrix, 8 against 32 us on ``(20, 20, 3)``),
+a cost paid by the one-matrix functions of ``criteria`` and a step's
+audit terms, not by scoring. Rows are gathered with ``np.take`` for
+the same reason: 69,600 of 72,000 ``(R, 11)`` rows took 0.66 ms, where
+fancy indexing took 2.29 ms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -130,23 +129,6 @@ def _augment(X: np.ndarray) -> np.ndarray:
 _COLUMNWISE_LIMIT = 8  # from this many columns on, numpy's order differs
 
 
-def row_max(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``Z.max(axis=1)`` of a 2-d array with at least 2 columns, to the bit,
-    written into ``out`` when one is given.
-
-    Below 8 columns this is ``np.maximum`` over whole columns, left to
-    right. From 8 columns on numpy's vector loop can return the other
-    signed zero of a row holding both, so the result is numpy's own
-    ``Z.max(axis=1)``.
-    """
-    if Z.shape[1] >= _COLUMNWISE_LIMIT:
-        return Z.max(axis=1, out=out)
-    out = np.maximum(Z[:, 0], Z[:, 1], out=out)
-    for j in range(2, Z.shape[1]):
-        np.maximum(out, Z[:, j], out=out)
-    return out
-
-
 def row_sum(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``Z.sum(axis=1)`` of a 2-d array with at least 2 columns, to the bit,
     written into ``out`` when one is given.
@@ -193,7 +175,7 @@ def _softmax_rows(
     Below 8 classes the row maximum, its subtraction, the row sum and
     the division run over whole columns: ``columns``, Z's column views,
     made here unless given. The maximum takes ``np.maximum`` over them
-    left to right, as :func:`row_max` does. The sum adds them left to
+    left to right. The sum adds them left to
     right as :func:`row_sum` does, but without its +0.0 start, which
     changes nothing here: exp gives no -0.0. ``work``, one entry per row,
     takes the maxima and then the sums. From 8 classes on, the maximum
@@ -202,7 +184,7 @@ def _softmax_rows(
     fit's two-class minibatches.
     """
     if Z.shape[1] >= _COLUMNWISE_LIMIT:
-        top = row_max(Z, work)
+        top = Z.max(axis=1, out=work)
         Z -= top[:, None]
         np.exp(Z, out=Z)
         Z /= row_sum(Z, top)[:, None]
@@ -446,17 +428,15 @@ def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndar
 
 
 def training_rows(
-    stack: CandidateStack, keep: np.ndarray, labels: Mapping[str, int]
+    stack: CandidateStack, keep: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The training data of the stack's candidates at the true positions of
-    ``keep``, in the form :func:`fit` takes: ``(index, y, stack.rows)``.
+    ``keep``, labeled ``y``, one int label per kept candidate in stack
+    order, in the form :func:`fit` takes: ``(index, y_rows, stack.rows)``.
     ``index`` holds the positions in ``stack.rows`` of those candidates'
-    ``R`` patch rows, in stack order, and ``y`` their ``(R,)`` labels:
-    every patch of a candidate gets ``labels[id]``. No row is copied."""
-    try:
-        y = np.array([labels[i] for i in compress(stack.ids, keep)], dtype=int)
-    except KeyError as err:
-        raise InvariantError(f"candidate {shown(err.args[0])} has no label for training") from None
+    ``R`` patch rows, in stack order, and ``y_rows`` their ``(R,)``
+    labels: every patch of a candidate gets its label. No row is
+    copied."""
     counts = stack.counts[keep]
     return _row_positions(stack.first[keep], counts), np.repeat(y, counts), stack.rows
 
@@ -467,5 +447,9 @@ def collect_patches(
     """Stack all patches of the candidates with their inherited labels:
     every patch of a candidate gets ``labels[candidate.id]``."""
     stack = stack_candidates(candidates)
-    index, y, rows = training_rows(stack, np.ones(len(stack), dtype=bool), labels)
+    try:
+        y = np.array([labels[cid] for cid in stack.ids], dtype=int)
+    except KeyError as err:
+        raise InvariantError(f"candidate {shown(err.args[0])} has no label for training") from None
+    index, y, rows = training_rows(stack, np.ones(len(stack), dtype=bool), y)
     return rows[index, :-1], y

@@ -10,18 +10,19 @@ labels to the labeled set, fit per the strategy's model-start policy,
 evaluate, mine H for the next step with the new model over the new
 labeled set, and append a learning-curve record.
 
-The labeled set L is one id -> label map, ``ExperimentState.labels``:
-L is its key set, in labeling order, and each step adds the oracle's
-answers for its batch. A run takes each split as a
-``pool.CandidateStack`` (a candidate list is stacked once), and its pool
-as the train stack in sorted-id order, over the same rows. The
-unlabeled set U is the stack's candidates outside L. Each step takes U,
-which it scores, and L, which it mines H from, as subsets of that
-stack, by position; a random-selection step, which scores nothing,
-takes only U's ids. The training set is the positions of its rows in
-the stack, and each epoch of the fit's buffered SGD gathers those rows
-straight from the stack, so no row is copied before the fit. The
-oracle gets the pool's true labels as one id -> label map.
+A run takes each split as a ``pool.CandidateStack`` (a candidate list
+is stacked once), and its pool as the train stack in sorted-id order,
+over the same rows. The labeled set L and the misclassified set H are
+arrays over that stack, in its order: ``ExperimentState.labels`` holds
+each candidate's annotation, -1 outside L, and ``ExperimentState.hard``
+is H's mask. The unlabeled set U is the stack's candidates outside L,
+by position, in ascending id order, so the sampler ranks U's positions
+as it would rank U's ids, and a step turns positions into ids only for
+the oracle and the selection audit. Each step takes U, which it scores,
+and L, which it mines H from, as subsets of the stack. The training set
+is a mask over the stack, and each epoch of the fit's buffered SGD
+gathers its rows straight from the stack, so no row is copied before
+the fit. The oracle gets the pool's true labels as one id -> label map.
 
 The five named strategies differ in three choices:
 
@@ -41,14 +42,13 @@ labeled candidates the current model misclassifies.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Callable, Mapping, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 import numpy as np
 
@@ -208,9 +208,10 @@ class StopRule:
 @dataclass
 class ExperimentState:
     """One run's state. ``labels`` is the run's only record of the
-    labeled set L: L is its key set, in labeling order, and U is the
-    stack's candidates outside it. A record's step number is
-    ``len(records)`` when it is appended, after the baseline row."""
+    labeled set L: the annotation of each of the stack's candidates, in
+    stack order, and -1 for a candidate outside L. U is the stack's
+    candidates outside L. A record's step number is ``len(records)`` when
+    it is appended, after the baseline row."""
 
     # The pool's candidates stacked once, in sorted-id order.
     stack: CandidateStack
@@ -218,37 +219,32 @@ class ExperimentState:
     model_zero: LearnerModel
     records: list[ExperimentRecord]
     rng: np.random.Generator
+    labels: np.ndarray
+    # H: the mask of the candidates in L that ``model`` misclassifies,
+    # mined at the end of each step for the next one. Empty while L is.
+    hard: np.ndarray
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
-    labels: dict[str, int] = field(default_factory=dict)
-    # H: the ids in L that ``model`` misclassifies, mined at the end of
-    # each step for the next one. Empty while L is.
-    hard: set[str] = field(default_factory=set)
 
 
-def misclassified_set(
-    model: LearnerModel, labeled: CandidateStack, labels: Mapping[str, int]
-) -> set[str]:
-    """Labeled candidates whose candidate-level argmax disagrees with
-    their annotation in ``labels`` (argmax ties resolve to the smaller
-    class index)."""
-    for cid in labeled.ids:
-        if cid not in labels:
-            raise InvariantError(f"candidate {shown(cid)} in L is not annotated")
-    predicted = stacked_probabilities(model, labeled).argmax(axis=1).tolist()
-    return {cid for cid, k in zip(labeled.ids, predicted) if k != labels[cid]}
+def misclassified_set(model: LearnerModel, labeled: CandidateStack, y: np.ndarray) -> np.ndarray:
+    """The positions in ``labeled`` of the candidates whose candidate-level
+    argmax differs from their label in ``y``, one per candidate (argmax
+    ties resolve to the smaller class index)."""
+    return np.flatnonzero(stacked_probabilities(model, labeled).argmax(axis=1) != y)
 
 
 def build_training_set(
-    policy: str, batch: set[str], misclassified: set[str], labeled: AbstractSet[str]
-) -> set[str]:
-    """Candidate ids to train on this step, per the strategy policy."""
-    if batch & labeled:
+    policy: str, batch: np.ndarray, misclassified: np.ndarray, labeled: np.ndarray
+) -> np.ndarray:
+    """The mask of the candidates to train on this step, per the strategy
+    policy, from the masks of the batch, H and L over one stack."""
+    if (batch & labeled).any():
         raise InvariantError("selected batch overlaps the labeled set")
-    if not misclassified <= labeled:
+    if (misclassified & ~labeled).any():
         raise InvariantError("misclassified set must be a subset of the labeled set")
     if policy == Q_ONLY:
-        return set(batch)
+        return batch.copy()
     if policy == H_UNION_Q:
         return misclassified | batch
     if policy == L_UNION_Q:
@@ -266,58 +262,59 @@ def run_step(
     """Execute one selection / annotation / fine-tuning step in place, on
     a pool with at least one unlabeled candidate."""
     stack = state.stack
-    labeled = stack.mask(state.labels)
+    labeled = state.labels >= 0
+    unlabeled = np.flatnonzero(~labeled)
+    # U's positions ascend with its ids, so they rank as the ids would.
+    keys = range(len(unlabeled))
 
     scores = None
     if strat.criterion is None:
-        unlabeled_ids = list(itertools.compress(stack.ids, ~labeled))
-        batch = uniform_batch(unlabeled_ids, strat.sampler.batch_size, state.rng)
+        picks = uniform_batch(keys, strat.sampler.batch_size, state.rng)
     else:
-        unlabeled = stack.subset(~labeled)
-        unlabeled_ids = list(unlabeled.ids)
-        predictions = stacked_predictions(state.model, unlabeled)
-        scores = score_candidates(predictions, unlabeled.counts, strat.criterion)
-        batch = select_batch(unlabeled_ids, scores.score, strat.sampler, state.rng)
+        scored = stack.subset(~labeled)
+        predictions = stacked_predictions(state.model, scored)
+        scores = score_candidates(predictions, scored.counts, strat.criterion)
+        picks = select_batch(keys, scores.score, strat.sampler, state.rng)
+    positions = unlabeled[picks]
+    batch = [stack.ids[i] for i in positions.tolist()]
 
-    labels = oracle.query(batch)
+    answers = oracle.query(batch)
+    selected = np.zeros(len(stack), dtype=bool)
+    selected[positions] = True
     hard = state.hard
-    train_ids = build_training_set(
-        strat.training_set_policy, set(batch), hard, state.labels.keys()
-    )
-    state.labels.update(labels)
-    if train_ids:
-        data = training_rows(stack, stack.mask(train_ids), state.labels)
+    train = build_training_set(strat.training_set_policy, selected, hard, labeled)
+    state.labels[positions] = [answers[cid] for cid in batch]
+    if train.any():
+        data = training_rows(stack, train, state.labels[train])
         warm = strat.model_start == CONTINUE_PREVIOUS
         base = state.model if warm else state.model_zero
         state.model = fit(base, data, state.train_cfg, warm, state.rng)
 
     test_auc = evaluator(state.model)
-    labeled |= stack.mask(batch)
-    state.hard = misclassified_set(state.model, stack.subset(labeled), state.labels)
-    pos_frac = (
-        float(np.mean([labels[cid] == state.positive_class for cid in batch]))
-        if batch
-        else 0.0
-    )
+    labeled |= selected
+    mined = misclassified_set(state.model, stack.subset(labeled), state.labels[labeled])
+    state.hard = np.zeros(len(stack), dtype=bool)
+    state.hard[np.flatnonzero(labeled)[mined]] = True
+    pos_frac = float(np.mean(state.labels[positions] == state.positive_class)) if batch else 0.0
+    labeled_count = int(np.count_nonzero(labeled))
     record = ExperimentRecord(
         step=len(state.records),
-        queries_cum=len(state.labels),
-        labeled_count=len(state.labels),
+        queries_cum=labeled_count,
+        labeled_count=labeled_count,
         test_auc=test_auc,
         selected_positive_fraction=pos_frac,
-        misclassified_count_pre_fit=len(hard),
+        misclassified_count_pre_fit=int(np.count_nonzero(hard)),
     )
     state.records.append(record)
 
     if audit is not None:
-        entries = [{"id": cid, "label": labels[cid]} for cid in batch]
+        entries = [{"id": cid, "label": answers[cid]} for cid in batch]
         if scores is not None:
-            picked = [bisect.bisect_left(unlabeled_ids, cid) for cid in batch]
             # A term the criterion does not weight is computed for the batch only.
-            entropies, diversities = scores.terms(picked)
-            for entry, i, e, d in zip(entries, picked, entropies.tolist(), diversities.tolist()):
+            entropies, diversities = scores.terms(picks)
+            for entry, i, e, d in zip(entries, picks, entropies.tolist(), diversities.tolist()):
                 dominant = int(scores.dominant[i])
-                q = predictions[i, : unlabeled.counts[i], dominant]
+                q = predictions[i, : scored.counts[i], dominant]
                 entry.update(
                     dominant=dominant,
                     entropy=e,
@@ -330,8 +327,8 @@ def run_step(
                 {
                     "step": record.step,
                     "selected": entries,
-                    "misclassified_pre_fit": len(hard),
-                    "misclassified_post_fit": len(state.hard),
+                    "misclassified_pre_fit": record.misclassified_count_pre_fit,
+                    "misclassified_post_fit": len(mined),
                 },
                 sort_keys=True,
             )
@@ -441,14 +438,15 @@ def run_experiment(
         model_zero=model_zero,
         records=[baseline],
         rng=rng,
+        labels=np.full(len(stack), -1),
+        hard=np.zeros(len(stack), dtype=bool),
         train_cfg=train_cfg,
         positive_class=positive_class,
     )
 
     audit_file = replacing(audit_path) if audit_path is not None else contextlib.nullcontext()
     with audit_file as audit:
-        while len(state.labels) < len(stack):
-            queries = len(state.labels)
+        while (queries := int(np.count_nonzero(state.labels >= 0))) < len(stack):
             if stop.query_budget is not None and queries >= stop.query_budget:
                 break
             last = state.records[-1]

@@ -3,7 +3,7 @@
 A *candidate* is the unit of annotation: an immutable ``(m, d)`` block of
 patch feature vectors that all inherit the candidate's label once
 annotated. A candidate never holds its annotation: a run keeps the
-labeled set ``L`` as one id -> label map
+labeled set ``L`` as one label array over its pool's stack
 (:class:`aftstar.loop.ExperimentState` ``labels``), so any number of runs
 can share one split.
 
@@ -23,9 +23,8 @@ test labels read it, never the selection path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,17 +84,6 @@ class CandidateStack:
     @property
     def feature_dim(self) -> int:
         return self.rows.shape[1] - 1
-
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return dict(zip(self.ids, range(len(self.ids))))
-
-    def mask(self, ids: Collection[str]) -> np.ndarray:
-        """Which of the stack's candidates have an id in ``ids``, all of
-        which must be the stack's."""
-        keep = np.zeros(len(self.ids), dtype=bool)
-        keep[np.fromiter(map(self._position.__getitem__, ids), np.intp, len(ids))] = True
-        return keep
 
     def subset(self, keep: np.ndarray) -> CandidateStack:
         """The candidates at the true positions of ``keep``, in stack order,

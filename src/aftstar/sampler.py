@@ -2,7 +2,7 @@
 
 Three modes:
 
-* ``top_b``: the b highest-scoring candidates (ties broken by id);
+* ``top_b``: the b highest-scoring candidates (ties broken by key);
 * ``randomized``: widen the pool to the top ``omega * b`` candidates and
   sample b of them without replacement, with probabilities obtained by
   min-max normalizing the window scores and dividing by their sum (the
@@ -10,12 +10,15 @@ Three modes:
 * ``uniform_random``: b candidates uniformly at random, ignoring scores
   (the selector used by the RFT baseline).
 
-:func:`select_from_scores` takes the candidate ids in ascending order
+:func:`select_from_scores` takes the candidates' keys in ascending
+order, their ids or any other ascending keys such as their positions,
 and their scores as one float array, and ranks by a stable sort of the
 negated scores, so equal scores (``0.0`` and ``-0.0`` included) keep
-the id order. :func:`select_batch` takes :class:`CandidateScore`
-objects instead; it orders them by id and hands them to the same
-function.
+the key order. It returns the picked keys: the picks depend on the
+scores and the rng only, so any two ascending key sequences give picks
+at the same positions. :func:`uniform_batch` draws from the sorted
+keys alike. :func:`select_batch` takes :class:`CandidateScore` objects
+instead; it orders them by id and hands them to the same function.
 
 :func:`select_from_scores` checks its scores once, at the top: a 1-d
 array of one finite value per id, or :class:`~aftstar.errors.ShapeError`.
@@ -87,8 +90,9 @@ def sampling_probabilities(sorted_scores: Sequence[float], window: int) -> np.nd
     return v / math.fsum(v)
 
 
-def uniform_batch(ids: Iterable[str], batch_size: int, rng: np.random.Generator) -> list[str]:
-    """Uniform draw of ``min(batch_size, |ids|)`` distinct ids."""
+def uniform_batch(ids: Iterable, batch_size: int, rng: np.random.Generator) -> list:
+    """Uniform draw of ``min(batch_size, |ids|)`` distinct ids, or other
+    sortable keys, from their sorted order."""
     ordered = sorted(ids)
     take = min(batch_size, len(ordered))
     if take == 0:
@@ -109,16 +113,16 @@ def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Gene
 
 
 def select_from_scores(
-    ids: Sequence[str], scores: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator
-) -> list[str]:
+    ids: Sequence, scores: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator
+) -> list:
     """Turn scored candidates into a query batch of distinct ids.
 
-    ``ids`` must be in ascending order and ``scores[i]`` is the score of
-    ``ids[i]``: ``scores`` must be a 1-d array of ``len(ids)`` finite
-    values, or :class:`~aftstar.errors.ShapeError` is raised, whatever
-    the mode. Candidates rank by descending score, ties by id. No ids
-    yield an empty batch. The batch size is
-    ``min(cfg.batch_size, len(ids))``.
+    ``ids``, the candidates' ids or other keys, must be in ascending
+    order and ``scores[i]`` is the score of ``ids[i]``: ``scores`` must
+    be a 1-d array of ``len(ids)`` finite values, or
+    :class:`~aftstar.errors.ShapeError` is raised, whatever the mode.
+    Candidates rank by descending score, ties by key. No ids yield an
+    empty batch. The batch size is ``min(cfg.batch_size, len(ids))``.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(ids),):

@@ -13,7 +13,6 @@ from aftstar.learner import (
     predict,
     predict_features,
     pretrain_m0,
-    row_max,
     row_sum,
     stacked_predictions,
     stacked_probabilities,
@@ -190,18 +189,19 @@ def test_pretrain_with_int_settings_equals_the_reference(cfg):
 def ragged_training_subset(n, num_classes, seed, d=6):
     """A stack of ragged candidates and a non-contiguous ``keep`` of them
     holding exactly ``n`` patch rows: each kept candidate (1 to 5 patches,
-    the last one cut to fit) follows an unkept one (1 to 4 patches)."""
+    the last one cut to fit) follows an unkept one (1 to 4 patches), and
+    every candidate's label, in stack order."""
     rng = np.random.default_rng(seed)
-    candidates, keep, labels, rows = [], [], {}, 0
+    candidates, keep, labels, rows = [], [], [], 0
     while rows < n:
         sizes = (int(rng.integers(1, 5)), min(int(rng.integers(1, 6)), n - rows))
         for kept, m in zip((False, True), sizes):
             cid = f"c{len(candidates)}"
             candidates.append(Candidate(id=cid, features=rng.normal(scale=2.0, size=(m, d))))
             keep.append(kept)
-            labels[cid] = int(rng.integers(0, num_classes))
+            labels.append(int(rng.integers(0, num_classes)))
             rows += m if kept else 0
-    return stack_candidates(candidates), np.array(keep), labels
+    return stack_candidates(candidates), np.array(keep), np.array(labels)
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 5, 9])
@@ -213,7 +213,7 @@ def ragged_training_subset(n, num_classes, seed, d=6):
 )
 def test_fit_over_stack_positions_equals_the_reference_on_gathered_rows(num_classes, size, n):
     stack, keep, labels = ragged_training_subset(n, num_classes, seed=1000 * num_classes + n)
-    index, y, rows = training_rows(stack, keep, labels)
+    index, y, rows = training_rows(stack, keep, labels[keep])
     assert len(index) == n and index[0] > 0 and len(stack.rows) > n  # rows skipped before each run
     cfg = TrainConfig(minibatch_size=size)
     rng = np.random.default_rng(size + n)
@@ -226,7 +226,7 @@ def test_fit_over_stack_positions_equals_the_reference_on_gathered_rows(num_clas
 
 def test_fit_reads_its_rows_and_never_writes_them():
     stack, keep, labels = ragged_training_subset(40, 3, seed=4)
-    index, y, rows = training_rows(stack, keep, labels)
+    index, y, rows = training_rows(stack, keep, labels[keep])
     assert not rows.flags.writeable  # the stack's rows are read-only
     before = rows.copy()
     base = LearnerModel(weights=np.random.default_rng(4).normal(size=(3, rows.shape[1])))
@@ -241,17 +241,19 @@ def test_fit_reads_its_rows_and_never_writes_them():
 @pytest.mark.parametrize("seed", range(4))
 def test_training_rows_positions_select_the_candidates_rows(seed):
     candidates = ragged_candidates(seed)
-    labels = {c.id: i % 3 for i, c in enumerate(candidates)}
+    labels = np.arange(len(candidates)) % 3
     stack = stack_candidates(candidates)
     keep = np.random.default_rng(seed).random(len(candidates)) < 0.5
-    index, y, rows = training_rows(stack, keep, labels)
+    index, y, rows = training_rows(stack, keep, labels[keep])
     chosen = [c for c, k in zip(candidates, keep) if k]
     # The rows the gather into a new array gave: each chosen candidate's
     # augmented patches, in stack order.
     gathered = np.concatenate([_augment(c.features) for c in chosen])
     assert rows is stack.rows and index.dtype.kind == "i"
     assert rows[index].tobytes() == gathered.tobytes()
-    assert y.tolist() == [labels[c.id] for c in chosen for _ in range(len(c.features))]
+    assert y.tolist() == [
+        label for c, label in zip(chosen, labels[keep]) for _ in range(len(c.features))
+    ]
 
 
 def test_loss_decreases_in_expectation():
@@ -324,7 +326,6 @@ def test_row_reductions_equal_numpy_to_the_bit(k, n):
         Z[1, 1::2] = -0.0
     for A in (Z, np.asfortranarray(Z), Z[::-1], Z[:, ::-1]):
         assert row_sum(A).tobytes() == A.sum(axis=1).tobytes()
-        assert row_max(A).tobytes() == A.max(axis=1).tobytes()
 
 
 def layouts(A):
@@ -403,6 +404,7 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
     model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
     candidates = ragged_candidates(num_classes)
     labels = {c.id: i % num_classes for i, c in enumerate(candidates)}
+    y_all = np.arange(len(candidates)) % num_classes  # the labels in stack order
     stack = stack_candidates(candidates)
     assert not stack.rows.flags.writeable  # subsets share the rows
     n = len(candidates)
@@ -414,7 +416,6 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
     }
     for name, keep in subsets.items():
         chosen = [c for c, k in zip(candidates, keep) if k]
-        assert np.array_equal(stack.mask([c.id for c in chosen]), keep), name
         sub = stack.subset(keep)
         assert sub.ids == tuple(c.id for c in chosen), name
         P = stacked_predictions(model, sub)
@@ -424,8 +425,10 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
             m = len(c.features)
             assert block[:m].tobytes() == predict(model, c).tobytes(), name
             assert block[m:].tobytes() == np.zeros((width - m, num_classes)).tobytes(), name
-        index, y, stack_rows = training_rows(stack, keep, labels)
-        sub_index, y_of_subset, sub_rows = training_rows(sub, np.ones(len(sub), dtype=bool), labels)
+        index, y, stack_rows = training_rows(stack, keep, y_all[keep])
+        sub_index, y_of_subset, sub_rows = training_rows(
+            sub, np.ones(len(sub), dtype=bool), y_all[keep]
+        )
         assert stack_rows is stack.rows and sub_rows is stack.rows, name  # no row is copied
         rows, rows_of_subset = stack_rows[index], sub_rows[sub_index]
         assert np.array_equal(rows_of_subset, rows) and np.array_equal(y_of_subset, y), name

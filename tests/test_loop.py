@@ -128,44 +128,43 @@ def one_patch_candidate(cid, label):
 
 def test_misclassified_empty_on_empty_labeled():
     model = LearnerModel(weights=np.zeros((2, 4)))
-    assert misclassified_set(model, stack_candidates([]), {}) == set()
+    assert misclassified_set(model, stack_candidates([]), np.zeros(0, dtype=int)).tolist() == []
 
 
 def test_misclassified_tie_resolves_to_class_zero():
     model = LearnerModel(weights=np.zeros((2, 4)))  # uniform predictions
     labeled_one = one_patch_candidate("a", 1)
     labeled_zero = one_patch_candidate("b", 0)
-    labels = {"a": 1, "b": 0}
-    assert misclassified_set(model, stack_candidates([labeled_one, labeled_zero]), labels) == {"a"}
-
-
-def test_misclassified_requires_annotation():
-    model = LearnerModel(weights=np.zeros((2, 4)))
-    with pytest.raises(InvariantError):
-        misclassified_set(model, stack_candidates([one_patch_candidate("a", 0)]), {})
-
-
-def test_an_over_long_unannotated_id_is_cut_in_its_error():
-    model = LearnerModel(weights=np.zeros((2, 4)))
-    stack = stack_candidates([one_patch_candidate("a" * 5000, 0)])
-    with pytest.raises(InvariantError, match=r"\(5000 characters\) in L") as err:
-        misclassified_set(model, stack, {})
-    assert len(str(err.value)) < 200
+    labeled = stack_candidates([labeled_one, labeled_zero])
+    assert misclassified_set(model, labeled, np.array([1, 0])).tolist() == [0]  # "a"
 
 
 # --- training set policies -------------------------------------------------------
 
+def mask(*positions, n=4):
+    """The mask of ``positions`` over a stack of ``n`` candidates."""
+    out = np.zeros(n, dtype=bool)
+    out[list(positions)] = True
+    return out
+
+
 def test_build_training_set_policies():
-    assert build_training_set("H_union_Q", {"a"}, {"b"}, {"b", "c"}) == {"a", "b"}
-    assert build_training_set("L_union_Q", {"a"}, set(), {"b", "c"}) == {"a", "b", "c"}
-    assert build_training_set("Q_only", set(), set(), {"b"}) == set()
+    a, b, c = 0, 1, 2
+    assert build_training_set("H_union_Q", mask(a), mask(b), mask(b, c)).tolist() == (
+        mask(a, b).tolist()
+    )
+    assert build_training_set("L_union_Q", mask(a), mask(), mask(b, c)).tolist() == (
+        mask(a, b, c).tolist()
+    )
+    assert build_training_set("Q_only", mask(), mask(), mask(b)).tolist() == mask().tolist()
 
 
 def test_build_training_set_invariants():
+    a, b, z = 0, 1, 3
     with pytest.raises(InvariantError):
-        build_training_set("Q_only", {"a"}, set(), {"a"})
+        build_training_set("Q_only", mask(a), mask(), mask(a))
     with pytest.raises(InvariantError):
-        build_training_set("H_union_Q", {"a"}, {"z"}, {"b"})
+        build_training_set("H_union_Q", mask(a), mask(z), mask(b))
 
 
 # --- run_experiment ---------------------------------------------------------------
@@ -294,8 +293,8 @@ def test_aft_star_trains_on_misclassified_plus_batch_only():
 
     def spy_build(policy, batch, hard, labeled):
         out = real_build(policy, batch, hard, labeled)
-        assert not (batch & hard)
-        observed.append((len(out), len(hard), len(batch)))
+        assert not (batch & hard).any()
+        observed.append((out.sum(), hard.sum(), batch.sum()))
         return out
 
     import unittest.mock as mock
@@ -312,7 +311,8 @@ def test_aft_star_trains_on_misclassified_plus_batch_only():
 def test_misclassified_mined_once_per_step_with_the_fitted_model():
     train, test = tiny_dataset()
     calls: list[tuple[str, object]] = []
-    built: list[set[str]] = []
+    built: list[list[str]] = []
+    pool_ids = sorted(c.id for c in train)  # the run's pool is in sorted-id order
     real_fit = loop_mod.fit
     real_mis = loop_mod.misclassified_set
     real_build = loop_mod.build_training_set
@@ -322,13 +322,13 @@ def test_misclassified_mined_once_per_step_with_the_fitted_model():
         calls.append(("fit", model))
         return model
 
-    def spy_mis(model, labeled, labels):
-        hard = real_mis(model, labeled, labels)
-        calls.append(("misclassified", model, hard))
+    def spy_mis(model, labeled, y):
+        hard = real_mis(model, labeled, y)
+        calls.append(("misclassified", model, [labeled.ids[i] for i in hard]))
         return hard
 
     def spy_build(policy, batch, hard, labeled):
-        built.append(set(hard))
+        built.append([pool_ids[i] for i in np.flatnonzero(hard)])
         return real_build(policy, batch, hard, labeled)
 
     import unittest.mock as mock
@@ -346,7 +346,7 @@ def test_misclassified_mined_once_per_step_with_the_fitted_model():
     # each mining uses the model the fit just before it returned
     assert all(mine[1] is fitted[1] for fitted, mine in zip(fits, minings))
     # step t trains on the set mined at the end of step t-1; step 1 on none
-    assert built == [set()] + [mine[2] for mine in minings[:-1]]
+    assert built == [[]] + [mine[2] for mine in minings[:-1]]
 
 
 @pytest.mark.parametrize("name", ["AFT_star", "RFT"])
@@ -358,9 +358,9 @@ def test_audit_adds_no_misclassified_mining(tmp_path, monkeypatch, name):
     calls = []
     real_mis = loop_mod.misclassified_set
 
-    def spy_mis(model, labeled, labels):
+    def spy_mis(model, labeled, y):
         calls.append(model)
-        return real_mis(model, labeled, labels)
+        return real_mis(model, labeled, y)
 
     monkeypatch.setattr(loop_mod, "misclassified_set", spy_mis)
     plain = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3)
@@ -378,6 +378,46 @@ def test_audit_adds_no_misclassified_mining(tmp_path, monkeypatch, name):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     for before, after in zip(lines, lines[1:]):
         assert after["misclassified_pre_fit"] == before["misclassified_post_fit"]
+
+
+@pytest.mark.parametrize("name", ["AFT_star", "RFT"])
+def test_state_holds_the_oracle_answers_in_stack_order(monkeypatch, name):
+    from aftstar.oracle import Oracle
+
+    train, test = tiny_dataset()
+    answers: dict[str, int] = {}
+    real_query = Oracle.query
+
+    def spy_query(self, ids):
+        out = real_query(self, ids)
+        answers.update(out)
+        return out
+
+    steps = []
+    real_step = loop_mod.run_step
+
+    def spy_step(state, strat, oracle, evaluator, audit=None):
+        out = real_step(state, strat, oracle, evaluator, audit)
+        position = {cid: i for i, cid in enumerate(state.stack.ids)}
+        expected = np.full(len(state.stack), -1)
+        for cid in oracle.access_log:
+            expected[position[cid]] = answers[cid]
+        assert state.labels.tolist() == expected.tolist()
+        assert state.hard.dtype == bool and state.hard.shape == state.labels.shape
+        assert not (state.hard & (state.labels < 0)).any()  # H lies inside L
+        steps.append(state.records[-1].step)
+        return out
+
+    monkeypatch.setattr(Oracle, "query", spy_query)
+    monkeypatch.setattr(loop_mod, "run_step", spy_step)
+    run_experiment(
+        train, test, make_strategy(name, criterion="entropy^a_w", batch_size=10),
+        FAST_TRAIN, StopRule(query_budget=40), 3, oracle_noise=0.3,
+    )
+    assert steps == [1, 2, 3, 4]
+    truth = {c.id: c.true_label for c in train}
+    # the noise changed some answers, so the labels are the oracle's, not the truth
+    assert any(answers[cid] != truth[cid] for cid in answers)
 
 
 def test_oracle_access_audit_no_leakage():

@@ -351,3 +351,53 @@ def test_sampler_config_validation():
         SamplerConfig(batch_size=1, omega=0)
     with pytest.raises(ConfigError):
         SamplerConfig(batch_size=1, mode="other")
+
+
+# --- keys: ids or positions ---------------------------------------------------
+
+def assert_positions_pick_what_the_ids_pick(ids, values, cfg, seed):
+    """The same seed gives picks at the same positions whether the keys
+    are the ascending ids or ``range(n)``, and leaves the rng alike."""
+    keys = range(len(ids))
+    scores = np.array(values, dtype=float)
+    by_id, by_key = np.random.default_rng(seed), np.random.default_rng(seed)
+    picked_ids = select_from_scores(ids, scores, cfg, by_id)
+    assert picked_ids == [ids[i] for i in select_from_scores(keys, scores, cfg, by_key)]
+    assert by_id.bit_generator.state == by_key.bit_generator.state
+    drawn_ids = uniform_batch(ids, cfg.batch_size, by_id)
+    assert drawn_ids == [ids[i] for i in uniform_batch(keys, cfg.batch_size, by_key)]
+    assert by_id.bit_generator.state == by_key.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    mode=st.sampled_from(MODES),
+    batch_size=st.integers(min_value=1, max_value=12),
+    omega=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_positions_as_keys_pick_what_the_ids_pick(data, mode, batch_size, omega, seed):
+    values = data.draw(st.lists(tied_scores, max_size=40))
+    numbers = data.draw(
+        st.sets(st.integers(0, 10**6), min_size=len(values), max_size=len(values))
+    )
+    ids = sorted(f"x{v}" for v in numbers)  # string order, not number order
+    cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
+    assert_positions_pick_what_the_ids_pick(ids, values, cfg, seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "values, batch_size, omega",
+    [
+        ([0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.0], 3, 2),  # tied scores, both signed zeros
+        ([-0.0, 0.0, -0.0], 1, 1),  # a window of 1 in a tied pool
+        ([0.0], 4, 5),  # a window of 1: one candidate
+    ],
+)
+def test_positions_as_keys_on_ties_and_a_window_of_one(mode, values, batch_size, omega):
+    ids = sorted(f"id-{v}" for v in range(len(values)))
+    cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
+    for seed in range(5):
+        assert_positions_pick_what_the_ids_pick(ids, values, cfg, seed)

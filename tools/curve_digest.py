@@ -7,7 +7,8 @@ pool with one-patch candidates, then one of two runs that label their
 whole pool, then one of a run that weights both criterion terms, then one per learning
 curve of two runs with other SGD settings, then one of an unweighted
 entropy run and one of a one-candidate-batch diversity run on the ragged
-set, then one of a run on a pool with tied patch rows.
+set, then one of a run on a pool with tied patch rows, then one of two
+runs whose budget clips their last batch.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -98,6 +99,12 @@ and their majority subsets are ordered by the whole row. AFT*-entropy^a
 ``tied-rows <strategy label> seed=1 <sha256>`` over the grid-style
 digest of its records followed by the bytes of its selection audit.
 
+The clipped batch: AFT*-entropy^a_w and RFT on
+``standard_benchmark(1)``, seed 1, query budget 250 and batch 40, so
+six steps draw 40 and the last, whose batch the remaining budget clips,
+draws 10. The line is ``clipped budget=250 batch=40 <sha256>`` over the
+grid-style digest of both runs' records, one run after the other.
+
 The script pins BLAS to one thread, as ``perfbench/run.py`` does, before
 numpy is imported: a threaded BLAS may sum in another order.
 
@@ -151,6 +158,7 @@ NINE_CLASSES = DatagenConfig(num_classes=9, class_weights=(1 / 9,) * 9, feature_
 EXHAUSTED = DatagenConfig(train_candidates=50, test_candidates=30, seed=2)
 MIXED_LAMBDA2 = 0.5
 OTHER_SGD = TrainConfig(minibatch_size=7, epochs=2, momentum=0.5)
+CLIPPED_BUDGET, CLIPPED_BATCH = 250, 40
 
 
 def grid():
@@ -295,6 +303,14 @@ def main() -> None:
         )
         h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
     print(f"tied-rows {strategy.label} seed=1 {h}", flush=True)
+    train, test, _ = generate(standard_benchmark(seed=1))
+    records = []
+    for strategy in (make_strategy("AFT_star", "entropy^a_w", CLIPPED_BATCH),
+                     make_strategy("RFT", batch_size=CLIPPED_BATCH)):
+        records += run_experiment(
+            train, test, strategy, TrainConfig(), StopRule(query_budget=CLIPPED_BUDGET), 1
+        )
+    print(f"clipped budget={CLIPPED_BUDGET} batch={CLIPPED_BATCH} {digest(records)}", flush=True)
 
 
 if __name__ == "__main__":
