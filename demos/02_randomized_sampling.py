@@ -7,9 +7,10 @@ samples according to min-max-normalized scores: the best candidate is
 most likely but not certain, and the window's weakest member starts
 with probability zero.
 
-The sampler takes the candidate ids in ascending order and their scores
-as one array, as the AFT* loop passes them after scoring the unlabeled
-pool; it ranks by descending score, ties by id.
+The sampler takes the candidates' scores as one array, in ascending id
+order as the AFT* loop passes them after scoring the unlabeled pool, and
+returns the positions it picks; it ranks by descending score, ties by
+position, so by id. The demo turns the positions into ids.
 """
 
 import numpy as np
@@ -28,17 +29,17 @@ cfg = SamplerConfig(batch_size=1, omega=5, mode="randomized")
 trials = 50_000
 counts = {cid: 0 for cid in ids}
 for _ in range(trials):
-    (pick,) = select_from_scores(ids, scores, cfg, rng)
-    counts[pick] += 1
+    (pick,) = select_from_scores(scores, cfg, rng)
+    counts[ids[pick]] += 1
 
 print(f"\nempirical first-draw frequencies over {trials} draws:")
 for cid, n in counts.items():
     print(f"  {cid}: {n / trials:.4f}")
 
-print("\ntop-b for comparison:",
-      select_from_scores(ids, scores, SamplerConfig(batch_size=2, mode="top_b"), rng))
+top_b = select_from_scores(scores, SamplerConfig(batch_size=2, mode="top_b"), rng)
+print("\ntop-b for comparison:", [ids[i] for i in top_b])
 print("batches of 2 without replacement (renormalized after each draw):")
 for seed in range(5):
-    batch = select_from_scores(ids, scores, SamplerConfig(batch_size=2, omega=5, mode="randomized"),
+    batch = select_from_scores(scores, SamplerConfig(batch_size=2, omega=5, mode="randomized"),
                                np.random.default_rng(seed))
-    print(f"  seed {seed}: {batch}")
+    print(f"  seed {seed}: {[ids[i] for i in batch]}")

@@ -16,13 +16,14 @@ over the same rows. The labeled set L and the misclassified set H are
 arrays over that stack, in its order: ``ExperimentState.labels`` holds
 each candidate's annotation, -1 outside L, and ``ExperimentState.hard``
 is H's mask. The unlabeled set U is the stack's candidates outside L,
-by position, in ascending id order, so the sampler ranks U's positions
-as it would rank U's ids, and a step turns positions into ids only for
-the oracle and the selection audit. Each step takes U, which it scores,
-and L, which it mines H from, as subsets of the stack. The training set
-is a mask over the stack, and each epoch of the fit's buffered SGD
-gathers its rows straight from the stack, so no row is copied before
-the fit. The oracle gets the pool's true labels as one id -> label map.
+by position, in ascending id order. The sampler picks positions into U,
+so its ties by position are ties by id, and a step turns positions into
+ids only for the oracle and the selection audit. Each step takes U,
+which it scores, and L, which it mines H from, as subsets of the stack.
+The training set is a mask over the stack, and each epoch of the fit's
+buffered SGD gathers its rows straight from the stack, so no row is
+copied before the fit. The oracle gets the pool's true labels as one
+id -> label map.
 
 The five named strategies differ in three choices:
 
@@ -264,17 +265,15 @@ def run_step(
     stack = state.stack
     labeled = state.labels >= 0
     unlabeled = np.flatnonzero(~labeled)
-    # U's positions ascend with its ids, so they rank as the ids would.
-    keys = range(len(unlabeled))
 
     scores = None
     if strat.criterion is None:
-        picks = uniform_batch(keys, strat.sampler.batch_size, state.rng)
+        picks = uniform_batch(len(unlabeled), strat.sampler.batch_size, state.rng)
     else:
         scored = stack.subset(~labeled)
         predictions = stacked_predictions(state.model, scored)
         scores = score_candidates(predictions, scored.counts, strat.criterion)
-        picks = select_batch(keys, scores.score, strat.sampler, state.rng)
+        picks = select_batch(scores.score, strat.sampler, state.rng)
     positions = unlabeled[picks]
     batch = [stack.ids[i] for i in positions.tolist()]
 

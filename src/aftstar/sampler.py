@@ -2,7 +2,7 @@
 
 Three modes:
 
-* ``top_b``: the b highest-scoring candidates (ties broken by key);
+* ``top_b``: the b highest-scoring candidates (ties broken by position);
 * ``randomized``: widen the pool to the top ``omega * b`` candidates and
   sample b of them without replacement, with probabilities obtained by
   min-max normalizing the window scores and dividing by their sum (the
@@ -10,18 +10,17 @@ Three modes:
 * ``uniform_random``: b candidates uniformly at random, ignoring scores
   (the selector used by the RFT baseline).
 
-:func:`select_from_scores` takes the candidates' keys in ascending
-order, their ids or any other ascending keys such as their positions,
-and their scores as one float array, and ranks by a stable sort of the
-negated scores, so equal scores (``0.0`` and ``-0.0`` included) keep
-the key order. It returns the picked keys: the picks depend on the
-scores and the rng only, so any two ascending key sequences give picks
-at the same positions. :func:`uniform_batch` draws from the sorted
-keys alike. :func:`select_batch` takes :class:`CandidateScore` objects
-instead; it orders them by id and hands them to the same function.
+:func:`select_from_scores` takes the candidates' scores as one float
+array and returns the picked positions into it. It ranks by a stable
+sort of the negated scores, so equal scores (``0.0`` and ``-0.0``
+included) rank by position: scores in ascending id order, as a run
+passes them, give ties by candidate id. :func:`uniform_batch` draws
+positions from a pool of ``n``. :func:`select_batch` takes
+:class:`CandidateScore` objects instead; it orders them by id, hands
+their scores to the same function and returns the ids at the picks.
 
 :func:`select_from_scores` checks its scores once, at the top: a 1-d
-array of one finite value per id, or :class:`~aftstar.errors.ShapeError`.
+array of finite values, or :class:`~aftstar.errors.ShapeError`.
 The randomized draw then checks nothing more. It takes ``u =
 rng.random(window)``, exactly ``window`` doubles whatever the batch
 size, and picks in ascending order of ``-log1p(-u_i) / p_i``,
@@ -37,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,18 +89,15 @@ def sampling_probabilities(sorted_scores: Sequence[float], window: int) -> np.nd
     return v / math.fsum(v)
 
 
-def uniform_batch(ids: Iterable, batch_size: int, rng: np.random.Generator) -> list:
-    """Uniform draw of ``min(batch_size, |ids|)`` distinct ids, or other
-    sortable keys, from their sorted order."""
-    ordered = sorted(ids)
-    take = min(batch_size, len(ordered))
-    if take == 0:
-        return []
-    picks = rng.choice(len(ordered), size=take, replace=False)
-    return [ordered[i] for i in picks]
+def uniform_batch(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw of ``min(batch_size, n)`` distinct positions in
+    ``range(n)``; nothing is drawn when ``n`` is 0."""
+    return rng.choice(n, size=min(batch_size, n), replace=False)
 
 
-def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
+def _draw_without_replacement(
+    probs: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
     """Draw ``count`` distinct indices by exponential keys, as the module
     docstring states; ``probs`` must be finite and >= 0 (unchecked)."""
     u = rng.random(len(probs))
@@ -109,48 +105,45 @@ def _draw_without_replacement(probs: np.ndarray, count: int, rng: np.random.Gene
     # A p too small for the quotient gives +inf, last of the positive ones.
     with np.errstate(over="ignore"):
         clock = np.divide(-np.log1p(-u), probs, out=u.copy(), where=positive)
-    return np.lexsort((clock, ~positive))[:count].tolist()
+    return np.lexsort((clock, ~positive))[:count]
 
 
 def select_from_scores(
-    ids: Sequence, scores: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator
-) -> list:
-    """Turn scored candidates into a query batch of distinct ids.
+    scores: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Turn candidate scores into a query batch: distinct positions into
+    ``scores``.
 
-    ``ids``, the candidates' ids or other keys, must be in ascending
-    order and ``scores[i]`` is the score of ``ids[i]``: ``scores`` must
-    be a 1-d array of ``len(ids)`` finite values, or
+    ``scores`` must be a 1-d array of finite values, or
     :class:`~aftstar.errors.ShapeError` is raised, whatever the mode.
-    Candidates rank by descending score, ties by key. No ids yield an
-    empty batch. The batch size is ``min(cfg.batch_size, len(ids))``.
+    Candidates rank by descending score, ties by position. The batch
+    size is ``min(cfg.batch_size, len(scores))``.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != (len(ids),):
-        raise ShapeError(f"{len(ids)} ids but scores of shape {scores.shape}")
+    if scores.ndim != 1:
+        raise ShapeError(f"scores must be 1-d, got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ShapeError("scores must be finite")
-    if not len(ids):
-        return []
+    n = len(scores)
     if cfg.mode == "uniform_random":
-        return uniform_batch(ids, cfg.batch_size, rng)
-    take = min(cfg.batch_size, len(ids))
+        return uniform_batch(n, cfg.batch_size, rng)
+    take = min(cfg.batch_size, n)
     order = (-scores).argsort(kind="stable")
     if cfg.mode == "top_b":
-        return [ids[i] for i in order[:take].tolist()]
-    window = min(cfg.omega * cfg.batch_size, len(ids))
-    if window == 1:
-        return [ids[order[0]]]
+        return order[:take]
+    window = min(cfg.omega * cfg.batch_size, n)
     ranked = order[:window]
+    if window <= 1:
+        return ranked
     probs = sampling_probabilities(scores[ranked], window)
-    picks = _draw_without_replacement(probs, take, rng)
-    return [ids[ranked[i]] for i in picks]
+    return ranked[_draw_without_replacement(probs, take, rng)]
 
 
 def select_batch(
     scores: Sequence[CandidateScore], cfg: SamplerConfig, rng: np.random.Generator
 ) -> list[str]:
     """:func:`select_from_scores` over :class:`CandidateScore` objects,
-    in any order."""
+    in any order: the ids of the picked candidates, ties by id."""
     by_id = sorted(scores, key=attrgetter("candidate_id"))
-    ids = [s.candidate_id for s in by_id]
-    return select_from_scores(ids, np.array([s.score for s in by_id], dtype=float), cfg, rng)
+    picks = select_from_scores([s.score for s in by_id], cfg, rng)
+    return [by_id[i].candidate_id for i in picks.tolist()]

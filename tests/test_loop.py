@@ -227,6 +227,22 @@ def test_rft_never_computes_candidate_scores(monkeypatch):
     assert len(calls) > 0
 
 
+@pytest.mark.parametrize("name, called", [("AFT_star", "select_batch"), ("RFT", "uniform_batch")])
+def test_each_step_draws_through_one_of_the_names_the_tracer_times(monkeypatch, name, called):
+    # perfbench/tracer.py times these two names of the loop as sampler.select.
+    calls = {"select_batch": 0, "uniform_batch": 0}
+    for attr in calls:
+
+        def spy(*args, _attr=attr, _real=getattr(loop_mod, attr), **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(loop_mod, attr, spy)
+    records = run(make_strategy(name, batch_size=10), budget=30)
+    assert len(records) == 4  # baseline + 3 steps
+    assert calls == {attr: 3 if attr == called else 0 for attr in calls}
+
+
 @pytest.mark.parametrize("num_classes", [2, 3])
 def test_test_split_missing_a_class_is_config_error(num_classes):
     cfg = DatagenConfig(

@@ -113,7 +113,7 @@ def test_draw_follows_the_law_of_successive_renormalized_draws(probs, count):
     trials = 40_000
     seen = {}
     for _ in range(trials):
-        picks = tuple(_draw_without_replacement(probs, count, rng))
+        picks = tuple(_draw_without_replacement(probs, count, rng).tolist())
         seen[picks] = seen.get(picks, 0) + 1
     for picks in itertools.permutations(range(len(probs)), count):
         p = ordered_pick_probability(probs, picks)
@@ -149,7 +149,7 @@ def test_draw_of_a_whole_window_ends_uniform():
     # Two non-zero entries, then the rest of the window in the order of u.
     probs = np.array([0.75, 0.25, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(3)
-    picks = _draw_without_replacement(probs, 5, rng)
+    picks = _draw_without_replacement(probs, 5, rng).tolist()
     assert sorted(picks[:2]) == [0, 1] and sorted(picks) == [0, 1, 2, 3, 4]
     u = np.random.default_rng(3).random(5)
     assert picks[2:] == sorted([2, 3, 4], key=lambda j: u[j])
@@ -180,6 +180,11 @@ def test_empty_scores_empty_batch():
     for mode in ("top_b", "randomized", "uniform_random"):
         cfg = SamplerConfig(batch_size=3, mode=mode)
         assert select_batch([], cfg, np.random.default_rng(0)) == []
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert select_from_scores(np.empty(0), cfg, rng).size == 0
+        assert uniform_batch(0, cfg.batch_size, rng).size == 0
+        assert rng.bit_generator.state == state
 
 
 def test_batch_invariants():
@@ -241,9 +246,8 @@ def test_uniform_batch_matches_select_batch_uniform_mode():
     scores = scored(np.random.default_rng(5).random(15))
     ids = [s.candidate_id for s in scores]
     cfg = SamplerConfig(batch_size=4, mode="uniform_random")
-    assert select_batch(scores, cfg, np.random.default_rng(11)) == uniform_batch(
-        ids, 4, np.random.default_rng(11)
-    )
+    picks = uniform_batch(len(ids), 4, np.random.default_rng(11))
+    assert select_batch(scores, cfg, np.random.default_rng(11)) == [ids[i] for i in picks]
 
 
 def test_first_draw_marginal_matches_probabilities():
@@ -286,7 +290,8 @@ def reference_select_batch(scores, cfg, rng):
         return []
     take = min(cfg.batch_size, len(scores))
     if cfg.mode == "uniform_random":
-        return uniform_batch((s.candidate_id for s in scores), cfg.batch_size, rng)
+        ids = sorted(s.candidate_id for s in scores)
+        return [ids[i] for i in rng.choice(len(ids), size=take, replace=False)]
     ranked = sorted(scores, key=lambda s: (-s.score, s.candidate_id))
     if cfg.mode == "top_b":
         return [s.candidate_id for s in ranked[:take]]
@@ -305,6 +310,24 @@ tied_scores = st.one_of(
 )
 
 
+def assert_equals_the_sorted_reference(values, order_seed, cfg, seed):
+    """``select_batch`` on the score objects in a shuffled order, and
+    ``select_from_scores`` on the scores in id order, pick what the
+    reference picks and leave the rng alike."""
+    objects = scored(values)
+    objects = [objects[i] for i in np.random.default_rng(order_seed).permutation(len(objects))]
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_select_batch(objects, cfg, reference_rng)
+    assert select_batch(objects, cfg, rng) == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    ids = [f"c{i:03d}" for i in range(len(values))]
+    rng = np.random.default_rng(seed)
+    picks = select_from_scores(np.array(values, dtype=float), cfg, rng)
+    assert picks.dtype == np.intp
+    assert [ids[i] for i in picks] == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     values=st.lists(tied_scores, max_size=40),
@@ -317,74 +340,8 @@ tied_scores = st.one_of(
 def test_array_ranking_equals_the_sorted_reference(
     values, order_seed, mode, batch_size, omega, seed
 ):
-    objects = scored(values)
-    objects = [objects[i] for i in np.random.default_rng(order_seed).permutation(len(objects))]
     cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
-    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = reference_select_batch(objects, cfg, reference_rng)
-    assert select_batch(objects, cfg, rng) == expected
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-    ids = [f"c{i:03d}" for i in range(len(values))]
-    rng = np.random.default_rng(seed)
-    assert select_from_scores(ids, np.array(values, dtype=float), cfg, rng) == expected
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize(
-    "scores",
-    [[5.0, 4.0, 3.0], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0], [[5.0, 4.0, 3.0, 2.0, 1.0]],
-     [5.0, np.inf, 3.0, 2.0, 1.0], [5.0, 4.0, np.nan, 2.0, 1.0], [5.0, 4.0, 3.0, 2.0, -np.inf]],
-    ids=["too_few", "too_many", "two_dims", "plus_inf", "nan", "minus_inf"],
-)
-def test_select_from_scores_rejects_scores_that_do_not_match_the_ids(mode, scores):
-    ids = [f"c{i}" for i in range(5)]
-    cfg = SamplerConfig(batch_size=2, omega=2, mode=mode)
-    with pytest.raises(ShapeError):
-        select_from_scores(ids, np.array(scores), cfg, np.random.default_rng(0))
-
-
-def test_sampler_config_validation():
-    with pytest.raises(ConfigError):
-        SamplerConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        SamplerConfig(batch_size=1, omega=0)
-    with pytest.raises(ConfigError):
-        SamplerConfig(batch_size=1, mode="other")
-
-
-# --- keys: ids or positions ---------------------------------------------------
-
-def assert_positions_pick_what_the_ids_pick(ids, values, cfg, seed):
-    """The same seed gives picks at the same positions whether the keys
-    are the ascending ids or ``range(n)``, and leaves the rng alike."""
-    keys = range(len(ids))
-    scores = np.array(values, dtype=float)
-    by_id, by_key = np.random.default_rng(seed), np.random.default_rng(seed)
-    picked_ids = select_from_scores(ids, scores, cfg, by_id)
-    assert picked_ids == [ids[i] for i in select_from_scores(keys, scores, cfg, by_key)]
-    assert by_id.bit_generator.state == by_key.bit_generator.state
-    drawn_ids = uniform_batch(ids, cfg.batch_size, by_id)
-    assert drawn_ids == [ids[i] for i in uniform_batch(keys, cfg.batch_size, by_key)]
-    assert by_id.bit_generator.state == by_key.bit_generator.state
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    data=st.data(),
-    mode=st.sampled_from(MODES),
-    batch_size=st.integers(min_value=1, max_value=12),
-    omega=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_positions_as_keys_pick_what_the_ids_pick(data, mode, batch_size, omega, seed):
-    values = data.draw(st.lists(tied_scores, max_size=40))
-    numbers = data.draw(
-        st.sets(st.integers(0, 10**6), min_size=len(values), max_size=len(values))
-    )
-    ids = sorted(f"x{v}" for v in numbers)  # string order, not number order
-    cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
-    assert_positions_pick_what_the_ids_pick(ids, values, cfg, seed)
+    assert_equals_the_sorted_reference(values, order_seed, cfg, seed)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -396,8 +353,29 @@ def test_positions_as_keys_pick_what_the_ids_pick(data, mode, batch_size, omega,
         ([0.0], 4, 5),  # a window of 1: one candidate
     ],
 )
-def test_positions_as_keys_on_ties_and_a_window_of_one(mode, values, batch_size, omega):
-    ids = sorted(f"id-{v}" for v in range(len(values)))
+def test_ties_and_a_window_of_one_equal_the_sorted_reference(mode, values, batch_size, omega):
     cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
     for seed in range(5):
-        assert_positions_pick_what_the_ids_pick(ids, values, cfg, seed)
+        assert_equals_the_sorted_reference(values, seed, cfg, seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "scores",
+    [[[5.0, 4.0, 3.0, 2.0, 1.0]], [5.0, np.inf, 3.0, 2.0, 1.0], [5.0, 4.0, np.nan, 2.0, 1.0],
+     [5.0, 4.0, 3.0, 2.0, -np.inf]],
+    ids=["two_dims", "plus_inf", "nan", "minus_inf"],
+)
+def test_select_from_scores_rejects_scores_that_do_not_match_the_ids(mode, scores):
+    cfg = SamplerConfig(batch_size=2, omega=2, mode=mode)
+    with pytest.raises(ShapeError):
+        select_from_scores(np.array(scores), cfg, np.random.default_rng(0))
+
+
+def test_sampler_config_validation():
+    with pytest.raises(ConfigError):
+        SamplerConfig(batch_size=0)
+    with pytest.raises(ConfigError):
+        SamplerConfig(batch_size=1, omega=0)
+    with pytest.raises(ConfigError):
+        SamplerConfig(batch_size=1, mode="other")

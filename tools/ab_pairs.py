@@ -15,8 +15,14 @@ list the metric). For ``--metric`` it also prints whether a gain may be
 claimed: the change wins at least nine pairs in ten, and its median beats
 the parent's by more than the distance between the parent's quartiles.
 
+Each end-to-end metric of ``BENCHMARK.json`` also gets a no-regression
+verdict against its ``bound``, a fraction of the parent's median:
+``worse`` when the change's median is worse than the parent's by more
+than that, else ``unresolved`` when the parent's quartile spread exceeds
+it and some change run does not beat every parent run, else ``ok``.
+
 Exits 1, after the pairs already run, when a run fails or reports an
-incorrect result or a failed operation.
+incorrect result or a failed operation, or when a verdict is ``worse``.
 """
 
 from __future__ import annotations
@@ -61,9 +67,31 @@ def summarise(parent: list[float], change: list[float], better: str = "lower") -
     }
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``ok``, ``worse`` or ``unresolved``: one end-to-end metric's runs
+    against its bound, as the module docstring states."""
+    sign = 1.0 if better == "lower" else -1.0
+    p_q1, p_med, p_q3 = quartiles(parent)
+    allowed = bound * abs(p_med)
+    if sign * (quartiles(change)[1] - p_med) > allowed:
+        return "worse"
+    if p_q3 - p_q1 > allowed and max(sign * c for c in change) >= min(sign * p for p in parent):
+        return "unresolved"
+    return "ok"
+
+
+def _benchmark(root: Path) -> dict:
+    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def directions(root: Path) -> dict[str, str]:
-    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bench = _benchmark(root)
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in bench[key]}
+
+
+def bounds(root: Path) -> dict[str, float]:
+    """The no-regression bound of each end-to-end metric."""
+    return {m["name"]: m["bound"] for m in _benchmark(root)["end_to_end"]}
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -118,22 +146,33 @@ def main(argv=None) -> int:
           f"perfbench/run.py {' '.join(run_args)}")
     print(f"  {'metric':32s} {'unit':6s} {'parent median [q1, q3]':32s} "
           f"{'change median [q1, q3]':32s} {'change':>8s}  wins")
-    summaries = {}
+    summaries, series = {}, {}
     for name, first in runs["change"][0]["metrics"].items():
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        values = series[name] = {
+            side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs
+        }
         s = summaries[name] = summarise(values["parent"], values["change"], better.get(name, "lower"))
         parent, change = (f"{m:.4g} [{q1:.4g}, {q3:.4g}]" for q1, m, q3 in (s["parent"], s["change"]))
         print(f"  {name:32s} {first['unit']:6s} {parent:32s} {change:32s} "
               f"{s['change_pct']:+7.1f}%  {s['wins']}/{s['pairs']}")
+    for name, bound in bounds(ROOT).items():
+        if name not in series:
+            continue
+        v = verdict(series[name]["parent"], series[name]["change"], better[name], bound)
+        ok = ok and v != "worse"
+        s = summaries[name]
+        print(f"no regression on {name} (bound {bound:.0%} of the parent median): {v}, median "
+              f"{s['parent'][1]:.4g} -> {s['change'][1]:.4g}, parent quartile spread "
+              f"{s['parent'][2] - s['parent'][0]:.4g}")
     if args.metric is not None:
         s = summaries.get(args.metric)
         if s is None:
             print(f"no metric {args.metric!r} in the results", file=sys.stderr)
             return 1
-        verdict = "holds" if s["gain_holds"] else "does not hold"
+        rule = "holds" if s["gain_holds"] else "does not hold"
         print(f"gain on {args.metric}: {s['wins']} of {s['pairs']} pairs won, median "
               f"{s['parent'][1]:.4g} -> {s['change'][1]:.4g}, parent quartile spread "
-              f"{s['parent'][2] - s['parent'][0]:.4g}: the rule {verdict}")
+              f"{s['parent'][2] - s['parent'][0]:.4g}: the rule {rule}")
     return 0 if ok else 1
 
 
