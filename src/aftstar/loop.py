@@ -1,9 +1,9 @@
 """The active, continuous fine-tuning loop over the candidate pool.
 
 Each step: score every unlabeled candidate with the previous step's
-model, from one prediction pass over the whole unlabeled set whose one
-padded ``(n, M, k)`` array goes straight to one batched scoring pass
-(both skipped for random selection), select a batch, ask the oracle for labels, build
+model, from one prediction pass whose one padded ``(n, M, k)`` array of
+the unlabeled set goes straight to one batched scoring pass (both
+skipped for random selection), select a batch, ask the oracle for labels, build
 the training set per the strategy policy from the batch and the
 misclassified set H that the previous step mined, add the batch's
 labels to the labeled set, fit per the strategy's model-start policy,
@@ -18,12 +18,16 @@ each candidate's annotation, -1 outside L, and ``ExperimentState.hard``
 is H's mask. The unlabeled set U is the stack's candidates outside L,
 by position, in ascending id order. The sampler picks positions into U,
 so its ties by position are ties by id, and a step turns positions into
-ids only for the oracle and the selection audit. Each step takes U,
-which it scores, and L, which it mines H from, as subsets of the stack.
-The training set is a mask over the stack, and each epoch of the fit's
-buffered SGD gathers its rows straight from the stack, so no row is
-copied before the fit. The oracle gets the pool's true labels as one
-id -> label map.
+ids only for the oracle and the selection audit. While at most
+``WHOLE_POOL_LIMIT`` of the stack's rows lie outside U, a step predicts
+the whole pool, in place (``learner.stacked_predictions``), and scores
+U from U's slots of that prediction; past it, it predicts U as a subset
+of the stack, whose rows it gathers. Both give U's matrices the same
+bits. A step mines H from L as a subset of the stack. The training set
+is a mask over the stack, and each epoch of the fit's buffered SGD
+gathers its rows straight from the stack, so no row is copied before
+the fit. The oracle gets the pool's true labels as one id -> label
+map.
 
 The five named strategies differ in three choices:
 
@@ -105,6 +109,14 @@ CRITERION_PRESETS = {
 
 DEFAULT_ALPHA = 0.25
 DEFAULT_OMEGA = 5
+
+# A step scores U from U's slots of one prediction of the whole pool
+# while at most this share of the stack's rows lies outside U; past it,
+# predicting U's own rows is the cheaper. Predicting U both ways broke
+# even at about 33% labeled on the 6000 x 12-patch two-class pool and at
+# about 20% on the ragged 8-40-patch three-class one (the benchmark's
+# shapes).
+WHOLE_POOL_LIMIT = 0.25
 
 
 @dataclass(frozen=True)
@@ -270,9 +282,12 @@ def run_step(
     if strat.criterion is None:
         picks = uniform_batch(len(unlabeled), strat.sampler.batch_size, state.rng)
     else:
-        scored = stack.subset(~labeled)
-        predictions = stacked_predictions(state.model, scored)
-        scores = score_candidates(predictions, scored.counts, strat.criterion)
+        counts = stack.counts[unlabeled]
+        if len(stack.rows) - counts.sum() <= WHOLE_POOL_LIMIT * len(stack.rows):
+            predictions = np.take(stacked_predictions(state.model, stack), unlabeled, axis=0)
+        else:
+            predictions = stacked_predictions(state.model, stack.subset(~labeled))
+        scores = score_candidates(predictions, counts, strat.criterion)
         picks = select_batch(scores.score, strat.sampler, state.rng)
     positions = unlabeled[picks]
     batch = [stack.ids[i] for i in positions.tolist()]
@@ -313,7 +328,7 @@ def run_step(
             entropies, diversities = scores.terms(picks)
             for entry, i, e, d in zip(entries, picks, entropies.tolist(), diversities.tolist()):
                 dominant = int(scores.dominant[i])
-                q = predictions[i, : scored.counts[i], dominant]
+                q = predictions[i, : counts[i], dominant]
                 entry.update(
                     dominant=dominant,
                     entropy=e,

@@ -55,11 +55,22 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _integer_labels(labels: Sequence[int]) -> np.ndarray:
+    """``labels`` as an int array; a label that is not an integer (a float
+    with a fraction, or not finite) is a MetricError, not truncated."""
+    values = np.asarray(labels)
+    if values.dtype.kind == "f":
+        bad = ~np.isfinite(values) | (values != np.trunc(values))
+        if bad.any():
+            raise MetricError(f"labels must be integers, got {values[bad][0].item()!r}")
+    return values.astype(int)
+
+
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Probability a random positive outscores a random negative
     (ties count one half)."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _integer_labels(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise MetricError("scores and labels must be 1-d and equal length")
     if not np.isin(labels, (0, 1)).all():
@@ -78,7 +89,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 def macro_auc(prob_matrix, labels: Sequence[int]) -> float:
     """Macro-averaged one-vs-rest AUC for multiclass runs."""
     prob_matrix = np.asarray(prob_matrix, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _integer_labels(labels)
     if prob_matrix.ndim != 2 or prob_matrix.shape[0] != labels.shape[0]:
         raise MetricError("probability matrix rows must match labels")
     per_class = [

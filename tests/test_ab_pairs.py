@@ -103,3 +103,18 @@ def test_bounds_come_from_the_benchmark_file():
     bounds = ab_pairs.bounds(ab_pairs.ROOT)
     assert bounds["run_s"] == 0.25 and bounds["peak_rss_mib"] == 0.1
     assert "sampler.select_s" not in bounds  # per-layer metrics have no bound
+
+
+# --- where the sides run ------------------------------------------------------
+
+def test_both_sides_run_from_fresh_trees_of_equal_path_length(tmp_path):
+    roots = ab_pairs.prepare("HEAD", tmp_path)
+    scripts = [ab_pairs.run_script(roots[side]) for side in ("parent", "change")]
+    assert len(str(scripts[0])) == len(str(scripts[1]))
+    for script in scripts:
+        assert script.is_file()
+        assert ab_pairs.ROOT not in script.parents  # neither side runs in the checkout
+    here = ab_pairs.run_script(ab_pairs.ROOT)
+    assert scripts[1].read_bytes() == here.read_bytes()
+    assert (roots["change"] / "src" / "aftstar" / "loop.py").read_bytes() == (
+        ab_pairs.ROOT / "src" / "aftstar" / "loop.py").read_bytes()

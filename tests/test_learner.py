@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import aftstar.learner as learner_mod
+from aftstar.datagen import load_csv, write_csv
 from aftstar.errors import ConfigError, InvariantError, ShapeError
 from aftstar.learner import (
     LearnerModel,
@@ -18,7 +20,7 @@ from aftstar.learner import (
     stacked_probabilities,
     training_rows,
 )
-from aftstar.pool import Candidate, stack_candidates
+from aftstar.pool import Candidate, CandidateStack, stack_candidates
 
 from oracles import spread_values
 
@@ -458,6 +460,76 @@ def test_stacked_predictions_of_equal_patch_counts_reshape_the_predicted_rows():
     assert P.shape == (20, 12, 2) and P.base is not None  # a view, not a padded copy
     for block, i in zip(P, np.flatnonzero(np.arange(30) % 3 > 0)):
         assert block.tobytes() == predict(model, candidates[i]).tobytes()
+
+
+def gathered(stack):
+    """The same candidates over their rows and one row that no candidate
+    has, so that their predictions gather the candidates' rows."""
+    rows = np.vstack([stack.rows, np.ones((1, stack.rows.shape[1]))])
+    rows.flags.writeable = False
+    return CandidateStack(stack.ids, rows, stack.first, stack.counts, stack.true_labels)
+
+
+def equal_candidates(seed, n=30, m=12, d=5):
+    rng = np.random.default_rng(seed)
+    return [Candidate(id=f"c{i:02d}", features=rng.normal(size=(m, d))) for i in range(n)]
+
+
+def descending_pool(candidates, path):
+    """The candidates written in descending id order, read back, in id
+    order: a split's stack whose rows lie in the reverse candidate order."""
+    write_csv(sorted(candidates, key=lambda c: c.id, reverse=True), path)
+    return load_csv(path).sorted_by_id()
+
+
+@pytest.mark.parametrize(
+    "shape, num_classes",
+    [("in order, equal counts", 2), ("descending file, equal counts", 2),
+     ("descending file, ragged", 3), ("ragged with one-patch candidates", 2),
+     ("ragged with one-patch candidates", 3), ("ragged with one-patch candidates", 9)],
+)
+def test_in_place_predictions_equal_the_gathered_ones_to_the_bit(shape, num_classes, tmp_path):
+    rng = np.random.default_rng(num_classes)
+    model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
+    ragged = "ragged" in shape
+    candidates = ragged_candidates(num_classes) if ragged else equal_candidates(num_classes)
+    if "descending" in shape:
+        stack = descending_pool(candidates, tmp_path / "train.csv")
+        assert stack.first.tolist() != sorted(stack.first.tolist())  # the rows are permuted
+    else:
+        stack = stack_candidates(candidates)
+    by_id = {c.id: c for c in candidates}
+    P = stacked_predictions(model, stack)
+    assert P.tobytes() == stacked_predictions(model, gathered(stack)).tobytes()
+    assert P.shape == (len(candidates), stack.counts.max(), num_classes)
+    for block, cid, m in zip(P, stack.ids, stack.counts.tolist()):
+        assert block[:m].tobytes() == predict(model, by_id[cid]).tobytes()
+        assert not block[m:].any()
+    if not ragged and "descending" not in shape:
+        assert P.base is not None  # the predicted rows reshaped, with no gather
+
+
+def test_an_in_order_split_is_predicted_where_its_rows_lie(monkeypatch):
+    predicted = []
+
+    def spy(weights, rows):
+        predicted.append(rows)
+        return real(weights, rows)
+
+    real = learner_mod._predict_rows
+    monkeypatch.setattr(learner_mod, "_predict_rows", spy)
+    model = LearnerModel(weights=np.random.default_rng(1).normal(size=(2, 6)))
+    for candidates in (equal_candidates(1), ragged_candidates(1)):
+        stack = stack_candidates(candidates)
+        predicted.clear()
+        stacked_predictions(model, stack)
+        many = [rows for rows in predicted if len(rows) > 1]  # not a one-patch candidate's
+        assert len(many) == 1
+        assert many[0] is stack.rows and np.shares_memory(many[0], stack.rows)
+        predicted.clear()
+        stacked_predictions(model, stack.subset(np.arange(len(stack)) % 2 == 0))
+        many = [rows for rows in predicted if len(rows) > 1]
+        assert len(many) == 1 and not np.shares_memory(many[0], stack.rows)  # gathered
 
 
 def test_candidates_of_mixed_feature_dims_are_a_shape_error():

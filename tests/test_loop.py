@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import aftstar.loop as loop_mod
 from aftstar import datagen
-from aftstar.criteria import CriteriaConfig
+from aftstar.criteria import CriteriaConfig, score_candidates
 from aftstar.datagen import DatagenConfig, generate, load_dataset, write_csv, write_dataset
 from aftstar.errors import ConfigError, InvariantError, PartitionError
 from aftstar.learner import LearnerModel, TrainConfig, stacked_predictions
@@ -707,6 +707,60 @@ def test_the_run_pool_is_the_loaded_stack_in_id_order_over_its_rows(tmp_path, mo
     assert pool.ids == tuple(sorted(train.ids)) == train.ids[::-1]
     for field in ("first", "counts", "true_labels"):
         assert getattr(pool, field).tolist() == getattr(train, field)[::-1].tolist()
+
+
+def ragged_pool(seed, num_classes):
+    """A pool stack of candidates of 1 to 9 patches, with one-patch ones."""
+    rng = np.random.default_rng(seed)
+    return stack_candidates(
+        Candidate(f"c{i:03d}", rng.normal(scale=2.0, size=(m, 4)), i % num_classes)
+        for i, m in enumerate(rng.integers(1, 10, size=120).tolist())
+    )
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("criterion", ["entropy^a_w", "diversity", "entropy"])
+def test_scoring_u_from_the_pools_slots_equals_scoring_the_u_subset(num_classes, criterion):
+    stack = ragged_pool(num_classes, num_classes)
+    model = LearnerModel(np.random.default_rng(5).normal(size=(num_classes, 5)))
+    cfg = make_strategy("AFT_star", criterion).criterion
+    whole = stacked_predictions(model, stack)
+    # U without the pool's widest candidates, so U's slots are wider than its own matrices
+    widest = stack.counts == stack.counts.max()
+    for labeled in (np.zeros(len(stack), dtype=bool), np.arange(len(stack)) % 3 == 0, widest):
+        unlabeled = np.flatnonzero(~labeled)
+        subset = stack.subset(~labeled)
+        expected = score_candidates(stacked_predictions(model, subset), subset.counts, cfg)
+        got = score_candidates(
+            np.take(whole, unlabeled, axis=0), stack.counts[unlabeled], cfg
+        )
+        for name in ("score", "dominant", "subset_size", "_subsets"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        picks = np.arange(0, len(unlabeled), 7)
+        for a, b in zip(got.terms(picks), expected.terms(picks)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("limit", [0.0, 1.0])
+def test_a_run_keeps_its_bits_whichever_way_it_predicts_u(tmp_path, monkeypatch, limit):
+    train, test, _ = generate(TINY)
+    write_csv(train[::-1], tmp_path / "train.csv")  # rows in descending id order
+    write_csv(test, tmp_path / "test.csv")
+    train, test, _ = load_dataset(tmp_path)
+    strategy = make_strategy("AFT_star", "entropy^a_w", batch_size=5)
+    expected = run_with_audit(train, test, tmp_path / "a.jsonl", strategy)
+    whole = []
+    real = loop_mod.stacked_predictions
+
+    def spy(model, stack):
+        whole.append(len(stack) == len(train))
+        return real(model, stack)
+
+    monkeypatch.setattr(loop_mod, "WHOLE_POOL_LIMIT", limit)
+    monkeypatch.setattr(loop_mod, "stacked_predictions", spy)
+    assert run_with_audit(train, test, tmp_path / "b.jsonl", strategy) == expected
+    # limit 0 predicts the whole pool on the first step only, where L is empty
+    assert whole == ([True, False, False, False] if limit == 0.0 else [True] * 4)
 
 
 @pytest.mark.parametrize("shape", ["plain", "crlf"])

@@ -104,6 +104,35 @@ def test_macro_auc_binary_consistency():
     assert macro == pytest.approx((a0 + a1) / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "labels, shown",
+    [
+        ([0.5, 1, 0], "0.5"),
+        ([0.1, 0.9, 0.5], "0.1"),
+        ([0, 1.7, 1], "1.7"),  # would count as a 1
+        ([1, 0, 1e-300], "1e-300"),
+        ([0, 1, np.nan], "nan"),
+        ([0, 1, np.inf], "inf"),
+        (np.array([0, 1.5, 1], dtype=np.float32), "1.5"),
+    ],
+)
+def test_a_label_that_is_not_an_integer_is_a_metric_error(labels, shown):
+    with pytest.raises(MetricError, match=f"labels must be integers, got {shown}"):
+        auc([0.5, 1.0, 0.0], labels)
+    with pytest.raises(MetricError, match=f"labels must be integers, got {shown}"):
+        macro_auc([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]], labels)
+
+
+@pytest.mark.parametrize(
+    "labels", [[1.0, 0.0, 1.0, 0.0], [1, 0, 1, 0], np.array([1, 0, 1, 0], dtype=np.int8),
+               [True, False, True, False], np.array([1.0, -0.0, 1.0, 0.0])],
+)
+def test_integer_valued_labels_of_any_type_keep_working(labels):
+    assert auc([0.9, 0.2, 0.7, 0.4], labels) == 1.0
+    probs = [[0.1, 0.9], [0.8, 0.2], [0.3, 0.7], [0.6, 0.4]]
+    assert macro_auc(probs, labels) == 1.0
+
+
 # --- ALC ------------------------------------------------------------------------
 
 def test_alc_constant_curve():

@@ -12,6 +12,7 @@ from aftstar.sampler import (
     MODES,
     SamplerConfig,
     _draw_without_replacement,
+    _ranked_head,
     sampling_probabilities,
     select_batch,
     select_from_scores,
@@ -357,6 +358,71 @@ def test_ties_and_a_window_of_one_equal_the_sorted_reference(mode, values, batch
     cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
     for seed in range(5):
         assert_equals_the_sorted_reference(values, seed, cfg, seed)
+
+
+# a few values only, both signed zeros among them: the cut of a window
+# falls inside a run of ties
+tie_heavy_scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -3.0, 1e-300, -1e-300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(tie_heavy_scores, max_size=150),
+    extra=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_the_ranked_head_is_the_head_of_the_stable_argsort(values, extra, data):
+    scores = np.array(values, dtype=float)
+    count = data.draw(st.integers(min_value=0, max_value=len(values) + extra))
+    head = _ranked_head(scores, count)
+    assert head.dtype == np.intp
+    assert head.tolist() == (-scores).argsort(kind="stable")[:count].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(tie_heavy_scores, max_size=150),
+    order_seed=st.integers(min_value=0, max_value=2**16),
+    mode=st.sampled_from(["top_b", "randomized"]),
+    batch_size=st.integers(min_value=1, max_value=30),
+    omega=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_window_ranking_of_tie_heavy_scores_equals_the_sorted_reference(
+    values, order_seed, mode, batch_size, omega, seed
+):
+    cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
+    assert_equals_the_sorted_reference(values, order_seed, cfg, seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "values, batch_size, omega",
+    [
+        # signed-zero ties across the cut of a top 2 and of a window of 4
+        ([1.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.5], 2, 2),
+        ([-0.0, 0.0, 2.0, -0.0, 0.0, -0.0, 0.0, -1.0, 0.0], 3, 2),
+        ([0.5, -0.0, 0.0, 1.0, 1.0, -0.0], 1, 1),  # a window of 1 in a pool of 6
+        ([0.0, -0.0, 0.5, 0.0, 0.5, -0.0], 2, 3),  # a window equal to n
+        ([], 3, 2),  # a take of 0
+    ],
+    ids=["zeros_at_top_cut", "zeros_at_window_cut", "window_of_one", "window_of_n", "take_of_0"],
+)
+def test_window_ranking_cases_equal_the_sorted_reference(mode, values, batch_size, omega):
+    cfg = SamplerConfig(batch_size=batch_size, omega=omega, mode=mode)
+    for seed in range(5):
+        assert_equals_the_sorted_reference(values, seed, cfg, seed)
+
+
+def test_a_ranked_head_of_no_candidates_is_empty():
+    scores = np.array([0.0, -0.0, 1.0])
+    assert _ranked_head(scores, 0).tolist() == []
+    assert _ranked_head(np.empty(0), 0).tolist() == []
+    assert _ranked_head(scores, 1).tolist() == [2]
+    assert _ranked_head(scores, 2).tolist() == [2, 0]
 
 
 @pytest.mark.parametrize("mode", MODES)

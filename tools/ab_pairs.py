@@ -3,13 +3,17 @@
     python3 tools/ab_pairs.py --parent HEAD~1 --pairs 10 --metric setup_s \\
         --workload aftstar_bigpool --seed 3
 
-Extracts ``--parent`` with ``git archive`` into a temporary directory,
-which it removes afterwards. Each pair runs both sides' own
-``perfbench/run.py`` with the same arguments (every argument this script
-does not take itself), the parent first in odd pairs and this checkout
-first in even ones. It then prints, per metric, each side's median and
-quartiles (``statistics.quantiles(n=4)``), the change of the median in %,
-and the pairs the change won; a tie counts for neither side. Whether lower
+Extracts ``--parent`` with ``git archive``, and copies this checkout's
+working tree (its tracked and untracked files, less what git ignores),
+into two directories of one temporary directory, ``parent`` and
+``change``, whose paths have the same length; it removes them
+afterwards. So neither side runs in place, and both run from paths of
+one length. Each pair runs both sides' own ``perfbench/run.py`` with
+the same arguments (every argument this script does not take itself),
+the parent first in odd pairs and this checkout first in even ones. It
+then prints, per metric, each side's median and quartiles
+(``statistics.quantiles(n=4)``), the change of the median in %, and the
+pairs the change won; a tie counts for neither side. Whether lower
 or higher is better comes from ``BENCHMARK.json`` (lower when it does not
 list the metric). For ``--metric`` it also prints whether a gain may be
 claimed: the change wins at least nine pairs in ten, and its median beats
@@ -101,9 +105,34 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def copy_worktree(dest: Path) -> None:
+    """Copy this checkout's working tree, as git lists it, into ``dest``."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        stdout=subprocess.PIPE, check=True).stdout
+    for name in filter(None, listed.decode("utf-8").split("\0")):
+        source = ROOT / name
+        if source.is_file():  # not a file deleted from the tree but still in the index
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(source, dest / name)
+
+
+def prepare(rev: str, base: Path) -> dict[str, Path]:
+    """Each side's tree under ``base``: ``rev`` extracted into ``parent``,
+    and this checkout's working tree copied into ``change``."""
+    roots = {"parent": base / "parent", "change": base / "change"}
+    extract(rev, roots["parent"])
+    copy_worktree(roots["change"])
+    return roots
+
+
+def run_script(root: Path) -> Path:
+    return root / "perfbench" / "run.py"
+
+
 def run_side(root: Path, run_args: list[str]) -> dict | None:
     """One run of ``root``'s benchmark; None when it fails or is incorrect."""
-    done = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), *run_args],
+    done = subprocess.run([sys.executable, str(run_script(root)), *run_args],
                           cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
@@ -124,10 +153,9 @@ def main(argv=None) -> int:
     better = directions(ROOT)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     ok = True
-    parent_root = Path(tempfile.mkdtemp(prefix="ab-parent-"))
+    base = Path(tempfile.mkdtemp(prefix="ab-pairs-"))
     try:
-        extract(args.parent, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        roots = prepare(args.parent, base)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {side: run_side(roots[side], run_args) for side in order}
@@ -138,7 +166,7 @@ def main(argv=None) -> int:
                 runs[side].append(result)
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
     finally:
-        shutil.rmtree(parent_root, ignore_errors=True)
+        shutil.rmtree(base, ignore_errors=True)
     if not runs["change"]:
         return 1
 

@@ -8,7 +8,8 @@ whole pool, then one of a run that weights both criterion terms, then one per le
 curve of two runs with other SGD settings, then one of an unweighted
 entropy run and one of a one-candidate-batch diversity run on the ragged
 set, then one of a run on a pool with tied patch rows, then one of two
-runs whose budget clips their last batch.
+runs whose budget clips their last batch, then one of three runs on
+splits written in descending id order.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -104,6 +105,18 @@ The clipped batch: AFT*-entropy^a_w and RFT on
 six steps draw 40 and the last, whose batch the remaining budget clips,
 draws 10. The line is ``clipped budget=250 batch=40 <sha256>`` over the
 grid-style digest of both runs' records, one run after the other.
+
+The descending splits: ``standard_benchmark(1)`` written by
+``datagen.write_csv`` with both splits in descending id order, and read
+back by ``datagen.load_dataset``, so the pool's stack, in id order, lies
+over its rows in reverse and its predictions are gathered from the rows
+predicted where they lie; AFT*-entropy^a_w and RFT, seed 1, budget 300,
+batch 20. Then the same split with train candidate i cut to its first
+``1 + i % 12`` patches (one-patch candidates among them), written and
+read back the same way, with AFT*-entropy^a_w and its selection audit.
+The line is ``descending <sha256>`` over the grid-style digest of the
+three runs' records, one run after the other, followed by the bytes of
+the audit.
 
 The script pins BLAS to one thread, as ``perfbench/run.py`` does, before
 numpy is imported: a threaded BLAS may sum in another order.
@@ -311,6 +324,25 @@ def main() -> None:
             train, test, strategy, TrainConfig(), StopRule(query_budget=CLIPPED_BUDGET), 1
         )
     print(f"clipped budget={CLIPPED_BUDGET} batch={CLIPPED_BATCH} {digest(records)}", flush=True)
+    generated, test, _ = generate(standard_benchmark(seed=1))
+    ragged = [Candidate(c.id, c.features[: 1 + i % 12], c.true_label)
+              for i, c in enumerate(generated)]
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        datagen.write_csv(test[::-1], Path(tmp, "test.csv"))
+        audit = Path(tmp, "audit.jsonl")
+        runs = ((generated, make_strategy("AFT_star", "entropy^a_w", BATCH), None),
+                (generated, make_strategy("RFT", batch_size=BATCH), None),
+                (ragged, make_strategy("AFT_star", "entropy^a_w", BATCH), audit))
+        for candidates, strategy, audit_path in runs:
+            datagen.write_csv(candidates[::-1], Path(tmp, "train.csv"))
+            train, loaded_test, _ = datagen.load_dataset(tmp)
+            records += run_experiment(
+                train, loaded_test, strategy, TrainConfig(), StopRule(query_budget=BUDGET), 1,
+                audit_path=audit_path,
+            )
+        h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
+    print(f"descending {h}", flush=True)
 
 
 if __name__ == "__main__":
