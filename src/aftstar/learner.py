@@ -34,20 +34,24 @@ The learner works on a split as one :class:`aftstar.pool.CandidateStack`
 takes each step's unlabeled and labeled sets from its pool's stack.
 :func:`training_rows` gives the positions of the rows of the candidates
 at given positions, and :func:`stacked_predictions` predicts the rows
-of a stack's candidates in one pass and gives their prediction
-matrices, in stack order, as one ``(n, M, k)`` array, M the largest
-patch count, the form that ``criteria.score_candidates`` scores: a
-candidate's slots past its own count are +0.0. When the candidates
-span every row of ``stack.rows`` (a split's stack, in any order, such
-as a run's pool in id order or its test split), the pass predicts
-``stack.rows`` where it lies and then gathers the k-wide prediction
-rows into stack order, or, when the rows lie in stack order already (a
-file in id order), takes them as they are; the ``(R, d + 1)`` feature
-rows are not copied. A subset's feature rows are gathered first, in
-stack order. When every count is M, the array is the predicted or the
-gathered rows reshaped, with no copy. A candidate's class
-probabilities are the mean of its matrix's rows: the padded array
-summed over its middle axis by :func:`patch_sum`, divided by the counts.
+of a stack's candidates, or of those at the true positions of a mask,
+in one pass and gives their prediction matrices, in stack order, as
+one ``(n, M, k)`` array, M the largest patch count among them, the
+form that ``criteria.score_candidates`` scores: a candidate's slots
+past its own count are +0.0. When the stack's candidates span every
+row of ``stack.rows`` (a split's stack, in any order, such as a run's
+pool in id order or its test split), the pass predicts ``stack.rows``
+where it lies and then gathers the kept candidates' k-wide prediction
+rows into stack order, or, when they are every row in stack order
+already (a file in id order), takes them as they are; the
+``(R, d + 1)`` feature rows are not copied. Otherwise (a subset of a
+larger stack) the kept candidates' feature rows are gathered first, in
+stack order, so a masked prediction is the prediction of the mask's
+stack subset, to the shape and the bit. When every count is M, the
+array is the predicted or the gathered rows reshaped, with no copy. A
+candidate's class probabilities are the mean of its matrix's rows: the
+padded array summed over its middle axis by :func:`patch_sum`, divided
+by the counts.
 That sum adds the rows left to right, so the trailing +0.0 slots leave
 every sum, and so every mean, with the bits of the candidate's own
 ``(m, k)`` matrix's.
@@ -72,8 +76,10 @@ audit terms, not by scoring. Rows are gathered with ``np.take`` for
 the same reason: 69,600 of 72,000 ``(R, 11)`` rows took 0.66 ms, where
 fancy indexing took 2.29 ms. Predicting a split in place skips that
 gather and the subset's id tuple: U's predictions out of a 6,000
-candidate, 12-patch pool with 4% of it labeled took 2.7 ms through the
-U subset and 1.8 ms as U's slots of the pool's in-place prediction.
+candidate, 12-patch pool with 4% of it labeled took 2.8 ms through the
+U subset and 2.1 ms by U's mask over the pool. With 48% labeled the
+subset was the faster, 2.2 against 2.8 ms, which no end-to-end metric
+of the benchmark showed.
 """
 
 from __future__ import annotations
@@ -393,15 +399,21 @@ def _row_positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return shift + np.arange(len(shift))
 
 
-def stacked_predictions(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
-    """Prediction matrices of a stack's candidates from one pass over its
-    patches, as one ``(n, M, k)`` array, where M is the largest patch
-    count: ``P[i, :counts[i]]`` equals ``predict(model, candidates[i])``,
-    and the slots past a candidate's count are +0.0. When every candidate
-    has M patches and its rows lie in stack order, the array is the
-    predicted rows reshaped."""
-    counts = stack.counts
-    if not len(stack):
+def stacked_predictions(
+    model: LearnerModel, stack: CandidateStack, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """Prediction matrices of the stack's candidates at the true positions
+    of ``keep`` (every candidate when it is None) from one pass over
+    their patches, as one ``(n, M, k)`` array, where M is the largest
+    patch count among them: ``P[i, :counts[i]]`` equals ``predict(model,
+    candidates[i])``, and the slots past a candidate's count are +0.0.
+    It has the shape and the bits of ``stacked_predictions(model,
+    stack.subset(keep))``. When every candidate has M patches and its
+    rows lie in stack order, the array is the predicted rows reshaped."""
+    first, counts = stack.first, stack.counts
+    if keep is not None:
+        first, counts = first[keep], counts[keep]
+    if not len(counts):
         return np.zeros((0, 0, model.num_classes))
     if stack.rows.shape[1] != model.weights.shape[1]:
         d = stack.rows.shape[1] - 1
@@ -411,23 +423,22 @@ def stacked_predictions(model: LearnerModel, stack: CandidateStack) -> np.ndarra
     # is predicted alone to match predict(). The rows of the others are
     # predicted in one pass.
     multi = counts > 1
-    alone = [
-        _predict_rows(model.weights, stack.rows[r : r + 1]) for r in stack.first[~multi].tolist()
-    ]
+    alone = [_predict_rows(model.weights, stack.rows[r : r + 1]) for r in first[~multi].tolist()]
     n, M = len(counts), int(counts.max())
     if M == 1:
         return np.stack(alone)
-    if counts.sum() == len(stack.rows):
-        # The candidates span the rows (a split's stack, in any order):
-        # predict the rows where they lie, and gather the k-wide
-        # predictions in stack order, unless they lie in it already.
+    if stack.counts.sum() == len(stack.rows):
+        # The stack's candidates span its rows (a split's stack, in any
+        # order): predict the rows where they lie, and gather the k-wide
+        # predictions of the kept candidates in stack order, unless they
+        # are every row in that order already.
         filled = np.ones(n, dtype=bool)
         P = _predict_rows(model.weights, stack.rows)
-        if not np.array_equal(stack.first, np.cumsum(counts) - counts):
-            P = np.take(P, _row_positions(stack.first, counts), axis=0)
+        if counts.sum() < len(P) or not np.array_equal(first, np.cumsum(counts) - counts):
+            P = np.take(P, _row_positions(first, counts), axis=0)
     else:
         filled = multi
-        positions = _row_positions(stack.first[multi], counts[multi])
+        positions = _row_positions(first[multi], counts[multi])
         P = _predict_rows(model.weights, np.take(stack.rows, positions, axis=0))
     if counts.min() == M:
         return P.reshape(n, M, -1)

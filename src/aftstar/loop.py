@@ -18,12 +18,11 @@ each candidate's annotation, -1 outside L, and ``ExperimentState.hard``
 is H's mask. The unlabeled set U is the stack's candidates outside L,
 by position, in ascending id order. The sampler picks positions into U,
 so its ties by position are ties by id, and a step turns positions into
-ids only for the oracle and the selection audit. While at most
-``WHOLE_POOL_LIMIT`` of the stack's rows lie outside U, a step predicts
-the whole pool, in place (``learner.stacked_predictions``), and scores
-U from U's slots of that prediction; past it, it predicts U as a subset
-of the stack, whose rows it gathers. Both give U's matrices the same
-bits. A step mines H from L as a subset of the stack. The training set
+ids only for the oracle and the selection audit. A step predicts the
+whole pool where its rows lie and takes U's matrices from that
+prediction (``learner.stacked_predictions`` with U's mask), with the
+bits of U's own stack subset, whose rows it does not gather. A step
+mines H from L as a subset of the stack. The training set
 is a mask over the stack, and each epoch of the fit's buffered SGD
 gathers its rows straight from the stack, so no row is copied before
 the fit. The oracle gets the pool's true labels as one id -> label
@@ -109,14 +108,6 @@ CRITERION_PRESETS = {
 
 DEFAULT_ALPHA = 0.25
 DEFAULT_OMEGA = 5
-
-# A step scores U from U's slots of one prediction of the whole pool
-# while at most this share of the stack's rows lies outside U; past it,
-# predicting U's own rows is the cheaper. Predicting U both ways broke
-# even at about 33% labeled on the 6000 x 12-patch two-class pool and at
-# about 20% on the ragged 8-40-patch three-class one (the benchmark's
-# shapes).
-WHOLE_POOL_LIMIT = 0.25
 
 
 @dataclass(frozen=True)
@@ -283,10 +274,7 @@ def run_step(
         picks = uniform_batch(len(unlabeled), strat.sampler.batch_size, state.rng)
     else:
         counts = stack.counts[unlabeled]
-        if len(stack.rows) - counts.sum() <= WHOLE_POOL_LIMIT * len(stack.rows):
-            predictions = np.take(stacked_predictions(state.model, stack), unlabeled, axis=0)
-        else:
-            predictions = stacked_predictions(state.model, stack.subset(~labeled))
+        predictions = stacked_predictions(state.model, stack, ~labeled)
         scores = score_candidates(predictions, counts, strat.criterion)
         picks = select_batch(scores.score, strat.sampler, state.rng)
     positions = unlabeled[picks]

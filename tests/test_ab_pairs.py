@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -107,14 +109,35 @@ def test_bounds_come_from_the_benchmark_file():
 
 # --- where the sides run ------------------------------------------------------
 
-def test_both_sides_run_from_fresh_trees_of_equal_path_length(tmp_path):
-    roots = ab_pairs.prepare("HEAD", tmp_path)
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+                    *args], check=True, stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_both_sides_run_from_fresh_trees_of_equal_path_length(tmp_path, monkeypatch):
+    # a checkout of its own, so the test reads nothing of the one it runs in
+    repo = tmp_path / "checkout"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("print('parent')\n")
+    (repo / ".gitignore").write_text("built/\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    (repo / "perfbench" / "run.py").write_text("print('change')\n")  # not committed
+    (repo / "notes.txt").write_text("untracked\n")
+    (repo / "built").mkdir()
+    (repo / "built" / "out.bin").write_bytes(b"ignored")
+    monkeypatch.setattr(ab_pairs, "ROOT", repo)
+
+    roots = ab_pairs.prepare("HEAD", tmp_path / "sides")
     scripts = [ab_pairs.run_script(roots[side]) for side in ("parent", "change")]
     assert len(str(scripts[0])) == len(str(scripts[1]))
     for script in scripts:
         assert script.is_file()
-        assert ab_pairs.ROOT not in script.parents  # neither side runs in the checkout
-    here = ab_pairs.run_script(ab_pairs.ROOT)
-    assert scripts[1].read_bytes() == here.read_bytes()
-    assert (roots["change"] / "src" / "aftstar" / "loop.py").read_bytes() == (
-        ab_pairs.ROOT / "src" / "aftstar" / "loop.py").read_bytes()
+        assert repo not in script.parents  # neither side runs in the checkout
+    assert scripts[0].read_text() == "print('parent')\n"
+    assert scripts[1].read_text() == "print('change')\n"
+    assert (roots["change"] / "notes.txt").is_file()  # untracked files are copied
+    assert not (roots["change"] / "built").exists()  # ignored ones are not
+    assert not (roots["parent"] / "notes.txt").exists()

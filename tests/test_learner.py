@@ -507,6 +507,14 @@ def test_in_place_predictions_equal_the_gathered_ones_to_the_bit(shape, num_clas
         assert not block[m:].any()
     if not ragged and "descending" not in shape:
         assert P.base is not None  # the predicted rows reshaped, with no gather
+    n = len(stack)
+    widest = stack.counts == stack.counts.max()
+    for whole in (stack, gathered(stack)):
+        for keep in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.arange(n) % 3 == 0,
+                     ~widest, stack.counts == 1):
+            expected = stacked_predictions(model, whole.subset(keep))
+            got = stacked_predictions(model, whole, keep)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_an_in_order_split_is_predicted_where_its_rows_lie(monkeypatch):
@@ -526,10 +534,18 @@ def test_an_in_order_split_is_predicted_where_its_rows_lie(monkeypatch):
         many = [rows for rows in predicted if len(rows) > 1]  # not a one-patch candidate's
         assert len(many) == 1
         assert many[0] is stack.rows and np.shares_memory(many[0], stack.rows)
+        keep = np.arange(len(stack)) % 2 == 0
         predicted.clear()
-        stacked_predictions(model, stack.subset(np.arange(len(stack)) % 2 == 0))
+        stacked_predictions(model, stack, keep)
         many = [rows for rows in predicted if len(rows) > 1]
-        assert len(many) == 1 and not np.shares_memory(many[0], stack.rows)  # gathered
+        assert len(many) == 1 and many[0] is stack.rows
+        # a subset, and a stack whose candidates do not span its rows, by the mask
+        for other, mask in ((stack.subset(keep), None), (gathered(stack), keep)):
+            predicted.clear()
+            stacked_predictions(model, other, mask)
+            many = [rows for rows in predicted if len(rows) > 1]
+            assert len(many) == 1 and not np.shares_memory(many[0], other.rows)  # gathered
+            assert len(many[0]) == stack.counts[keep & (stack.counts > 1)].sum()  # the kept rows
 
 
 def test_candidates_of_mixed_feature_dims_are_a_shape_error():

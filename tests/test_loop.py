@@ -527,9 +527,9 @@ def test_audit_patterns_are_classify_pattern_of_the_selected_matrices(tmp_path, 
 
     scored = []
 
-    def spy_predictions(model, stack):
-        P = stacked_predictions(model, stack)
-        scored.append((stack, P))
+    def spy_predictions(model, stack, keep=None):
+        P = stacked_predictions(model, stack, keep)
+        scored.append((stack if keep is None else stack.subset(keep), P))
         return P
 
     monkeypatch.setattr(loop_mod, "stacked_predictions", spy_predictions)
@@ -720,19 +720,18 @@ def ragged_pool(seed, num_classes):
 
 @pytest.mark.parametrize("num_classes", [2, 3])
 @pytest.mark.parametrize("criterion", ["entropy^a_w", "diversity", "entropy"])
-def test_scoring_u_from_the_pools_slots_equals_scoring_the_u_subset(num_classes, criterion):
+def test_scoring_u_from_the_pools_prediction_equals_scoring_the_u_subset(num_classes, criterion):
     stack = ragged_pool(num_classes, num_classes)
     model = LearnerModel(np.random.default_rng(5).normal(size=(num_classes, 5)))
     cfg = make_strategy("AFT_star", criterion).criterion
-    whole = stacked_predictions(model, stack)
-    # U without the pool's widest candidates, so U's slots are wider than its own matrices
+    # U without the pool's widest candidates, so U's matrices are narrower than the pool's
     widest = stack.counts == stack.counts.max()
     for labeled in (np.zeros(len(stack), dtype=bool), np.arange(len(stack)) % 3 == 0, widest):
         unlabeled = np.flatnonzero(~labeled)
         subset = stack.subset(~labeled)
         expected = score_candidates(stacked_predictions(model, subset), subset.counts, cfg)
         got = score_candidates(
-            np.take(whole, unlabeled, axis=0), stack.counts[unlabeled], cfg
+            stacked_predictions(model, stack, ~labeled), stack.counts[unlabeled], cfg
         )
         for name in ("score", "dominant", "subset_size", "_subsets"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
@@ -741,26 +740,24 @@ def test_scoring_u_from_the_pools_slots_equals_scoring_the_u_subset(num_classes,
             assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("limit", [0.0, 1.0])
-def test_a_run_keeps_its_bits_whichever_way_it_predicts_u(tmp_path, monkeypatch, limit):
+def test_a_run_keeps_its_bits_whichever_way_it_predicts_u(tmp_path, monkeypatch):
     train, test, _ = generate(TINY)
     write_csv(train[::-1], tmp_path / "train.csv")  # rows in descending id order
     write_csv(test, tmp_path / "test.csv")
     train, test, _ = load_dataset(tmp_path)
     strategy = make_strategy("AFT_star", "entropy^a_w", batch_size=5)
     expected = run_with_audit(train, test, tmp_path / "a.jsonl", strategy)
-    whole = []
+    kept = []
     real = loop_mod.stacked_predictions
 
-    def spy(model, stack):
-        whole.append(len(stack) == len(train))
-        return real(model, stack)
+    def through_the_subset(model, stack, keep=None):
+        kept.append((len(stack), None if keep is None else int(keep.sum())))
+        return real(model, stack if keep is None else stack.subset(keep))
 
-    monkeypatch.setattr(loop_mod, "WHOLE_POOL_LIMIT", limit)
-    monkeypatch.setattr(loop_mod, "stacked_predictions", spy)
+    monkeypatch.setattr(loop_mod, "stacked_predictions", through_the_subset)
     assert run_with_audit(train, test, tmp_path / "b.jsonl", strategy) == expected
-    # limit 0 predicts the whole pool on the first step only, where L is empty
-    assert whole == ([True, False, False, False] if limit == 0.0 else [True] * 4)
+    # each step predicts U out of the whole pool, by its mask
+    assert kept == [(len(train), len(train) - 5 * step) for step in range(4)]
 
 
 @pytest.mark.parametrize("shape", ["plain", "crlf"])
