@@ -176,8 +176,8 @@ def _run_one(
     """Run one (strategy, seed) experiment on a resolved dataset
     ``(train, test)`` and write its artifacts.
 
-    Module-level and takes only picklable arguments, so compare can fan
-    out worker processes.
+    A serial run passes the dataset itself. A worker process gets it once,
+    from ``_hand_over``, and ``_run_shared`` passes it here for each job.
     """
     train, test = dataset
     slug = _slug(strategy.label)
@@ -259,8 +259,8 @@ def cmd_run(args) -> int:
     _check_keys(cfg, RUN_KEYS, {"dataset", "strategy", "seeds"}, args.config)
     strategy = _parse_fields(make_strategy, cfg["strategy"], "strategy", STRATEGY_REQUIRED)
     dataset, settings, seeds, out_dir = _parse_run(cfg, args, args.config)
-    jobs = [(dataset, strategy, *settings, seed, str(out_dir)) for seed in seeds]
-    summaries = _execute(jobs, args.jobs)
+    jobs = [(strategy, *settings, seed, str(out_dir)) for seed in seeds]
+    summaries = _execute(dataset, jobs, args.jobs)
     for s in summaries:
         print(f"{s['strategy']} seed={s['seed']} alc={s['alc']:.6f} final_auc={s['final_auc']:.6f}")
     return 0
@@ -283,12 +283,8 @@ def cmd_compare(args) -> int:
     _reject_repeats(labels, "strategies")
     dataset, settings, seeds, out_dir = _parse_run(cfg, args, args.config)
 
-    jobs = [
-        (dataset, strategy, *settings, seed, str(out_dir))
-        for strategy in strategies
-        for seed in seeds
-    ]
-    summaries = _execute(jobs, args.jobs)
+    jobs = [(strategy, *settings, seed, str(out_dir)) for strategy in strategies for seed in seeds]
+    summaries = _execute(dataset, jobs, args.jobs)
 
     by_label: dict[str, list[float]] = {label: [] for label in labels}
     for s in summaries:
@@ -324,13 +320,55 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _execute(jobs: list[tuple], n_jobs: int) -> list[dict]:
-    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+# The (train, test) stacks of a worker process. Only ``_hand_over`` writes
+# it, and only inside a worker process, as the pool's initializer; the
+# parent process never writes it, so there it stays None.
+_worker_dataset = None
+
+
+def _hand_over(dataset: tuple) -> None:
+    """A worker's initializer: keep the dataset for every job it runs."""
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_shared(*job) -> dict:
+    """Run one job in a worker, on the dataset its initializer kept.
+
+    ``_run_one`` is looked up in this module when the job runs, so a
+    wrapper installed on it in the parent before the pool forks is called.
+    """
+    return _run_one(_worker_dataset, *job)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _execute(dataset: tuple, jobs: list[tuple], n_jobs: int) -> list[dict]:
+    """Run ``_run_one(dataset, *job)`` for each job, in order, and stop at
+    the first that fails.
+
+    In parallel, each worker process gets the dataset once, as its
+    initializer's argument (not pickled at all under ``fork``), and each
+    job carries only its own small arguments. A failed job cancels every
+    job not yet handed to a worker.
+    """
+    workers = min(n_jobs, len(jobs), _usable_cpus())
     if workers <= 1:
-        return [_run_one(*job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_one, *job) for job in jobs]
-        return [f.result() for f in futures]
+        return [_run_one(dataset, *job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_hand_over, initargs=(dataset,)
+    ) as pool:
+        futures = [pool.submit(_run_shared, *job) for job in jobs]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def build_parser() -> argparse.ArgumentParser:

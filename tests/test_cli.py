@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import os
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from aftstar.cli import main
 from aftstar.datagen import DatagenConfig, generate
 from aftstar.errors import InvariantError
 from aftstar.learner import TrainConfig
+from aftstar.pool import CandidateStack
 
 
 def write_config(path, payload):
@@ -34,6 +37,19 @@ def generate_config(out_dir, **overrides):
     )
     datagen.update(overrides)
     return {"schema_version": 1, "output_dir": str(out_dir), "datagen": datagen}
+
+
+def set_cpus(monkeypatch, usable, count):
+    """Let ``cli`` see ``count`` CPUs, of which this process may run on
+    ``usable``; ``usable=None`` stands for a platform without
+    ``os.sched_getaffinity``."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+    if usable is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            cli.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False
+        )
 
 
 def run_config(data_dir, out_dir, strategy, seeds=(1,), budget=20):
@@ -276,7 +292,9 @@ def test_compare_deterministic(dataset_dir, tmp_path):
     assert (out_a / "comparison.json").read_bytes() == (out_b / "comparison.json").read_bytes()
 
 
-def test_compare_parallel_jobs_match_serial(dataset_dir, tmp_path):
+def test_compare_parallel_jobs_match_serial(dataset_dir, tmp_path, monkeypatch):
+    # Two CPUs at least, so that the parallel compare goes to worker processes.
+    set_cpus(monkeypatch, 2, 2)
     out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
     strategies = [
         {"name": "RFT", "batch_size": 5},
@@ -290,7 +308,12 @@ def test_compare_parallel_jobs_match_serial(dataset_dir, tmp_path):
     )
     assert main(["compare", "--config", cfg_a]) == 0
     assert main(["compare", "--config", cfg_b, "--jobs", "4"]) == 0
-    assert (out_a / "comparison.csv").read_bytes() == (out_b / "comparison.csv").read_bytes()
+    names = sorted(path.name for path in out_a.iterdir())
+    assert names == sorted(path.name for path in out_b.iterdir())
+    # A curve, a summary and an audit per job, and the two comparison files.
+    assert len(names) == 2 * 2 * 3 + 2
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -546,7 +569,7 @@ def test_a_compare_worker_that_dies_is_a_short_runtime_error(
 ):
     # Two CPUs at least, so that the jobs go to worker processes and only a
     # worker exits.
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2, 2)
     monkeypatch.setattr(cli, "_run_one", exit_at_once)
     strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
     cfg = write_config(tmp_path / "c.json", compare_config(dataset_dir, tmp_path / "o", strategies))
@@ -554,6 +577,32 @@ def test_a_compare_worker_that_dies_is_a_short_runtime_error(
     err = capsys.readouterr().err
     assert err.startswith("error: A process in the process pool was terminated abruptly")
     assert len(err) < 200
+
+
+def fail_first_then_sleep(dataset, strategy, *args):
+    seed, out_dir = args[-2:]
+    if (strategy.label, seed) == ("RFT", 1):
+        raise InvariantError("the first job failed")
+    time.sleep(0.3)
+    Path(out_dir, f"ran_{strategy.label}_{seed}").touch()
+    return {}
+
+
+def test_a_parallel_grid_stops_at_its_first_failed_job(
+    dataset_dir, tmp_path, capsys, monkeypatch
+):
+    set_cpus(monkeypatch, 2, 2)
+    monkeypatch.setattr(cli, "_run_one", fail_first_then_sleep)
+    strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
+    out = tmp_path / "o"
+    payload = compare_config(dataset_dir, out, strategies, seeds=range(1, 7))
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert main(["compare", "--config", cfg, "--jobs", "2"]) == 2
+    assert "error: the first job failed" in capsys.readouterr().err
+    # Of the 11 other jobs, only those already handed to the 2 workers run:
+    # one that each worker may have taken, and the workers + 1 that the
+    # executor queues for its workers and can no longer cancel.
+    assert len(list(out.iterdir())) <= 2 + 2 + 1
 
 
 @pytest.mark.parametrize("command", ["generate", "run", "compare"])
@@ -703,13 +752,19 @@ def test_mutated_run_configs_never_raise(tmp_path_factory, cfg):
 # --- worker count ---------------------------------------------------------------
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
-    each job in this process, so no worker process is started."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, the
+    initializer's arguments and each submitted job, and runs the
+    initializer and each job in this process, so no worker process is
+    started."""
 
     created: list[int] = []
+    initargs: list[tuple] = []
+    submitted: list[tuple] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         RecordingExecutor.created.append(max_workers)
+        RecordingExecutor.initargs.append(initargs)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -718,6 +773,7 @@ class RecordingExecutor:
         return False
 
     def submit(self, fn, *args):
+        RecordingExecutor.submitted.append((fn, args))
         future = concurrent.futures.Future()
         future.set_result(fn(*args))
         return future
@@ -726,7 +782,11 @@ class RecordingExecutor:
 @pytest.fixture()
 def recording_executor(monkeypatch):
     RecordingExecutor.created = []
+    RecordingExecutor.initargs = []
+    RecordingExecutor.submitted = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    # The initializer runs in this process: put the worker's slot back afterwards.
+    monkeypatch.setattr(cli, "_worker_dataset", None)
     return RecordingExecutor.created
 
 
@@ -736,23 +796,73 @@ def recording_executor(monkeypatch):
         (10000, 8, 64, [8]),  # bounded by the job count
         (10000, 8, 3, [3]),  # bounded by the CPU count
         (2, 8, 64, [2]),
-        (4, 8, None, []),  # unknown CPU count: serial
+        (4, 8, None, []),  # no CPU affinity and an unknown CPU count: serial
         (4, 1, 64, []),  # one job: serial
         (1, 8, 64, []),
     ],
 )
 def test_worker_count_is_bounded(monkeypatch, recording_executor, n_jobs, n_tasks, cpus, expected):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "_run_one", lambda i: {"job": i})
-    results = cli._execute([(i,) for i in range(n_tasks)], n_jobs)
-    assert results == [{"job": i} for i in range(n_tasks)]
+    set_cpus(monkeypatch, cpus, cpus)
+    monkeypatch.setattr(cli, "_run_one", lambda dataset, i: {"job": i, "dataset": dataset})
+    results = cli._execute(("train", "test"), [(i,) for i in range(n_tasks)], n_jobs)
+    assert results == [{"job": i, "dataset": ("train", "test")} for i in range(n_tasks)]
     assert recording_executor == expected
+
+
+@pytest.mark.parametrize(
+    "usable, count, expected",
+    [
+        (1, 2, []),  # pinned to one of two CPUs: serial
+        (3, 64, [3]),  # bounded by the CPUs this process may run on
+        (None, 3, [3]),  # no CPU affinity: bounded by the CPU count
+    ],
+)
+def test_the_worker_count_is_bounded_by_the_usable_cpus(
+    monkeypatch, recording_executor, usable, count, expected
+):
+    set_cpus(monkeypatch, usable, count)
+    monkeypatch.setattr(cli, "_run_one", lambda dataset, i: {"job": i})
+    cli._execute(("train", "test"), [(i,) for i in range(8)], 10000)
+    assert recording_executor == expected
+
+
+def test_each_worker_gets_the_dataset_once_and_each_job_its_own_arguments(
+    dataset_dir, tmp_path, monkeypatch, recording_executor
+):
+    set_cpus(monkeypatch, 2, 2)
+    run_one, calls = cli._run_one, []
+
+    def spy(*args):
+        calls.append(args)
+        return run_one(*args)
+
+    # The tracer wraps this name, and the workers must call what it holds.
+    monkeypatch.setattr(cli, "_run_one", spy)
+    strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.json", compare_config(dataset_dir, out, strategies))
+    assert main(["compare", "--config", cfg, "--jobs", "2"]) == 0
+    assert recording_executor == [2]
+    [(dataset,)] = RecordingExecutor.initargs
+    assert [type(split) for split in dataset] == [CandidateStack, CandidateStack]
+    assert cli._worker_dataset is dataset
+    submitted = RecordingExecutor.submitted
+    assert [fn for fn, _ in submitted] == [cli._run_shared] * 4
+    assert not any(isinstance(arg, CandidateStack) for _, args in submitted for arg in args)
+    assert len(calls) == 4
+    for args, (_, job) in zip(calls, submitted):
+        assert args[0] is dataset
+        assert args[1:] == job
+        assert args[-1] == str(out)
+    assert [(args[1].label, args[-2]) for args in calls] == [
+        ("RFT", 1), ("RFT", 2), ("AFT-entropy^a_w", 1), ("AFT-entropy^a_w", 2)
+    ]
 
 
 def test_compare_with_huge_jobs_uses_one_worker_per_job(
     dataset_dir, tmp_path, monkeypatch, recording_executor
 ):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    set_cpus(monkeypatch, 64, 64)
     strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
     cfg = write_config(tmp_path / "c.json", compare_config(dataset_dir, tmp_path / "o", strategies))
     assert main(["compare", "--config", cfg, "--jobs", "10000"]) == 0
