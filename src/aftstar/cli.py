@@ -30,6 +30,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -320,25 +321,41 @@ def cmd_compare(args) -> int:
     return 0
 
 
-# The (train, test) stacks of a worker process. Only ``_hand_over`` writes
-# it, and only inside a worker process, as the pool's initializer; the
-# parent process never writes it, so there it stays None.
+# The (train, test) stacks of a worker process, and the grid position of
+# the first job that failed, shared by every worker. Only ``_hand_over``
+# writes them, and only inside a worker process, as the pool's
+# initializer; the parent process never writes them, so there they stay
+# None.
 _worker_dataset = None
+_worker_failed = None
 
 
-def _hand_over(dataset: tuple) -> None:
-    """A worker's initializer: keep the dataset for every job it runs."""
-    global _worker_dataset
-    _worker_dataset = dataset
+def _hand_over(dataset: tuple, failed) -> None:
+    """A worker's initializer: keep the dataset for every job it runs, and
+    the shared position of the first failed job."""
+    global _worker_dataset, _worker_failed
+    _worker_dataset, _worker_failed = dataset, failed
 
 
-def _run_shared(*job) -> dict:
-    """Run one job in a worker, on the dataset its initializer kept.
+def _run_shared(position: int, *job) -> dict | None:
+    """Run the job at grid position ``position`` in a worker, on the
+    dataset its initializer kept, or skip it, returning None and writing
+    nothing, when a job before it has failed.
 
-    ``_run_one`` is looked up in this module when the job runs, so a
-    wrapper installed on it in the parent before the pool forks is called.
+    A job that fails lowers the shared position to its own before it
+    returns, so every job after it that starts from then on is skipped;
+    a job before it still runs, whenever it starts. ``_run_one`` is looked
+    up in this module when the job runs, so a wrapper installed on it in
+    the parent before the pool forks is called.
     """
-    return _run_one(_worker_dataset, *job)
+    if _worker_failed.value < position:
+        return None
+    try:
+        return _run_one(_worker_dataset, *job)
+    except BaseException:
+        with _worker_failed.get_lock():
+            _worker_failed.value = min(_worker_failed.value, position)
+        raise
 
 
 def _usable_cpus() -> int:
@@ -354,16 +371,24 @@ def _execute(dataset: tuple, jobs: list[tuple], n_jobs: int) -> list[dict]:
 
     In parallel, each worker process gets the dataset once, as its
     initializer's argument (not pickled at all under ``fork``), and each
-    job carries only its own small arguments. A failed job cancels every
-    job not yet handed to a worker.
+    job carries only its own small arguments and its grid position. A
+    failed job cancels every job not yet handed to a worker, and every
+    job after it that a worker starts from then on is skipped, so only
+    the jobs already running go on to write their artifacts. The first
+    failure in grid order is raised; every job before it has run.
     """
     workers = min(n_jobs, len(jobs), _usable_cpus())
     if workers <= 1:
         return [_run_one(dataset, *job) for job in jobs]
+    context = multiprocessing.get_context()
+    failed = context.Value("q", len(jobs))
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_hand_over, initargs=(dataset,)
+        max_workers=workers,
+        mp_context=context,
+        initializer=_hand_over,
+        initargs=(dataset, failed),
     ) as pool:
-        futures = [pool.submit(_run_shared, *job) for job in jobs]
+        futures = [pool.submit(_run_shared, i, *job) for i, job in enumerate(jobs)]
         try:
             return [f.result() for f in futures]
         except BaseException:

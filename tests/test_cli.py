@@ -579,30 +579,68 @@ def test_a_compare_worker_that_dies_is_a_short_runtime_error(
     assert len(err) < 200
 
 
-def fail_first_then_sleep(dataset, strategy, *args):
-    seed, out_dir = args[-2:]
-    if (strategy.label, seed) == ("RFT", 1):
-        raise InvariantError("the first job failed")
-    time.sleep(0.3)
-    Path(out_dir, f"ran_{strategy.label}_{seed}").touch()
-    return {}
+def fail_at_then_sleep(failing):
+    """A stand-in for ``_run_one`` that fails the job ``failing`` (a
+    strategy label and a seed) at once. Every other job marks its start,
+    sleeps, and then writes its one artifact."""
+
+    def run(dataset, strategy, *args):
+        seed, out_dir = args[-2:]
+        if (strategy.label, seed) == failing:
+            raise InvariantError(f"job {strategy.label} seed {seed} failed")
+        Path(out_dir, "started").mkdir(exist_ok=True)
+        Path(out_dir, "started", f"{strategy.label}_{seed}").touch()
+        time.sleep(0.3)
+        Path(out_dir, f"ran_{strategy.label}_{seed}").touch()
+        return {}
+
+    return run
+
+
+def run_failing_grid(dataset_dir, tmp_path, monkeypatch, failing):
+    """A 12-job compare grid (RFT then AFT, seeds 1-6) on 2 workers, whose
+    job ``failing`` fails: the exit code, the error output, and the jobs
+    that started and those that wrote, each as (label, seed) in grid order."""
+    set_cpus(monkeypatch, 2, 2)
+    monkeypatch.setattr(cli, "_run_one", fail_at_then_sleep(failing))
+    strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
+    out = tmp_path / "o"
+    payload = compare_config(dataset_dir, out, strategies, seeds=range(1, 7))
+    cfg = write_config(tmp_path / "c.json", payload)
+    code = main(["compare", "--config", cfg, "--jobs", "2"])
+    grid = [(label, seed) for label in ("RFT", "AFT-entropy^a_w") for seed in range(1, 7)]
+    started = [job for job in grid if (out / "started" / f"{job[0]}_{job[1]}").exists()]
+    wrote = [job for job in grid if (out / f"ran_{job[0]}_{job[1]}").exists()]
+    return code, grid, started, wrote
 
 
 def test_a_parallel_grid_stops_at_its_first_failed_job(
     dataset_dir, tmp_path, capsys, monkeypatch
 ):
-    set_cpus(monkeypatch, 2, 2)
-    monkeypatch.setattr(cli, "_run_one", fail_first_then_sleep)
-    strategies = [{"name": "RFT", "batch_size": 5}, {"name": "AFT", "batch_size": 5}]
-    out = tmp_path / "o"
-    payload = compare_config(dataset_dir, out, strategies, seeds=range(1, 7))
-    cfg = write_config(tmp_path / "c.json", payload)
-    assert main(["compare", "--config", cfg, "--jobs", "2"]) == 2
-    assert "error: the first job failed" in capsys.readouterr().err
-    # Of the 11 other jobs, only those already handed to the 2 workers run:
-    # one that each worker may have taken, and the workers + 1 that the
-    # executor queues for its workers and can no longer cancel.
-    assert len(list(out.iterdir())) <= 2 + 2 + 1
+    failing = ("RFT", 1)
+    code, grid, started, wrote = run_failing_grid(dataset_dir, tmp_path, monkeypatch, failing)
+    assert code == 2
+    assert "error: job RFT seed 1 failed" in capsys.readouterr().err
+    # Of the 11 other jobs, only the one the other worker was running when
+    # the first failed may write; every job started after it is skipped.
+    assert len(wrote) <= 2 - 1
+    assert started == wrote
+
+
+def test_a_parallel_grid_runs_every_job_before_its_failed_job(
+    dataset_dir, tmp_path, capsys, monkeypatch
+):
+    failing = ("AFT-entropy^a_w", 2)
+    code, grid, started, wrote = run_failing_grid(dataset_dir, tmp_path, monkeypatch, failing)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: job AFT-entropy^a_w seed 2 failed")
+    position = grid.index(failing)
+    assert wrote[:position] == grid[:position]
+    # After the failed job, only the one the other worker was running when
+    # it failed may have started; no job after it starts from then on.
+    assert len(started) - position <= 2 - 1
+    assert started == wrote
 
 
 @pytest.mark.parametrize("command", ["generate", "run", "compare"])
@@ -761,7 +799,7 @@ class RecordingExecutor:
     initargs: list[tuple] = []
     submitted: list[tuple] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, mp_context, initializer, initargs):
         RecordingExecutor.created.append(max_workers)
         RecordingExecutor.initargs.append(initargs)
         initializer(*initargs)
@@ -785,8 +823,9 @@ def recording_executor(monkeypatch):
     RecordingExecutor.initargs = []
     RecordingExecutor.submitted = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    # The initializer runs in this process: put the worker's slot back afterwards.
+    # The initializer runs in this process: put the worker's slots back afterwards.
     monkeypatch.setattr(cli, "_worker_dataset", None)
+    monkeypatch.setattr(cli, "_worker_failed", None)
     return RecordingExecutor.created
 
 
@@ -843,16 +882,18 @@ def test_each_worker_gets_the_dataset_once_and_each_job_its_own_arguments(
     cfg = write_config(tmp_path / "c.json", compare_config(dataset_dir, out, strategies))
     assert main(["compare", "--config", cfg, "--jobs", "2"]) == 0
     assert recording_executor == [2]
-    [(dataset,)] = RecordingExecutor.initargs
+    [(dataset, failed)] = RecordingExecutor.initargs
     assert [type(split) for split in dataset] == [CandidateStack, CandidateStack]
     assert cli._worker_dataset is dataset
+    assert cli._worker_failed is failed and failed.value == 4  # no job failed
     submitted = RecordingExecutor.submitted
     assert [fn for fn, _ in submitted] == [cli._run_shared] * 4
+    assert [args[0] for _, args in submitted] == [0, 1, 2, 3]  # each job's grid position
     assert not any(isinstance(arg, CandidateStack) for _, args in submitted for arg in args)
     assert len(calls) == 4
     for args, (_, job) in zip(calls, submitted):
         assert args[0] is dataset
-        assert args[1:] == job
+        assert args[1:] == job[1:]
         assert args[-1] == str(out)
     assert [(args[1].label, args[-2]) for args in calls] == [
         ("RFT", 1), ("RFT", 2), ("AFT-entropy^a_w", 1), ("AFT-entropy^a_w", 2)

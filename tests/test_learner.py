@@ -177,15 +177,29 @@ def test_fit_with_int_settings_equals_the_reference(cfg, warm):
     assert np.array_equal(model.weights, expected)
 
 
-@pytest.mark.parametrize("cfg", INT_CONFIGS)
-def test_pretrain_with_int_settings_equals_the_reference(cfg):
-    X, y = blob_data(np.random.default_rng(5), n_per_class=20)
-    model = pretrain_m0((X, y), cfg, np.random.default_rng(6))
+def assert_pretrain_equals_the_reference(X, y, cfg, num_classes):
+    model = pretrain_m0((X, y), cfg, np.random.default_rng(6), num_classes=num_classes)
     rng = np.random.default_rng(6)
-    start = rng.uniform(-0.01, 0.01, size=(2, X.shape[1] + 1))
+    start = rng.uniform(-0.01, 0.01, size=(num_classes, X.shape[1] + 1))
     expected = sgd_reference(start, X, y, cfg, cfg.learning_rate, rng)
     assert not np.array_equal(model.weights, start)
     assert np.array_equal(model.weights, expected)
+
+
+@pytest.mark.parametrize("cfg", INT_CONFIGS)
+def test_pretrain_with_int_settings_equals_the_reference(cfg):
+    X, y = blob_data(np.random.default_rng(5), n_per_class=20)
+    assert_pretrain_equals_the_reference(X, y, cfg, 2)
+
+
+@pytest.mark.parametrize("num_classes", [3, 9])
+@pytest.mark.parametrize("cfg", [TrainConfig(), *INT_CONFIGS])
+def test_pretrain_on_more_classes_equals_the_reference(cfg, num_classes):
+    # 75 rows: a shorter last minibatch at both minibatch sizes.
+    rng = np.random.default_rng(num_classes)
+    X = rng.normal(scale=2.0, size=(75, 6))
+    y = rng.integers(0, num_classes, size=75)
+    assert_pretrain_equals_the_reference(X, y, cfg, num_classes)
 
 
 def ragged_training_subset(n, num_classes, seed, d=6):
