@@ -19,32 +19,27 @@ interrupted write leaves no cut file. A class label must be a
 non-negative integer.
 
 ``load_csv`` parses in bulk the file shape that ``write_csv`` and the
-benchmark's writer produce: ``\n`` line ends, no quote, no blank line,
-and each candidate's rows in one contiguous run with one label text. It
-reads chunks of whole lines (about 64 KiB), splits each into lines once
-(to check them) and into tokens once, and converts the features with
-``float`` into a preallocated array and each candidate's label with
-``int``, so the values equal the per-row parser's to the bit. Each
-chunk's array is checked once, and the chunks are copied once into the
-split's :class:`~aftstar.pool.CandidateStack`, built by the same
-:func:`~aftstar.pool.stack_rows` as the per-row parser's, with no
-per-candidate object. Any other file
-(a quote, a carriage return, a blank line, a line as long as
-``csv.field_size_limit()``, a candidate's rows in two runs, or a row the
-per-row parser rejects) is read again by the per-row ``csv.reader``
-loop. That loop is the reference the tests compare against
-and the only code that reports a row's format error; a file that is not
-UTF-8 or has a field over the ``csv`` limit is a format error too.
+benchmark's writer produce: ASCII, ``\n`` line ends, no quote, ids under
+64 and labels under 20 characters, and each candidate's rows in one run
+with one label text (:func:`_load_plain_csv` has the whole list). One
+``np.loadtxt`` reads each chunk of whole lines (about 64 KiB), to values
+equal to ``float``'s to the bit, and the chunks' rows are copied once
+into the split's :class:`~aftstar.pool.CandidateStack` by the same
+:func:`~aftstar.pool.stack_rows` as the per-row parser's. Any other file
+is read again by the per-row ``csv.reader`` loop, the reference the
+tests compare against and the only code that reports a row's format
+error; a file that is not UTF-8 or has a field over the ``csv`` limit
+is a format error too.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import groupby, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -55,6 +50,7 @@ from .metrics import FLOAT_FMT, replacing
 from .pool import Candidate, CandidateStack, stack_rows
 
 CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
+NOT_BULK = '"\r\x00\x1c\x1d\x1e\x1f'  # characters the bulk CSV parser leaves to the reference
 
 
 @dataclass(frozen=True)
@@ -279,21 +275,18 @@ def _load_plain_csv(path: str | Path) -> CandidateStack | None:
     each candidate's rows form one contiguous run with one label text.
 
     Returns None, for the reference parser to read the file again, for
-    any other file: a quote, a carriage return or a line that could hold
-    a field over ``csv.field_size_limit()`` (where a plain comma split
-    could read it otherwise than ``csv.reader``), a blank line, a
+    any other file: a character that is not ASCII or is in ``NOT_BULK``,
+    a line that could hold a field over ``csv.field_size_limit()``, a
     candidate's rows in two runs, or a row the reference parser would
-    reject. ``float`` and ``int`` are the reference parser's own, so the
-    values are the same to the bit. The header check is shared.
-
-    Each chunk is split into lines once, for the checks, and its body
-    (the chunk less the header) into tokens once; the line-length scan
-    runs only on a chunk as long as the limit, since no line is longer
-    than its chunk. ``float`` fills an array of the tokens' count made
-    up front. The chunk's rows are checked once (width, finiteness), and
-    each candidate is one id, one label and a count of rows, which go
-    on into the next chunk when its run does. The chunks' arrays are
-    copied once, at the end, into the stack's rows.
+    reject. ``csv.reader`` reads a quote or a carriage return otherwise
+    than a comma split. ``np.loadtxt`` converts with the routine that
+    ``float`` calls, so the values are the same to the bit, but skips
+    \\x1c-\\x1f around a value, which ``float`` rejects; like the
+    reference, it skips blank lines. Its ``S`` fields cut at their width,
+    drop trailing NULs and encode as latin-1, so a NUL, or an id or label
+    of full width, sends the file back too. A run starts at a row whose id
+    or label differs from the row before's; each is one id, one label and
+    a count of rows, which go on into the next chunk when its run does.
     """
     limit = csv.field_size_limit()
     ids, labels, counts, chunks = [], [], [], []  # chunks: each chunk's rows
@@ -305,29 +298,31 @@ def _load_plain_csv(path: str | Path) -> CandidateStack | None:
             while chunk := fh.read(CHUNK_CHARS):
                 if not chunk.endswith("\n"):
                     chunk += fh.readline()
-                if '"' in chunk or "\r" in chunk:
+                if not chunk.isascii() or any(c in chunk for c in NOT_BULK):
                     return None
-                body = chunk.removesuffix("\n")
-                lines = body.split("\n")
-                if len(chunk) >= limit and max(map(len, lines)) >= limit:
+                if len(chunk) >= limit and max(map(len, chunk.split("\n"))) >= limit:
                     return None
                 if d is None:
-                    d = _feature_count(lines.pop(0).split(","), path)
-                    body = body.partition("\n")[2]
-                if not lines:
+                    header, _, chunk = chunk.partition("\n")
+                    d = _feature_count(header.split(","), path)
+                    fields = [("id", "S64"), ("label", "S20"), ("x", float, (d,))]
+                    options = dict(dtype=fields, delimiter=",", comments=None, ndmin=1)
+                if not chunk.lstrip("\n"):  # blank lines only, on which loadtxt warns
                     continue
-                if not set(map(str.count, lines, repeat(","))) <= {d + 1}:  # also a blank line
-                    return None
-                tokens = body.replace("\n", ",").split(",")
-                keys = list(zip(tokens[:: d + 2], tokens[1 :: d + 2]))
-                del tokens[:: d + 2], tokens[:: d + 1]
-                rows = np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, d)
+                table = np.loadtxt(io.StringIO(chunk), **options)
+                cids, texts = table["id"], table["label"]
+                if any(np.strings.str_len(c).max() == c.itemsize for c in (cids, texts)):
+                    return None  # a field of full width may have been cut
+                rows = np.ascontiguousarray(table["x"])
                 if not np.isfinite(rows).all():
                     return None
                 chunks.append(rows)
-                for key, run in groupby(keys):
+                new = (cids[1:] != cids[:-1]) | (texts[1:] != texts[:-1])
+                starts = np.flatnonzero(np.concatenate(([True], new)))
+                runs = zip(cids[starts].astype(str).tolist(), texts[starts].astype(str).tolist())
+                for key, count in zip(runs, np.diff(starts, append=len(table)).tolist()):
                     if key == last:
-                        counts[-1] += len(list(run))
+                        counts[-1] += count
                         continue
                     if key[0] in seen:
                         return None
@@ -337,13 +332,11 @@ def _load_plain_csv(path: str | Path) -> CandidateStack | None:
                         return None
                     ids.append(key[0])
                     labels.append(label)
-                    counts.append(len(list(run)))
+                    counts.append(count)
                     last = key
-    except ValueError:  # also what float, int and the UTF-8 decoder raise
+    except ValueError:  # also what loadtxt, int and the UTF-8 decoder raise
         return None
-    if d is None:
-        return None
-    return stack_rows(ids, labels, counts, chunks, d)
+    return None if d is None else stack_rows(ids, labels, counts, chunks, d)
 
 
 def write_dataset(cfg: DatagenConfig, out_dir: str | Path) -> dict:

@@ -47,9 +47,12 @@ class ExperimentRecord:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; each run of tied values i..j (sorted positions) gets
-    the midrank ``0.5 * (i + j) + 1``."""
+    the midrank ``0.5 * (i + j) + 1``. A run starts where a sorted value
+    differs from the one before it."""
     order = np.argsort(values, kind="mergesort")
-    _, first, counts = np.unique(values[order], return_index=True, return_counts=True)
+    ordered = values[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(first, append=values.shape[0])
     ranks = np.empty(values.shape[0], dtype=float)
     ranks[order] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return ranks
@@ -77,26 +80,30 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
         raise MetricError("labels must be binary 0/1")
     if not np.isfinite(scores).all():
         raise MetricError("scores must be finite")
-    n_pos = int(labels.sum())
-    n_neg = labels.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError("AUC undefined without both a positive and a negative")
-    ranks = _midranks(scores)
-    rank_sum = float(ranks[labels == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _ranked_auc(scores, labels == 1)
 
 
 def macro_auc(prob_matrix, labels: Sequence[int]) -> float:
-    """Macro-averaged one-vs-rest AUC for multiclass runs."""
+    """Macro-averaged one-vs-rest AUC for multiclass runs: the matrix and
+    the labels are checked once, then each class column is ranked."""
     prob_matrix = np.asarray(prob_matrix, dtype=float)
     labels = _integer_labels(labels)
-    if prob_matrix.ndim != 2 or prob_matrix.shape[0] != labels.shape[0]:
+    if prob_matrix.ndim != 2 or labels.ndim != 1 or prob_matrix.shape[0] != labels.shape[0]:
         raise MetricError("probability matrix rows must match labels")
-    per_class = [
-        auc(prob_matrix[:, k], (labels == k).astype(int))
-        for k in range(prob_matrix.shape[1])
-    ]
-    return float(np.mean(per_class))
+    if not np.isfinite(prob_matrix).all():
+        raise MetricError("scores must be finite")
+    columns = range(prob_matrix.shape[1])
+    return float(np.mean([_ranked_auc(prob_matrix[:, k], labels == k) for k in columns]))
+
+
+def _ranked_auc(scores: np.ndarray, positive: np.ndarray) -> float:
+    """The AUC of checked 1-d ``scores`` against the boolean ``positive``."""
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = positive.shape[0] - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise MetricError("AUC undefined without both a positive and a negative")
+    rank_sum = float(_midranks(scores)[positive].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def alc(curve: Sequence[tuple[int, float]], total_pool: int) -> float:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from unittest import mock
@@ -357,19 +358,27 @@ def assert_same_load(path):
 
 QUIRKS = [
     "quoted-id", "crlf", "bare-cr", "blank-line", "label-form", "bad-label", "inconsistent-label",
-    "width", "odd-value", "long-field", "not-utf8", "header",
+    "width", "odd-value", "long-field", "not-utf8", "header", "non-ascii-id", "wide-id",
+    "wide-label", "odd-id", "padding",
 ]
-ODD_VALUES = ["-0", " 3", "1_0.5", "1e309", "nan", "inf", "-inf", "abc", "", "0x10"]
+ODD_VALUES = [
+    "-0", " 3", "1_0.5", "1e309", "nan", "inf", "-inf", "abc", "", "0x10", "\x1c3", "3\x1f",
+]
 
 
 @st.composite
 def csv_files(draw):
     """Dataset CSV bytes: a plain file, or one with up to three quirks that
-    only the reference parser reads or reports, each on about half of the
-    rows: quoted ids (with commas and quotes in them), CRLF or bare CR line
-    ends, blank lines, other spellings of a label, a bad or inconsistent
-    label, a wrong width, a non-numeric or non-finite value, an over-long
-    field, a byte that is not UTF-8, or a bad header."""
+    the bulk parser must read as the reference does or leave to it, each
+    on about half of the rows: quoted ids (with commas and quotes in
+    them), CRLF or bare CR line ends, blank lines, other spellings of a
+    label, a bad or inconsistent label, a wrong width, a non-numeric or
+    non-finite value, an over-long field, a byte that is not UTF-8, or a
+    bad header; or what numpy's text reader could read otherwise: a
+    character that is not ASCII, a NUL or a ``#`` in an id, an id of
+    63-65 characters or a label of 19-21 or 63-65 (leading zeros), or a
+    tab or space around an id, a label or a value. About half of the
+    files end without a line end."""
     quirks = draw(st.sets(st.sampled_from(QUIRKS), max_size=3))
 
     def quirk(name):
@@ -386,17 +395,30 @@ def csv_files(draw):
         cid = f"c{i}"
         if quirk("quoted-id"):
             cid = draw(st.sampled_from([f'"c{i}"', f'"c,{i}"', f'"c""{i}"']))
+        if quirk("non-ascii-id"):
+            odd = draw(st.sampled_from(["\u00e9", "\u2028", "\x85", "\U0001f600"]))
+            cid = draw(st.sampled_from([odd + cid, cid + odd]))
+        if quirk("wide-id"):
+            cid = cid.rjust(draw(st.sampled_from([63, 64, 65])), "x")
+        if quirk("odd-id"):
+            cid = draw(st.sampled_from([f"c\x00{i}", f"c{i}\x00", f"\x00c{i}", f"#c{i}", f"c{i}#"]))
         label = str((i + quirk("inconsistent-label")) % 3)
         if quirk("label-form"):
             label = draw(st.sampled_from([f"+{label}", f" {label}", f"0_{label}"]))
         if quirk("bad-label"):
             label = draw(st.sampled_from(["x", "", "1.0", "9" * 5000, "-1"]))
+        if quirk("wide-label"):
+            label = label.rjust(draw(st.sampled_from([19, 20, 21, 63, 64, 65])), "0")
         values = draw(st.lists(finite, min_size=d, max_size=d))
         if quirk("width"):
             values = values[1:] if draw(st.booleans()) else values + ["1.0"]
         if values and quirk("odd-value"):
             values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_VALUES))
         row = [cid, label, *values]
+        if quirk("padding"):
+            at = draw(st.integers(0, len(row) - 1))
+            pad = st.sampled_from(["", " ", "\t"])
+            row[at] = draw(pad) + row[at] + draw(pad)
         if quirk("long-field"):
             row[draw(st.integers(0, len(row) - 1))] = "1" * 131073
         rows.append((i, ",".join(row)))
@@ -441,9 +463,14 @@ def test_bulk_parser_matches_the_reference_parser(tmp_path_factory, data, chunk_
         'candidate_id,label,f0\n"a,b",0,1.5\r\n"a,b",0,2.5\r\n',
         "candidate_id,label,f0\ra,0,1\r",
         "candidate_id,label,f0\n" + "a" * 131073 + ",0,1\n",
+        "candidate_id,label,f0\n\n\n",
+        "candidate_id,label,f0\na,0,1\n \na,0,2\n",
+        "candidate_id,label,f0\na,0,1\n\t\n",
+        "candidate_id,label,f0\na,0,1",
     ],
     ids=["empty", "blank", "header-only", "header-no-newline", "blank-lines-interleaved",
-         "plus-label", "inconsistent-label", "quoted-crlf", "bare-cr", "long-id"],
+         "plus-label", "inconsistent-label", "quoted-crlf", "bare-cr", "long-id",
+         "blank-lines-only", "space-line", "tab-line", "no-final-newline"],
 )
 def test_bulk_parser_matches_the_reference_parser_on_edge_files(tmp_path, text):
     path = tmp_path / "data.csv"
@@ -453,8 +480,8 @@ def test_bulk_parser_matches_the_reference_parser_on_edge_files(tmp_path, text):
 
 def plain_file_lines(shape):
     """A header and 300 four-feature candidates of 8 contiguous rows each,
-    reshaped: rows interleaved (each candidate in two runs), a blank line,
-    or both."""
+    reshaped: rows interleaved (each candidate in two runs), one or many
+    blank lines, or both."""
     rng = np.random.default_rng(0)
     rows = []
     for i in range(300):
@@ -466,24 +493,27 @@ def plain_file_lines(shape):
         rows = rows[::2] + rows[1::2]
     elif shape == "blank-line":
         rows = rows[:100] + [""] + rows[100:]
+    elif shape == "blank-lines":  # some chunks hold only blank lines
+        rows = rows[:100] + [""] * 3000 + rows[100:]
     return ["candidate_id,label," + ",".join(f"f{i}" for i in range(4)), *rows]
 
 
 @pytest.mark.parametrize(
     "shape",
-    ["benchmark-shape", "write-dataset", "blank-lines-interleaved", "interleaved", "blank-line"],
+    ["benchmark-shape", "write-dataset", "blank-lines-interleaved", "interleaved", "blank-line",
+     "blank-lines"],
 )
 def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, shape):
-    """The file shape every writer produces loads without the reference
-    parser; a plain file with a blank line or with a candidate's rows in
-    two runs is read by it."""
+    """The file shape every writer produces, and that shape with blank
+    lines, loads without the reference parser; a plain file with a
+    candidate's rows in two runs is read by it."""
     if shape == "write-dataset":
         write_dataset(small_config(train_candidates=30, test_candidates=10), tmp_path)
         paths = [tmp_path / "train.csv", tmp_path / "test.csv"]
     else:
         paths = [tmp_path / "train.csv"]
         paths[0].write_text("\n".join(plain_file_lines(shape)) + "\n", encoding="utf-8")
-    bulk = shape in ("benchmark-shape", "write-dataset")
+    bulk = shape in ("benchmark-shape", "write-dataset", "blank-line", "blank-lines")
     for path in paths:
         expected = datagen._load_csv_rows(path)
         with monkeypatch.context() as patch:
@@ -493,6 +523,81 @@ def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, shape):
             loaded = load_csv(path)
         assert spy.call_count == (0 if bulk else 1)
         assert_same_stack(loaded, expected)
+
+
+# --- the numpy text reader the bulk parser rests on ----------------------------
+
+def bulk_reader(tmp_path, d):
+    """``np.loadtxt`` as the bulk parser calls it on a file of ``d``
+    features: a function of a chunk's text."""
+    path = tmp_path / "spy.csv"
+    header = ",".join(["candidate_id", "label"] + [f"f{i}" for i in range(d)])
+    path.write_text(header + "\na,0" + ",1" * d)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        assert datagen._load_plain_csv(path) is not None
+    [(_, options)] = [(call.args, call.kwargs) for call in spy.call_args_list]
+    return lambda text: np.loadtxt(io.StringIO(text), **options)
+
+
+SPELLINGS = ["-0", "0", "1e-320", "4.9e-324", "1e309", "-1e309", " 3", "3 ", "\t3", "1_0.5",
+             "0x10", "nan", "-nan", "inf", "Infinity", ".5", "5.", "+.5e-3", "1" * 25 + ".5",
+             "", " ", "1e", "e1", "--1", "1d5", "1" * 400, "\x0b3", "3\x0c", "\x1c3"]
+
+
+def assert_reads_as_float(read, text):
+    """``read`` gives ``float(text)`` to the bit, or raises ValueError, on
+    a value the bulk parser does not send back."""
+    if any(c in text for c in datagen.NOT_BULK):
+        return
+    try:
+        value = read(f"a,0,{text}\n")["x"]
+    except ValueError:
+        return
+    assert value.shape == (1, 1)
+    assert value.tobytes() == np.array([float(text)]).tobytes(), repr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.floats().map(repr) | st.sampled_from(SPELLINGS))
+def test_loadtxt_reads_a_value_as_float_does_or_raises_value_error(tmp_path_factory, text):
+    assert_reads_as_float(bulk_reader(tmp_path_factory.mktemp("spy"), 1), text)
+
+
+def test_loadtxt_reads_any_ascii_character_as_float_and_csv_reader_do(tmp_path):
+    """Around any ASCII character but the delimiter and the line end, a
+    value reads as ``float`` reads it, and an id or a label holds its text
+    as ``csv.reader`` does. Where the reader and ``float`` part, on the
+    separators \\x1c-\\x1f, which only the reader skips as white space,
+    the bulk parser sends the file back."""
+    read = bulk_reader(tmp_path, 1)
+    for c in map(chr, range(128)):
+        if c not in ",\n":  # the delimiter and the line end
+            for text in (c, c + "3", "3" + c, "3" + c + "3", c + "1e5" + c):
+                assert_reads_as_float(read, text)
+                if c not in datagen.NOT_BULK:
+                    table = read(f"{text},{text},1\n")
+                    assert table[["id", "label"]].tolist() == [(text.encode(),) * 2], repr(text)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_a_field_of_full_width_is_what_the_width_guard_finds(tmp_path, column):
+    read = bulk_reader(tmp_path, 2)
+    for n in range(1, 130):
+        row = ["a", "0", "1", "2"]
+        row[column] = row[column].rjust(n, "0")
+        field = read(",".join(row) + "\n")[["id", "label"][column]]
+        cut = np.strings.str_len(field).max() == field.itemsize
+        assert cut == (n >= field.itemsize), n
+        if not cut:
+            assert field.astype(str).tolist() == [row[column]]
+
+
+def test_a_one_line_chunk_gives_one_row(tmp_path):
+    read = bulk_reader(tmp_path, 3)
+    for text in ("a,0,1,2,3", "a,0,1,2,3\n", "\n\na,0,1,2,3\n\n"):
+        table = read(text)
+        assert table.shape == (1,) and table["x"].tolist() == [[1.0, 2.0, 3.0]]
+        assert table["id"].tolist() == [b"a"] and table["label"].tolist() == [b"0"]
 
 
 # --- link to selection criteria ----------------------------------------------

@@ -104,6 +104,23 @@ def test_macro_auc_binary_consistency():
     assert macro == pytest.approx((a0 + a1) / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_macro_auc_is_the_mean_of_the_per_class_auc_to_the_bit(k):
+    """Checked once, each class column is ranked as ``auc`` ranks it, on
+    tied scores and on signed zeros."""
+    rng = np.random.default_rng(k)
+    for n in (k, 10, 57, 200):
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        for probs in (
+            rng.random((n, k)),
+            np.round(rng.random((n, k)), 1),  # tie-heavy
+            rng.choice([0.0, -0.0, 0.5, -0.5], size=(n, k)),
+        ):
+            per_class = [auc(probs[:, c], (labels == c).astype(int)) for c in range(k)]
+            assert macro_auc(probs, labels) == float(np.mean(per_class))
+            assert macro_auc(probs.tolist(), labels.tolist()) == float(np.mean(per_class))
+
+
 @pytest.mark.parametrize(
     "labels, shown",
     [
