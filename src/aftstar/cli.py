@@ -154,12 +154,14 @@ def _resolve_dataset(spec, where: str):
     if isinstance(spec, str):
         if not spec:
             raise ConfigError(f"{where}: must be a directory path or an object, got an empty path")
-        try:
-            train = datagen.load_csv(Path(spec, "train.csv"))
-            test = datagen.load_csv(Path(spec, "test.csv"))
-        except OSError as exc:
-            raise ConfigError(f"{where}: cannot load dataset {spec}: {exc}")
-        return train, test
+        splits = []
+        for name in ("train.csv", "test.csv"):
+            try:
+                splits.append(datagen.load_csv(Path(spec, name)))
+            except OSError as exc:  # whose own text repeats the whole path
+                reason = exc.strerror or cut(str(exc))
+                raise ConfigError(f"{where}: cannot load dataset {shown(spec)}: {name}: {reason}")
+        return tuple(splits)
     train, test, _ = datagen.generate(_parse_fields(DatagenConfig, spec, where))
     return stack_candidates(train), stack_candidates(test)
 
@@ -321,41 +323,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
-# The (train, test) stacks of a worker process, and the grid position of
-# the first job that failed, shared by every worker. Only ``_hand_over``
-# writes them, and only inside a worker process, as the pool's
-# initializer; the parent process never writes them, so there they stay
-# None.
+# The (train, test) stacks of a worker process. Only ``_hand_over`` writes
+# it, and only inside a worker process, as the pool's initializer; the
+# parent process never writes it, so there it stays None.
 _worker_dataset = None
-_worker_failed = None
 
 
-def _hand_over(dataset: tuple, failed) -> None:
-    """A worker's initializer: keep the dataset for every job it runs, and
-    the shared position of the first failed job."""
-    global _worker_dataset, _worker_failed
-    _worker_dataset, _worker_failed = dataset, failed
+def _hand_over(dataset: tuple) -> None:
+    """A worker's initializer: keep the dataset for every job it runs."""
+    global _worker_dataset
+    _worker_dataset = dataset
 
 
-def _run_shared(position: int, *job) -> dict | None:
-    """Run the job at grid position ``position`` in a worker, on the
-    dataset its initializer kept, or skip it, returning None and writing
-    nothing, when a job before it has failed.
-
-    A job that fails lowers the shared position to its own before it
-    returns, so every job after it that starts from then on is skipped;
-    a job before it still runs, whenever it starts. ``_run_one`` is looked
-    up in this module when the job runs, so a wrapper installed on it in
-    the parent before the pool forks is called.
-    """
-    if _worker_failed.value < position:
-        return None
-    try:
-        return _run_one(_worker_dataset, *job)
-    except BaseException:
-        with _worker_failed.get_lock():
-            _worker_failed.value = min(_worker_failed.value, position)
-        raise
+def _run_shared(*job) -> dict:
+    """Run a job in a worker, on the dataset its initializer kept.
+    ``_run_one`` is looked up in this module when the job runs, so a
+    wrapper installed on it in the parent before the pool forks is
+    called."""
+    return _run_one(_worker_dataset, *job)
 
 
 def _usable_cpus() -> int:
@@ -371,29 +356,32 @@ def _execute(dataset: tuple, jobs: list[tuple], n_jobs: int) -> list[dict]:
 
     In parallel, each worker process gets the dataset once, as its
     initializer's argument (not pickled at all under ``fork``), and each
-    job carries only its own small arguments and its grid position. A
-    failed job cancels every job not yet handed to a worker, and every
-    job after it that a worker starts from then on is skipped, so only
-    the jobs already running go on to write their artifacts. The first
-    failure in grid order is raised; every job before it has run.
+    job carries only its own small arguments. This process alone decides
+    which jobs run: it keeps one job per worker in flight and hands out
+    the next job in grid order as one ends. Once a job has failed it hands
+    out no more, lets the running jobs finish, and raises the first
+    failure in grid order; every job before it has run.
     """
     workers = min(n_jobs, len(jobs), _usable_cpus())
     if workers <= 1:
         return [_run_one(dataset, *job) for job in jobs]
-    context = multiprocessing.get_context()
-    failed = context.Value("q", len(jobs))
+    futures, running = [], set()
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=context,
+        mp_context=multiprocessing.get_context(),
         initializer=_hand_over,
-        initargs=(dataset, failed),
+        initargs=(dataset,),
     ) as pool:
-        futures = [pool.submit(_run_shared, i, *job) for i, job in enumerate(jobs)]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        for job in jobs:
+            if len(running) == workers:
+                done, running = concurrent.futures.wait(
+                    running, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+                if any(future.exception() is not None for future in done):
+                    break
+            futures.append(pool.submit(_run_shared, *job))
+            running.add(futures[-1])
+    return [future.result() for future in futures]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,6 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_text(exc: BaseException) -> str:
+    """A runtime error as its error line gives it: an OS error with its
+    file names cut, as a config error line cuts the values it repeats,
+    and a bare MemoryError, which has no message, by its type name."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        names = (shown(name) for name in (exc.filename, exc.filename2) if name is not None)
+        return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+    return str(exc) or type(exc).__name__
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -419,8 +417,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (AftError, OSError, MemoryError, concurrent.futures.BrokenExecutor) as exc:
-        # A worker process that dies breaks the pool; a bare MemoryError has no message.
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # A worker process that dies breaks the pool.
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
 
 

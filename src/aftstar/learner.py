@@ -31,29 +31,24 @@ it converts no Python number. Every operation runs in the same order,
 so the weights are those of the unbuffered loop to the bit.
 
 The learner works on a split as one :class:`aftstar.pool.CandidateStack`
-(augmented rows, each candidate's first row and patch count), whose
-:meth:`~aftstar.pool.CandidateStack.subset` shares its rows, so a run
-takes each step's unlabeled and labeled sets from its pool's stack.
-:func:`training_rows` gives the positions of the rows of the candidates
-at given positions, and :func:`stacked_predictions` predicts the rows
-of a stack's candidates, or of those at the true positions of a mask,
-in one pass and gives their prediction matrices, in stack order, as
-one ``(n, M, k)`` array, M the largest patch count among them, the
-form that ``criteria.score_candidates`` scores: a candidate's slots
-past its own count are +0.0. When the stack's candidates span every
-row of ``stack.rows`` (a split's stack, in any order, such as a run's
-pool in id order or its test split), the pass predicts ``stack.rows``
-where it lies and then gathers the kept candidates' k-wide prediction
-rows into stack order, or, when they are every row in stack order
-already (a file in id order), takes them as they are; the
-``(R, d + 1)`` feature rows are not copied. Otherwise (a subset of a
-larger stack) the kept candidates' feature rows are gathered first, in
-stack order, so a masked prediction is the prediction of the mask's
-stack subset, to the shape and the bit. When every count is M, the
-array is the predicted or the gathered rows reshaped, with no copy. A
-candidate's class probabilities are the mean of its matrix's rows: the
-padded array summed over its middle axis by :func:`patch_sum`, divided
-by the counts.
+(augmented rows, each candidate's first row and patch count), and a run
+picks each step's unlabeled and labeled sets out of its pool's stack by
+a mask or by positions. :func:`training_rows` gives the positions of the
+rows of the candidates it keeps, and :func:`stacked_predictions`
+predicts their rows in one pass and gives their prediction matrices, in
+stack order, as one ``(n, M, k)`` array, M the largest patch count among
+them, the form that ``criteria.score_candidates`` scores: a candidate's
+slots past its own count are +0.0. It alone decides how, by the share
+of ``stack.rows`` that the kept candidates hold: from 3/4 on it predicts
+``stack.rows`` where they lie and gathers the kept k-wide prediction
+rows, or takes them as they are when they are every row in stack order
+(a file in id order), so the ``(R, d + 1)`` feature rows are not
+copied; below that it gathers the kept feature rows and predicts only
+those. Each row's prediction has the same bits either way. When every
+count is M, the array is the predicted or the gathered rows reshaped,
+with no copy. A candidate's class probabilities are the mean of its
+matrix's rows: the padded array summed over its middle axis by
+:func:`patch_sum`, divided by the counts.
 That sum adds the rows left to right, so the trailing +0.0 slots leave
 every sum, and so every mean, with the bits of the candidate's own
 ``(m, k)`` matrix's.
@@ -76,12 +71,10 @@ ragged ``(500, 40, 3)``, 0.30 and 0.10 ms; on ``(500, 40, 9)`` both
 a cost paid by the one-matrix functions of ``criteria`` and a step's
 audit terms, not by scoring. Rows are gathered with ``np.take`` for
 the same reason: 69,600 of 72,000 ``(R, 11)`` rows took 0.66 ms, where
-fancy indexing took 2.29 ms. Predicting a split in place skips that
-gather and the subset's id tuple: U's predictions out of a 6,000
-candidate, 12-patch pool with 4% of it labeled took 2.8 ms through the
-U subset and 2.1 ms by U's mask over the pool. With 48% labeled the
-subset was the faster, 2.2 against 2.8 ms, which no end-to-end metric
-of the benchmark showed.
+fancy indexing took 2.29 ms. Where the two ways of predicting a kept set
+cross: on one such core, out of a 6,000 candidate, 12-patch pool, in
+place took 1.28-1.38 ms whatever the share and gathering took 0.61,
+1.01, 1.39, 1.64 and 1.89 ms at 30, 51, 69, 80 and 96% of the rows.
 """
 
 from __future__ import annotations
@@ -411,14 +404,18 @@ def _row_positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def stacked_predictions(
     model: LearnerModel, stack: CandidateStack, keep: np.ndarray | None = None
 ) -> np.ndarray:
-    """Prediction matrices of the stack's candidates at the true positions
-    of ``keep`` (every candidate when it is None) from one pass over
-    their patches, as one ``(n, M, k)`` array, where M is the largest
-    patch count among them: ``P[i, :counts[i]]`` equals ``predict(model,
-    candidates[i])``, and the slots past a candidate's count are +0.0.
-    It has the shape and the bits of ``stacked_predictions(model,
-    stack.subset(keep))``. When every candidate has M patches and its
-    rows lie in stack order, the array is the predicted rows reshaped."""
+    """Prediction matrices of the stack's candidates that ``keep`` selects
+    (a mask or positions; every candidate when it is None), in their
+    order, from one pass over their patches, as one ``(n, M, k)`` array,
+    where M is the largest patch count among them: ``P[i, :counts[i]]``
+    equals ``predict(model, candidates[i])``, and the slots past a
+    candidate's count are +0.0. When the kept candidates hold at least
+    3/4 of ``stack.rows``, the pass predicts ``stack.rows`` where they lie
+    and gathers the kept k-wide prediction rows, or takes them as they
+    are when they are every row in stack order; otherwise it gathers the
+    kept feature rows and predicts only those. Both give the same bits.
+    When every candidate has M patches, the array is the predicted rows
+    reshaped."""
     first, counts = stack.first, stack.counts
     if keep is not None:
         first, counts = first[keep], counts[keep]
@@ -436,36 +433,34 @@ def stacked_predictions(
     n, M = len(counts), int(counts.max())
     if M == 1:
         return np.stack(alone)
-    if stack.counts.sum() == len(stack.rows):
-        # The stack's candidates span its rows (a split's stack, in any
-        # order): predict the rows where they lie, and gather the k-wide
-        # predictions of the kept candidates in stack order, unless they
-        # are every row in that order already.
-        filled = np.ones(n, dtype=bool)
+    first, many = first[multi], counts[multi]  # the candidates of more than one patch
+    if 4 * counts.sum() >= 3 * len(stack.rows):
         P = _predict_rows(model.weights, stack.rows)
-        if counts.sum() < len(P) or not np.array_equal(first, np.cumsum(counts) - counts):
-            P = np.take(P, _row_positions(first, counts), axis=0)
+        if many.sum() < len(P) or not np.array_equal(first, np.cumsum(many) - many):
+            P = np.take(P, _row_positions(first, many), axis=0)
     else:
-        filled = multi
-        positions = _row_positions(first[multi], counts[multi])
-        P = _predict_rows(model.weights, np.take(stack.rows, positions, axis=0))
+        P = _predict_rows(model.weights, np.take(stack.rows, _row_positions(first, many), axis=0))
     if counts.min() == M:
         return P.reshape(n, M, -1)
     out = np.zeros((n, M, P.shape[1]))
     # Candidate i's slots start at row i * M of the array's (n * M, k) view.
-    out.reshape(n * M, -1)[_row_positions(np.flatnonzero(filled) * M, counts[filled])] = P
+    out.reshape(n * M, -1)[_row_positions(np.flatnonzero(multi) * M, many)] = P
     if alone:
         out[~multi, 0] = np.concatenate(alone)
     return out
 
 
-def stacked_probabilities(model: LearnerModel, stack: CandidateStack) -> np.ndarray:
-    """Candidate-level class probabilities, one row per candidate of the
-    stack: the column means of its prediction matrix."""
+def stacked_probabilities(
+    model: LearnerModel, stack: CandidateStack, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """Candidate-level class probabilities, one row per candidate that
+    ``keep`` selects, as :func:`stacked_predictions` takes it: the column
+    means of its prediction matrix."""
+    counts = stack.counts if keep is None else stack.counts[keep]
     # The patch axis is summed left to right, so the +0.0 slots past a
     # candidate's count leave its sum the sum of its own rows, and the
     # quotient its mean(axis=0) to the bit.
-    return patch_sum(stacked_predictions(model, stack)) / stack.counts[:, None]
+    return patch_sum(stacked_predictions(model, stack, keep)) / counts[:, None]
 
 
 def training_rows(

@@ -18,15 +18,14 @@ each candidate's annotation, -1 outside L, and ``ExperimentState.hard``
 is H's mask. The unlabeled set U is the stack's candidates outside L,
 by position, in ascending id order. The sampler picks positions into U,
 so its ties by position are ties by id, and a step turns positions into
-ids only for the oracle and the selection audit. A step predicts the
-whole pool where its rows lie and takes U's matrices from that
-prediction (``learner.stacked_predictions`` with U's mask), with the
-bits of U's own stack subset, whose rows it does not gather. A step
-mines H from L as a subset of the stack. The training set
-is a mask over the stack, and each epoch of the fit's buffered SGD
-gathers its rows straight from the stack, so no row is copied before
-the fit. The oracle gets the pool's true labels as one id -> label
-map.
+ids only for the oracle and the selection audit. A step predicts U by
+its mask over the stack, and mines H from L by L's positions in it
+(``learner.stacked_predictions``, which alone decides whether to
+predict the stack's rows in place or to gather the kept ones; both give
+the same bits). The training set is a mask over the stack, and each
+epoch of the fit's buffered SGD gathers its rows straight from the
+stack, so no row is copied before the fit. The oracle gets the pool's
+true labels as one id -> label map.
 
 The five named strategies differ in three choices:
 
@@ -231,11 +230,14 @@ class ExperimentState:
     positive_class: int = 0
 
 
-def misclassified_set(model: LearnerModel, labeled: CandidateStack, y: np.ndarray) -> np.ndarray:
-    """The positions in ``labeled`` of the candidates whose candidate-level
-    argmax differs from their label in ``y``, one per candidate (argmax
-    ties resolve to the smaller class index)."""
-    return np.flatnonzero(stacked_probabilities(model, labeled).argmax(axis=1) != y)
+def misclassified_set(
+    model: LearnerModel, labeled: np.ndarray, stack: CandidateStack, y: np.ndarray
+) -> np.ndarray:
+    """The positions in ``stack`` of the candidates, among those at the
+    positions ``labeled``, whose candidate-level argmax differs from their
+    label in ``y``, which holds one per entry of ``labeled`` (argmax ties
+    resolve to the smaller class index)."""
+    return labeled[stacked_probabilities(model, stack, labeled).argmax(axis=1) != y]
 
 
 def build_training_set(
@@ -294,9 +296,10 @@ def run_step(
 
     test_auc = evaluator(state.model)
     labeled |= selected
-    mined = misclassified_set(state.model, stack.subset(labeled), state.labels[labeled])
+    members = np.flatnonzero(labeled)
+    mined = misclassified_set(state.model, members, stack, state.labels[members])
     state.hard = np.zeros(len(stack), dtype=bool)
-    state.hard[np.flatnonzero(labeled)[mined]] = True
+    state.hard[mined] = True
     pos_frac = float(np.mean(state.labels[positions] == state.positive_class)) if batch else 0.0
     labeled_count = int(np.count_nonzero(labeled))
     record = ExperimentRecord(

@@ -23,7 +23,6 @@ test labels read it, never the selection path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,8 +63,8 @@ class CandidateStack:
     ``rows`` is a read-only ``(R, d + 1)`` array of patch features with
     the bias column appended. Candidate ``i`` (id ``ids[i]``, true label
     ``true_labels[i]``) has ``counts[i]`` patches, in
-    ``rows[first[i]:first[i] + counts[i]]``. A :meth:`subset` and
-    :meth:`sorted_by_id` share their parent's rows.
+    ``rows[first[i]:first[i] + counts[i]]``. :meth:`sorted_by_id` shares
+    its parent's rows.
     """
 
     ids: tuple[str, ...]
@@ -85,21 +84,11 @@ class CandidateStack:
     def feature_dim(self) -> int:
         return self.rows.shape[1] - 1
 
-    def subset(self, keep: np.ndarray) -> CandidateStack:
-        """The candidates at the true positions of ``keep``, in stack order,
-        over the same rows."""
-        return self._take(tuple(compress(self.ids, keep)), keep)
-
     def sorted_by_id(self) -> CandidateStack:
         """The same candidates in sorted-id order, over the same rows."""
         order = sorted(range(len(self)), key=self.ids.__getitem__)
-        return self._take(tuple(map(self.ids.__getitem__, order)), order)
-
-    def _take(self, ids: tuple[str, ...], index) -> CandidateStack:
-        """The candidates ``ids``, at ``index`` (a mask or positions)."""
-        return CandidateStack(
-            ids, self.rows, self.first[index], self.counts[index], self.true_labels[index]
-        )
+        ids, labels = tuple(map(self.ids.__getitem__, order)), self.true_labels[order]
+        return CandidateStack(ids, self.rows, self.first[order], self.counts[order], labels)
 
 
 def stack_rows(
@@ -113,7 +102,7 @@ def stack_rows(
     rows[:, -1] = 1.0
     if blocks:
         np.concatenate(blocks, out=rows[:, :-1])
-    rows.flags.writeable = False  # subsets share it
+    rows.flags.writeable = False  # sorted_by_id shares it
     try:
         labels = np.array(true_labels, dtype=np.int64)
     except OverflowError:  # kept, so that check_splits reports the classes it implies

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import CandidateScore
-from .errors import ConfigError, SamplingWindowError, ShapeError, check_integer
+from .errors import ConfigError, SamplingWindowError, ShapeError, check_integer, shown
 
 MODES = ("top_b", "randomized", "uniform_random")
 
@@ -62,7 +62,7 @@ class SamplerConfig:
         check_integer("batch_size", self.batch_size, 1)
         check_integer("omega", self.omega, 1)
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {shown(self.mode)}")
 
 
 def sampling_probabilities(sorted_scores: Sequence[float], window: int) -> np.ndarray:

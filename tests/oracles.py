@@ -5,12 +5,17 @@ math, deliberately sharing no code with the package implementations. The
 scorer references at the end are array code: the full sorts that the
 package's dominant class and majority subset must equal to the bit.
 Two helpers make test data: random prediction matrices, and spread
-values, whose sums round differently in different orders.
+values, whose sums round differently in different orders. The stack
+references at the end build candidate stacks with the constructor and
+predict each candidate on its own.
 """
 
 import math
 
 import numpy as np
+
+from aftstar.learner import predict_features
+from aftstar.pool import CandidateStack
 
 
 def entropy_direct(P, eps=1e-12):
@@ -88,3 +93,32 @@ def majority_by_lexsort(P, counts, alpha, dominant):
     if keep.min(initial=width) < width:
         order = np.where(np.arange(width) < keep[:, None], order, order[:, :1])
     return np.take_along_axis(P, order[:, :, None], axis=1), keep
+
+
+def kept_stack(stack, keep):
+    """The candidates of ``stack`` that ``keep`` (a mask or positions)
+    selects, in their order, over the same rows."""
+    ids = tuple(np.array(stack.ids, dtype=object)[keep])
+    labels = stack.true_labels[keep]
+    return CandidateStack(ids, stack.rows, stack.first[keep], stack.counts[keep], labels)
+
+
+def own_rows(stack):
+    """The same candidates over a copy of their own rows only, in stack
+    order, so that a prediction of it gathers nothing."""
+    spans = zip(stack.first.tolist(), stack.counts.tolist())
+    rows = stack.rows[np.array([r for f, m in spans for r in range(f, f + m)], dtype=np.intp)]
+    rows.flags.writeable = False
+    first = np.cumsum(stack.counts) - stack.counts
+    return CandidateStack(stack.ids, rows, first, stack.counts, stack.true_labels)
+
+
+def predicted_one_by_one(model, stack, keep):
+    """The padded ``(n, M, k)`` prediction matrices of the candidates that
+    ``keep`` selects, each predicted on its own by ``predict_features``:
+    what ``stacked_predictions(model, stack, keep)`` must equal."""
+    first, counts = stack.first[keep], stack.counts[keep]
+    out = np.zeros((len(counts), int(counts.max(initial=0)), model.num_classes))
+    for block, f, m in zip(out, first.tolist(), counts.tolist()):
+        block[:m] = predict_features(model, stack.rows[f : f + m, :-1])
+    return out

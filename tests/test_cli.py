@@ -670,9 +670,10 @@ LONG = "x" * 3000
         (lambda p, s: p.update(schema_version=LONG), "schema_version: must be 1 in "),
         (lambda p, s: p.update(seeds=[10**3999, 10**3999]), "seeds[1]: 1000"),
         (lambda p, s: p.update(output_dir=10**3999), "output_dir: must be a path string, got 1000"),
+        (lambda p, s: p.update(dataset=LONG), "dataset: cannot load dataset 'xxx"),
     ],
     ids=["name", "unknown-key", "criterion", "criterion-list", "batch_size", "schema_version", "seeds",
-         "output_dir"],
+         "output_dir", "dataset"],
 )
 def test_over_long_config_values_are_cut_in_config_errors(
     dataset_dir, tmp_path, capsys, command, edit, message
@@ -686,6 +687,20 @@ def test_over_long_config_values_are_cut_in_config_errors(
     assert err.startswith("config error: ") and message in err
     assert "characters)" in err and len(err) < 300
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_output_dir_that_cannot_be_made_is_a_short_runtime_error(
+    dataset_dir, tmp_path, capsys, command
+):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / ("o" * 100) / ("o" * 100) / ("o" * 100)
+    strategy = {"name": "RFT", "batch_size": 5}
+    payload = one_strategy_config(command, dataset_dir, out, strategy)
+    assert main([command, "--config", write_config(tmp_path / "c.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and "Not a directory: " in err
+    assert err.rstrip("\n").endswith(f"... ({len(str(out))} characters)") and len(err) < 150
 
 
 def test_a_boolean_in_a_long_list_value_is_cut_in_its_config_error(tmp_path, capsys):
@@ -823,9 +838,8 @@ def recording_executor(monkeypatch):
     RecordingExecutor.initargs = []
     RecordingExecutor.submitted = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    # The initializer runs in this process: put the worker's slots back afterwards.
+    # The initializer runs in this process: put the worker's slot back afterwards.
     monkeypatch.setattr(cli, "_worker_dataset", None)
-    monkeypatch.setattr(cli, "_worker_failed", None)
     return RecordingExecutor.created
 
 
@@ -882,18 +896,16 @@ def test_each_worker_gets_the_dataset_once_and_each_job_its_own_arguments(
     cfg = write_config(tmp_path / "c.json", compare_config(dataset_dir, out, strategies))
     assert main(["compare", "--config", cfg, "--jobs", "2"]) == 0
     assert recording_executor == [2]
-    [(dataset, failed)] = RecordingExecutor.initargs
+    [(dataset,)] = RecordingExecutor.initargs
     assert [type(split) for split in dataset] == [CandidateStack, CandidateStack]
     assert cli._worker_dataset is dataset
-    assert cli._worker_failed is failed and failed.value == 4  # no job failed
     submitted = RecordingExecutor.submitted
     assert [fn for fn, _ in submitted] == [cli._run_shared] * 4
-    assert [args[0] for _, args in submitted] == [0, 1, 2, 3]  # each job's grid position
     assert not any(isinstance(arg, CandidateStack) for _, args in submitted for arg in args)
     assert len(calls) == 4
     for args, (_, job) in zip(calls, submitted):
         assert args[0] is dataset
-        assert args[1:] == job[1:]
+        assert args[1:] == job
         assert args[-1] == str(out)
     assert [(args[1].label, args[-2]) for args in calls] == [
         ("RFT", 1), ("RFT", 2), ("AFT-entropy^a_w", 1), ("AFT-entropy^a_w", 2)

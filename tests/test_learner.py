@@ -22,7 +22,7 @@ from aftstar.learner import (
 )
 from aftstar.pool import Candidate, CandidateStack, stack_candidates
 
-from oracles import spread_values
+from oracles import kept_stack, predicted_one_by_one, spread_values
 
 
 def blob_data(rng, n_per_class=40, d=4, separation=4.0):
@@ -361,7 +361,7 @@ def assert_patch_sum_bits(B, note):
         assert got == B.sum(axis=1).tobytes(), note
 
 
-@pytest.mark.parametrize("k", [2, 3, 9])
+@pytest.mark.parametrize("k", [2, 3, 9, 32, 64])  # 32 and 64: many classes (ROADMAP item 8)
 @pytest.mark.parametrize("n", [1, 5, 70])
 def test_patch_sum_equals_numpy_middle_axis_sum_to_the_bit(k, n):
     rng = np.random.default_rng(200 + k + n)
@@ -422,7 +422,7 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
     labels = {c.id: i % num_classes for i, c in enumerate(candidates)}
     y_all = np.arange(len(candidates)) % num_classes  # the labels in stack order
     stack = stack_candidates(candidates)
-    assert not stack.rows.flags.writeable  # subsets share the rows
+    assert not stack.rows.flags.writeable  # kept stacks share the rows
     n = len(candidates)
     subsets = {
         "none": np.zeros(n, dtype=bool),
@@ -432,7 +432,7 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
     }
     for name, keep in subsets.items():
         chosen = [c for c, k in zip(candidates, keep) if k]
-        sub = stack.subset(keep)
+        sub = kept_stack(stack, keep)
         assert sub.ids == tuple(c.id for c in chosen), name
         P = stacked_predictions(model, sub)
         width = max((len(c.features) for c in chosen), default=0)
@@ -469,7 +469,7 @@ def test_stacked_predictions_of_equal_patch_counts_reshape_the_predicted_rows():
     candidates = [
         Candidate(id=f"c{i}", features=rng.normal(size=(12, 5))) for i in range(30)
     ]
-    sub = stack_candidates(candidates).subset(np.arange(30) % 3 > 0)
+    sub = kept_stack(stack_candidates(candidates), np.arange(30) % 3 > 0)
     P = stacked_predictions(model, sub)
     assert P.shape == (20, 12, 2) and P.base is not None  # a view, not a padded copy
     for block, i in zip(P, np.flatnonzero(np.arange(30) % 3 > 0)):
@@ -526,40 +526,106 @@ def test_in_place_predictions_equal_the_gathered_ones_to_the_bit(shape, num_clas
     for whole in (stack, gathered(stack)):
         for keep in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.arange(n) % 3 == 0,
                      ~widest, stack.counts == 1):
-            expected = stacked_predictions(model, whole.subset(keep))
-            got = stacked_predictions(model, whole, keep)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            expected = predicted_one_by_one(model, whole, keep)
+            for index in (keep, np.flatnonzero(keep)):  # a mask, or positions
+                got = stacked_predictions(model, whole, index)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def spy_on_predicted_rows(monkeypatch):
+    """The row arrays that ``_predict_rows`` is called on from then on,
+    but a one-patch candidate's single row."""
+    predicted = []
+    real = learner_mod._predict_rows
+
+    def spy(weights, rows):
+        if len(rows) > 1:
+            predicted.append(rows)
+        return real(weights, rows)
+
+    monkeypatch.setattr(learner_mod, "_predict_rows", spy)
+    return predicted
+
+
+def keep_row_share(stack, share, seed):
+    """A mask of candidates, drawn in a random order, that hold about
+    ``share`` of ``stack.rows``."""
+    order = np.random.default_rng(seed).permutation(len(stack))
+    held = np.cumsum(stack.counts[order]) <= share * len(stack.rows)
+    keep = np.zeros(len(stack), dtype=bool)
+    keep[order[held]] = True
+    return keep
 
 
 def test_an_in_order_split_is_predicted_where_its_rows_lie(monkeypatch):
-    predicted = []
-
-    def spy(weights, rows):
-        predicted.append(rows)
-        return real(weights, rows)
-
-    real = learner_mod._predict_rows
-    monkeypatch.setattr(learner_mod, "_predict_rows", spy)
+    predicted = spy_on_predicted_rows(monkeypatch)
     model = LearnerModel(weights=np.random.default_rng(1).normal(size=(2, 6)))
     for candidates in (equal_candidates(1), ragged_candidates(1)):
         stack = stack_candidates(candidates)
         predicted.clear()
         stacked_predictions(model, stack)
-        many = [rows for rows in predicted if len(rows) > 1]  # not a one-patch candidate's
-        assert len(many) == 1
-        assert many[0] is stack.rows and np.shares_memory(many[0], stack.rows)
-        keep = np.arange(len(stack)) % 2 == 0
-        predicted.clear()
-        stacked_predictions(model, stack, keep)
-        many = [rows for rows in predicted if len(rows) > 1]
-        assert len(many) == 1 and many[0] is stack.rows
-        # a subset, and a stack whose candidates do not span its rows, by the mask
-        for other, mask in ((stack.subset(keep), None), (gathered(stack), keep)):
+        assert len(predicted) == 1 and predicted[0] is stack.rows
+        # Kept candidates that hold at least 3/4 of the rows: predicted in place.
+        most = keep_row_share(stack, 0.9, seed=1)
+        assert 4 * stack.counts[most].sum() >= 3 * len(stack.rows)
+        for other, mask in ((stack, most), (kept_stack(stack, most), None), (gathered(stack), most)):
             predicted.clear()
             stacked_predictions(model, other, mask)
-            many = [rows for rows in predicted if len(rows) > 1]
-            assert len(many) == 1 and not np.shares_memory(many[0], other.rows)  # gathered
-            assert len(many[0]) == stack.counts[keep & (stack.counts > 1)].sum()  # the kept rows
+            assert len(predicted) == 1 and predicted[0] is other.rows
+        # Less than that: only the kept rows are gathered and predicted.
+        keep = np.arange(len(stack)) % 2 == 0
+        assert 4 * stack.counts[keep].sum() < 3 * len(stack.rows)
+        for other, mask in ((stack, keep), (kept_stack(stack, keep), None), (gathered(stack), keep)):
+            predicted.clear()
+            stacked_predictions(model, other, mask)
+            assert len(predicted) == 1 and not np.shares_memory(predicted[0], other.rows)
+            assert len(predicted[0]) == stack.counts[keep & (stack.counts > 1)].sum()
+
+
+def test_three_quarters_of_the_rows_are_predicted_in_place(monkeypatch):
+    predicted = spy_on_predicted_rows(monkeypatch)
+    model = LearnerModel(weights=np.random.default_rng(2).normal(size=(2, 6)))
+    stack = stack_candidates(equal_candidates(2, n=4))  # 48 rows
+    three = np.array([True, True, False, True])  # 36 rows: 3/4 of 48, not of 49
+    for other, in_place in ((stack, True), (gathered(stack), False)):
+        predicted.clear()
+        P = stacked_predictions(model, other, three)
+        assert len(predicted) == 1 and (predicted[0] is other.rows) == in_place
+        assert P.tobytes() == predicted_one_by_one(model, other, three).tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("order", ["in order", "descending ids"])
+@pytest.mark.parametrize("share", [0.1, 0.9])
+def test_both_sides_of_the_row_share_rule_equal_per_candidate_predict(
+    monkeypatch, tmp_path, num_classes, order, share
+):
+    rng = np.random.default_rng(num_classes)
+    model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
+    sizes = [1, 1, 40, 2] + rng.integers(1, 41, size=150).tolist()  # some of one patch
+    candidates = [
+        Candidate(id=f"c{i:03d}", features=rng.normal(scale=2.0, size=(m, 5)))
+        for i, m in enumerate(sizes)
+    ]
+    if order == "descending ids":
+        stack = descending_pool(candidates, tmp_path / "train.csv")
+    else:
+        stack = stack_candidates(candidates)
+    keep = keep_row_share(stack, share, seed=num_classes)
+    keep[[0, 1]] = True  # the one-patch candidates c000 and c001
+    kept_rows = stack.counts[keep].sum() / len(stack.rows)
+    assert abs(kept_rows - share) < 0.05
+    predicted = spy_on_predicted_rows(monkeypatch)
+    expected = predicted_one_by_one(model, stack, keep)
+    for index in (keep, np.flatnonzero(keep)):  # a mask, or positions
+        predicted.clear()
+        got = stacked_predictions(model, stack, index)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert len(predicted) == 1 and (predicted[0] is stack.rows) == (share > 0.75)
+    by_id = {c.id: c for c in candidates}
+    for block, i in zip(got, np.flatnonzero(keep).tolist()):
+        m = stack.counts[i]
+        assert block[:m].tobytes() == predict(model, by_id[stack.ids[i]]).tobytes()
 
 
 def test_candidates_of_mixed_feature_dims_are_a_shape_error():
@@ -600,8 +666,9 @@ def test_stacked_probabilities_are_column_means(num_classes):
         assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
     keep = np.arange(len(candidates)) % 3 != 2  # keeps both one-patch candidates
     chosen = [c for c, k in zip(candidates, keep) if k]
-    for row, c in zip(stacked_probabilities(model, stack.subset(keep)), chosen):
-        assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
+    for index in (keep, np.flatnonzero(keep)):  # a mask, or positions
+        for row, c in zip(stacked_probabilities(model, stack, index), chosen):
+            assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
     zero = LearnerModel(weights=np.zeros((num_classes, 6)))
     uniform = stacked_probabilities(zero, stack_candidates(candidates))
     assert np.abs(uniform - 1.0 / num_classes).max() < 1e-15

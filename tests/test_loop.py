@@ -25,6 +25,8 @@ from aftstar.metrics import write_curve_csv
 from aftstar.pool import Candidate, CandidateStack, stack_candidates
 from aftstar.sampler import SamplerConfig
 
+from oracles import kept_stack, own_rows
+
 
 def tiny_dataset(seed=1, n_train=40, n_test=16):
     cfg = DatagenConfig(
@@ -128,15 +130,17 @@ def one_patch_candidate(cid, label):
 
 def test_misclassified_empty_on_empty_labeled():
     model = LearnerModel(weights=np.zeros((2, 4)))
-    assert misclassified_set(model, stack_candidates([]), np.zeros(0, dtype=int)).tolist() == []
+    stack = stack_candidates([one_patch_candidate("a", 1)])
+    none = np.zeros(0, dtype=np.intp)
+    assert misclassified_set(model, none, stack, np.zeros(0, dtype=int)).tolist() == []
 
 
 def test_misclassified_tie_resolves_to_class_zero():
     model = LearnerModel(weights=np.zeros((2, 4)))  # uniform predictions
     labeled_one = one_patch_candidate("a", 1)
     labeled_zero = one_patch_candidate("b", 0)
-    labeled = stack_candidates([labeled_one, labeled_zero])
-    assert misclassified_set(model, labeled, np.array([1, 0])).tolist() == [0]  # "a"
+    stack = stack_candidates([labeled_one, labeled_zero])
+    assert misclassified_set(model, np.arange(2), stack, np.array([1, 0])).tolist() == [0]  # "a"
 
 
 # --- training set policies -------------------------------------------------------
@@ -243,6 +247,25 @@ def test_each_step_draws_through_one_of_the_names_the_tracer_times(monkeypatch, 
     assert calls == {attr: 3 if attr == called else 0 for attr in calls}
 
 
+@pytest.mark.parametrize("name", ["AFT_star", "RFT"])
+def test_each_step_mines_h_over_one_entry_per_labeled_candidate(monkeypatch, name):
+    # perfbench/tracer.py divides len() of misclassified_set's return by
+    # len() of its second positional argument for loop.hmine_hit_ratio.
+    mined = []
+    real = loop_mod.misclassified_set
+
+    def spy(model, labeled, *args):
+        out = real(model, labeled, *args)
+        mined.append((len(labeled), len(out)))
+        return out
+
+    monkeypatch.setattr(loop_mod, "misclassified_set", spy)
+    records = run(make_strategy(name, batch_size=10), budget=30)
+    assert [examined for examined, _ in mined] == [r.labeled_count for r in records[1:]]
+    # the H a step mines is the one the next step starts from
+    assert [hits for _, hits in mined[:-1]] == [r.misclassified_count_pre_fit for r in records[2:]]
+
+
 @pytest.mark.parametrize("num_classes", [2, 3])
 def test_test_split_missing_a_class_is_config_error(num_classes):
     cfg = DatagenConfig(
@@ -338,9 +361,9 @@ def test_misclassified_mined_once_per_step_with_the_fitted_model():
         calls.append(("fit", model))
         return model
 
-    def spy_mis(model, labeled, y):
-        hard = real_mis(model, labeled, y)
-        calls.append(("misclassified", model, [labeled.ids[i] for i in hard]))
+    def spy_mis(model, labeled, stack, y):
+        hard = real_mis(model, labeled, stack, y)
+        calls.append(("misclassified", model, [stack.ids[i] for i in hard]))
         return hard
 
     def spy_build(policy, batch, hard, labeled):
@@ -374,9 +397,9 @@ def test_audit_adds_no_misclassified_mining(tmp_path, monkeypatch, name):
     calls = []
     real_mis = loop_mod.misclassified_set
 
-    def spy_mis(model, labeled, y):
+    def spy_mis(model, labeled, stack, y):
         calls.append(model)
-        return real_mis(model, labeled, y)
+        return real_mis(model, labeled, stack, y)
 
     monkeypatch.setattr(loop_mod, "misclassified_set", spy_mis)
     plain = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3)
@@ -529,7 +552,7 @@ def test_audit_patterns_are_classify_pattern_of_the_selected_matrices(tmp_path, 
 
     def spy_predictions(model, stack, keep=None):
         P = stacked_predictions(model, stack, keep)
-        scored.append((stack if keep is None else stack.subset(keep), P))
+        scored.append((stack if keep is None else kept_stack(stack, keep), P))
         return P
 
     monkeypatch.setattr(loop_mod, "stacked_predictions", spy_predictions)
@@ -728,7 +751,7 @@ def test_scoring_u_from_the_pools_prediction_equals_scoring_the_u_subset(num_cla
     widest = stack.counts == stack.counts.max()
     for labeled in (np.zeros(len(stack), dtype=bool), np.arange(len(stack)) % 3 == 0, widest):
         unlabeled = np.flatnonzero(~labeled)
-        subset = stack.subset(~labeled)
+        subset = own_rows(kept_stack(stack, ~labeled))
         expected = score_candidates(stacked_predictions(model, subset), subset.counts, cfg)
         got = score_candidates(
             stacked_predictions(model, stack, ~labeled), stack.counts[unlabeled], cfg
@@ -752,7 +775,7 @@ def test_a_run_keeps_its_bits_whichever_way_it_predicts_u(tmp_path, monkeypatch)
 
     def through_the_subset(model, stack, keep=None):
         kept.append((len(stack), None if keep is None else int(keep.sum())))
-        return real(model, stack if keep is None else stack.subset(keep))
+        return real(model, stack if keep is None else own_rows(kept_stack(stack, keep)))
 
     monkeypatch.setattr(loop_mod, "stacked_predictions", through_the_subset)
     assert run_with_audit(train, test, tmp_path / "b.jsonl", strategy) == expected

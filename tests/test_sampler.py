@@ -445,3 +445,11 @@ def test_sampler_config_validation():
         SamplerConfig(batch_size=1, omega=0)
     with pytest.raises(ConfigError):
         SamplerConfig(batch_size=1, mode="other")
+
+
+def test_a_long_mode_is_cut_in_its_config_error():
+    with pytest.raises(ConfigError) as err:
+        SamplerConfig(batch_size=1, mode="m" * 3000)
+    message = str(err.value)
+    assert message.endswith("got " + repr("m" * 40) + "... (3000 characters)")
+    assert len(message) < 150
