@@ -17,8 +17,9 @@ not repeat, nor may strategy labels within one ``compare``: each names
 its own artifacts. A ``query_budget`` of 0 is a config error, since a
 learning curve needs at least one query. Exit codes: 0 success, 1
 config error, 2 runtime error, running out of memory and a ``compare``
-worker process that dies included. The environment variable
-``AFTSTAR_OUTPUT_DIR`` provides the default output directory.
+worker process that dies included, 130 interrupted (Ctrl-C). The
+environment variable ``AFTSTAR_OUTPUT_DIR`` provides the default output
+directory.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -330,8 +332,10 @@ _worker_dataset = None
 
 
 def _hand_over(dataset: tuple) -> None:
-    """A worker's initializer: keep the dataset for every job it runs."""
+    """A worker's initializer: keep the dataset for every job it runs, and
+    ignore Ctrl-C, which the parent alone acts on."""
     global _worker_dataset
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_dataset = dataset
 
 
@@ -360,7 +364,8 @@ def _execute(dataset: tuple, jobs: list[tuple], n_jobs: int) -> list[dict]:
     which jobs run: it keeps one job per worker in flight and hands out
     the next job in grid order as one ends. Once a job has failed it hands
     out no more, lets the running jobs finish, and raises the first
-    failure in grid order; every job before it has run.
+    failure in grid order; every job before it has run. The workers
+    ignore Ctrl-C: the parent's ``KeyboardInterrupt`` lets them finish.
     """
     workers = min(n_jobs, len(jobs), _usable_cpus())
     if workers <= 1:
@@ -420,6 +425,10 @@ def main(argv=None) -> int:
         # A worker process that dies breaks the pool.
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # metrics.replacing leaves no partial or temporary artifact.
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

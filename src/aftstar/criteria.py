@@ -21,7 +21,8 @@ are not re-normalized after clamping.
 :func:`score_candidates` scores a whole list of candidates at once, from
 one ``(n, M, k)`` array of their prediction matrices padded with zero
 rows to the largest patch count M, as ``learner.stacked_predictions``
-gives it, and their patch counts. It checks the array once and takes
+gives it, and their patch counts. It checks the array once; its core,
+which a run calls on its own predictions with no check at all, takes
 the dominant class, the majority subset (one ``argsort`` of the keys, a
 ``lexsort`` of tied candidates' rows only) and the terms as array operations
 over all candidates, with no loop over patch counts but one: entropy.
@@ -316,8 +317,8 @@ def score_candidates(P, counts, cfg: CriteriaConfig) -> CandidateScores:
     ``P`` is an ``(n, M, k)`` array of prediction matrices padded to M
     rows, as ``learner.stacked_predictions`` gives it: candidate ``i``'s
     matrix is ``P[i, :counts[i]]``, ``1 <= counts[i] <= M``, and its rows
-    past ``counts[i]`` are zero. ``P`` is checked once, here. Returns the
-    scores in candidate order.
+    past ``counts[i]`` are zero. ``P`` is checked once, here, and scored
+    by the unchecked core. Returns the scores in candidate order.
 
     Entropy is computed here only when ``lambda1 > 0``, and diversity
     only when ``lambda2 > 0``; the other term is left to
@@ -337,6 +338,12 @@ def score_candidates(P, counts, cfg: CriteriaConfig) -> CandidateScores:
     if n:
         real = (np.arange(M) < counts[:, None]).ravel() if counts.min() < M else None
         check_prediction_matrix(P.reshape(n * M, k), real)
+    return _score_candidates(P, counts, cfg)
+
+
+def _score_candidates(P: np.ndarray, counts: np.ndarray, cfg: CriteriaConfig) -> CandidateScores:
+    """:func:`score_candidates` without its checks, for the float array
+    and intp counts of a run's own prediction."""
     dominant = _dominant(P, counts)
     subsets, subset_sizes = _majority(P, counts, cfg.alpha, dominant)
     entropies = _entropy(subsets, subset_sizes) if cfg.lambda1 > 0 else None

@@ -44,6 +44,10 @@ class DiagnosticError(AftError):
     """The prediction-pattern diagnostic only supports binary problems."""
 
 
+class DivergenceError(AftError):
+    """A fit's weights left the finite numbers (too large a learning rate)."""
+
+
 class InvariantError(AftError):
     """A cross-module invariant does not hold (e.g. misclassified set not
     a subset of the labeled set, unannotated candidate in the labeled set)."""

@@ -34,24 +34,23 @@ The learner works on a split as one :class:`aftstar.pool.CandidateStack`
 (augmented rows, each candidate's first row and patch count), and a run
 picks each step's unlabeled and labeled sets out of its pool's stack by
 a mask or by positions. :func:`training_rows` gives the positions of the
-rows of the candidates it keeps, and :func:`stacked_predictions`
-predicts their rows in one pass and gives their prediction matrices, in
-stack order, as one ``(n, M, k)`` array, M the largest patch count among
-them, the form that ``criteria.score_candidates`` scores: a candidate's
-slots past its own count are +0.0. It alone decides how, by the share
-of ``stack.rows`` that the kept candidates hold: from 3/4 on it predicts
-``stack.rows`` where they lie and gathers the kept k-wide prediction
-rows, or takes them as they are when they are every row in stack order
-(a file in id order), so the ``(R, d + 1)`` feature rows are not
-copied; below that it gathers the kept feature rows and predicts only
-those. Each row's prediction has the same bits either way. When every
-count is M, the array is the predicted or the gathered rows reshaped,
-with no copy. A candidate's class probabilities are the mean of its
-matrix's rows: the padded array summed over its middle axis by
-:func:`patch_sum`, divided by the counts.
-That sum adds the rows left to right, so the trailing +0.0 slots leave
-every sum, and so every mean, with the bits of the candidate's own
-``(m, k)`` matrix's.
+rows of the candidates it keeps. :func:`predicted_rows`, the one place
+that predicts them, decides how by the share of ``stack.rows`` the kept
+candidates hold: from 3/4 on it predicts every row where it lies, into
+an ``(R, k)`` array that serves any kept set of the stack (a run holds
+its pool's for the next step), so the ``(R, d + 1)`` feature rows are
+not copied; below that it gathers the kept rows and predicts only
+those. Each row has the same bits either way. :func:`stacked_predictions`
+gathers the kept candidates' prediction matrices from either form, in
+stack order, as one ``(n, M, k)`` array, M the largest patch count
+among them, the form that ``criteria.score_candidates`` scores: a
+candidate's slots past its own count are +0.0. When every count is M,
+the array is the rows reshaped, with no copy. A candidate's class
+probabilities are the mean of its matrix's rows: the padded array
+summed over its middle axis by :func:`patch_sum`, divided by the
+counts. That sum adds the rows left to right, so the trailing +0.0
+slots leave every sum, and so every mean, with the bits of the
+candidate's own ``(m, k)`` matrix's.
 
 Rounding rule: a per-row sum over the class axis (k columns) goes
 through :func:`row_sum`, which works on whole columns and gives numpy's
@@ -84,7 +83,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ShapeError, check_integer, shown
+from .errors import ConfigError, DivergenceError, InvariantError, ShapeError, check_integer, shown
 from .pool import Candidate, CandidateStack, stack_candidates
 
 
@@ -254,6 +253,7 @@ def loss_and_gradient(
     return loss, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_sgd(
     weights: np.ndarray,
     index: np.ndarray,
@@ -281,6 +281,8 @@ def _run_sgd(
     minibatch of 32 rows, the full-shape factor took 0.28 us a multiply
     where a ``(2, 1, 1)`` one, broadcast, took 0.77-0.80 us, and the 0-d
     divisor 0.27 us a division where a Python float took 0.45-0.48 us.
+    It runs with numpy's overflow and invalid warnings off: a fit whose
+    weights end up non-finite raises one :class:`DivergenceError`.
     """
     W = weights.copy()
     W_T = W.T
@@ -320,6 +322,8 @@ def _run_sgd(
             scaled *= factor
             velocity -= grad
             W += velocity
+    if not np.isfinite(W).all():
+        raise DivergenceError("the fit diverged to non-finite weights: lower learning_rate")
     return W
 
 
@@ -401,66 +405,79 @@ def _row_positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return shift + np.arange(len(shift))
 
 
-def stacked_predictions(
+def predicted_rows(
     model: LearnerModel, stack: CandidateStack, keep: np.ndarray | None = None
 ) -> np.ndarray:
-    """Prediction matrices of the stack's candidates that ``keep`` selects
-    (a mask or positions; every candidate when it is None), in their
-    order, from one pass over their patches, as one ``(n, M, k)`` array,
-    where M is the largest patch count among them: ``P[i, :counts[i]]``
-    equals ``predict(model, candidates[i])``, and the slots past a
-    candidate's count are +0.0. When the kept candidates hold at least
-    3/4 of ``stack.rows``, the pass predicts ``stack.rows`` where they lie
-    and gathers the kept k-wide prediction rows, or takes them as they
-    are when they are every row in stack order; otherwise it gathers the
-    kept feature rows and predicts only those. Both give the same bits.
-    When every candidate has M patches, the array is the predicted rows
-    reshaped."""
+    """The predictions of the patch rows of the candidates that ``keep``
+    selects (a mask or positions; all when None), each row with the bits
+    ``predict`` gives it. From 3/4 of ``stack.rows`` on, an ``(R, k)``
+    array of every row, predicted where it lies, which serves any kept
+    set; below that, an ``(r, k)`` array of the kept candidates' gathered
+    rows, candidate after candidate, which serves that kept set alone."""
     first, counts = stack.first, stack.counts
     if keep is not None:
         first, counts = first[keep], counts[keep]
     if not len(counts):
-        return np.zeros((0, 0, model.num_classes))
+        return np.zeros((0, model.num_classes))
     if stack.rows.shape[1] != model.weights.shape[1]:
         d = stack.rows.shape[1] - 1
         raise ShapeError(f"expected (m, {model.feature_dim}) features, got (m, {d})")
-    # numpy multiplies a single row through a matrix-vector routine that
-    # rounds differently from the matrix product, so a one-patch candidate
-    # is predicted alone to match predict(). The rows of the others are
-    # predicted in one pass.
-    multi = counts > 1
-    alone = [_predict_rows(model.weights, stack.rows[r : r + 1]) for r in first[~multi].tolist()]
-    n, M = len(counts), int(counts.max())
-    if M == 1:
-        return np.stack(alone)
-    first, many = first[multi], counts[multi]  # the candidates of more than one patch
     if 4 * counts.sum() >= 3 * len(stack.rows):
+        first, counts = stack.first, stack.counts
         P = _predict_rows(model.weights, stack.rows)
-        if many.sum() < len(P) or not np.array_equal(first, np.cumsum(many) - many):
-            P = np.take(P, _row_positions(first, many), axis=0)
+        at = first
     else:
-        P = _predict_rows(model.weights, np.take(stack.rows, _row_positions(first, many), axis=0))
+        P = _predict_rows(model.weights, np.take(stack.rows, _row_positions(first, counts), axis=0))
+        at = np.cumsum(counts) - counts  # where each kept candidate's rows start in P
+    # numpy multiplies a single row through a matrix-vector routine that
+    # rounds differently from the matrix product, so a one-patch
+    # candidate's row is predicted again, alone, to match predict().
+    alone = counts == 1
+    for r, f in zip(at[alone].tolist(), first[alone].tolist()):
+        P[r] = _predict_rows(model.weights, stack.rows[f : f + 1])[0]
+    return P
+
+
+def stacked_predictions(
+    predicted: np.ndarray, stack: CandidateStack, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """Prediction matrices of the candidates that ``keep`` selects, in
+    their order, gathered (nothing is predicted) from ``predicted``, as
+    :func:`predicted_rows` gives it for this kept set or in its ``(R, k)``
+    form: one ``(n, M, k)`` array, M the largest patch count among them,
+    whose ``P[i, :counts[i]]`` is ``predict(model, candidates[i])`` and
+    whose slots past a count are +0.0. Rows that are all of ``predicted``
+    in order are not gathered, and equal counts reshape them."""
+    first, counts = stack.first, stack.counts
+    if keep is not None:
+        first, counts = first[keep], counts[keep]
+    if not len(counts):
+        return np.zeros((0, 0, predicted.shape[1]))
+    runs = np.cumsum(counts) - counts
+    first = runs if len(predicted) != len(stack.rows) else first  # the kept rows alone, or all
+    n, M = len(counts), int(counts.max())
+    P = predicted
+    if counts.sum() < len(P) or not np.array_equal(first, runs):
+        P = np.take(P, _row_positions(first, counts), axis=0)
     if counts.min() == M:
         return P.reshape(n, M, -1)
     out = np.zeros((n, M, P.shape[1]))
     # Candidate i's slots start at row i * M of the array's (n * M, k) view.
-    out.reshape(n * M, -1)[_row_positions(np.flatnonzero(multi) * M, many)] = P
-    if alone:
-        out[~multi, 0] = np.concatenate(alone)
+    out.reshape(n * M, -1)[_row_positions(np.arange(n) * M, counts)] = P
     return out
 
 
 def stacked_probabilities(
-    model: LearnerModel, stack: CandidateStack, keep: np.ndarray | None = None
+    predicted: np.ndarray, stack: CandidateStack, keep: np.ndarray | None = None
 ) -> np.ndarray:
     """Candidate-level class probabilities, one row per candidate that
-    ``keep`` selects, as :func:`stacked_predictions` takes it: the column
-    means of its prediction matrix."""
+    ``keep`` selects, gathered as :func:`stacked_predictions` gathers
+    them: the column means of each candidate's prediction matrix."""
     counts = stack.counts if keep is None else stack.counts[keep]
     # The patch axis is summed left to right, so the +0.0 slots past a
     # candidate's count leave its sum the sum of its own rows, and the
     # quotient its mean(axis=0) to the bit.
-    return patch_sum(stacked_predictions(model, stack, keep)) / counts[:, None]
+    return patch_sum(stacked_predictions(predicted, stack, keep)) / counts[:, None]
 
 
 def training_rows(

@@ -1,8 +1,8 @@
 """The active, continuous fine-tuning loop over the candidate pool.
 
 Each step: score every unlabeled candidate with the previous step's
-model, from one prediction pass whose one padded ``(n, M, k)`` array of
-the unlabeled set goes straight to one batched scoring pass (both
+model, from one padded ``(n, M, k)`` array of the unlabeled set's
+predictions that goes unchecked to one batched scoring pass (both
 skipped for random selection), select a batch, ask the oracle for labels, build
 the training set per the strategy policy from the batch and the
 misclassified set H that the previous step mined, add the batch's
@@ -18,14 +18,14 @@ each candidate's annotation, -1 outside L, and ``ExperimentState.hard``
 is H's mask. The unlabeled set U is the stack's candidates outside L,
 by position, in ascending id order. The sampler picks positions into U,
 so its ties by position are ties by id, and a step turns positions into
-ids only for the oracle and the selection audit. A step predicts U by
-its mask over the stack, and mines H from L by L's positions in it
-(``learner.stacked_predictions``, which alone decides whether to
-predict the stack's rows in place or to gather the kept ones; both give
-the same bits). The training set is a mask over the stack, and each
-epoch of the fit's buffered SGD gathers its rows straight from the
-stack, so no row is copied before the fit. The oracle gets the pool's
-true labels as one id -> label map.
+ids only for the oracle and the selection audit. When another scoring
+step follows (``StopRule.stops``), a step predicts the pool once with
+its new model (``learner.predicted_rows``), mines H from L's rows of
+that prediction, and holds it for the next step's U; otherwise it mines
+L alone. Every row has the same bits either way. The training set is a
+mask over the stack, and each epoch of the fit's buffered SGD gathers
+its rows straight from the stack, so no row is copied before the fit.
+The oracle gets the pool's true labels as one id -> label map.
 
 The five named strategies differ in three choices:
 
@@ -55,13 +55,14 @@ from typing import AbstractSet, Callable, Sequence
 
 import numpy as np
 
-from .criteria import CriteriaConfig, dominant_pattern, score_candidates
+from .criteria import CriteriaConfig, _score_candidates, dominant_pattern
 from .datagen import infer_num_classes
 from .errors import ConfigError, InvariantError, PartitionError, check_integer, shown
 from .learner import (
     LearnerModel,
     TrainConfig,
     fit,
+    predicted_rows,
     pretrain_m0,
     stacked_predictions,
     stacked_probabilities,
@@ -196,7 +197,8 @@ def make_strategy(
 @dataclass(frozen=True)
 class StopRule:
     """Stop on query budget, pool exhaustion, or an optional AUC target,
-    which only a step's record can meet, not the baseline's."""
+    which only a step's record can meet, not the baseline's. :meth:`stops`
+    alone decides: before each step, and in a step, whether another follows."""
 
     query_budget: int | None = None
     auc_target: float | None = None
@@ -206,6 +208,15 @@ class StopRule:
             check_integer("query_budget", self.query_budget, 0)
         if self.auc_target is not None and not (0 < self.auc_target <= 1):
             raise ConfigError("auc_target must lie in (0, 1]")
+
+    def stops(self, last: ExperimentRecord, pool_size: int) -> bool:
+        """Whether the run ends after ``last``, its latest record, on a pool of ``pool_size``."""
+        queries = last.queries_cum
+        return (
+            queries >= pool_size
+            or (self.query_budget is not None and queries >= self.query_budget)
+            or (self.auc_target is not None and last.step > 0 and last.test_auc >= self.auc_target)
+        )
 
 
 @dataclass
@@ -226,18 +237,24 @@ class ExperimentState:
     # H: the mask of the candidates in L that ``model`` misclassifies,
     # mined at the end of each step for the next one. Empty while L is.
     hard: np.ndarray
+    stop: StopRule
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
+    # (model, its (R, k) prediction of stack.rows) for the next step's U,
+    # made when a scoring step follows; read only while that is ``model``.
+    pool_prediction: tuple[LearnerModel, np.ndarray] | None = None
 
 
 def misclassified_set(
-    model: LearnerModel, labeled: np.ndarray, stack: CandidateStack, y: np.ndarray
+    model: LearnerModel, labeled: np.ndarray, stack: CandidateStack, y: np.ndarray, predicted=None
 ) -> np.ndarray:
     """The positions in ``stack`` of the candidates, among those at the
     positions ``labeled``, whose candidate-level argmax differs from their
     label in ``y``, which holds one per entry of ``labeled`` (argmax ties
-    resolve to the smaller class index)."""
-    return labeled[stacked_probabilities(model, stack, labeled).argmax(axis=1) != y]
+    resolve to the smaller class index), read from ``predicted``, a held
+    ``(R, k)`` prediction by ``model``, or from L's rows predicted alone."""
+    rows = predicted_rows(model, stack, labeled) if predicted is None else predicted
+    return labeled[stacked_probabilities(rows, stack, labeled).argmax(axis=1) != y]
 
 
 def build_training_set(
@@ -276,8 +293,11 @@ def run_step(
         picks = uniform_batch(len(unlabeled), strat.sampler.batch_size, state.rng)
     else:
         counts = stack.counts[unlabeled]
-        predictions = stacked_predictions(state.model, stack, ~labeled)
-        scores = score_candidates(predictions, counts, strat.criterion)
+        held = state.pool_prediction
+        if held is None or held[0] is not state.model:
+            held = (state.model, predicted_rows(state.model, stack, ~labeled))
+        predictions = stacked_predictions(held[1], stack, ~labeled)
+        scores = _score_candidates(predictions, counts, strat.criterion)
         picks = select_batch(scores.score, strat.sampler, state.rng)
     positions = unlabeled[picks]
     batch = [stack.ids[i] for i in positions.tolist()]
@@ -296,10 +316,6 @@ def run_step(
 
     test_auc = evaluator(state.model)
     labeled |= selected
-    members = np.flatnonzero(labeled)
-    mined = misclassified_set(state.model, members, stack, state.labels[members])
-    state.hard = np.zeros(len(stack), dtype=bool)
-    state.hard[mined] = True
     pos_frac = float(np.mean(state.labels[positions] == state.positive_class)) if batch else 0.0
     labeled_count = int(np.count_nonzero(labeled))
     record = ExperimentRecord(
@@ -311,6 +327,16 @@ def run_step(
         misclassified_count_pre_fit=int(np.count_nonzero(hard)),
     )
     state.records.append(record)
+    # When another scoring step follows, the new model predicts the pool
+    # once: H is mined from L's rows of it, and that step scores U from it.
+    predicted = None
+    if strat.criterion is not None and not state.stop.stops(record, len(stack)):
+        predicted = predicted_rows(state.model, stack)
+    state.pool_prediction = None if predicted is None else (state.model, predicted)
+    members = np.flatnonzero(labeled)
+    mined = misclassified_set(state.model, members, stack, state.labels[members], predicted)
+    state.hard = np.zeros(len(stack), dtype=bool)
+    state.hard[mined] = True
 
     if audit is not None:
         entries = [{"id": cid, "label": answers[cid]} for cid in batch]
@@ -350,7 +376,7 @@ def make_evaluator(
     multiclass runs use macro one-vs-rest."""
 
     def evaluate(model: LearnerModel) -> float:
-        probs = stacked_probabilities(model, test)
+        probs = stacked_probabilities(predicted_rows(model, test), test)
         if num_classes == 2:
             return auc(probs[:, positive_class], (test.true_labels == positive_class).astype(int))
         return macro_auc(probs, test.true_labels)
@@ -445,21 +471,17 @@ def run_experiment(
         rng=rng,
         labels=np.full(len(stack), -1),
         hard=np.zeros(len(stack), dtype=bool),
+        stop=stop,
         train_cfg=train_cfg,
         positive_class=positive_class,
     )
 
     audit_file = replacing(audit_path) if audit_path is not None else contextlib.nullcontext()
     with audit_file as audit:
-        while (queries := int(np.count_nonzero(state.labels >= 0))) < len(stack):
-            if stop.query_budget is not None and queries >= stop.query_budget:
-                break
-            last = state.records[-1]
-            if stop.auc_target is not None and last.step > 0 and last.test_auc >= stop.auc_target:
-                break
+        while not stop.stops(state.records[-1], len(stack)):
             step_strat = strat
             if stop.query_budget is not None:
-                remaining = stop.query_budget - queries
+                remaining = stop.query_budget - state.records[-1].queries_cum
                 if remaining < strat.sampler.batch_size:
                     step_strat = dataclasses.replace(
                         strat,

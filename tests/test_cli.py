@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import signal
 import time
 from pathlib import Path
 
@@ -838,9 +839,12 @@ def recording_executor(monkeypatch):
     RecordingExecutor.initargs = []
     RecordingExecutor.submitted = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    # The initializer runs in this process: put the worker's slot back afterwards.
+    # The initializer runs in this process: put the worker's slot back
+    # afterwards, and the Ctrl-C handler that it sets to ignore.
     monkeypatch.setattr(cli, "_worker_dataset", None)
-    return RecordingExecutor.created
+    handler = signal.getsignal(signal.SIGINT)
+    yield RecordingExecutor.created
+    signal.signal(signal.SIGINT, handler)
 
 
 @pytest.mark.parametrize(
@@ -1052,3 +1056,81 @@ def test_negative_label_in_either_split_exits_2_naming_its_line(
     assert main(["run", "--config", cfg]) == 2
     assert f"error: {path}:{line}: label -1 is negative" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_diverged_fit_is_a_one_line_runtime_error(tmp_path, capsys):
+    payload = inline_run_config(tmp_path / "o")
+    payload["strategy"] = {"name": "RFT", "batch_size": 5}
+    payload["learner"]["learning_rate"] = 1e308
+    assert main(["run", "--config", write_config(tmp_path / "run.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the fit diverged") and "learning_rate" in err
+    assert err.count("\n") == 1  # and no numpy warning, which the test settings make errors
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def long_grid_config(out_dir, seeds=200):
+    """A compare of many short jobs: about 30 ms each on one core."""
+    return {
+        "schema_version": 1,
+        "dataset": inline_dataset(train_candidates=300, test_candidates=30),
+        "strategies": [{"name": "AFT_star", "criterion": "entropy^a_w", "batch_size": 5}],
+        "learner": {"epochs": 2, "minibatch_size": 16},
+        "stop": {"query_budget": 200},
+        "seeds": list(range(1, seeds + 1)),
+        "output_dir": str(out_dir),
+    }
+
+
+@pytest.mark.parametrize("target", ["parent", "process group"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ctrl_c_ends_a_grid_in_one_line_with_exit_130(tmp_path, jobs, target):
+    import subprocess
+    import sys
+
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.json", long_grid_config(out))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aftstar.cli", "compare", "--config", cfg, "--jobs", str(jobs)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,  # a process group of its own: the CLI and its workers
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob("summary_*.json")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if target == "parent":
+            os.kill(proc.pid, signal.SIGINT)
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
+    for _ in range(100):  # the workers, reaped once the CLI has gone
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    else:
+        raise AssertionError("a process of the interrupted CLI is still running")
+    names = sorted(path.name for path in out.iterdir())
+    summaries = [name for name in names if name.startswith("summary_")]
+    assert 1 <= len(summaries) < 200  # interrupted mid-grid
+    assert not [name for name in names if name.startswith(".") or name.endswith(".tmp")]
+    assert "comparison.csv" not in names
+    for name in names:  # every artifact on disk is whole
+        text = (out / name).read_text()
+        if name.startswith("summary_"):
+            assert json.loads(text)["total_queries"] == 200
+        elif name.startswith("curve_"):
+            assert text.endswith("\n") and len(text.splitlines()) == 1 + 1 + 200 // 5
+        else:
+            assert name.startswith("audit_")
+            assert [json.loads(line)["step"] for line in text.splitlines()] == list(range(1, 41))

@@ -14,6 +14,7 @@ from aftstar.learner import (
     patch_sum,
     predict,
     predict_features,
+    predicted_rows,
     pretrain_m0,
     row_sum,
     stacked_predictions,
@@ -404,6 +405,11 @@ def test_predict_dimension_mismatch():
         predict(model, make_candidate(d=3))
 
 
+def predicted(model, stack, keep=None):
+    """The kept candidates' prediction matrices, from their own prediction."""
+    return stacked_predictions(predicted_rows(model, stack, keep), stack, keep)
+
+
 def ragged_candidates(seed, d=5):
     """Candidates with 1 to 40 patches each."""
     rng = np.random.default_rng(seed)
@@ -434,7 +440,7 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
         chosen = [c for c, k in zip(candidates, keep) if k]
         sub = kept_stack(stack, keep)
         assert sub.ids == tuple(c.id for c in chosen), name
-        P = stacked_predictions(model, sub)
+        P = predicted(model, sub)
         width = max((len(c.features) for c in chosen), default=0)
         assert P.shape == (len(chosen), width, num_classes), name
         for block, c in zip(P, chosen):
@@ -460,7 +466,7 @@ def test_stacked_predictions_equal_per_candidate_predict(num_classes):
 
 def test_stacked_predictions_of_no_candidates_are_empty():
     model = LearnerModel(weights=np.zeros((2, 5)))
-    assert stacked_predictions(model, stack_candidates([])).shape == (0, 0, 2)
+    assert predicted(model, stack_candidates([])).shape == (0, 0, 2)
 
 
 def test_stacked_predictions_of_equal_patch_counts_reshape_the_predicted_rows():
@@ -470,7 +476,7 @@ def test_stacked_predictions_of_equal_patch_counts_reshape_the_predicted_rows():
         Candidate(id=f"c{i}", features=rng.normal(size=(12, 5))) for i in range(30)
     ]
     sub = kept_stack(stack_candidates(candidates), np.arange(30) % 3 > 0)
-    P = stacked_predictions(model, sub)
+    P = predicted(model, sub)
     assert P.shape == (20, 12, 2) and P.base is not None  # a view, not a padded copy
     for block, i in zip(P, np.flatnonzero(np.arange(30) % 3 > 0)):
         assert block.tobytes() == predict(model, candidates[i]).tobytes()
@@ -513,8 +519,8 @@ def test_in_place_predictions_equal_the_gathered_ones_to_the_bit(shape, num_clas
     else:
         stack = stack_candidates(candidates)
     by_id = {c.id: c for c in candidates}
-    P = stacked_predictions(model, stack)
-    assert P.tobytes() == stacked_predictions(model, gathered(stack)).tobytes()
+    P = predicted(model, stack)
+    assert P.tobytes() == predicted(model, gathered(stack)).tobytes()
     assert P.shape == (len(candidates), stack.counts.max(), num_classes)
     for block, cid, m in zip(P, stack.ids, stack.counts.tolist()):
         assert block[:m].tobytes() == predict(model, by_id[cid]).tobytes()
@@ -524,27 +530,30 @@ def test_in_place_predictions_equal_the_gathered_ones_to_the_bit(shape, num_clas
     n = len(stack)
     widest = stack.counts == stack.counts.max()
     for whole in (stack, gathered(stack)):
+        pool = predicted_rows(model, whole)  # every row of whole.rows, where it lies
+        assert pool.shape == (len(whole.rows), num_classes)
         for keep in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.arange(n) % 3 == 0,
                      ~widest, stack.counts == 1):
             expected = predicted_one_by_one(model, whole, keep)
             for index in (keep, np.flatnonzero(keep)):  # a mask, or positions
-                got = stacked_predictions(model, whole, index)
-                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+                own = predicted(model, whole, index)
+                for got in (own, stacked_predictions(pool, whole, index)):
+                    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def spy_on_predicted_rows(monkeypatch):
     """The row arrays that ``_predict_rows`` is called on from then on,
     but a one-patch candidate's single row."""
-    predicted = []
+    calls = []
     real = learner_mod._predict_rows
 
     def spy(weights, rows):
         if len(rows) > 1:
-            predicted.append(rows)
+            calls.append(rows)
         return real(weights, rows)
 
     monkeypatch.setattr(learner_mod, "_predict_rows", spy)
-    return predicted
+    return calls
 
 
 def keep_row_share(stack, share, seed):
@@ -558,39 +567,39 @@ def keep_row_share(stack, share, seed):
 
 
 def test_an_in_order_split_is_predicted_where_its_rows_lie(monkeypatch):
-    predicted = spy_on_predicted_rows(monkeypatch)
+    calls = spy_on_predicted_rows(monkeypatch)
     model = LearnerModel(weights=np.random.default_rng(1).normal(size=(2, 6)))
     for candidates in (equal_candidates(1), ragged_candidates(1)):
         stack = stack_candidates(candidates)
-        predicted.clear()
-        stacked_predictions(model, stack)
-        assert len(predicted) == 1 and predicted[0] is stack.rows
+        calls.clear()
+        predicted_rows(model, stack)
+        assert len(calls) == 1 and calls[0] is stack.rows
         # Kept candidates that hold at least 3/4 of the rows: predicted in place.
         most = keep_row_share(stack, 0.9, seed=1)
         assert 4 * stack.counts[most].sum() >= 3 * len(stack.rows)
         for other, mask in ((stack, most), (kept_stack(stack, most), None), (gathered(stack), most)):
-            predicted.clear()
-            stacked_predictions(model, other, mask)
-            assert len(predicted) == 1 and predicted[0] is other.rows
+            calls.clear()
+            predicted_rows(model, other, mask)
+            assert len(calls) == 1 and calls[0] is other.rows
         # Less than that: only the kept rows are gathered and predicted.
         keep = np.arange(len(stack)) % 2 == 0
         assert 4 * stack.counts[keep].sum() < 3 * len(stack.rows)
         for other, mask in ((stack, keep), (kept_stack(stack, keep), None), (gathered(stack), keep)):
-            predicted.clear()
-            stacked_predictions(model, other, mask)
-            assert len(predicted) == 1 and not np.shares_memory(predicted[0], other.rows)
-            assert len(predicted[0]) == stack.counts[keep & (stack.counts > 1)].sum()
+            calls.clear()
+            predicted_rows(model, other, mask)
+            assert len(calls) == 1 and not np.shares_memory(calls[0], other.rows)
+            assert len(calls[0]) == stack.counts[keep].sum()
 
 
 def test_three_quarters_of_the_rows_are_predicted_in_place(monkeypatch):
-    predicted = spy_on_predicted_rows(monkeypatch)
+    calls = spy_on_predicted_rows(monkeypatch)
     model = LearnerModel(weights=np.random.default_rng(2).normal(size=(2, 6)))
     stack = stack_candidates(equal_candidates(2, n=4))  # 48 rows
     three = np.array([True, True, False, True])  # 36 rows: 3/4 of 48, not of 49
     for other, in_place in ((stack, True), (gathered(stack), False)):
-        predicted.clear()
-        P = stacked_predictions(model, other, three)
-        assert len(predicted) == 1 and (predicted[0] is other.rows) == in_place
+        calls.clear()
+        P = predicted(model, other, three)
+        assert len(calls) == 1 and (calls[0] is other.rows) == in_place
         assert P.tobytes() == predicted_one_by_one(model, other, three).tobytes()
 
 
@@ -615,13 +624,13 @@ def test_both_sides_of_the_row_share_rule_equal_per_candidate_predict(
     keep[[0, 1]] = True  # the one-patch candidates c000 and c001
     kept_rows = stack.counts[keep].sum() / len(stack.rows)
     assert abs(kept_rows - share) < 0.05
-    predicted = spy_on_predicted_rows(monkeypatch)
+    calls = spy_on_predicted_rows(monkeypatch)
     expected = predicted_one_by_one(model, stack, keep)
     for index in (keep, np.flatnonzero(keep)):  # a mask, or positions
-        predicted.clear()
-        got = stacked_predictions(model, stack, index)
+        calls.clear()
+        got = predicted(model, stack, index)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-        assert len(predicted) == 1 and (predicted[0] is stack.rows) == (share > 0.75)
+        assert len(calls) == 1 and (calls[0] is stack.rows) == (share > 0.75)
     by_id = {c.id: c for c in candidates}
     for block, i in zip(got, np.flatnonzero(keep).tolist()):
         m = stack.counts[i]
@@ -660,19 +669,22 @@ def test_stacked_probabilities_are_column_means(num_classes):
     model = LearnerModel(weights=rng.normal(size=(num_classes, 6)))
     candidates = ragged_candidates(num_classes)
     stack = stack_candidates(candidates)
-    probs = stacked_probabilities(model, stack)
+    pool = predicted_rows(model, stack)
+    probs = stacked_probabilities(pool, stack)
     assert probs.shape == (len(candidates), num_classes)
     for row, c in zip(probs, candidates):
         assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
     keep = np.arange(len(candidates)) % 3 != 2  # keeps both one-patch candidates
     chosen = [c for c, k in zip(candidates, keep) if k]
     for index in (keep, np.flatnonzero(keep)):  # a mask, or positions
-        for row, c in zip(stacked_probabilities(model, stack, index), chosen):
-            assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
+        for own in (predicted_rows(model, stack, index), pool):
+            for row, c in zip(stacked_probabilities(own, stack, index), chosen):
+                assert row.tobytes() == predict(model, c).mean(axis=0).tobytes()
     zero = LearnerModel(weights=np.zeros((num_classes, 6)))
-    uniform = stacked_probabilities(zero, stack_candidates(candidates))
+    uniform = stacked_probabilities(predicted_rows(zero, stack), stack)
     assert np.abs(uniform - 1.0 / num_classes).max() < 1e-15
-    assert stacked_probabilities(model, stack_candidates([])).shape == (0, num_classes)
+    empty = stack_candidates([])
+    assert stacked_probabilities(predicted_rows(model, empty), empty).shape == (0, num_classes)
 
 
 # --- patch collection -------------------------------------------------------

@@ -11,7 +11,13 @@ from aftstar import datagen
 from aftstar.criteria import CriteriaConfig, score_candidates
 from aftstar.datagen import DatagenConfig, generate, load_dataset, write_csv, write_dataset
 from aftstar.errors import ConfigError, InvariantError, PartitionError
-from aftstar.learner import LearnerModel, TrainConfig, stacked_predictions
+from aftstar.learner import (
+    LearnerModel,
+    TrainConfig,
+    predict_features,
+    predicted_rows,
+    stacked_predictions,
+)
 from aftstar.loop import (
     STRATEGY_TABLE,
     StopRule,
@@ -21,11 +27,11 @@ from aftstar.loop import (
     misclassified_set,
     run_experiment,
 )
-from aftstar.metrics import write_curve_csv
+from aftstar.metrics import ExperimentRecord, write_curve_csv
 from aftstar.pool import Candidate, CandidateStack, stack_candidates
 from aftstar.sampler import SamplerConfig
 
-from oracles import kept_stack, own_rows
+from oracles import kept_stack, own_rows, predicted_one_by_one
 
 
 def tiny_dataset(seed=1, n_train=40, n_test=16):
@@ -218,13 +224,13 @@ def test_auc_target_stops_at_first_crossing():
 
 def test_rft_never_computes_candidate_scores(monkeypatch):
     calls = []
-    real_score = loop_mod.score_candidates
+    real_score = loop_mod._score_candidates
 
     def counting_score(*args, **kwargs):
         calls.append(1)
         return real_score(*args, **kwargs)
 
-    monkeypatch.setattr(loop_mod, "score_candidates", counting_score)
+    monkeypatch.setattr(loop_mod, "_score_candidates", counting_score)
     run(make_strategy("RFT", batch_size=10), budget=20)
     assert len(calls) == 0
     run(make_strategy("AFT", criterion="entropy", batch_size=10), budget=20)
@@ -361,8 +367,8 @@ def test_misclassified_mined_once_per_step_with_the_fitted_model():
         calls.append(("fit", model))
         return model
 
-    def spy_mis(model, labeled, stack, y):
-        hard = real_mis(model, labeled, stack, y)
+    def spy_mis(model, labeled, stack, y, *held):
+        hard = real_mis(model, labeled, stack, y, *held)
         calls.append(("misclassified", model, [stack.ids[i] for i in hard]))
         return hard
 
@@ -397,9 +403,9 @@ def test_audit_adds_no_misclassified_mining(tmp_path, monkeypatch, name):
     calls = []
     real_mis = loop_mod.misclassified_set
 
-    def spy_mis(model, labeled, stack, y):
+    def spy_mis(model, labeled, stack, y, *held):
         calls.append(model)
-        return real_mis(model, labeled, stack, y)
+        return real_mis(model, labeled, stack, y, *held)
 
     monkeypatch.setattr(loop_mod, "misclassified_set", spy_mis)
     plain = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3)
@@ -550,8 +556,8 @@ def test_audit_patterns_are_classify_pattern_of_the_selected_matrices(tmp_path, 
 
     scored = []
 
-    def spy_predictions(model, stack, keep=None):
-        P = stacked_predictions(model, stack, keep)
+    def spy_predictions(predicted, stack, keep=None):
+        P = stacked_predictions(predicted, stack, keep)
         scored.append((stack if keep is None else kept_stack(stack, keep), P))
         return P
 
@@ -691,11 +697,9 @@ TINY = DatagenConfig(
 )
 
 
-def run_with_audit(train, test, audit_path, strategy=None):
+def run_with_audit(train, test, audit_path, strategy=None, stop=StopRule(query_budget=20)):
     strategy = strategy or make_strategy("AFT_star", "entropy^a_w", batch_size=5)
-    records = run_experiment(
-        train, test, strategy, FAST_TRAIN, StopRule(query_budget=20), 3, audit_path=audit_path
-    )
+    records = run_experiment(train, test, strategy, FAST_TRAIN, stop, 3, audit_path=audit_path)
     return [repr(dataclasses.astuple(r)) for r in records], audit_path.read_bytes()
 
 
@@ -752,9 +756,12 @@ def test_scoring_u_from_the_pools_prediction_equals_scoring_the_u_subset(num_cla
     for labeled in (np.zeros(len(stack), dtype=bool), np.arange(len(stack)) % 3 == 0, widest):
         unlabeled = np.flatnonzero(~labeled)
         subset = own_rows(kept_stack(stack, ~labeled))
-        expected = score_candidates(stacked_predictions(model, subset), subset.counts, cfg)
+        expected = score_candidates(
+            stacked_predictions(predicted_rows(model, subset), subset), subset.counts, cfg
+        )
         got = score_candidates(
-            stacked_predictions(model, stack, ~labeled), stack.counts[unlabeled], cfg
+            stacked_predictions(predicted_rows(model, stack), stack, ~labeled),
+            stack.counts[unlabeled], cfg,
         )
         for name in ("score", "dominant", "subset_size", "_subsets"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
@@ -770,17 +777,25 @@ def test_a_run_keeps_its_bits_whichever_way_it_predicts_u(tmp_path, monkeypatch)
     train, test, _ = load_dataset(tmp_path)
     strategy = make_strategy("AFT_star", "entropy^a_w", batch_size=5)
     expected = run_with_audit(train, test, tmp_path / "a.jsonl", strategy)
-    kept = []
-    real = loop_mod.stacked_predictions
+    kept, models = [], []
+    real, real_rows = loop_mod.stacked_predictions, loop_mod.predicted_rows
 
-    def through_the_subset(model, stack, keep=None):
-        kept.append((len(stack), None if keep is None else int(keep.sum())))
-        return real(model, stack if keep is None else own_rows(kept_stack(stack, keep)))
+    def spy_rows(model, stack, keep=None):
+        if stack.rows is train.rows:  # the pool's, not the test split's
+            models.append(model)
+        return real_rows(model, stack, keep)
 
+    def through_the_subset(predicted, stack, keep=None):
+        # The last model that predicted pool rows is the one U is scored with.
+        kept.append((len(predicted) == len(stack.rows), int(keep.sum())))
+        subset = own_rows(kept_stack(stack, keep))
+        return real(real_rows(models[-1], subset), subset)
+
+    monkeypatch.setattr(loop_mod, "predicted_rows", spy_rows)
     monkeypatch.setattr(loop_mod, "stacked_predictions", through_the_subset)
     assert run_with_audit(train, test, tmp_path / "b.jsonl", strategy) == expected
-    # each step predicts U out of the whole pool, by its mask
-    assert kept == [(len(train), len(train) - 5 * step) for step in range(4)]
+    # each step gathers U, by its mask, out of one prediction of every pool row
+    assert kept == [(True, len(train) - 5 * step) for step in range(4)]
 
 
 @pytest.mark.parametrize("shape", ["plain", "crlf"])
@@ -802,6 +817,168 @@ def test_loading_and_running_a_split_builds_no_candidate(tmp_path, monkeypatch, 
     assert per_row.call_count == (2 if shape == "crlf" else 0)
     records, audit = run_with_audit(train, test, tmp_path / "audit.jsonl")
     assert len(records) == 5 and audit
+
+
+# --- the run's own predictions: checked nowhere, the pool predicted once per model ---
+
+def ragged_split(seed, num_classes, n, prefix):
+    """Candidates of 1 to 9 patches, one-patch ones among them, labeled in
+    turn, whose first feature leans towards their class."""
+    rng = np.random.default_rng(seed)
+    lean = np.array([1.5, 0.0, 0.0, 0.0])
+    return [
+        Candidate(f"{prefix}{i:03d}", rng.normal(scale=2.0, size=(m, 4)) + lean * (i % num_classes),
+                  i % num_classes)
+        for i, m in enumerate(rng.integers(1, 10, size=n).tolist())
+    ]
+
+
+def test_the_stop_rule_alone_decides_whether_a_step_follows():
+    def record(step, queries, auc):
+        return ExperimentRecord(step, queries, queries, auc, 0.0, 0)
+
+    rule = StopRule(query_budget=30, auc_target=0.9)
+    assert not rule.stops(record(0, 0, 0.95), 100)  # the baseline's AUC is not compared
+    assert rule.stops(record(1, 10, 0.9), 100)
+    assert not rule.stops(record(1, 10, 0.89), 100)
+    assert rule.stops(record(3, 30, 0.5), 100)  # the budget is spent
+    assert rule.stops(record(2, 20, 0.5), 20)  # the pool is all labeled
+    assert not StopRule().stops(record(5, 99, 1.0), 100)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("name", ["AFT_star", "AFT"])
+def test_a_run_checks_none_of_its_own_predictions(tmp_path, monkeypatch, name, num_classes):
+    import aftstar.criteria as criteria_mod
+
+    checked = []
+    real = criteria_mod.check_prediction_matrix
+
+    def spy(*args, **kwargs):
+        checked.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criteria_mod, "check_prediction_matrix", spy)
+    if num_classes == 2:
+        train, test = tiny_dataset()
+    else:  # ragged, with one-patch candidates
+        train, test = ragged_split(1, 3, 60, "t"), ragged_split(2, 3, 30, "e")
+    records = run_experiment(
+        train, test, make_strategy(name, "entropy^a_w", batch_size=10), FAST_TRAIN,
+        StopRule(query_budget=30), 3, audit_path=tmp_path / "audit.jsonl",
+    )
+    assert len(records) == 4 and checked == []
+    # The public entry point still checks what it is given.
+    score_candidates(np.full((1, 2, num_classes), 1 / num_classes), [2], CriteriaConfig())
+    assert checked == [(2, num_classes)]
+
+
+@pytest.mark.parametrize("name", ["AFT_star", "AFT", "AFT_prime", "AFT_doubleprime", "RFT"])
+def test_each_model_predicts_the_pool_rows_at_most_once(monkeypatch, name):
+    train = stack_candidates(ragged_split(1, 2, 120, "t"))
+    test = ragged_split(2, 2, 40, "e")
+    predicted = {}  # id(model) -> [model, pool rows it predicted]
+    real = loop_mod.predicted_rows
+
+    def spy(model, stack, keep=None):
+        out = real(model, stack, keep)
+        if stack.rows is train.rows:  # the pool's rows, not the test split's
+            predicted.setdefault(id(model), [model, 0])[1] += len(out)
+        return out
+
+    monkeypatch.setattr(loop_mod, "predicted_rows", spy)
+    strategy = make_strategy(name, "entropy^a_w", batch_size=10)
+    records = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3)
+    steps = len(records) - 1
+    assert steps == 4
+    rows = [count for _, count in predicted.values()]
+    assert all(count <= len(train.rows) for count in rows)
+    # Each scoring step's model predicted the whole pool once (the start
+    # model at step 1, then each fit at the end of the step before); the
+    # last model, and RFT's every one, mined L alone.
+    whole = rows.count(len(train.rows))
+    assert whole == (0 if name == "RFT" else steps) and len(rows) == steps + (name != "RFT")
+
+
+def fresh_predictions(monkeypatch):
+    """Make a run predict each candidate afresh, on its own, wherever it
+    would read a prediction of the pool: U's matrices with the model the
+    step starts from, and H with the model each mining is given."""
+    states = []
+    real_step = loop_mod.run_step
+
+    def spy_step(state, *args, **kwargs):
+        states.append(state)
+        return real_step(state, *args, **kwargs)
+
+    def matrices(predicted, stack, keep=None):
+        return predicted_one_by_one(states[-1].model, stack, keep)
+
+    def mined(model, labeled, stack, y, predicted=None):
+        spans = zip(stack.first[labeled].tolist(), stack.counts[labeled].tolist())
+        probs = np.array([predict_features(model, stack.rows[f : f + m, :-1]).mean(axis=0)
+                          for f, m in spans])
+        return labeled[probs.argmax(axis=1) != y]
+
+    monkeypatch.setattr(loop_mod, "run_step", spy_step)
+    monkeypatch.setattr(loop_mod, "stacked_predictions", matrices)
+    monkeypatch.setattr(loop_mod, "misclassified_set", mined)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["one-patch pool", "descending file", "clipped budget", "exhausted pool", "auc target"],
+)
+@pytest.mark.parametrize("name", ["AFT_star", "AFT", "AFT_prime", "AFT_doubleprime"])
+def test_a_run_keeps_its_bits_against_predicting_everything_afresh(
+    tmp_path, monkeypatch, name, scenario
+):
+    train, test = ragged_split(1, 2, 120, "t"), ragged_split(2, 2, 40, "e")
+    batch, stop = 10, StopRule(query_budget=40)
+    if scenario == "descending file":
+        write_csv(train[::-1], tmp_path / "train.csv")
+        write_csv(test, tmp_path / "test.csv")
+        train, test, _ = load_dataset(tmp_path)
+        pool_first = train.sorted_by_id().first.tolist()
+        assert pool_first != sorted(pool_first)  # the pool's rows lie in reverse id order
+    elif scenario == "clipped budget":
+        stop = StopRule(query_budget=37)
+    elif scenario == "exhausted pool":
+        batch, stop = 25, StopRule()
+    elif scenario == "auc target":
+        full = run_experiment(train, test, make_strategy(name, "entropy^a_w", batch), FAST_TRAIN,
+                              StopRule(query_budget=60), 3)
+        stop = StopRule(query_budget=60, auc_target=max(r.test_auc for r in full[1:4]))
+    strategy = make_strategy(name, "entropy^a_w", batch)
+    expected = run_with_audit(train, test, tmp_path / "a.jsonl", strategy, stop)
+    with monkeypatch.context() as patched:
+        fresh_predictions(patched)
+        assert run_with_audit(train, test, tmp_path / "b.jsonl", strategy, stop) == expected
+    steps = len(expected[0]) - 1
+    assert steps == {"clipped budget": 4, "exhausted pool": 5}.get(scenario, steps)
+    if scenario == "auc target":
+        assert steps <= 3  # stopped by the target, not by the budget
+    elif scenario != "exhausted pool":
+        assert steps == 4
+
+
+def test_a_step_reads_the_held_prediction_only_for_its_own_model(monkeypatch):
+    strategy = make_strategy("AFT_star", "entropy^a_w", batch_size=10)
+    plain = run(strategy, budget=40)
+    held = []
+    real_step = loop_mod.run_step
+
+    def stale(state, *args, **kwargs):
+        if state.pool_prediction is not None:
+            model, rows = state.pool_prediction
+            held.append(model)
+            # An equal model, but not the state's, holding other rows.
+            state.pool_prediction = (LearnerModel(model.weights.copy()), np.full_like(rows, 0.5))
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(loop_mod, "run_step", stale)
+    assert run(strategy, budget=40) == plain
+    assert len(held) == 3  # one for each step after the first
 
 
 # --- the misclassified set H on a larger pool ---------------------------------
