@@ -1,28 +1,28 @@
 """The active, continuous fine-tuning loop over the candidate pool.
 
-Each step: score every unlabeled candidate with the previous step's
-model, from one padded ``(n, M, k)`` array of the unlabeled set's
-predictions that goes unchecked to one batched scoring pass (both
-skipped for random selection), select a batch, ask the oracle for labels, build
-the training set per the strategy policy from the batch and the
-misclassified set H that the previous step mined, add the batch's
-labels to the labeled set, fit per the strategy's model-start policy,
-evaluate, mine H for the next step with the new model over the new
-labeled set, and append a learning-curve record.
+Each step: mine the misclassified set H with the model the step starts
+from over the labeled set L (skipped while L is empty), score every
+unlabeled candidate with that model, from one padded ``(n, M, k)``
+array of the unlabeled set's predictions that goes unchecked to one
+batched scoring pass (both skipped for random selection), select a
+batch, ask the oracle for labels, build the training set per the
+strategy policy from the batch and H, add the batch's labels to the
+labeled set, fit per the strategy's model-start policy, evaluate, and
+append a learning-curve record.
 
 A run takes each split as a ``pool.CandidateStack`` (a candidate list
 is stacked once), and its pool as the train stack in sorted-id order,
 over the same rows. The labeled set L and the misclassified set H are
 arrays over that stack, in its order: ``ExperimentState.labels`` holds
-each candidate's annotation, -1 outside L, and ``ExperimentState.hard``
-is H's mask. The unlabeled set U is the stack's candidates outside L,
-by position, in ascending id order. The sampler picks positions into U,
-so its ties by position are ties by id, and a step turns positions into
-ids only for the oracle and the selection audit. When another scoring
-step follows (``StopRule.stops``), a step predicts the pool once with
-its new model (``learner.predicted_rows``), mines H from L's rows of
-that prediction, and holds it for the next step's U; otherwise it mines
-L alone. Every row has the same bits either way. The training set is a
+each candidate's annotation, -1 outside L, and a step holds H's mask.
+The unlabeled set U is the stack's candidates outside L, by position,
+in ascending id order. The sampler picks positions into U, so its ties
+by position are ties by id, and a step turns positions into ids only
+for the oracle and the selection audit. A scoring step predicts the
+pool once with its starting model (``learner.predicted_rows``), scores
+U from that prediction and mines H from L's rows of it; a random step
+mines L alone. Every row has the same bits either way, and no
+prediction outlives its step. The training set is a
 mask over the stack, and each epoch of the fit's buffered SGD gathers
 its rows straight from the stack, so no row is copied before the fit.
 The oracle gets the pool's true labels as one id -> label map.
@@ -198,7 +198,7 @@ def make_strategy(
 class StopRule:
     """Stop on query budget, pool exhaustion, or an optional AUC target,
     which only a step's record can meet, not the baseline's. :meth:`stops`
-    alone decides: before each step, and in a step, whether another follows."""
+    alone decides, before each step of :func:`run_experiment`, whether it runs."""
 
     query_budget: int | None = None
     auc_target: float | None = None
@@ -225,7 +225,8 @@ class ExperimentState:
     labeled set L: the annotation of each of the stack's candidates, in
     stack order, and -1 for a candidate outside L. U is the stack's
     candidates outside L. A record's step number is ``len(records)`` when
-    it is appended, after the baseline row."""
+    it is appended, after the baseline row. Nothing a step derives from
+    ``model``, neither H nor a prediction, is held for the next step."""
 
     # The pool's candidates stacked once, in sorted-id order.
     stack: CandidateStack
@@ -234,15 +235,8 @@ class ExperimentState:
     records: list[ExperimentRecord]
     rng: np.random.Generator
     labels: np.ndarray
-    # H: the mask of the candidates in L that ``model`` misclassifies,
-    # mined at the end of each step for the next one. Empty while L is.
-    hard: np.ndarray
-    stop: StopRule
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
-    # (model, its (R, k) prediction of stack.rows) for the next step's U,
-    # made when a scoring step follows; read only while that is ``model``.
-    pool_prediction: tuple[LearnerModel, np.ndarray] | None = None
 
 
 def misclassified_set(
@@ -251,8 +245,9 @@ def misclassified_set(
     """The positions in ``stack`` of the candidates, among those at the
     positions ``labeled``, whose candidate-level argmax differs from their
     label in ``y``, which holds one per entry of ``labeled`` (argmax ties
-    resolve to the smaller class index), read from ``predicted``, a held
-    ``(R, k)`` prediction by ``model``, or from L's rows predicted alone."""
+    resolve to the smaller class index), read from ``predicted``, the
+    step's ``(R, k)`` prediction of the pool by ``model``, or from L's
+    rows predicted alone: H, which a step mines with its starting model."""
     rows = predicted_rows(model, stack, labeled) if predicted is None else predicted
     return labeled[stacked_probabilities(rows, stack, labeled).argmax(axis=1) != y]
 
@@ -280,23 +275,30 @@ def run_step(
     strat: StrategyConfig,
     oracle: Oracle,
     evaluator: Callable[[LearnerModel], float],
-    audit=None,
-) -> ExperimentState:
-    """Execute one selection / annotation / fine-tuning step in place, on
-    a pool with at least one unlabeled candidate."""
+    audit: bool = False,
+) -> dict | None:
+    """Execute one mining / selection / annotation / fine-tuning step in
+    place, on a pool with at least one unlabeled candidate. With ``audit``,
+    return the step's audit line without ``misclassified_post_fit``, the
+    size of the next step's H, which :func:`run_experiment` fills in."""
     stack = state.stack
     labeled = state.labels >= 0
     unlabeled = np.flatnonzero(~labeled)
+    members = np.flatnonzero(labeled)
+
+    # A scoring step's model predicts the pool once, for U's scores and H.
+    predicted = None if strat.criterion is None else predicted_rows(state.model, stack)
+    hard = np.zeros(len(stack), dtype=bool)
+    if len(members):
+        y = state.labels[members]
+        hard[misclassified_set(state.model, members, stack, y, predicted)] = True
 
     scores = None
     if strat.criterion is None:
         picks = uniform_batch(len(unlabeled), strat.sampler.batch_size, state.rng)
     else:
         counts = stack.counts[unlabeled]
-        held = state.pool_prediction
-        if held is None or held[0] is not state.model:
-            held = (state.model, predicted_rows(state.model, stack, ~labeled))
-        predictions = stacked_predictions(held[1], stack, ~labeled)
+        predictions = stacked_predictions(predicted, stack, ~labeled)
         scores = _score_candidates(predictions, counts, strat.criterion)
         picks = select_batch(scores.score, strat.sampler, state.rng)
     positions = unlabeled[picks]
@@ -305,7 +307,6 @@ def run_step(
     answers = oracle.query(batch)
     selected = np.zeros(len(stack), dtype=bool)
     selected[positions] = True
-    hard = state.hard
     train = build_training_set(strat.training_set_policy, selected, hard, labeled)
     state.labels[positions] = [answers[cid] for cid in batch]
     if train.any():
@@ -315,9 +316,8 @@ def run_step(
         state.model = fit(base, data, state.train_cfg, warm, state.rng)
 
     test_auc = evaluator(state.model)
-    labeled |= selected
     pos_frac = float(np.mean(state.labels[positions] == state.positive_class)) if batch else 0.0
-    labeled_count = int(np.count_nonzero(labeled))
+    labeled_count = len(members) + len(positions)
     record = ExperimentRecord(
         step=len(state.records),
         queries_cum=labeled_count,
@@ -327,45 +327,27 @@ def run_step(
         misclassified_count_pre_fit=int(np.count_nonzero(hard)),
     )
     state.records.append(record)
-    # When another scoring step follows, the new model predicts the pool
-    # once: H is mined from L's rows of it, and that step scores U from it.
-    predicted = None
-    if strat.criterion is not None and not state.stop.stops(record, len(stack)):
-        predicted = predicted_rows(state.model, stack)
-    state.pool_prediction = None if predicted is None else (state.model, predicted)
-    members = np.flatnonzero(labeled)
-    mined = misclassified_set(state.model, members, stack, state.labels[members], predicted)
-    state.hard = np.zeros(len(stack), dtype=bool)
-    state.hard[mined] = True
-
-    if audit is not None:
-        entries = [{"id": cid, "label": answers[cid]} for cid in batch]
-        if scores is not None:
-            # A term the criterion does not weight is computed for the batch only.
-            entropies, diversities = scores.terms(picks)
-            for entry, i, e, d in zip(entries, picks, entropies.tolist(), diversities.tolist()):
-                dominant = int(scores.dominant[i])
-                q = predictions[i, : counts[i], dominant]
-                entry.update(
-                    dominant=dominant,
-                    entropy=e,
-                    diversity=d,
-                    score=float(scores.score[i]),
-                    pattern=dominant_pattern(q) if predictions.shape[2] == 2 else None,
-                )
-        audit.write(
-            json.dumps(
-                {
-                    "step": record.step,
-                    "selected": entries,
-                    "misclassified_pre_fit": record.misclassified_count_pre_fit,
-                    "misclassified_post_fit": len(mined),
-                },
-                sort_keys=True,
+    if not audit:
+        return None
+    entries = [{"id": cid, "label": answers[cid]} for cid in batch]
+    if scores is not None:
+        # A term the criterion does not weight is computed for the batch only.
+        entropies, diversities = scores.terms(picks)
+        for entry, i, e, d in zip(entries, picks, entropies.tolist(), diversities.tolist()):
+            dominant = int(scores.dominant[i])
+            q = predictions[i, : counts[i], dominant]
+            entry.update(
+                dominant=dominant,
+                entropy=e,
+                diversity=d,
+                score=float(scores.score[i]),
+                pattern=dominant_pattern(q) if predictions.shape[2] == 2 else None,
             )
-            + "\n"
-        )
-    return state
+    return {
+        "step": record.step,
+        "selected": entries,
+        "misclassified_pre_fit": record.misclassified_count_pre_fit,
+    }
 
 
 def make_evaluator(
@@ -470,14 +452,13 @@ def run_experiment(
         records=[baseline],
         rng=rng,
         labels=np.full(len(stack), -1),
-        hard=np.zeros(len(stack), dtype=bool),
-        stop=stop,
         train_cfg=train_cfg,
         positive_class=positive_class,
     )
 
     audit_file = replacing(audit_path) if audit_path is not None else contextlib.nullcontext()
     with audit_file as audit:
+        lines = []
         while not stop.stops(state.records[-1], len(stack)):
             step_strat = strat
             if stop.query_budget is not None:
@@ -487,5 +468,14 @@ def run_experiment(
                         strat,
                         sampler=dataclasses.replace(strat.sampler, batch_size=remaining),
                     )
-            run_step(state, step_strat, oracle, evaluator, audit=audit)
+            lines.append(run_step(state, step_strat, oracle, evaluator, audit is not None))
+        if audit is not None and lines:
+            # A step's H after its fit is the H the next step starts from;
+            # after the last step it is mined once, for the audit alone.
+            members = np.flatnonzero(state.labels >= 0)
+            last = misclassified_set(state.model, members, stack, state.labels[members])
+            mined = [r.misclassified_count_pre_fit for r in state.records[2:]] + [len(last)]
+            for line, count in zip(lines, mined):
+                line["misclassified_post_fit"] = count
+                audit.write(json.dumps(line, sort_keys=True) + "\n")
     return state.records

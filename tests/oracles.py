@@ -6,16 +6,24 @@ scorer references at the end are array code: the full sorts that the
 package's dominant class and majority subset must equal to the bit.
 Two helpers make test data: random prediction matrices, and spread
 values, whose sums round differently in different orders. The stack
-references at the end build candidate stacks with the constructor and
-predict each candidate on its own.
+references build candidate stacks with the constructor and predict each
+candidate on its own. The whole-loop reference at the end runs an
+experiment one candidate at a time, through the per-candidate public API
+alone.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 
-from aftstar.learner import predict_features
+from aftstar.criteria import CandidateScore, classify_pattern, score_candidate
+from aftstar.learner import collect_patches, fit, predict, predict_features, pretrain_m0
+from aftstar.metrics import ExperimentRecord, auc, macro_auc
+from aftstar.oracle import Oracle, OracleConfig
 from aftstar.pool import CandidateStack
+from aftstar.sampler import select_batch
 
 
 def entropy_direct(P, eps=1e-12):
@@ -122,3 +130,72 @@ def predicted_one_by_one(model, stack, keep):
     for block, f, m in zip(out, first.tolist(), counts.tolist()):
         block[:m] = predict_features(model, stack.rows[f : f + m, :-1])
     return out
+
+
+def reference_run(train, test, strategy, train_cfg, stop, seed, positive_class=0, noise=0.0):
+    """``run_experiment`` on candidate lists as a plain per-candidate loop:
+    its records, and its audit file's text. Each step scores U one
+    candidate at a time in id order, lets ``select_batch`` pick, queries
+    the oracle in pick order, fits on the training candidates in id order,
+    evaluates each test candidate's mean prediction and mines H, the
+    labeled candidates whose mean prediction's argmax is not their label,
+    with the model it has just fitted, for the next step."""
+    pool = sorted(train, key=lambda c: c.id)
+    num_classes = max(max(c.true_label for c in [*train, *test]) + 1, 2)
+    rng = np.random.default_rng(seed)
+    start = pretrain_m0(None, train_cfg, rng, feature_dim=pool[0].features.shape[1],
+                        num_classes=num_classes)
+    oracle = Oracle({c.id: c.true_label for c in train}, OracleConfig(noise), rng, num_classes)
+    truth = np.array([c.true_label for c in test])
+
+    def evaluate(model):
+        probs = np.array([predict(model, c).mean(axis=0) for c in test])
+        if num_classes == 2:
+            return auc(probs[:, positive_class], (truth == positive_class).astype(int))
+        return macro_auc(probs, truth)
+
+    def mined(model, labels):
+        return {c.id for c in pool
+                if c.id in labels and predict(model, c).mean(axis=0).argmax() != labels[c.id]}
+
+    model, labels, hard, lines = start, {}, set(), []
+    records = [ExperimentRecord(0, 0, 0, evaluate(start), 0.0, 0)]
+    budget, target = stop.query_budget, stop.auc_target
+    while len(labels) < len(pool) and (budget is None or len(labels) < budget) and not (
+        target is not None and len(records) > 1 and records[-1].test_auc >= target
+    ):
+        size = strategy.sampler.batch_size
+        sampler = dataclasses.replace(strategy.sampler, batch_size=min(
+            size, size if budget is None else budget - len(labels)))
+        unlabeled = [c for c in pool if c.id not in labels]
+        if strategy.criterion is None:
+            scores = {c.id: CandidateScore(c.id, 0, 0.0, 0.0, 0.0, 1) for c in unlabeled}
+        else:
+            scores = {c.id: score_candidate(predict(model, c), strategy.criterion, c.id)
+                      for c in unlabeled}
+        picks = select_batch(list(scores.values()), sampler, rng)
+        entries = [{"id": cid} for cid in picks]
+        if strategy.criterion is not None:
+            by_id = {c.id: c for c in unlabeled}
+            for entry in entries:
+                s, P = scores[entry["id"]], predict(model, by_id[entry["id"]])
+                entry.update(dominant=s.dominant, entropy=s.entropy, diversity=s.diversity,
+                             score=s.score, pattern=classify_pattern(P) if num_classes == 2 else None)
+        answers = oracle.query(picks)
+        kept = {"Q_only": set(), "H_union_Q": hard, "L_union_Q": set(labels)}
+        chosen = kept[strategy.training_set_policy] | set(picks)
+        labels.update(answers)
+        X, y = collect_patches([c for c in pool if c.id in chosen], labels)
+        warm = strategy.model_start == "continue_previous"
+        data = (np.arange(len(X)), y, np.hstack([X, np.ones((len(X), 1))]))
+        model = fit(model if warm else start, data, train_cfg, warm, rng)
+        positive = float(np.mean([answers[cid] == positive_class for cid in picks]))
+        records.append(ExperimentRecord(
+            len(records), len(labels), len(labels), evaluate(model), positive, len(hard)))
+        pre, hard = len(hard), mined(model, labels)
+        for entry in entries:
+            entry["label"] = answers[entry["id"]]
+        lines.append(json.dumps({"step": len(records) - 1, "selected": entries,
+                                 "misclassified_pre_fit": pre,
+                                 "misclassified_post_fit": len(hard)}, sort_keys=True) + "\n")
+    return records, "".join(lines)

@@ -1059,14 +1059,22 @@ def test_negative_label_in_either_split_exits_2_naming_its_line(
 
 
 def test_a_diverged_fit_is_a_one_line_runtime_error(tmp_path, capsys):
-    payload = inline_run_config(tmp_path / "o")
-    payload["strategy"] = {"name": "RFT", "batch_size": 5}
-    payload["learner"]["learning_rate"] = 1e308
-    assert main(["run", "--config", write_config(tmp_path / "run.json", payload)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the fit diverged") and "learning_rate" in err
-    assert err.count("\n") == 1  # and no numpy warning, which the test settings make errors
-    assert list((tmp_path / "o").iterdir()) == []
+    # RFT's fit diverges to non-finite weights. AFT*'s warm fit ends with
+    # finite weights near 1e307, whose predictions overflow: on 40
+    # candidates harmlessly until the next fit diverges, on 300 to NaN.
+    cases = [({"name": "RFT", "batch_size": 5}, 40), (None, 40), (None, 300)]
+    for i, (strategy, train_candidates) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        payload = inline_run_config(out)
+        if strategy is not None:
+            payload["strategy"] = strategy
+        payload["dataset"]["train_candidates"] = train_candidates
+        payload["learner"]["learning_rate"] = 1e308
+        assert main(["run", "--config", write_config(tmp_path / "run.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the fit diverged") and "learning_rate" in err, err
+        assert err.count("\n") == 1  # and no numpy warning, which the test settings make errors
+        assert list(out.iterdir()) == []
 
 
 def long_grid_config(out_dir, seeds=200):

@@ -542,15 +542,13 @@ def test_in_place_predictions_equal_the_gathered_ones_to_the_bit(shape, num_clas
 
 
 def spy_on_predicted_rows(monkeypatch):
-    """The row arrays that ``_predict_rows`` is called on from then on,
-    but a one-patch candidate's single row."""
+    """The row arrays that ``_predict_rows`` is called on from then on."""
     calls = []
     real = learner_mod._predict_rows
 
-    def spy(weights, rows):
-        if len(rows) > 1:
-            calls.append(rows)
-        return real(weights, rows)
+    def spy(weights, rows, *alone):
+        calls.append(rows)
+        return real(weights, rows, *alone)
 
     monkeypatch.setattr(learner_mod, "_predict_rows", spy)
     return calls
@@ -584,11 +582,16 @@ def test_an_in_order_split_is_predicted_where_its_rows_lie(monkeypatch):
         # Less than that: only the kept rows are gathered and predicted.
         keep = np.arange(len(stack)) % 2 == 0
         assert 4 * stack.counts[keep].sum() < 3 * len(stack.rows)
-        for other, mask in ((stack, keep), (kept_stack(stack, keep), None), (gathered(stack), keep)):
+        for other, mask in ((stack, keep), (gathered(stack), keep)):
             calls.clear()
             predicted_rows(model, other, mask)
             assert len(calls) == 1 and not np.shares_memory(calls[0], other.rows)
             assert len(calls[0]) == stack.counts[keep].sum()
+        # With no mask, every row, those no candidate holds included: the
+        # (R, k) form, which any kept set of the stack gathers from.
+        calls.clear()
+        predicted_rows(model, kept_stack(stack, keep))
+        assert len(calls) == 1 and calls[0] is stack.rows
 
 
 def test_three_quarters_of_the_rows_are_predicted_in_place(monkeypatch):
@@ -635,6 +638,25 @@ def test_both_sides_of_the_row_share_rule_equal_per_candidate_predict(
     for block, i in zip(got, np.flatnonzero(keep).tolist()):
         m = stack.counts[i]
         assert block[:m].tobytes() == predict(model, by_id[stack.ids[i]]).tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
+@pytest.mark.parametrize("pool", ["one-patch", "mixed"])
+def test_one_patch_candidates_keep_predicts_bits_in_one_call(monkeypatch, num_classes, pool):
+    rng = np.random.default_rng(num_classes)
+    model = LearnerModel(weights=rng.normal(size=(num_classes, 11)))
+    sizes = [1] * 600 if pool == "one-patch" else rng.integers(1, 4, size=600).tolist()
+    stack = stack_candidates(
+        Candidate(id=f"c{i:03d}", features=rng.normal(scale=2.0, size=(m, 10)))
+        for i, m in enumerate(sizes)
+    )
+    calls = spy_on_predicted_rows(monkeypatch)
+    # every candidate, predicted in place; every other one, gathered
+    for keep in (np.ones(len(stack), dtype=bool), np.arange(len(stack)) % 2 == 0):
+        calls.clear()
+        got = predicted(model, stack, keep)
+        assert len(calls) == 1  # one call, whatever the count of one-patch candidates
+        assert got.tobytes() == predicted_one_by_one(model, stack, keep).tobytes()
 
 
 def test_candidates_of_mixed_feature_dims_are_a_shape_error():

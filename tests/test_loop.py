@@ -31,7 +31,7 @@ from aftstar.metrics import ExperimentRecord, write_curve_csv
 from aftstar.pool import Candidate, CandidateStack, stack_candidates
 from aftstar.sampler import SamplerConfig
 
-from oracles import kept_stack, own_rows, predicted_one_by_one
+from oracles import kept_stack, own_rows, predicted_one_by_one, reference_run
 
 
 def tiny_dataset(seed=1, n_train=40, n_test=16):
@@ -267,9 +267,10 @@ def test_each_step_mines_h_over_one_entry_per_labeled_candidate(monkeypatch, nam
 
     monkeypatch.setattr(loop_mod, "misclassified_set", spy)
     records = run(make_strategy(name, batch_size=10), budget=30)
-    assert [examined for examined, _ in mined] == [r.labeled_count for r in records[1:]]
-    # the H a step mines is the one the next step starts from
-    assert [hits for _, hits in mined[:-1]] == [r.misclassified_count_pre_fit for r in records[2:]]
+    # each step after the first mines the H it starts from over the L the
+    # step before left; an unaudited run mines nothing after its last step
+    assert [examined for examined, _ in mined] == [r.labeled_count for r in records[1:-1]]
+    assert [hits for _, hits in mined] == [r.misclassified_count_pre_fit for r in records[2:]]
 
 
 @pytest.mark.parametrize("num_classes", [2, 3])
@@ -385,17 +386,17 @@ def test_misclassified_mined_once_per_step_with_the_fitted_model():
             train, test, make_strategy("AFT_star", criterion="entropy", batch_size=10),
             FAST_TRAIN, StopRule(query_budget=30), 3,
         )
-    # fits and minings alternate, one of each per step
-    assert [c[0] for c in calls] == ["fit", "misclassified"] * 3
+    # fits and minings alternate: each step after the first mines once, before its fit
+    assert [c[0] for c in calls] == ["fit"] + ["misclassified", "fit"] * 2
     fits, minings = calls[0::2], calls[1::2]
     # each mining uses the model the fit just before it returned
     assert all(mine[1] is fitted[1] for fitted, mine in zip(fits, minings))
-    # step t trains on the set mined at the end of step t-1; step 1 on none
-    assert built == [[]] + [mine[2] for mine in minings[:-1]]
+    # each step trains on the set it mined at its start; step 1 on none
+    assert built == [[]] + [mine[2] for mine in minings]
 
 
 @pytest.mark.parametrize("name", ["AFT_star", "RFT"])
-def test_audit_adds_no_misclassified_mining(tmp_path, monkeypatch, name):
+def test_an_audit_adds_one_mining_after_the_last_step(tmp_path, monkeypatch, name):
     import json
 
     train, test = tiny_dataset()
@@ -404,23 +405,25 @@ def test_audit_adds_no_misclassified_mining(tmp_path, monkeypatch, name):
     real_mis = loop_mod.misclassified_set
 
     def spy_mis(model, labeled, stack, y, *held):
-        calls.append(model)
-        return real_mis(model, labeled, stack, y, *held)
+        out = real_mis(model, labeled, stack, y, *held)
+        calls.append((len(labeled), len(out)))
+        return out
 
     monkeypatch.setattr(loop_mod, "misclassified_set", spy_mis)
     plain = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3)
     steps = len(plain) - 1
     assert steps == 4
-    assert len(calls) == steps
+    assert len(calls) == steps - 1  # none at step 1, while L is empty
     calls.clear()
     path = tmp_path / "audit.jsonl"
     audited = run_experiment(
         train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3, audit_path=path
     )
-    # one mining per step, with or without the audit
-    assert len(calls) == steps
     assert audited == plain
+    # the audit's one more mining: the last model's H over the last L
+    assert len(calls) == steps
     lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert calls[-1] == (audited[-1].labeled_count, lines[-1]["misclassified_post_fit"])
     for before, after in zip(lines, lines[1:]):
         assert after["misclassified_pre_fit"] == before["misclassified_post_fit"]
 
@@ -448,8 +451,6 @@ def test_state_holds_the_oracle_answers_in_stack_order(monkeypatch, name):
         for cid in oracle.access_log:
             expected[position[cid]] = answers[cid]
         assert state.labels.tolist() == expected.tolist()
-        assert state.hard.dtype == bool and state.hard.shape == state.labels.shape
-        assert not (state.hard & (state.labels < 0)).any()  # H lies inside L
         steps.append(state.records[-1].step)
         return out
 
@@ -874,7 +875,7 @@ def test_a_run_checks_none_of_its_own_predictions(tmp_path, monkeypatch, name, n
 
 
 @pytest.mark.parametrize("name", ["AFT_star", "AFT", "AFT_prime", "AFT_doubleprime", "RFT"])
-def test_each_model_predicts_the_pool_rows_at_most_once(monkeypatch, name):
+def test_each_model_predicts_the_pool_rows_at_most_once(tmp_path, monkeypatch, name):
     train = stack_candidates(ragged_split(1, 2, 120, "t"))
     test = ragged_split(2, 2, 40, "e")
     predicted = {}  # id(model) -> [model, pool rows it predicted]
@@ -888,16 +889,46 @@ def test_each_model_predicts_the_pool_rows_at_most_once(monkeypatch, name):
 
     monkeypatch.setattr(loop_mod, "predicted_rows", spy)
     strategy = make_strategy(name, "entropy^a_w", batch_size=10)
-    records = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3)
-    steps = len(records) - 1
-    assert steps == 4
-    rows = [count for _, count in predicted.values()]
-    assert all(count <= len(train.rows) for count in rows)
-    # Each scoring step's model predicted the whole pool once (the start
-    # model at step 1, then each fit at the end of the step before); the
-    # last model, and RFT's every one, mined L alone.
-    whole = rows.count(len(train.rows))
-    assert whole == (0 if name == "RFT" else steps) and len(rows) == steps + (name != "RFT")
+    for audit_path in (None, tmp_path / "audit.jsonl"):
+        predicted.clear()
+        records = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=40), 3,
+                                 audit_path=audit_path)
+        steps = len(records) - 1
+        assert steps == 4
+        rows = [count for _, count in predicted.values()]
+        assert all(count <= len(train.rows) for count in rows)
+        # Each scoring step's starting model predicted the whole pool once
+        # (the start model at step 1); RFT's mined L alone from step 2 on.
+        # The last model mines L alone, and only for an audit.
+        scoring = name != "RFT"
+        whole = rows.count(len(train.rows))
+        assert whole == (steps if scoring else 0)
+        assert len(rows) == steps - (not scoring) + (audit_path is not None)
+
+
+def test_no_step_holds_a_prediction_or_asks_the_stop_rule(monkeypatch):
+    fields = [f.name for f in dataclasses.fields(loop_mod.ExperimentState)]
+    assert fields == ["stack", "model", "model_zero", "records", "rng", "labels", "train_cfg",
+                      "positive_class"]
+    asked, in_step = [], []
+    real_stops, real_step = StopRule.stops, loop_mod.run_step
+
+    def stops(self, *args):
+        asked.append(bool(in_step))
+        return real_stops(self, *args)
+
+    def step(*args, **kwargs):
+        in_step.append(1)
+        try:
+            return real_step(*args, **kwargs)
+        finally:
+            in_step.clear()
+
+    monkeypatch.setattr(StopRule, "stops", stops)
+    monkeypatch.setattr(loop_mod, "run_step", step)
+    records = run(make_strategy("AFT_star", "entropy^a_w", batch_size=10), budget=40)
+    # the run's loop asks once before each step and once after the last
+    assert asked == [False] * len(records)
 
 
 def fresh_predictions(monkeypatch):
@@ -962,23 +993,89 @@ def test_a_run_keeps_its_bits_against_predicting_everything_afresh(
         assert steps == 4
 
 
-def test_a_step_reads_the_held_prediction_only_for_its_own_model(monkeypatch):
-    strategy = make_strategy("AFT_star", "entropy^a_w", batch_size=10)
-    plain = run(strategy, budget=40)
-    held = []
-    real_step = loop_mod.run_step
+# --- the whole loop against a plain per-candidate reference (tests/oracles.py) ---
 
-    def stale(state, *args, **kwargs):
-        if state.pool_prediction is not None:
-            model, rows = state.pool_prediction
-            held.append(model)
-            # An equal model, but not the state's, holding other rows.
-            state.pool_prediction = (LearnerModel(model.weights.copy()), np.full_like(rows, 0.5))
-        return real_step(state, *args, **kwargs)
+REFERENCE_POOL = DatagenConfig(
+    train_candidates=100, test_candidates=40, patches_per_candidate=4, feature_dim=4, seed=1
+)
 
-    monkeypatch.setattr(loop_mod, "run_step", stale)
-    assert run(strategy, budget=40) == plain
-    assert len(held) == 3  # one for each step after the first
+
+def as_candidates(stack):
+    """A loaded split's candidates, in its order."""
+    return [Candidate(cid, stack.rows[f : f + m, :-1], label) for cid, f, m, label in zip(
+        stack.ids, stack.first.tolist(), stack.counts.tolist(), stack.true_labels.tolist())]
+
+
+def assert_equals_the_reference(tmp_path, train, test, strategy, stop, noise=0.0, split=None):
+    path = tmp_path / "audit.jsonl"
+    records = run_experiment(*(split or (train, test)), strategy, FAST_TRAIN, stop, 3,
+                             oracle_noise=noise, audit_path=path)
+    expected, audit = reference_run(train, test, strategy, FAST_TRAIN, stop, 3, noise=noise)
+    assert [repr(dataclasses.astuple(r)) for r in records] == [
+        repr(dataclasses.astuple(r)) for r in expected]
+    assert path.read_text() == audit
+    return records
+
+
+ALL_STRATEGIES = [("AFT_star", criterion) for criterion in loop_mod.CRITERION_PRESETS] + [
+    ("AFT", "diversity^a"), ("AFT_prime", "entropy"), ("AFT_doubleprime", "diversity_w"),
+    ("RFT", None)]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("name, criterion", ALL_STRATEGIES)
+def test_a_run_equals_the_per_candidate_reference(tmp_path, name, criterion, noise):
+    train, test, _ = generate(REFERENCE_POOL)
+    strategy = make_strategy(name, criterion or "entropy", batch_size=10)
+    records = assert_equals_the_reference(
+        tmp_path, train, test, strategy, StopRule(query_budget=40), noise)
+    assert len(records) == 5
+
+
+@pytest.mark.parametrize("name, criterion", [("AFT_star", "entropy^a_w"), ("RFT", None)])
+@pytest.mark.parametrize(
+    "scenario",
+    ["ragged", "descending file", "spare rows", "clipped budget", "exhausted pool", "auc target"],
+)
+def test_each_stop_and_split_shape_equals_the_per_candidate_reference(
+    tmp_path, name, criterion, scenario
+):
+    train, test, _ = generate(REFERENCE_POOL)
+    strategy = make_strategy(name, criterion or "entropy", batch_size=10)
+    stop, split, noise = StopRule(query_budget=40), None, 0.0
+    if scenario == "ragged":  # three classes, 1 to 6 patches, one-patch candidates among them
+        rng = np.random.default_rng(4)
+        train, test = [[Candidate(f"{prefix}{i:03d}", rng.normal(size=(m, 10)) + (i % 3) * 0.5,
+                                  i % 3) for i, m in enumerate(rng.integers(1, 7, size=n).tolist())]
+                       for prefix, n in (("t", 90), ("e", 45))]
+        assert min(len(c.features) for c in train) == 1
+        noise = 0.05
+    elif scenario == "descending file":
+        write_csv(train[::-1], tmp_path / "train.csv")
+        write_csv(test[::-1], tmp_path / "test.csv")
+        split = load_dataset(tmp_path)[:2]
+        train, test = as_candidates(split[0]), as_candidates(split[1])
+    elif scenario == "spare rows":  # a pool stack over rows that half of them do not hold
+        keep = np.arange(len(train)) % 2 == 0
+        split = (kept_stack(stack_candidates(train), keep), test)
+        train = [c for c, kept in zip(train, keep.tolist()) if kept]
+    elif scenario == "clipped budget":
+        stop = StopRule(query_budget=37)
+    elif scenario == "exhausted pool":
+        train, stop = train[:45], StopRule()
+    elif scenario == "auc target":
+        full = run_experiment(train, test, strategy, FAST_TRAIN, StopRule(query_budget=60), 3)
+        stop = StopRule(query_budget=60, auc_target=max(r.test_auc for r in full[1:4]))
+    records = assert_equals_the_reference(tmp_path, train, test, strategy, stop, noise, split)
+    steps = len(records) - 1
+    if scenario == "exhausted pool":
+        assert records[-1].labeled_count == 45 and steps == 5  # a clipped last batch of 5
+    elif scenario == "clipped budget":
+        assert [r.queries_cum for r in records][-2:] == [30, 37]
+    elif scenario == "auc target":
+        assert steps <= 3 and records[-1].test_auc == stop.auc_target
+    else:
+        assert steps == 4
 
 
 # --- the misclassified set H on a larger pool ---------------------------------
@@ -1016,6 +1113,6 @@ def test_misclassified_set_stays_a_small_share_of_labeled(large_pool, tmp_path, 
     )
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == len(records) - 1 == 6
-    # H is mined at the end of each step, over that step's L
+    # misclassified_post_fit: the H of each step's model over that step's L
     for line, record in zip(lines, records[1:]):
         assert line["misclassified_post_fit"] <= 0.1 * record.labeled_count

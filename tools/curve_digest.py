@@ -9,7 +9,8 @@ curve of two runs with other SGD settings, then one of an unweighted
 entropy run and one of a one-candidate-batch diversity run on the ragged
 set, then one of a run on a pool with tied patch rows, then one of two
 runs whose budget clips their last batch, then one of three runs on
-splits written in descending id order.
+splits written in descending id order, then three of audited runs that
+stop on their pool's end or on an AUC target.
 
 The grid: seeds 1-5 (each on ``standard_benchmark(seed)``), query
 budget 300, batch 20; AFT* with each of the 8 criterion presets, plus
@@ -118,6 +119,16 @@ The line is ``descending <sha256>`` over the grid-style digest of the
 three runs' records, one run after the other, followed by the bytes of
 the audit.
 
+The audited stops: AFT*-entropy^a_w and RFT, seed 1, batch 20, each
+with its selection audit, whose last line counts the H that the last
+model misclassifies. On the exhausted pool above, with no query budget
+(steps of 20, 20 and 10). On ``standard_benchmark(1)``, budget 300,
+with ``auc_target`` 0.995 (AFT* stops at step 1, RFT at step 8). On the
+ragged three-class set above, budget 300, with ``auc_target`` 0.9995
+(AFT* stops at step 2, RFT at step 5). Each line is ``audited <stop>
+<sha256>`` over the grid-style digest of both runs' records, one run
+after the other, followed by the bytes of both audits.
+
 The script pins BLAS to one thread, as ``perfbench/run.py`` does, before
 numpy is imported: a threaded BLAS may sum in another order.
 
@@ -186,6 +197,20 @@ def digest(records) -> str:
         " ".join(repr(value) for value in dataclasses.astuple(record)) for record in records
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def audited_digest(train, test, stop) -> str:
+    """The grid-style digest of an AFT*-entropy^a_w and an RFT run's
+    records, one run after the other, followed by both selection audits."""
+    records, audits = [], b""
+    with tempfile.TemporaryDirectory() as tmp:
+        for strategy in (make_strategy("AFT_star", "entropy^a_w", BATCH),
+                         make_strategy("RFT", batch_size=BATCH)):
+            audit = Path(tmp, "audit.jsonl")
+            records += run_experiment(train, test, strategy, TrainConfig(), stop, 1,
+                                      audit_path=audit)
+            audits += audit.read_bytes()
+    return hashlib.sha256(digest(records).encode("utf-8") + audits).hexdigest()
 
 
 def candidates_digest(stack) -> str:
@@ -343,6 +368,17 @@ def main() -> None:
             )
         h = hashlib.sha256(digest(records).encode("utf-8") + audit.read_bytes()).hexdigest()
     print(f"descending {h}", flush=True)
+    train, test, _ = generate(EXHAUSTED)
+    print(f"audited exhausted {audited_digest(train, test, StopRule())}", flush=True)
+    train, test, _ = generate(standard_benchmark(seed=1))
+    stop = StopRule(query_budget=BUDGET, auc_target=0.995)
+    print(f"audited auc_target={stop.auc_target} {audited_digest(train, test, stop)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(RAGGED, 7, Path(tmp))
+        train, test, _ = datagen.load_dataset(Path(tmp))
+        stop = StopRule(query_budget=BUDGET, auc_target=0.9995)
+        print(f"audited ragged auc_target={stop.auc_target} {audited_digest(train, test, stop)}",
+              flush=True)
 
 
 if __name__ == "__main__":
