@@ -21,23 +21,32 @@ non-negative integer.
 ``load_csv`` parses in bulk the file shape that ``write_csv`` and the
 benchmark's writer produce: ASCII, ``\n`` line ends, no quote, ids under
 64 and labels under 20 characters, and each candidate's rows in one run
-with one label text (:func:`_load_plain_csv` has the whole list). One
-``np.loadtxt`` reads each chunk of whole lines (about 64 KiB), to values
-equal to ``float``'s to the bit, and the chunks' rows are copied once
-into the split's :class:`~aftstar.pool.CandidateStack` by the same
-:func:`~aftstar.pool.stack_rows` as the per-row parser's. Any other file
-is read again by the per-row ``csv.reader`` loop, the reference the
-tests compare against and the only code that reports a row's format
-error; a file that is not UTF-8 or has a field over the ``csv`` limit
-is a format error too.
+with one label text (:func:`_load_plain_csv` has the whole list). It
+reads each chunk of whole lines (about 64 KiB) as bytes in numpy: it
+finds the fields from the positions of the commas and line ends, reads
+each plain decimal (an optional ``-`` and up to 18 digits, then maybe a
+``.`` and up to 18 more, 19 in all) from its digits with one
+``np.fromstring`` and one long double division, exactly
+(:func:`_plain_values`), and
+hands every other value to ``float``, the reference's own routine, so
+every value is ``float``'s to the bit. The exact route needs the x87
+long double of x86-64; elsewhere ``np.fromstring`` reads each plain
+decimal with ``float``'s own string-to-double routine. The rows
+go straight into one array, which becomes the split's
+:class:`~aftstar.pool.CandidateStack` (:func:`~aftstar.pool.stack_over`).
+Any other file is read again by the per-row ``csv.reader`` loop, the
+reference the tests compare against and the only code that reports a
+row's format error; a file that is not UTF-8 or has a field over the
+``csv`` limit is a format error too.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import os
+import sys
 from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -47,10 +56,23 @@ import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, check_integer, shown
 from .metrics import FLOAT_FMT, replacing
-from .pool import Candidate, CandidateStack, stack_rows
+from .pool import Candidate, CandidateStack, stack_over, stack_rows
 
-CHUNK_CHARS = 1 << 16  # characters per read of the bulk CSV parser
+CHUNK_CHARS = 1 << 16  # bytes per read of the bulk CSV parser, which reads ASCII alone
 NOT_BULK = '"\r\x00\x1c\x1d\x1e\x1f'  # characters the bulk CSV parser leaves to the reference
+ID_CHARS, LABEL_CHARS = 64, 20  # the bulk CSV parser's bounds on an id's and a label's width
+COMMA, NEWLINE, DOT, MINUS, ZERO = b",\n.-0"
+SIDE_DIGITS, PLAIN_DIGITS = 18, 19  # of a plain value, on either side of its dot and in all
+# The exact route of the bulk CSV parser reads a long double's 64-bit
+# significand from the first 8 of its 16 bytes, the x87 extended format
+# on a little-endian host (x86-64); elsewhere np.fromstring reads each
+# plain value with float()'s own string-to-double routine.
+X87_LONG_DOUBLE = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+LONG_TENS = np.cumprod([1] + [10] * SIDE_DIGITS, dtype=np.longdouble)  # exact products
 
 
 @dataclass(frozen=True)
@@ -276,67 +298,193 @@ def _load_plain_csv(path: str | Path) -> CandidateStack | None:
 
     Returns None, for the reference parser to read the file again, for
     any other file: a character that is not ASCII or is in ``NOT_BULK``,
-    a line that could hold a field over ``csv.field_size_limit()``, a
+    a line that could hold a field over ``csv.field_size_limit()``, an id
+    of ``ID_CHARS`` or a label of ``LABEL_CHARS`` characters or more, a
     candidate's rows in two runs, or a row the reference parser would
     reject. ``csv.reader`` reads a quote or a carriage return otherwise
-    than a comma split. ``np.loadtxt`` converts with the routine that
-    ``float`` calls, so the values are the same to the bit, but skips
-    \\x1c-\\x1f around a value, which ``float`` rejects; like the
-    reference, it skips blank lines. Its ``S`` fields cut at their width,
-    drop trailing NULs and encode as latin-1, so a NUL, or an id or label
-    of full width, sends the file back too. A run starts at a row whose id
-    or label differs from the row before's; each is one id, one label and
-    a count of rows, which go on into the next chunk when its run does.
+    than a comma split, and a NUL would pass for the end of an id. A run
+    starts at a row whose id or label differs from the row before's; each
+    is one id, one label and a count of rows, which go on into the next
+    chunk when its run does. Each chunk's values (:func:`_read_lines`)
+    are written straight into one array, sized from the bytes per row
+    read so far and the file size and grown only when that runs out.
     """
     limit = csv.field_size_limit()
-    ids, labels, counts, chunks = [], [], [], []  # chunks: each chunk's rows
+    ids, labels, counts = [], [], []
     seen: set[str] = set()
-    last = None  # the (id, label text) of the last run, which may go on in the next chunk
-    d = None
+    last = None  # the "id,label" text of the last run, which may go on in the next chunk
+    d = rows = None
+    filled = 0  # the rows written
     try:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             while chunk := fh.read(CHUNK_CHARS):
-                if not chunk.endswith("\n"):
+                if not chunk.endswith(b"\n"):
                     chunk += fh.readline()
-                if not chunk.isascii() or any(c in chunk for c in NOT_BULK):
+                if not chunk.isascii() or any(c in chunk for c in NOT_BULK.encode()):
                     return None
-                if len(chunk) >= limit and max(map(len, chunk.split("\n"))) >= limit:
+                if len(chunk) >= limit and max(map(len, chunk.split(b"\n"))) >= limit:
                     return None
                 if d is None:
-                    header, _, chunk = chunk.partition("\n")
-                    d = _feature_count(header.split(","), path)
-                    fields = [("id", "S64"), ("label", "S20"), ("x", float, (d,))]
-                    options = dict(dtype=fields, delimiter=",", comments=None, ndmin=1)
-                if not chunk.lstrip("\n"):  # blank lines only, on which loadtxt warns
-                    continue
-                table = np.loadtxt(io.StringIO(chunk), **options)
-                cids, texts = table["id"], table["label"]
-                if any(np.strings.str_len(c).max() == c.itemsize for c in (cids, texts)):
-                    return None  # a field of full width may have been cut
-                rows = np.ascontiguousarray(table["x"])
-                if not np.isfinite(rows).all():
+                    header, _, chunk = chunk.partition(b"\n")
+                    try:
+                        d = _feature_count(header.decode().split(","), path)
+                    except DatasetFormatError:  # for the reference to report
+                        return None
+                    rows = np.empty((0, d + 1))
+                read = _read_lines(chunk, d)
+                if read is None:
                     return None
-                chunks.append(rows)
-                new = (cids[1:] != cids[:-1]) | (texts[1:] != texts[:-1])
-                starts = np.flatnonzero(np.concatenate(([True], new)))
-                runs = zip(cids[starts].astype(str).tolist(), texts[starts].astype(str).tolist())
-                for key, count in zip(runs, np.diff(starts, append=len(table)).tolist()):
+                keys, values = read
+                n = len(keys)
+                if not n:
+                    continue
+                if filled + n > len(rows):  # the rows this file's bytes per row so far imply
+                    grown = np.empty((math.ceil((filled + n) * size / fh.tell() * 1.05), d + 1))
+                    grown[:filled] = rows[:filled]
+                    rows = grown
+                rows[filled : filled + n, :-1] = values
+                filled += n
+                starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+                for key, count in zip(keys[starts].tolist(), np.diff(starts, append=n).tolist()):
                     if key == last:
                         counts[-1] += count
                         continue
-                    if key[0] in seen:
+                    cid, _, text = key.decode().partition(",")
+                    if cid in seen:
                         return None
-                    seen.add(key[0])
-                    label = int(key[1])
+                    seen.add(cid)
+                    label = int(text)
                     if label < 0:
                         return None
-                    ids.append(key[0])
+                    ids.append(cid)
                     labels.append(label)
                     counts.append(count)
                     last = key
-    except ValueError:  # also what loadtxt, int and the UTF-8 decoder raise
+    except ValueError:  # also what int and float raise
         return None
-    return None if d is None else stack_rows(ids, labels, counts, chunks, d)
+    if d is None:
+        return None
+    rows.resize((filled, d + 1), refcheck=False)  # no view of it is left
+    return stack_over(ids, labels, counts, rows)
+
+
+def _read_lines(chunk: bytes, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of a chunk of whole lines of ``d + 2`` fields: each row's
+    ``id,label`` text as one array of fixed-width bytes, and its ``(n,
+    d)`` values, equal to ``float``'s to the bit; None if a line has
+    another field count, an id or a label is too wide or a value is not
+    finite. Blank lines are skipped, as ``csv.reader`` skips them. A value
+    in plain form is read from its digits (:func:`_plain_values`); any
+    other is converted by ``float``, whose ValueError goes to the caller.
+    """
+    if not chunk:
+        return np.empty(0, dtype="S1"), np.empty((0, d))
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    u = np.frombuffer(chunk, dtype=np.uint8)
+    special = np.flatnonzero((u == COMMA) | (u == NEWLINE) | (u == DOT))
+    dot = u[special] == DOT
+    ends = special[~dot]  # every field's end
+    n = len(ends) // (d + 2)
+    if (
+        len(ends) != n * (d + 2)
+        or (u[ends[d + 1 :: d + 2]] != NEWLINE).any()
+        or np.count_nonzero(u[ends] == NEWLINE) != n
+    ):
+        if chunk.startswith(b"\n") or b"\n\n" in chunk:  # blank lines
+            return _read_lines(b"\n".join(filter(None, chunk.split(b"\n"))), d)
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(n, d + 2)
+    ends = ends.reshape(n, d + 2)
+    if (ends[:, 0] - starts[:, 0]).max() >= ID_CHARS:
+        return None
+    if (ends[:, 1] - starts[:, 1]).max() >= LABEL_CHARS:
+        return None
+    width = int((ends[:, 1] - starts[:, 0]).max())
+    key_at = starts[:, :1] + np.arange(width)  # each row's "id,label" bytes, and more
+    key = key_at < ends[:, 1:2]
+    np.minimum(key_at, len(u) - 1, out=key_at)
+    keys = np.where(key, u[key_at], 0).view(f"S{width}").ravel()
+    first, last = starts[:, 2:].ravel(), ends[:, 2:].ravel()
+    digits = u.copy()
+    digits[key_at[key]] = ZERO  # one token
+    digits[ends[:, -1]] = COMMA
+    at = np.flatnonzero(dot)
+    field = at - np.arange(len(at))  # the field each dot is in: the separators before it
+    read = _plain_values(digits, first, last, special[at], field, d)
+    if read is None:
+        return None
+    redo, values = read
+    if len(redo):
+        text = chunk.decode()
+        values[redo] = [float(text[s:e]) for s, e in zip(first[redo].tolist(), last[redo].tolist())]
+        if not np.isfinite(values[redo]).all():
+            return None
+    return keys, values.reshape(n, d)
+
+
+def _plain_values(
+    digits: np.ndarray, first: np.ndarray, last: np.ndarray, dots: np.ndarray, field: np.ndarray,
+    d: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values of the fields ``digits[first:last]``, ``d`` a line, and
+    the positions of those that ``float`` must convert. ``digits`` is the
+    chunk with each line's ``id,label`` text written over with ``0`` and
+    its end with ``,``, and is written over; ``dots`` are the positions of
+    its dots and ``field`` the index of the field each is in, ``d + 2`` a
+    line.
+
+    A field is plain when it is an optional ``-`` and up to 18 digits,
+    then maybe a ``.`` and up to 18 more, 19 in all. Its digits, the dot
+    taken out, are one integer m < 10**19 of a ``np.fromstring`` of the
+    chunk, and f of them follow the dot: m / 10**f is one correctly
+    rounded long double division, and then rounded to a double the right
+    double, but where it lies on a midpoint of two doubles, which is left
+    to ``float``. Any other field is left to ``float`` too. Without the
+    x87 long double, ``np.fromstring`` reads the plain fields as doubles,
+    through ``PyOS_string_to_double`` as ``float`` does.
+    """
+    count = len(first)
+    if (first == last).any():  # an empty value, which float rejects, would be no token
+        return None
+    neg = digits[first] == MINUS
+    line, column = np.divmod(field, d + 2)
+    inner = column >= 2  # a dot in a value
+    k = (line * d + column - 2)[inner]
+    dotted = np.bincount(k, minlength=count)
+    plain = dotted <= 1
+    dotted = dotted == 1
+    at = last.copy()
+    at[k] = dots[inner]  # a plain field's dot, if it has one
+    whole = at - first - neg
+    frac = last - at - dotted
+    plain &= (whole >= 1) & (whole <= SIDE_DIGITS) & (frac >= dotted) & (frac <= SIDE_DIGITS)
+    plain &= whole + frac <= PLAIN_DIGITS
+    digits[first[neg]] = ZERO
+    odd = (digits - ZERO) > 9
+    odd &= digits != COMMA
+    odd &= digits != DOT  # a byte no plain field holds
+    plain[np.searchsorted(last, np.flatnonzero(odd))] = False
+    for s, e in zip(first[~plain].tolist(), last[~plain].tolist()):
+        digits[s:e] = ZERO  # one token, whose dots go with it
+    text = digits.tobytes()
+    if not X87_LONG_DOUBLE:  # float's own string-to-double, in numpy's loop
+        values = np.fromstring(text, sep=",")
+        if len(values) != count + count // d:
+            return None
+        values = values.reshape(-1, d + 1)[:, 1:].ravel()
+        values *= np.where(neg, -1.0, 1.0)
+        return np.flatnonzero(~plain), values
+    tokens = np.fromstring(text.replace(b".", b""), dtype=np.uint64, sep=",")
+    if len(tokens) != count + count // d:
+        return None
+    frac *= plain
+    x = tokens.reshape(-1, d + 1)[:, 1:].ravel().astype(np.longdouble) / LONG_TENS[frac]
+    values = x.astype(np.float64)
+    values *= np.where(neg, -1.0, 1.0)
+    midpoint = (x.view(np.uint64)[::2] & 0x7FF) == 0x400  # the 11 bits a double drops
+    return np.flatnonzero(~plain | midpoint), values
 
 
 def write_dataset(cfg: DatagenConfig, out_dir: str | Path) -> dict:

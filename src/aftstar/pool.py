@@ -13,11 +13,13 @@ Rows of one candidate need not be contiguous; the label column repeats the
 candidate's class index identically on every row of that candidate.
 
 A run takes each split as one :class:`CandidateStack`, which the CSV
-loader builds through :func:`stack_rows` with no per-candidate object,
-and :func:`stack_candidates` from the :class:`Candidate` list that
-``datagen.generate`` returns. ``true_label``/``true_labels`` is
-oracle-side ground truth: only the oracle's queries and the evaluator's
-test labels read it, never the selection path.
+loader builds with no per-candidate object, through :func:`stack_over`
+over the rows it reads into one array (or :func:`stack_rows`, for the
+per-row parser's), and :func:`stack_candidates` from the
+:class:`Candidate` list that ``datagen.generate`` returns.
+``true_label``/``true_labels`` is oracle-side ground truth: only the
+oracle's queries and the evaluator's test labels read it, never the
+selection path.
 """
 
 from __future__ import annotations
@@ -97,11 +99,20 @@ def stack_rows(
     """The stack of candidates ``ids`` of ``counts`` patches each, whose
     rows are ``blocks`` (checked ``(r, d)`` arrays) concatenated, copied
     once: each candidate's rows in one run, the candidates in order."""
-    counts = np.array(counts, dtype=np.intp)
-    rows = np.empty((int(counts.sum()), d + 1))
-    rows[:, -1] = 1.0
+    rows = np.empty((int(np.sum(counts, dtype=np.intp)), d + 1))
     if blocks:
         np.concatenate(blocks, out=rows[:, :-1])
+    return stack_over(ids, true_labels, counts, rows)
+
+
+def stack_over(
+    ids: Sequence[str], true_labels: Sequence[int], counts: Sequence[int], rows: np.ndarray
+) -> CandidateStack:
+    """The stack of candidates ``ids`` of ``counts`` patches each over
+    ``rows``, an ``(R, d + 1)`` array whose feature columns hold their
+    rows in order; sets its bias column and makes it read-only."""
+    counts = np.array(counts, dtype=np.intp)
+    rows[:, -1] = 1.0
     rows.flags.writeable = False  # sorted_by_id shares it
     try:
         labels = np.array(true_labels, dtype=np.int64)

@@ -1,6 +1,7 @@
-import io
 import json
 import math
+import re
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from aftstar.datagen import (
     write_dataset,
 )
 from aftstar.errors import ConfigError, DatasetFormatError
+from aftstar.metrics import FLOAT_FMT
 from aftstar.learner import TrainConfig, collect_patches, predict, pretrain_m0
 
 
@@ -363,6 +365,7 @@ QUIRKS = [
 ]
 ODD_VALUES = [
     "-0", " 3", "1_0.5", "1e309", "nan", "inf", "-inf", "abc", "", "0x10", "\x1c3", "3\x1f",
+    "1.", ".5", "1..2", "1.-2", "01.50", "-0.0", "0." + "1" * 19, "0." + "2" * 20, "0." + "3" * 28,
 ]
 
 
@@ -525,79 +528,179 @@ def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, shape):
         assert_same_stack(loaded, expected)
 
 
-# --- the numpy text reader the bulk parser rests on ----------------------------
+# --- the chunk reader the bulk parser rests on -------------------------------
 
-def bulk_reader(tmp_path, d):
-    """``np.loadtxt`` as the bulk parser calls it on a file of ``d``
-    features: a function of a chunk's text."""
-    path = tmp_path / "spy.csv"
-    header = ",".join(["candidate_id", "label"] + [f"f{i}" for i in range(d)])
-    path.write_text(header + "\na,0" + ",1" * d)
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
-        assert datagen._load_plain_csv(path) is not None
-    [(_, options)] = [(call.args, call.kwargs) for call in spy.call_args_list]
-    return lambda text: np.loadtxt(io.StringIO(text), **options)
-
-
+FRACTION_DIGITS = ["0." + "1" * 19, "0." + "1" * 20, "-2." + "3" * 28]
 SPELLINGS = ["-0", "0", "1e-320", "4.9e-324", "1e309", "-1e309", " 3", "3 ", "\t3", "1_0.5",
              "0x10", "nan", "-nan", "inf", "Infinity", ".5", "5.", "+.5e-3", "1" * 25 + ".5",
-             "", " ", "1e", "e1", "--1", "1d5", "1" * 400, "\x0b3", "3\x0c", "\x1c3"]
+             "", " ", "1e", "e1", "--1", "1d5", "1" * 400, "\x0b3", "3\x0c", "\x1c3",
+             "1.", "1..2", "1.-2", "01.50", "-0.0", "-", "-.5", "1" * 18 + ".5", "1" * 19,
+             "9" * 18 + "." + "9", *FRACTION_DIGITS]
 
 
-def assert_reads_as_float(read, text):
-    """``read`` gives ``float(text)`` to the bit, or raises ValueError, on
-    a value the bulk parser does not send back."""
-    if any(c in text for c in datagen.NOT_BULK):
-        return
+def read_line(fields, d):
+    """What the bulk parser's chunk reader makes of one line: (keys,
+    values), None for a line it sends back, or ValueError's text."""
     try:
-        value = read(f"a,0,{text}\n")["x"]
+        return datagen._read_lines(",".join(fields).encode() + b"\n", d)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_reads_as_float(texts):
+    """The chunk reader reads a line of values as ``float`` reads each, to
+    the bit, or fails where ``float`` raises or gives a value that is not
+    finite."""
+    try:
+        expected = [float(text) for text in texts]
     except ValueError:
+        expected = None
+    read = read_line(["a", "0", *texts], len(texts))
+    if expected is None or not all(map(math.isfinite, expected)):
+        assert read is None or isinstance(read, str), texts
         return
-    assert value.shape == (1, 1)
-    assert value.tobytes() == np.array([float(text)]).tobytes(), repr(text)
+    assert not isinstance(read, str) and read is not None, texts
+    assert read[1].shape == (1, len(texts))
+    assert read[1].tobytes() == np.array([expected]).tobytes(), texts
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.floats().map(repr) | st.sampled_from(SPELLINGS))
-def test_loadtxt_reads_a_value_as_float_does_or_raises_value_error(tmp_path_factory, text):
-    assert_reads_as_float(bulk_reader(tmp_path_factory.mktemp("spy"), 1), text)
+@given(text=st.floats().map(repr) | st.floats().map(FLOAT_FMT.__mod__) | st.sampled_from(SPELLINGS))
+def test_the_chunk_reader_reads_a_value_as_float_does_or_fails(text):
+    assert_reads_as_float([text])
 
 
-def test_loadtxt_reads_any_ascii_character_as_float_and_csv_reader_do(tmp_path):
+def test_the_chunk_reader_reads_any_ascii_character_as_float_and_csv_reader_do():
     """Around any ASCII character but the delimiter and the line end, a
     value reads as ``float`` reads it, and an id or a label holds its text
-    as ``csv.reader`` does. Where the reader and ``float`` part, on the
-    separators \\x1c-\\x1f, which only the reader skips as white space,
-    the bulk parser sends the file back."""
-    read = bulk_reader(tmp_path, 1)
+    as ``csv.reader`` does (but a NUL, which the bulk parser sends back)."""
     for c in map(chr, range(128)):
         if c not in ",\n":  # the delimiter and the line end
-            for text in (c, c + "3", "3" + c, "3" + c + "3", c + "1e5" + c):
-                assert_reads_as_float(read, text)
+            for text in (c, c + "3", "3" + c, "3" + c + "3", c + "1e5" + c, c + "1.5", "-1.5" + c):
+                assert_reads_as_float([text])
                 if c not in datagen.NOT_BULK:
-                    table = read(f"{text},{text},1\n")
-                    assert table[["id", "label"]].tolist() == [(text.encode(),) * 2], repr(text)
+                    keys, values = read_line([text, text, "1"], 1)
+                    assert keys.tolist() == [f"{text},{text}".encode()], repr(text)
+                    assert values.tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("column", [0, 1])
-def test_a_field_of_full_width_is_what_the_width_guard_finds(tmp_path, column):
-    read = bulk_reader(tmp_path, 2)
+def test_an_id_or_a_label_too_wide_is_sent_back(column):
+    bound = [datagen.ID_CHARS, datagen.LABEL_CHARS][column]
     for n in range(1, 130):
         row = ["a", "0", "1", "2"]
         row[column] = row[column].rjust(n, "0")
-        field = read(",".join(row) + "\n")[["id", "label"][column]]
-        cut = np.strings.str_len(field).max() == field.itemsize
-        assert cut == (n >= field.itemsize), n
-        if not cut:
-            assert field.astype(str).tolist() == [row[column]]
+        read = read_line(row, 2)
+        assert (read is None) == (n >= bound), n
+        if read is not None:
+            assert read[0].tolist() == [f"{row[0]},{row[1]}".encode()]
 
 
-def test_a_one_line_chunk_gives_one_row(tmp_path):
-    read = bulk_reader(tmp_path, 3)
-    for text in ("a,0,1,2,3", "a,0,1,2,3\n", "\n\na,0,1,2,3\n\n"):
-        table = read(text)
-        assert table.shape == (1,) and table["x"].tolist() == [[1.0, 2.0, 3.0]]
-        assert table["id"].tolist() == [b"a"] and table["label"].tolist() == [b"0"]
+def test_a_one_line_chunk_gives_one_row():
+    for text in (b"a,0,1,2,3", b"a,0,1,2,3\n", b"\n\na,0,1,2,3\n\n"):
+        keys, values = datagen._read_lines(text, 3)
+        assert values.tolist() == [[1.0, 2.0, 3.0]] and keys.tolist() == [b"a,0"]
+
+
+def midpoints(draw_int):
+    """Decimal texts of midpoints between adjacent doubles of at most 19
+    digits, and their neighbours one unit of the last digit and of one
+    more digit away, all of both signs."""
+    mids, neighbours = [], []
+    for e in range(36, 64):
+        x = Decimal(2**e) + (2 * draw_int(0, 2**52 - 1) + 1) * Decimal(2) ** (e - 53)  # exact
+        text = format(x, "f")
+        if sum(c.isdigit() for c in text) <= 19:
+            mids += [text, "-" + text]
+            places = len(text.partition(".")[2])
+            for step in (Decimal(10) ** -places, Decimal(10) ** -(places + 1)):
+                neighbours += [sign + format(x + step * to, "f")
+                               for sign in ("", "-") for to in (-1, 1)]
+    return mids, neighbours
+
+
+def plain_decimals(draw_int, count):
+    """Random plain decimals: up to 18 digits before the dot and after it,
+    19 in all, some with leading or trailing zeros and some with no dot."""
+    texts = []
+    for _ in range(count):
+        whole = draw_int(1, 18)
+        frac = draw_int(0, min(18, 19 - whole))
+        digits = "".join(str(draw_int(0, 9)) for _ in range(whole + frac))
+        sign = "-" if draw_int(0, 1) else ""
+        texts.append(sign + digits[:whole] + ("." + digits[whole:] if frac else ""))
+    return texts
+
+
+def is_plain(text):
+    digits = sum(map(str.isdigit, text))
+    return bool(re.fullmatch(r"-?\d{1,18}(\.\d{1,18})?", text)) and digits <= 19
+
+
+def value_texts(values, data):
+    """``repr`` and ``%.17g`` texts of ``values``, plain decimals up to the
+    digit limits, and midpoints of two doubles with their neighbours; and
+    the midpoints."""
+    draw_int = lambda lo, hi: data.draw(st.integers(lo, hi))  # noqa: E731
+    mids, neighbours = midpoints(draw_int)
+    texts = [*map(repr, values), *(FLOAT_FMT % v for v in values), *plain_decimals(draw_int, 40),
+             *mids, *neighbours]
+    return texts, mids
+
+
+def read_as_float_reads(texts):
+    """Read one line of ``texts``, check each value is ``float``'s to the
+    bit, and return the texts the chunk reader handed to ``float``."""
+    with mock.patch.object(datagen, "float", wraps=float, create=True) as spy:
+        _, read = datagen._read_lines(("a,0," + ",".join(texts) + "\n").encode(), len(texts))
+    assert read.tobytes() == np.array([[float(text) for text in texts]]).tobytes()
+    return {call.args[0] for call in spy.call_args_list}
+
+
+LINES_OF_FLOATS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=LINES_OF_FLOATS, data=st.data())
+def test_every_value_the_exact_route_reads_is_floats_to_the_bit(values, data):
+    """Every value of a line is ``float``'s to the bit, whichever route
+    reads it: ``repr`` and ``%.17g`` texts, plain decimals up to the digit
+    limits, and midpoints of two doubles with their neighbours. Every
+    value that is not plain, and every midpoint, goes to ``float``; the
+    rest go the exact route but where the long double lies on a midpoint
+    (a neighbour of a midpoint a tenth of a unit away, above 2**60, does)."""
+    texts, mids = value_texts(values, data)
+    by_float = read_as_float_reads(texts)
+    if datagen.X87_LONG_DOUBLE:
+        assert {text for text in texts if not is_plain(text)} <= by_float
+        assert set(mids) <= by_float
+        exact = {text for text in texts if is_plain(text)} - by_float
+        assert len(exact) >= 0.5 * len({text for text in texts if is_plain(text)} - set(mids))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=LINES_OF_FLOATS, data=st.data())
+def test_without_the_exact_route_numpy_reads_each_plain_value_as_float_does(values, data):
+    """Where the long double is not the x87 format, ``np.fromstring``
+    reads every plain value, each midpoint too, to ``float``'s bit, and
+    ``float`` reads the rest."""
+    texts, _ = value_texts(values, data)
+    with mock.patch.object(datagen, "X87_LONG_DOUBLE", False):
+        assert read_as_float_reads(texts) == {text for text in texts if not is_plain(text)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=csv_files(), chunk_chars=st.sampled_from([1, 64, datagen.CHUNK_CHARS]))
+def test_bulk_parser_without_the_exact_route_matches_the_reference_parser(
+    tmp_path_factory, data, chunk_chars
+):
+    """Where the long double is not the x87 format, the loads are the
+    same."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(data)
+    with mock.patch.object(datagen, "X87_LONG_DOUBLE", False), \
+            mock.patch.object(datagen, "CHUNK_CHARS", chunk_chars):
+        assert_same_load(path)
 
 
 # --- link to selection criteria ----------------------------------------------

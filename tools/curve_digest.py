@@ -1,6 +1,7 @@
 """Print one sha256 digest per learning curve of the standard benchmark
 grid, then one per artifact of a ragged ``aftstar compare``, then one per
-split of a generated dataset as it is read back, then one per learning
+split of a generated dataset as it is read back and one per split of the
+ragged set as it is read, then one per learning
 curve of a nine-class run, then one of a two-class selection audit, then
 one of a learning curve with a noisy oracle, then one of two runs on a
 pool with one-patch candidates, then one of two runs that label their
@@ -28,7 +29,10 @@ read back by ``datagen.load_dataset``. Each line is ``dataset <split>
 <sha256>``, where the digest covers every candidate's id, label, feature
 shape and feature bytes, in order, read from the split's stack. One more line, ``dataset meta.json
 <sha256>``, covers the bytes of the ``meta.json`` it writes: the config
-and the ambiguity flags.
+and the ambiguity flags. Then ``dataset ragged <split> <sha256>``
+digests the same way each split of the compare's ragged set, whose
+writer prints its floats by ``repr``, as ``datagen.load_dataset`` reads
+it.
 
 The nine-class run: a generated dataset with 9 equally weighted classes
 and 10 features (seed 1), with AFT*-diversity_w and RFT, seed 1, budget
@@ -256,6 +260,9 @@ def main() -> None:
             print(f"dataset {split} {candidates_digest(candidates)}", flush=True)
         meta = (generated / "meta.json").read_bytes()
         print(f"dataset meta.json {hashlib.sha256(meta).hexdigest()}", flush=True)
+        train, test, _ = datagen.load_dataset(data)
+        for split, candidates in (("train", train), ("test", test)):
+            print(f"dataset ragged {split} {candidates_digest(candidates)}", flush=True)
     train, test, _ = generate(NINE_CLASSES)
     nine_class_strategies = (
         make_strategy("AFT_star", "diversity_w", BATCH),
