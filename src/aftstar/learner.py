@@ -21,14 +21,11 @@ one entry per training row; and ``y`` their inherited candidate labels.
 No training row is copied before the fit: each epoch gathers the rows at
 the permuted positions straight into one array, and the permuted one-hot
 labels into another, and then walks contiguous minibatch slices of them.
-The SGD is buffered: the minibatch slices, the work arrays, their
-transposes and their column views are made once per fit, and the
-momentum and the learning rate scale the velocity and the gradient in
-one multiply of the two stacked in one array, by a factor array of
-that same full shape, so the multiply broadcasts nothing. Each
-minibatch's row count is a 0-d float array, so dividing the gradient by
-it converts no Python number. Every operation runs in the same order,
-so the weights are those of the unbuffered loop to the bit.
+The SGD is bound by numpy's per-call cost, not by its arithmetic, so
+each minibatch makes its calls through the cheapest entry points, into
+views and work arrays made once per fit (see :func:`_run_sgd`). Every
+operation runs in the same order, so the weights are those of the
+unbuffered loop to the bit.
 
 The learner works on a split as one :class:`aftstar.pool.CandidateStack`
 (augmented rows, each candidate's first row and patch count), and a run
@@ -86,6 +83,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .datagen import infer_num_classes
 from .errors import ConfigError, DivergenceError, InvariantError, ShapeError, check_integer, shown
 from .pool import Candidate, CandidateStack, stack_candidates
 
@@ -191,10 +189,11 @@ def _softmax_rows(
     left to right. The sum adds them left to
     right as :func:`row_sum` does, but without its +0.0 start, which
     changes nothing here: exp gives no -0.0. ``work``, one entry per row,
-    takes the maxima and then the sums. From 8 classes on, the maximum
-    and the sum are numpy's own reductions. Two columns take the same
-    operations in the same order, written out without the loops, for the
-    fit's two-class minibatches.
+    takes the maxima and then the sums. The column operations write into
+    positional outputs, but ``np.maximum``'s (numpy 2.4 deprecates it).
+    From 8 classes on, the maximum and the sum are numpy's own
+    reductions. A two-class fit runs these loops' operations for two
+    columns, in the same order, in :func:`_run_sgd`'s loop body.
     """
     if Z.shape[1] >= _COLUMNWISE_LIMIT:
         top = Z.max(axis=1, out=work)
@@ -204,28 +203,17 @@ def _softmax_rows(
         return Z
     if columns is None:
         columns = [Z[:, j] for j in range(Z.shape[1])]
-    if len(columns) == 2:
-        # The lines below for two columns, written out without their loops.
-        first, second = columns
-        top = np.maximum(first, second, out=work)
-        first -= top
-        second -= top
-        np.exp(Z, out=Z)
-        total = np.add(first, second, out=top)
-        first /= total
-        second /= total
-        return Z
     top = np.maximum(columns[0], columns[1], out=work)
     for column in columns[2:]:
         np.maximum(top, column, out=top)
     for column in columns:
-        column -= top
-    np.exp(Z, out=Z)
-    total = np.add(columns[0], columns[1], out=top)
+        np.subtract(column, top, column)
+    np.exp(Z, Z)
+    total = np.add(columns[0], columns[1], top)
     for column in columns[2:]:
-        total += column
+        np.add(total, column, total)
     for column in columns:
-        column /= total
+        np.divide(column, total, column)
     return Z
 
 
@@ -280,10 +268,17 @@ def _run_sgd(
     the stacked ``[velocity; grad]`` by ``[momentum; lr]``, a float array
     of the same ``(2, k, d + 1)`` shape whose lr half is set once per
     epoch. The gradient is divided by its minibatch's row count held as a
-    0-d float64 array. On one Xeon core with numpy 2.4.6, on a two-class
-    minibatch of 32 rows, the full-shape factor took 0.28 us a multiply
-    where a ``(2, 1, 1)`` one, broadcast, took 0.77-0.80 us, and the 0-d
-    divisor 0.27 us a division where a Python float took 0.45-0.48 us.
+    0-d float64 array. Both products go through ``ndarray.dot``, every
+    ufunc through a local name with its output positional, and for two
+    classes the softmax's column operations run in the loop body, with
+    no call. On one Xeon core with numpy 2.4.6, on a two-class minibatch
+    of 32 rows, the full-shape factor took 0.28 us a multiply where a
+    ``(2, 1, 1)`` one, broadcast, took 0.77-0.80 us, and the 0-d divisor
+    0.27 us a division where a Python float took 0.45-0.48 us;
+    ``Xb.dot(W_T, out=Z)`` took 0.63 us where ``np.dot`` took 0.85 us
+    (0.42 against 0.59 us for the gradient's product), and
+    ``subtract(a, b, a)`` 0.31 us where ``np.subtract(a, b, a)`` took
+    0.35 us and ``a -= b`` 0.33 us.
     It runs with numpy's overflow and invalid warnings off: a fit whose
     weights end up non-finite raises one :class:`DivergenceError`.
     """
@@ -309,22 +304,34 @@ def _run_sgd(
         (Xp[start : start + size], Yp[start : start + size], *work[min(size, n - start)])
         for start in range(0, n, size)
     ]
+    add, subtract, multiply, divide, maximum, exp = (
+        np.add, np.subtract, np.multiply, np.divide, np.maximum, np.exp)
     for epoch in range(cfg.epochs):
         factor[1] = lr0 * cfg.lr_decay_gamma**epoch
         order = rng.permutation(n)
         # mode="clip" leaves the gathers unbuffered; every index is in range.
         np.take(rows, index[order], axis=0, out=Xp, mode="clip")
         np.take(Y, order, axis=0, out=Yp, mode="clip")
-        for Xb, Yb, b, Z, Z_T, columns, row_work in batches:
-            # np.dot makes the BLAS call of the @ product, with less overhead.
-            np.dot(Xb, W_T, out=Z)
-            _softmax_rows(Z, columns, row_work)
-            Z -= Yb
-            np.dot(Z_T, Xb, out=grad)
-            grad /= b
-            scaled *= factor
-            velocity -= grad
-            W += velocity
+        for Xb, Yb, b, Z, Z_T, columns, top in batches:
+            Xb.dot(W_T, out=Z)
+            if k == 2:
+                # _softmax_rows's column loops for two columns, written out.
+                first, second = columns
+                maximum(first, second, out=top)
+                subtract(first, top, first)
+                subtract(second, top, second)
+                exp(Z, Z)
+                add(first, second, top)
+                divide(first, top, first)
+                divide(second, top, second)
+            else:
+                _softmax_rows(Z, columns, top)
+            subtract(Z, Yb, Z)
+            Z_T.dot(Xb, out=grad)
+            divide(grad, b, grad)
+            multiply(scaled, factor, scaled)
+            subtract(velocity, grad, velocity)
+            add(W, velocity, W)
     if not np.isfinite(W).all():
         raise DivergenceError("the fit diverged to non-finite weights: lower learning_rate")
     return W
@@ -343,8 +350,11 @@ def pretrain_m0(
     Without data: small random weights, uniform in [-0.01, 0.01], giving
     near-uniform predictions. With data: the same initialization trained
     on it at the full learning rate, simulating a model pre-trained on a
-    source domain.
+    source domain. The labels imply ``num_classes`` when it is None (at
+    least 2); one below 2 raises :class:`ConfigError` before any draw.
     """
+    if num_classes is not None:
+        check_integer("num_classes", num_classes, 2)
     if data is None:
         if feature_dim is None or num_classes is None:
             raise ConfigError("feature_dim and num_classes are required without data")
@@ -354,7 +364,7 @@ def pretrain_m0(
     if X.shape[0] == 0:
         raise InvariantError("pretraining data must be non-empty")
     if num_classes is None:
-        num_classes = int(y.max()) + 1
+        num_classes = infer_num_classes(y)
     W = rng.uniform(-0.01, 0.01, size=(num_classes, X.shape[1] + 1))
     W = _run_sgd(W, np.arange(len(X)), y, _augment(X), cfg, cfg.learning_rate, rng)
     return LearnerModel(weights=W)

@@ -82,6 +82,27 @@ def test_pretrain_rejects_non_finite():
         pretrain_m0((X, np.array([0])), TrainConfig(), np.random.default_rng(0))
 
 
+def test_pretrain_on_one_class_infers_two_classes():
+    X = np.random.default_rng(0).normal(size=(10, 3))
+    data = (X, np.zeros(10, dtype=int))
+    model = pretrain_m0(data, TrainConfig(), np.random.default_rng(1))
+    two = pretrain_m0(data, TrainConfig(), np.random.default_rng(1), num_classes=2)
+    assert np.array_equal(model.weights, two.weights)
+    assert (predict_features(model, X).argmax(axis=1) == 0).all()
+
+
+@pytest.mark.parametrize("with_data", [False, True])
+@pytest.mark.parametrize("num_classes", [1, 0])
+def test_pretrain_rejects_fewer_than_two_classes_before_drawing(with_data, num_classes):
+    X = np.random.default_rng(0).normal(size=(10, 3))
+    data = (X, np.zeros(10, dtype=int)) if with_data else None
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="num_classes must be >= 2"):
+        pretrain_m0(data, TrainConfig(), rng, feature_dim=3, num_classes=num_classes)
+    assert rng.bit_generator.state == state
+
+
 # --- fit --------------------------------------------------------------------
 
 def test_fit_moves_predictions_toward_labels():
@@ -139,22 +160,53 @@ def sgd_reference(weights, X, y, cfg, lr0, rng):
     return W
 
 
+def assert_fit_equals_the_reference(num_classes, warm, n, shape_base=None):
+    rng = np.random.default_rng(100 * num_classes + n)
+    d = 6
+    X = rng.normal(scale=2.0, size=(n, d))
+    y = rng.integers(0, num_classes, size=n)
+    cfg = TrainConfig(minibatch_size=32)
+    weights = rng.normal(scale=0.3, size=(num_classes, d + 1))
+    base = LearnerModel(weights=weights if shape_base is None else shape_base(weights))
+    model = fit(base, fit_data(X, y), cfg, warm, np.random.default_rng(n))
+    lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
+    expected = sgd_reference(base.weights, X, y, cfg, lr0, np.random.default_rng(n))
+    assert np.array_equal(model.weights, expected)
+    return base, X
+
+
 @pytest.mark.parametrize("num_classes", [2, 3, 9])
 @pytest.mark.parametrize("warm", [True, False])
 # One row; below, equal to, multiple of, and not a multiple of 32; and a last
 # minibatch of one row, which numpy multiplies as a matrix-vector product.
 @pytest.mark.parametrize("n", [1, 20, 32, 96, 75, 33])
 def test_fit_weights_equal_the_fancy_indexing_reference(num_classes, warm, n):
-    rng = np.random.default_rng(100 * num_classes + n)
-    d = 6
-    X = rng.normal(scale=2.0, size=(n, d))
-    y = rng.integers(0, num_classes, size=n)
-    cfg = TrainConfig(minibatch_size=32)
-    base = LearnerModel(weights=rng.normal(scale=0.3, size=(num_classes, d + 1)))
-    model = fit(base, fit_data(X, y), cfg, warm, np.random.default_rng(n))
-    lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
-    expected = sgd_reference(base.weights, X, y, cfg, lr0, np.random.default_rng(n))
-    assert np.array_equal(model.weights, expected)
+    assert_fit_equals_the_reference(num_classes, warm, n)
+
+
+def tied_rows(weights):
+    """Every class row the first one's, so the first minibatch's logits tie."""
+    return np.repeat(weights[:1], len(weights), axis=0)
+
+
+def scaled_200(weights):
+    """The weights about 200 times larger, so exp underflows to 0."""
+    return 200.0 * weights
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("warm", [True, False])
+@pytest.mark.parametrize("shape_base", [tied_rows, scaled_200])
+def test_fit_weights_on_tied_and_saturated_logits_equal_the_reference(
+    num_classes, warm, shape_base
+):
+    base, X = assert_fit_equals_the_reference(num_classes, warm, 75, shape_base)
+    Z = _augment(X) @ base.weights.T  # the base's logits, the first minibatch's among them
+    if shape_base is tied_rows:
+        assert (Z == Z[:, :1]).all()
+    else:
+        # Logits more than 746 below their row's maximum: their exp is 0.
+        assert (Z.max(axis=1, keepdims=True) - Z > 746).any()
 
 
 # Whole-number settings given as ints, as a JSON config may give them.
