@@ -27,6 +27,20 @@ views and work arrays made once per fit (see :func:`_run_sgd`). Every
 operation runs in the same order, so the weights are those of the
 unbuffered loop to the bit.
 
+Cold fits from one base that no other fit reads can run together:
+:func:`queued_fit` takes a fit's draws from the run's generator where
+:func:`fit` takes them, and :func:`fit_stacked` runs the queued fits in
+lockstep, epoch by epoch, each tick one minibatch of every fit that has
+a full one left, stacked along a leading fit axis. The same minibatch
+body, :func:`_descend`, serves one fit (``ndarray.dot``) and stacked
+fits (``np.matmul``, which multiplies each fit's minibatch by the same
+gemm), so every fit keeps :func:`fit`'s weights to the bit. On one Xeon
+core with numpy 2.4.6, a tick of about 25 two-class fits of 32 rows
+costs about 55 us, about 2 us a fit, where one fit's minibatch alone
+costs about 8 us: the 50 restarts of an RFT run of 50 steps of 50
+twelve-patch candidates (765,000 rows an epoch) took 582-650 ms one by
+one and 202-236 ms stacked.
+
 The learner works on a split as one :class:`aftstar.pool.CandidateStack`
 (augmented rows, each candidate's first row and patch count), and a run
 picks each step's unlabeled and labeled sets out of its pool's stack by
@@ -78,6 +92,7 @@ place took 1.28-1.38 ms whatever the share and gathering took 0.61,
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -178,32 +193,28 @@ def patch_sum(P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows(
-    Z: np.ndarray, columns: list[np.ndarray] | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Row-wise softmax, computed in place in ``Z`` (a fresh or a work array).
+def _softmax_rows(Z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, computed in place in ``Z``, a fresh array.
 
     Below 8 classes the row maximum, its subtraction, the row sum and
-    the division run over whole columns: ``columns``, Z's column views,
-    made here unless given. The maximum takes ``np.maximum`` over them
-    left to right. The sum adds them left to
-    right as :func:`row_sum` does, but without its +0.0 start, which
-    changes nothing here: exp gives no -0.0. ``work``, one entry per row,
-    takes the maxima and then the sums. The column operations write into
+    the division run over whole columns, Z's column views. The maximum
+    takes ``np.maximum`` over them left to right. The sum adds them left
+    to right as :func:`row_sum` does, but without its +0.0 start, which
+    changes nothing here: exp gives no -0.0. One entry per row takes the
+    maxima and then the sums. The column operations write into
     positional outputs, but ``np.maximum``'s (numpy 2.4 deprecates it).
     From 8 classes on, the maximum and the sum are numpy's own
-    reductions. A two-class fit runs these loops' operations for two
-    columns, in the same order, in :func:`_run_sgd`'s loop body.
+    reductions. A fit runs these operations, in the same order, in
+    :func:`_descend`'s loop body.
     """
     if Z.shape[1] >= _COLUMNWISE_LIMIT:
-        top = Z.max(axis=1, out=work)
+        top = Z.max(axis=1)
         Z -= top[:, None]
         np.exp(Z, out=Z)
         Z /= row_sum(Z, top)[:, None]
         return Z
-    if columns is None:
-        columns = [Z[:, j] for j in range(Z.shape[1])]
-    top = np.maximum(columns[0], columns[1], out=work)
+    columns = [Z[:, j] for j in range(Z.shape[1])]
+    top = np.maximum(columns[0], columns[1])
     for column in columns[2:]:
         np.maximum(top, column, out=top)
     for column in columns:
@@ -244,6 +255,80 @@ def loss_and_gradient(
     return loss, grad
 
 
+_dot = np.ndarray.dot  # the 2-D product; np.matmul is the stacked one
+
+
+def _minibatch_work(b: int, k: int, lead: tuple = ()) -> tuple:
+    """The work arrays of :func:`_descend`'s minibatch body for ``b`` rows
+    of ``k`` classes, with the leading axes ``lead`` (one per stacked fit),
+    in the order the body unpacks them after the minibatch's rows and
+    labels: the row count as a 0-d float array, which numpy divides by
+    without converting a Python number on every call; the logits ``Z``
+    and their transpose; Z's first, second and other class columns; and
+    one entry per row for the maxima and the sums, and its view as a
+    column."""
+    Z = np.empty((*lead, b, k))
+    top = np.empty((*lead, b))
+    columns = [Z[..., j] for j in range(k)]
+    return (np.array(float(b)), Z, np.swapaxes(Z, -1, -2), columns[0], columns[1], columns[2:],
+            top, top[..., None])
+
+
+def _descend(batches, dot, state) -> None:
+    """Run the minibatches ``batches`` of one fit, or of fits stacked along
+    a leading axis, in turn: each one's rows, one-hot labels and
+    :func:`_minibatch_work` arrays. ``state`` holds the weights, their
+    transpose, the stacked ``[velocity; grad]``, its factor and its two
+    halves, which the body updates in place; ``dot`` is ``ndarray.dot``
+    for one fit and ``np.matmul`` for stacked ones, and every other
+    operation is a ufunc or a reduction over the last axis, so one body
+    serves both, in the same order.
+
+    The softmax runs below 8 classes over whole columns, as
+    :func:`_softmax_rows` does, with no call: the maxima and the sums
+    left to right, and, from three classes on, the subtraction and the
+    division each one broadcast call over ``top``'s column view (for two,
+    two calls on the columns are the faster); from 8 classes on, numpy's
+    own reductions over the last axis.
+    """
+    W, W_T, scaled, factor, velocity, grad = state
+    add, subtract, multiply, divide, maximum, exp = (
+        np.add, np.subtract, np.multiply, np.divide, np.maximum, np.exp)
+    k = W.shape[-2]
+    for Xb, Yb, count, Z, Z_T, first, second, rest, top, top_col in batches:
+        dot(Xb, W_T, out=Z)
+        if k == 2:
+            maximum(first, second, out=top)
+            subtract(first, top, first)
+            subtract(second, top, second)
+            exp(Z, Z)
+            add(first, second, top)
+            divide(first, top, first)
+            divide(second, top, second)
+        elif k < _COLUMNWISE_LIMIT:
+            maximum(first, second, out=top)
+            for column in rest:
+                maximum(top, column, out=top)
+            subtract(Z, top_col, Z)
+            exp(Z, Z)
+            add(first, second, top)
+            for column in rest:
+                add(top, column, top)
+            divide(Z, top_col, Z)
+        else:
+            Z.max(axis=-1, out=top)
+            subtract(Z, top_col, Z)
+            exp(Z, Z)
+            Z.sum(axis=-1, out=top)
+            divide(Z, top_col, Z)
+        subtract(Z, Yb, Z)
+        dot(Z_T, Xb, out=grad)
+        divide(grad, count, grad)
+        multiply(scaled, factor, scaled)
+        subtract(velocity, grad, velocity)
+        add(W, velocity, W)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _run_sgd(
     weights: np.ndarray,
@@ -259,79 +344,51 @@ def _run_sgd(
 
     Each epoch gathers the permuted rows straight from ``rows`` and the
     permuted one-hot labels into two arrays, and walks contiguous
-    minibatch slices of them. Each minibatch runs the softmax, the
-    residual ``probs - Y``, the mean gradient and the momentum update,
-    always in that order. Every view, work array and transpose the
-    minibatches use is made once per call: one set for the full
-    minibatches and one for the shorter last one. The momentum and the
-    learning rate scale the velocity and the gradient in one multiply of
-    the stacked ``[velocity; grad]`` by ``[momentum; lr]``, a float array
-    of the same ``(2, k, d + 1)`` shape whose lr half is set once per
-    epoch. The gradient is divided by its minibatch's row count held as a
-    0-d float64 array. Both products go through ``ndarray.dot``, every
-    ufunc through a local name with its output positional, and for two
-    classes the softmax's column operations run in the loop body, with
-    no call. On one Xeon core with numpy 2.4.6, on a two-class minibatch
-    of 32 rows, the full-shape factor took 0.28 us a multiply where a
-    ``(2, 1, 1)`` one, broadcast, took 0.77-0.80 us, and the 0-d divisor
-    0.27 us a division where a Python float took 0.45-0.48 us;
-    ``Xb.dot(W_T, out=Z)`` took 0.63 us where ``np.dot`` took 0.85 us
-    (0.42 against 0.59 us for the gradient's product), and
-    ``subtract(a, b, a)`` 0.31 us where ``np.subtract(a, b, a)`` took
-    0.35 us and ``a -= b`` 0.33 us.
+    minibatch slices of them through :func:`_descend`. Each minibatch
+    runs the softmax, the residual ``probs - Y``, the mean gradient and
+    the momentum update, always in that order. Every view, work array
+    and transpose the minibatches use is made once per call: one set for
+    the full minibatches and one for the shorter last one. The momentum
+    and the learning rate scale the velocity and the gradient in one
+    multiply of the stacked ``[velocity; grad]`` by ``[momentum; lr]``, a
+    float array of the same ``(2, k, d + 1)`` shape whose lr half is set
+    once per epoch. The gradient is divided by its minibatch's row count
+    held as a 0-d float64 array. Both products go through ``ndarray.dot``,
+    every ufunc through a local name with its output positional, and the
+    softmax's operations run in the loop body, with no call. On one Xeon
+    core with numpy 2.4.6, on a two-class minibatch of 32 rows, the
+    full-shape factor took 0.28 us a multiply where a ``(2, 1, 1)`` one,
+    broadcast, took 0.77-0.80 us, and the 0-d divisor 0.27 us a division
+    where a Python float took 0.45-0.48 us; ``Xb.dot(W_T, out=Z)`` took
+    0.63 us where ``np.dot`` took 0.85 us (0.42 against 0.59 us for the
+    gradient's product), and ``subtract(a, b, a)`` 0.31 us where
+    ``np.subtract(a, b, a)`` took 0.35 us and ``a -= b`` 0.33 us.
     It runs with numpy's overflow and invalid warnings off: a fit whose
     weights end up non-finite raises one :class:`DivergenceError`.
     """
     W = weights.copy()
-    W_T = W.T
     k = W.shape[0]
     scaled = np.zeros((2, *W.shape))  # [velocity; grad]
-    velocity, grad = scaled
     # A float array whatever the config's number types: an int momentum
     # would make an int array, which truncates the learning rate to 0.
     factor = np.full(scaled.shape, cfg.momentum, dtype=float)
+    state = (W, W.T, scaled, factor, *scaled)
     Y = np.take(np.eye(k), y, axis=0)
     n = len(index)
     size = cfg.minibatch_size
     Xp, Yp = np.empty((n, rows.shape[1])), np.empty_like(Y)
-    work = {}
-    for b in {min(size, n), n % size} - {0}:
-        Z = np.empty((b, k))
-        # The row count as a 0-d float array, which numpy divides by
-        # without converting a Python number on every call.
-        work[b] = (np.array(float(b)), Z, Z.T, [Z[:, j] for j in range(k)], np.empty(b))
+    work = {b: _minibatch_work(b, k) for b in {min(size, n), n % size} - {0}}
     batches = [
         (Xp[start : start + size], Yp[start : start + size], *work[min(size, n - start)])
         for start in range(0, n, size)
     ]
-    add, subtract, multiply, divide, maximum, exp = (
-        np.add, np.subtract, np.multiply, np.divide, np.maximum, np.exp)
     for epoch in range(cfg.epochs):
         factor[1] = lr0 * cfg.lr_decay_gamma**epoch
         order = rng.permutation(n)
         # mode="clip" leaves the gathers unbuffered; every index is in range.
         np.take(rows, index[order], axis=0, out=Xp, mode="clip")
         np.take(Y, order, axis=0, out=Yp, mode="clip")
-        for Xb, Yb, b, Z, Z_T, columns, top in batches:
-            Xb.dot(W_T, out=Z)
-            if k == 2:
-                # _softmax_rows's column loops for two columns, written out.
-                first, second = columns
-                maximum(first, second, out=top)
-                subtract(first, top, first)
-                subtract(second, top, second)
-                exp(Z, Z)
-                add(first, second, top)
-                divide(first, top, first)
-                divide(second, top, second)
-            else:
-                _softmax_rows(Z, columns, top)
-            subtract(Z, Yb, Z)
-            Z_T.dot(Xb, out=grad)
-            divide(grad, b, grad)
-            multiply(scaled, factor, scaled)
-            subtract(velocity, grad, velocity)
-            add(W, velocity, W)
+        _descend(batches, _dot, state)
     if not np.isfinite(W).all():
         raise DivergenceError("the fit diverged to non-finite weights: lower learning_rate")
     return W
@@ -351,13 +408,15 @@ def pretrain_m0(
     near-uniform predictions. With data: the same initialization trained
     on it at the full learning rate, simulating a model pre-trained on a
     source domain. The labels imply ``num_classes`` when it is None (at
-    least 2); one below 2 raises :class:`ConfigError` before any draw.
+    least 2); one below 2, or without data a ``feature_dim`` that is not
+    an integer of at least 0, raises :class:`ConfigError` before any draw.
     """
     if num_classes is not None:
         check_integer("num_classes", num_classes, 2)
     if data is None:
         if feature_dim is None or num_classes is None:
             raise ConfigError("feature_dim and num_classes are required without data")
+        check_integer("feature_dim", feature_dim, 0)
         W = rng.uniform(-0.01, 0.01, size=(num_classes, feature_dim + 1))
         return LearnerModel(weights=W)
     X, y = _check_data(*data, num_classes)
@@ -387,6 +446,121 @@ def fit(
     index, y, rows = data
     lr0 = cfg.learning_rate * (cfg.finetune_lr_factor if warm else 1.0)
     return LearnerModel(weights=_run_sgd(base.weights, index, y, rows, cfg, lr0, rng))
+
+
+def queued_fit(
+    stack: CandidateStack, keep: np.ndarray, cfg: TrainConfig, rng: np.random.Generator
+) -> tuple:
+    """A fit for :func:`fit_stacked` on the stack's candidates that ``keep``
+    selects: ``(keep, fork)``, ``fork`` a copy of ``rng`` as the fit would
+    start drawing from it. Then it draws from ``rng`` the epoch orders the
+    fit draws, so ``rng`` goes on as it would after :func:`fit`. Neither
+    the fit's rows nor its orders are held: the stacked pass draws the
+    orders again from ``fork``."""
+    fork = copy.deepcopy(rng)
+    n = int(stack.counts[keep].sum())
+    for _ in range(cfg.epochs):
+        rng.permutation(n)
+    return keep, fork
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def fit_stacked(
+    base: LearnerModel,
+    stack: CandidateStack,
+    labels: np.ndarray,
+    fits: list[tuple],
+    cfg: TrainConfig,
+) -> list[LearnerModel]:
+    """One model per fit of ``fits``, in their order, each with the bits of
+    a cold :func:`fit` from ``base`` on its ``(keep, rng)``, as
+    :func:`queued_fit` gives it: the training data ``training_rows(stack,
+    keep, labels[keep])``, ``labels`` holding one label per candidate of
+    the stack, and the generator its epoch orders come from. A warm fit
+    starts from the model before it, so it cannot wait to run stacked.
+
+    The fits run in lockstep, epoch by epoch. Ranked by size, largest
+    first, the fits with a full minibatch at a tick are a prefix of them,
+    so each tick gathers their minibatches into one ``(A, b, d + 1)``
+    array, and their one-hot labels from a table of the stack's rows by
+    the same positions, and runs :func:`_descend` once over the leading
+    fit axis, with ``np.matmul``, which multiplies each fit's minibatch by
+    the same gemm as ``ndarray.dot``. A fit's shorter last minibatch, and
+    a single fit, keep the 2-D body: one fit of 2,400 rows took 3.9 ms
+    through the stacked body and 1.8 ms through the 2-D one. An epoch
+    holds the permuted row positions of every fit, laid out tick by tick,
+    not their rows, and not the other epochs' orders: each fit's
+    generator draws them again, epoch by epoch.
+    """
+    if len(fits) < 2:  # no fit, or one through the 2-D body
+        return [fit(base, training_rows(stack, keep, labels[keep]), cfg, False, rng)
+                for keep, rng in fits]
+    kept = [(stack.first[keep], stack.counts[keep]) for keep, _ in fits]
+    sizes = [int(counts.sum()) for _, counts in kept]
+    ranked = sorted(range(len(fits)), key=lambda i: -sizes[i])
+    size = cfg.minibatch_size
+    full = np.array([sizes[i] for i in ranked]) // size  # full minibatches per fit
+    active = (full > np.arange(full[0])[:, None]).sum(axis=1).tolist()  # fits per tick
+    starts = size * np.concatenate([[0], np.cumsum(active, dtype=np.intp)])  # each tick's rows
+    k, D = base.weights.shape
+    W = np.repeat(base.weights[None], len(fits), axis=0)
+    scaled = np.zeros((len(fits), 2, k, D))  # each fit's [velocity; grad]
+    factor = np.full(scaled.shape, cfg.momentum, dtype=float)
+    rows = stack.rows
+    # Held as int32 where they fit, half of intp's memory; each tick copies
+    # its own into an intp array, which numpy's gathers take as it is.
+    narrow = np.int32 if len(rows) <= np.iinfo(np.int32).max else np.intp
+    positions = np.empty(starts[-1], dtype=narrow)
+    # One one-hot row per row of the stack, set on the rows of some fit.
+    onehot = np.zeros((len(rows), k))
+    used = np.zeros(len(stack), dtype=bool)
+    for keep, _ in fits:
+        used[keep] = True
+    index, y, _ = training_rows(stack, used, labels[used])
+    onehot[index] = np.take(np.eye(k), y, axis=0)
+    X, Y = np.empty((len(fits), size, D)), np.empty((len(fits), size, k))
+    tick_positions = np.empty((len(fits), size), dtype=np.intp)
+
+    def state(at) -> tuple:
+        return (W[at], np.swapaxes(W[at], -1, -2), scaled[at], factor[at],
+                scaled[at][..., 0, :, :], scaled[at][..., 1, :, :])
+
+    by_count = {A: (tick_positions[:A], ((X[:A], Y[:A], *_minibatch_work(size, k, (A,))),),
+                    state(slice(A))) for A in set(active)}  # the views of a tick of A fits
+    ticks = [(positions[s:e].reshape(A, size), *by_count[A])
+             for s, e, A in zip(starts[:-1].tolist(), starts[1:].tolist(), active)]
+    short = {}  # the arrays of a last minibatch of r rows
+    take_rows, take_onehot, matmul, copyto = rows.take, onehot.take, np.matmul, np.copyto
+    for epoch in range(cfg.epochs):
+        factor[:, 1] = cfg.learning_rate * cfg.lr_decay_gamma**epoch
+        tails = []
+        for j, i in enumerate(ranked):
+            index = _row_positions(*kept[i])
+            order = fits[i][1].permutation(len(index))
+            cut = int(full[j]) * size
+            at = (starts[: int(full[j])] + j * size)[:, None] + np.arange(size)
+            positions[at.ravel()] = index[order[:cut]]
+            if cut < len(index):
+                tails.append((j, index[order[cut:]]))
+        for held, P, batch, views in ticks:
+            copyto(P, held)
+            take_rows(P, axis=0, out=batch[0][0], mode="clip")
+            take_onehot(P, axis=0, out=batch[0][1], mode="clip")
+            _descend(batch, matmul, views)
+        for j, P in tails:
+            if len(P) not in short:
+                short[len(P)] = (np.empty((len(P), D)), np.empty((len(P), k)),
+                                 *_minibatch_work(len(P), k))
+            Xs, Ys, *work = short[len(P)]
+            take_rows(P, axis=0, out=Xs, mode="clip")
+            take_onehot(P, axis=0, out=Ys, mode="clip")
+            _descend([(Xs, Ys, *work)], _dot, state(j))
+    if not np.isfinite(W).all():
+        raise DivergenceError("the fit diverged to non-finite weights: lower learning_rate")
+    models = [None] * len(fits)
+    for j, i in enumerate(ranked):
+        models[i] = LearnerModel(weights=W[j].copy())
+    return models
 
 
 @np.errstate(over="ignore", invalid="ignore")

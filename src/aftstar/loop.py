@@ -27,6 +27,20 @@ mask over the stack, and each epoch of the fit's buffered SGD gathers
 its rows straight from the stack, so no row is copied before the fit.
 The oracle gets the pool's true labels as one id -> label map.
 
+A step whose selection, training set and start read no earlier model
+queues its fit: uniform selection training on L + Q (or Q) from the
+pre-trained start, which is RFT, in a run with no AUC target to stop
+on. Such a step still selects, annotates and draws its fit's epoch
+orders from the run's generator (``learner.queued_fit``) in
+``run_step``, but neither fits, nor mines H, nor evaluates. After the
+last step ``run_experiment`` runs every queued fit in one stacked pass
+(``learner.fit_stacked``), then, step by step, mines each step's H with
+the model before it and evaluates the step's model, into the step's
+record and audit line. The records, the audit and every later draw keep
+their bits. A queued fit that diverges raises ``DivergenceError`` only
+from the stacked pass, after every step has selected and annotated, not
+at its own step.
+
 The five named strategies differ in three choices:
 
 ==================  =========  =============  ==================
@@ -62,8 +76,10 @@ from .learner import (
     LearnerModel,
     TrainConfig,
     fit,
+    fit_stacked,
     predicted_rows,
     pretrain_m0,
+    queued_fit,
     stacked_predictions,
     stacked_probabilities,
     training_rows,
@@ -237,6 +253,9 @@ class ExperimentState:
     labels: np.ndarray
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     positive_class: int = 0
+    # The fits the steps queued, one per step, in a run whose fits no
+    # later step reads (see the module docstring); None where each step fits.
+    queued: list | None = None
 
 
 def misclassified_set(
@@ -280,7 +299,10 @@ def run_step(
     """Execute one mining / selection / annotation / fine-tuning step in
     place, on a pool with at least one unlabeled candidate. With ``audit``,
     return the step's audit line without ``misclassified_post_fit``, the
-    size of the next step's H, which :func:`run_experiment` fills in."""
+    size of the next step's H, which :func:`run_experiment` fills in. A
+    step of a run that queues its fits (``state.queued`` is a list)
+    queues its fit and leaves its model, its record's ``test_auc`` (NaN)
+    and its H (0) to :func:`run_experiment`."""
     stack = state.stack
     labeled = state.labels >= 0
     unlabeled = np.flatnonzero(~labeled)
@@ -289,7 +311,7 @@ def run_step(
     # A scoring step's model predicts the pool once, for U's scores and H.
     predicted = None if strat.criterion is None else predicted_rows(state.model, stack)
     hard = np.zeros(len(stack), dtype=bool)
-    if len(members):
+    if len(members) and state.queued is None:
         y = state.labels[members]
         hard[misclassified_set(state.model, members, stack, y, predicted)] = True
 
@@ -309,13 +331,16 @@ def run_step(
     selected[positions] = True
     train = build_training_set(strat.training_set_policy, selected, hard, labeled)
     state.labels[positions] = [answers[cid] for cid in batch]
-    if train.any():
+    if state.queued is not None:
+        state.queued.append(queued_fit(stack, train, state.train_cfg, state.rng))
+    elif train.any():
         data = training_rows(stack, train, state.labels[train])
         warm = strat.model_start == CONTINUE_PREVIOUS
         base = state.model if warm else state.model_zero
         state.model = fit(base, data, state.train_cfg, warm, state.rng)
 
-    test_auc = evaluator(state.model)
+    # A queued step's AUC is filled in after its fit, by _fit_queued.
+    test_auc = evaluator(state.model) if state.queued is None else float("nan")
     pos_frac = float(np.mean(state.labels[positions] == state.positive_class)) if batch else 0.0
     labeled_count = len(members) + len(positions)
     record = ExperimentRecord(
@@ -403,6 +428,32 @@ def check_splits(train: CandidateStack, test: CandidateStack, positive_class: in
     return num_classes
 
 
+def _fit_queued(
+    state: ExperimentState, evaluator: Callable[[LearnerModel], float], lines: list
+) -> None:
+    """Fit every step's queued fit in one stacked pass, then, step by step,
+    mine the step's H with the model before it, over the L before it, and
+    evaluate the step's model, into the step's record and audit line, as
+    the step would have. ``state.model`` ends as the last step's model."""
+    stack = state.stack
+    # A candidate's label, once annotated, stays: each fit's labels are
+    # those it was queued with.
+    models = fit_stacked(state.model_zero, stack, state.labels, state.queued, state.train_cfg)
+    labeled = np.zeros(len(stack), dtype=bool)
+    for step, ((train, _), model, line) in enumerate(zip(state.queued, models, lines), start=1):
+        members = np.flatnonzero(labeled)
+        hard = 0
+        if len(members):
+            hard = len(misclassified_set(state.model, members, stack, state.labels[members]))
+        state.records[step] = dataclasses.replace(
+            state.records[step], test_auc=evaluator(model), misclassified_count_pre_fit=hard)
+        if line is not None:
+            line["misclassified_pre_fit"] = hard
+        labeled |= train  # each training set holds its step's batch
+        state.model = model
+    state.queued = None
+
+
 def run_experiment(
     train: CandidateStack | Sequence[Candidate],
     test: CandidateStack | Sequence[Candidate],
@@ -445,6 +496,10 @@ def run_experiment(
         selected_positive_fraction=0.0,
         misclassified_count_pre_fit=0,
     )
+    # No step of RFT (uniform picks, L u Q or Q from M0) reads an earlier
+    # model, unless an AUC target reads each step's model to stop on.
+    queues = (strat.criterion is None and strat.training_set_policy != H_UNION_Q
+              and strat.model_start == RESTART_FROM_M0 and stop.auc_target is None)
     state = ExperimentState(
         stack=stack,
         model=model_zero,
@@ -454,6 +509,7 @@ def run_experiment(
         labels=np.full(len(stack), -1),
         train_cfg=train_cfg,
         positive_class=positive_class,
+        queued=[] if queues else None,
     )
 
     audit_file = replacing(audit_path) if audit_path is not None else contextlib.nullcontext()
@@ -469,6 +525,8 @@ def run_experiment(
                         sampler=dataclasses.replace(strat.sampler, batch_size=remaining),
                     )
             lines.append(run_step(state, step_strat, oracle, evaluator, audit is not None))
+        if state.queued:
+            _fit_queued(state, evaluator, lines)
         if audit is not None and lines:
             # A step's H after its fit is the H the next step starts from;
             # after the last step it is mined once, for the audit alone.

@@ -3,19 +3,21 @@ import pytest
 
 import aftstar.learner as learner_mod
 from aftstar.datagen import load_csv, write_csv
-from aftstar.errors import ConfigError, InvariantError, ShapeError
+from aftstar.errors import ConfigError, DivergenceError, InvariantError, ShapeError
 from aftstar.learner import (
     LearnerModel,
     TrainConfig,
     _augment,
     collect_patches,
     fit,
+    fit_stacked,
     loss_and_gradient,
     patch_sum,
     predict,
     predict_features,
     predicted_rows,
     pretrain_m0,
+    queued_fit,
     row_sum,
     stacked_predictions,
     stacked_probabilities,
@@ -101,6 +103,21 @@ def test_pretrain_rejects_fewer_than_two_classes_before_drawing(with_data, num_c
     with pytest.raises(ConfigError, match="num_classes must be >= 2"):
         pretrain_m0(data, TrainConfig(), rng, feature_dim=3, num_classes=num_classes)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("feature_dim", [-1, -2, 2.5, "3", None])
+def test_pretrain_without_data_rejects_a_bad_feature_dim_before_drawing(feature_dim):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="feature_dim"):
+        pretrain_m0(None, TrainConfig(), rng, feature_dim=feature_dim, num_classes=2)
+    assert rng.bit_generator.state == state
+
+
+def test_pretrain_without_data_takes_a_feature_dim_of_zero():
+    model = pretrain_m0(None, TrainConfig(), np.random.default_rng(1), feature_dim=0,
+                        num_classes=3)
+    assert model.weights.shape == (3, 1) and model.feature_dim == 0
 
 
 # --- fit --------------------------------------------------------------------
@@ -291,6 +308,87 @@ def test_fit_over_stack_positions_equals_the_reference_on_gathered_rows(num_clas
     X = rows[index][:, :-1]
     expected = sgd_reference(base.weights, X, y, cfg, cfg.learning_rate, np.random.default_rng(n))
     assert np.array_equal(model.weights, expected)
+
+
+def stack_for_fits(sizes, num_classes, seed, d=6):
+    """A stack of candidates of 1 to 4 patches, one label per candidate,
+    and for each of ``sizes`` a mask of candidates holding exactly that
+    many rows, drawn at random (topped up with one-patch candidates)."""
+    rng = np.random.default_rng(seed)
+    counts = np.concatenate([rng.integers(1, 5, size=400), np.ones(200, dtype=int)])
+    stack = stack_candidates(Candidate(f"c{i:03d}", rng.normal(scale=2.0, size=(m, d)))
+                             for i, m in enumerate(counts.tolist()))
+    labels = rng.integers(0, num_classes, size=len(stack))
+    keeps = []
+    for n in sizes:
+        keep, rows = np.zeros(len(stack), dtype=bool), 0
+        for i in rng.permutation(len(stack)).tolist():
+            if rows + counts[i] <= n and (counts[i] == 1 or rows + counts[i] < n - 4):
+                keep[i], rows = True, rows + counts[i]
+        assert rows == n
+        keeps.append(keep)
+    return stack, labels, keeps
+
+
+# Fits of one row, below, at and above one minibatch, two of equal size,
+# and one of many minibatches.
+STACKED_SIZES = [1, 31, 32, 33, 33, 600]
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
+@pytest.mark.parametrize("size", [32, 7, 1])
+def test_stacked_fits_equal_each_fit_to_the_bit(num_classes, size):
+    stack, labels, keeps = stack_for_fits(STACKED_SIZES, num_classes, seed=num_classes + size)
+    cfg = TrainConfig(minibatch_size=size)
+    base = LearnerModel(np.random.default_rng(size).normal(scale=0.3, size=(num_classes, 7)))
+    expected, fits = [], []
+    for seed, keep in enumerate(keeps):
+        drawn, queued = np.random.default_rng(seed), np.random.default_rng(seed)
+        data = training_rows(stack, keep, labels[keep])
+        expected.append(fit(base, data, cfg, False, drawn))
+        fits.append(queued_fit(stack, keep, cfg, queued))
+        # queueing draws what the fit draws, so the generator goes on alike
+        assert queued.bit_generator.state == drawn.bit_generator.state
+    models = fit_stacked(base, stack, labels, fits, cfg)
+    assert len(models) == len(keeps)
+    for model, want in zip(models, expected):
+        assert model.weights.tobytes() == want.weights.tobytes()
+    # the two fits of equal size were trained on different rows
+    assert not np.array_equal(models[3].weights, models[4].weights)
+
+
+def test_a_stacked_pass_of_one_fit_or_none_is_fit():
+    stack, labels, (keep,) = stack_for_fits([75], 3, seed=5)
+    base = LearnerModel(np.random.default_rng(5).normal(scale=0.3, size=(3, 7)))
+    want = fit(base, training_rows(stack, keep, labels[keep]), TrainConfig(), False,
+               np.random.default_rng(8))
+    fits = [queued_fit(stack, keep, TrainConfig(), np.random.default_rng(8))]
+    (model,) = fit_stacked(base, stack, labels, fits, TrainConfig())
+    assert model.weights.tobytes() == want.weights.tobytes()
+    assert fit_stacked(base, stack, labels, [], TrainConfig()) == []
+
+
+def test_a_stacked_pass_reads_labels_and_rows_and_writes_neither():
+    stack, labels, keeps = stack_for_fits([40, 90], 2, seed=6)
+    rows, before = stack.rows, stack.rows.copy()
+    labels.flags.writeable = False
+    base = LearnerModel(np.zeros((2, 7)))
+    fits = [queued_fit(stack, keep, TrainConfig(), np.random.default_rng(i))
+            for i, keep in enumerate(keeps)]
+    fit_stacked(base, stack, labels, fits, TrainConfig())
+    assert rows.tobytes() == before.tobytes()
+
+
+def test_a_stacked_pass_that_diverges_is_a_divergence_error():
+    stack, labels, keeps = stack_for_fits([40, 90], 2, seed=7)
+    cfg = TrainConfig(learning_rate=1e308)
+    base = LearnerModel(np.random.default_rng(7).normal(size=(2, 7)))
+    with pytest.raises(DivergenceError, match="diverged"):
+        fit(base, training_rows(stack, keeps[0], labels[keeps[0]]), cfg, False,
+            np.random.default_rng(0))
+    fits = [queued_fit(stack, keep, cfg, np.random.default_rng(i)) for i, keep in enumerate(keeps)]
+    with pytest.raises(DivergenceError, match="diverged"):
+        fit_stacked(base, stack, labels, fits, cfg)
 
 
 def test_fit_reads_its_rows_and_never_writes_them():

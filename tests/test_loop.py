@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -909,7 +910,7 @@ def test_each_model_predicts_the_pool_rows_at_most_once(tmp_path, monkeypatch, n
 def test_no_step_holds_a_prediction_or_asks_the_stop_rule(monkeypatch):
     fields = [f.name for f in dataclasses.fields(loop_mod.ExperimentState)]
     assert fields == ["stack", "model", "model_zero", "records", "rng", "labels", "train_cfg",
-                      "positive_class"]
+                      "positive_class", "queued"]
     asked, in_step = [], []
     real_stops, real_step = StopRule.stops, loop_mod.run_step
 
@@ -991,6 +992,87 @@ def test_a_run_keeps_its_bits_against_predicting_everything_afresh(
         assert steps <= 3  # stopped by the target, not by the budget
     elif scenario != "exhausted pool":
         assert steps == 4
+
+
+# --- RFT's restarts queued and fitted together ---------------------------------
+
+def spy_on_a_run(monkeypatch):
+    """The calls a run makes, in order: each step, each fit (its base),
+    the stacked pass (its fits), each mining (its model and the size of
+    its L) and each evaluation (its model)."""
+    calls = []
+    real_step, real_fit = loop_mod.run_step, loop_mod.fit
+    real_stacked, real_mine = loop_mod.fit_stacked, loop_mod.misclassified_set
+    real_evaluator = loop_mod.make_evaluator
+
+    def step(*args, **kwargs):
+        calls.append(("step",))
+        return real_step(*args, **kwargs)
+
+    def fitted(base, *args):
+        model = real_fit(base, *args)
+        calls.append(("fit", model))
+        return model
+
+    def stacked(base, stack, labels, fits, *args):
+        models = real_stacked(base, stack, labels, fits, *args)
+        calls.append(("stacked", models))
+        return models
+
+    def mine(model, labeled, *args):
+        calls.append(("mine", model, len(labeled)))
+        return real_mine(model, labeled, *args)
+
+    def make_evaluator(*args):
+        evaluate = real_evaluator(*args)
+
+        def evaluated(model):
+            calls.append(("evaluate", model))
+            return evaluate(model)
+
+        return evaluated
+
+    for name, spy in [("run_step", step), ("fit", fitted), ("fit_stacked", stacked),
+                      ("misclassified_set", mine), ("make_evaluator", make_evaluator)]:
+        monkeypatch.setattr(loop_mod, name, spy)
+    return calls
+
+
+def test_rft_queues_its_fits_and_fits_them_in_one_stacked_pass(tmp_path, monkeypatch):
+    calls = spy_on_a_run(monkeypatch)
+    train, test = tiny_dataset()
+    records = run_experiment(train, test, make_strategy("RFT", batch_size=10), FAST_TRAIN,
+                             StopRule(query_budget=40), 3, audit_path=tmp_path / "audit.jsonl")
+    models = calls[5][1]
+    assert [c[0] for c in calls] == (
+        ["evaluate"] + ["step"] * 4 + ["stacked", "evaluate"] + ["mine", "evaluate"] * 3
+        + ["mine"])
+    # After the pass, each step's H is mined with the model before it over
+    # the L before it, and then the step's model is evaluated.
+    assert [c[1] for c in calls if c[0] == "evaluate"][1:] == models
+    assert [c[1:] for c in calls if c[0] == "mine"] == [
+        (model, r.labeled_count) for model, r in zip(models, records[1:])]
+    lines = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert [line["misclassified_pre_fit"] for line in lines] == [
+        r.misclassified_count_pre_fit for r in records[1:]]
+    assert all(0.5 <= r.test_auc <= 1 for r in records[1:])
+
+
+@pytest.mark.parametrize("name, stop", [
+    ("RFT", StopRule(query_budget=30, auc_target=1.0)),
+    ("AFT", StopRule(query_budget=30)),
+])
+def test_a_run_whose_steps_read_a_model_fits_at_each_step(monkeypatch, name, stop):
+    calls = spy_on_a_run(monkeypatch)
+    train, test = ragged_split(1, 2, 120, "t"), ragged_split(2, 2, 40, "e")
+    records = run_experiment(train, test, make_strategy(name, "entropy", batch_size=10),
+                             FAST_TRAIN, stop, 3)
+    # RFT with an AUC target reads each step's model to stop on; AFT's
+    # selection reads the model before the step.
+    steps = len(records) - 1
+    assert steps == 3  # the target is not met
+    assert [c[0] for c in calls] == ["evaluate", "step", "fit", "evaluate"] + [
+        "step", "mine", "fit", "evaluate"] * (steps - 1)
 
 
 # --- the whole loop against a plain per-candidate reference (tests/oracles.py) ---
